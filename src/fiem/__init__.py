@@ -5,16 +5,16 @@ opt-FIEM and the hybrid h-FIEM) over finite-sum curved-exponential-family
 models, the nonasymptotic step-size planners with their bound calculators,
 two concrete models (a linear-Gaussian toy problem and a shared-covariance
 Gaussian mixture) and a seeded Monte Carlo harness.
+
+The top level re-exports the common entry points; everything else lives in
+the submodules ``algorithms``, ``model``, ``toy``, ``gmm``, ``stepsize``,
+``experiments``, ``rng`` and ``errors``.
 """
 
 from .algorithms import (
-    ALGORITHMS,
-    MemoryTable,
-    RunDiagnostics,
     RunOptions,
     StepSchedule,
     TerminationRule,
-    draw_batch,
     fiem_step,
     h_fiem_run,
     iem_step,
@@ -23,78 +23,28 @@ from .algorithms import (
     opt_fiem_step,
     run,
 )
-from .errors import (
-    ConfigurationError,
-    DegenerateVarianceError,
-    DomainError,
-    FiemError,
-    InfeasiblePlanError,
-    MemoryStateError,
-    RunAbortError,
-    UnsupportedCapabilityError,
-)
-from .experiments import (
-    EEstimates,
-    ExperimentConfig,
-    GmmExperimentConfig,
-    ResultTable,
-    Theorem1Report,
-    default_checkpoints,
-    estimate_e,
-    gmm_epoch_path,
-    run_replicated,
-    table_report,
-    update_magnitude_window,
-    verify_bound,
-    verify_theorem1,
-)
+from .errors import RunAbortError
+from .experiments import gmm_epoch_path, update_magnitude_window
 from .gmm import (
     GmmDataset,
     GmmModel,
     GmmParams,
     generate_gmm_synthetic,
     gmm_loglik,
-    gmm_tmap,
     init_params,
-    load_csv_dataset,
-    posterior,
-    posterior_rows,
     preprocess,
-    save_csv_dataset,
 )
-from .model import (
-    FiniteSumModel,
-    ModelConstants,
-    em_step,
-    grad_v_fd,
-    gradv_identity_check,
-    mean_field,
-    objective_v,
-    sbar,
-)
+from .model import em_step, grad_v_fd, gradv_identity_check, mean_field, objective_v, sbar
 from .rng import SeedTree
 from .stepsize import (
     PlannerInputs,
-    StepSizePlan,
-    Theorem1Coefficients,
-    bound_case1,
-    build_plan,
-    c_plus_closed_form,
-    c_star_asymptotic,
-    case1_identity_gap,
     f_n,
     f_n_tilde,
-    gamma_case1,
     karimi_plan,
-    lambda_star_case2,
     nonuniform_plan,
     plan_case1,
-    recommend,
-    solve_c_case1,
-    solve_c_lambda_eq_c,
     solve_case2,
-    theorem1_coeffs,
 )
-from .toy import ToyModel, generate_toy, toy_algorithm_step
+from .toy import ToyModel, generate_toy
 
 __version__ = "0.1.0"

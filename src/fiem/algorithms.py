@@ -1,13 +1,16 @@
 """Generic engines for EM, incremental EM, Online EM, FIEM, opt-FIEM, h-FIEM.
 
-Single steps are exposed as standalone functions; :func:`run` drives a full
-path with per-iteration diagnostics under the shared-seed protocol (dedicated
-substreams for the memory-update draws "indices-I", the oracle draws
-"indices-J", and the random termination index).
+Single steps are exposed as standalone functions.  :func:`sa_path` is the one
+stochastic-approximation loop: it walks a list of (algorithm, iterations)
+phases on one state with per-iteration diagnostics under the shared-seed
+protocol (dedicated substreams for the memory-update draws "indices-I" and
+the oracle draws "indices-J").  :func:`run` is a single phase with a random
+termination index, :func:`h_fiem_run` an Online EM phase followed by a FIEM
+phase.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -252,7 +255,7 @@ def opt_fiem_step(
 
 @dataclass
 class RunOptions:
-    """Switches for :func:`run`; expensive diagnostics are opt-in."""
+    """Switches for :func:`sa_path`; expensive diagnostics are opt-in."""
 
     s0: Optional[Array] = None
     batch_size: int = 1
@@ -295,129 +298,142 @@ class RunDiagnostics:
         return getattr(self, name)
 
 
-def _theta_distance(model, theta, ref) -> float:
-    a = np.asarray(theta, dtype=float).ravel() if not hasattr(theta, "as_vector") else theta.as_vector()
-    b = np.asarray(ref, dtype=float).ravel() if not hasattr(ref, "as_vector") else ref.as_vector()
-    return float(np.linalg.norm(a - b))
+def _as_vector(theta) -> Array:
+    return theta.as_vector() if hasattr(theta, "as_vector") else np.asarray(theta, dtype=float).ravel()
 
 
-def run(
-    algorithm: str,
+def _step(algorithm, model, s, memory, rng_i, rng_j, b, gamma, smean, forced_lambda):
+    """One update of ``algorithm`` from ``s``; returns (new state, lambda or None).
+
+    Memory batches are drawn from ``rng_i`` before oracle batches from
+    ``rng_j``, so every algorithm reads the same stream positions.  The step
+    functions are looked up as module globals at call time (no dispatch
+    table), so a wrapper installed on this module sees every call."""
+    n = model.n
+    if algorithm == "em":
+        return smean, None
+    if algorithm == "online-em":
+        return online_em_step(model, s, draw_batch(rng_j, n, b, replace=False), gamma), None
+    batch_i = draw_batch(rng_i, n, b, replace=True)
+    if algorithm == "iem":
+        return iem_step(model, s, memory, batch_i, gamma)[0], None
+    batch_j = draw_batch(rng_j, n, b, replace=True)
+    if algorithm == "fiem":
+        return fiem_step(model, s, memory, batch_i, batch_j, gamma)[0], None
+    s_new, _, lam = opt_fiem_step(model, s, memory, batch_i, batch_j, gamma,
+                                  forced_lambda=forced_lambda)
+    return s_new, lam
+
+
+def sa_path(
+    name: str,
     model: FiniteSumModel,
-    schedule: StepSchedule,
-    termination: TerminationRule,
+    phases,
+    gammas: Array,
     seed,
-    options: Optional[RunOptions] = None,
+    options: RunOptions,
+    on_phase_end: Optional[Callable] = None,
 ) -> RunDiagnostics:
-    """Execute K_max iterations of the chosen algorithm and record diagnostics.
+    """The stochastic-approximation loop ``s <- s + gamma (S_hat - s)``.
 
-    Index batches come from dedicated substreams: memory updates from
-    "indices-I", oracle draws from "indices-J".  Two algorithms run with the
-    same seed therefore see identical index streams position by position,
-    which is the protocol behind all same-seed comparisons.  The termination
-    index is sampled from its own substream before the run starts.
+    Walks ``phases``, a list of ``(algorithm, iterations)``, on one state;
+    iteration k of the whole path uses ``gammas[k]``.  Online EM batches are
+    drawn without replacement from "indices-J", memory batches with
+    replacement from "indices-I" and FIEM oracle batches with replacement from
+    "indices-J".  The memory table is initialized from the current state when
+    the first memory phase starts, and ``on_phase_end(s)`` is called after
+    every phase.  The diagnostics switched on in ``options`` are recorded at
+    the pre-update state of every iteration; ``cv_gap_sq`` and ``lambdas``
+    read NaN in phases without a control variate.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
-    opts = options or RunOptions()
+    opts = options
     if opts.s0 is None:
         raise ValueError("options.s0 must provide the starting statistic")
-    k_max = len(schedule)
-    if len(termination) != k_max:
-        raise ValueError("termination weights must have length K_max")
+    for algorithm, _ in phases:
+        if algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    k_max = sum(iters for _, iters in phases)
+    if len(gammas) != k_max:
+        raise ValueError(f"schedule length {len(gammas)} does not match the {k_max} iterations")
 
     tree = as_seed_tree(seed)
     rng_i = tree.stream(STREAM_INDICES_I)
     rng_j = tree.stream(STREAM_INDICES_J)
-    terminal_k = termination.sample(tree.stream(STREAM_TERMINATION))
 
     s = np.array(opts.s0, dtype=float)
     model.admissible(s)
-    uses_memory = algorithm in MEMORY_ALGORITHMS
-    memory = MemoryTable.init(model, s) if uses_memory else None
-
-    gammas = schedule.gammas
+    memory = None
     b = int(opts.batch_size)
-    n = model.n
+    uses_memory = any(alg in MEMORY_ALGORITHMS and iters for alg, iters in phases)
 
     h_sq = np.empty(k_max) if opts.compute_h else None
-    cv_sq = np.empty(k_max) if (opts.compute_e2 and uses_memory) else None
+    cv_sq = np.full(k_max, np.nan) if (opts.compute_e2 and uses_memory) else None
     step_sq = np.empty(k_max)
     vdot_sq = np.empty(k_max) if opts.compute_e0 else None
-    lambdas = np.empty(k_max) if algorithm == "opt-fiem" else None
+    lambdas = np.full(k_max, np.nan) if any(alg == "opt-fiem" for alg, _ in phases) else None
     v = np.empty(k_max + 1) if opts.track_v else None
     theta_err = np.empty(k_max + 1) if opts.theta_ref is not None else None
     params = [] if opts.param_fn is not None else None
+    needs_mean = opts.compute_h or cv_sq is not None or opts.compute_e0
     violations = 0
 
+    def record_theta(k, s):
+        theta = model.tmap(s)
+        if v is not None:
+            v[k] = model.objective(theta)
+        if theta_err is not None:
+            theta_err[k] = float(np.linalg.norm(_as_vector(theta) - _as_vector(opts.theta_ref)))
+        if params is not None:
+            params.append(np.asarray(opts.param_fn(theta), dtype=float))
+
+    records_theta = v is not None or theta_err is not None or params is not None
+    k = 0
     try:
-        for k in range(k_max):
-            gamma = gammas[k]
-            smean = None
-            if opts.compute_h or opts.compute_e2 or opts.compute_e0 or algorithm == "em":
-                smean = model.stat_mean(s)
-            if opts.compute_h:
-                hvec = smean - s
-                h_sq[k] = hvec @ hvec
-            if opts.compute_e0:
-                vdot = model.bmat(s) @ (smean - s)
-                vdot_sq[k] = vdot @ vdot
-            if opts.track_v:
-                v[k] = model.objective(model.tmap(s))
-            if theta_err is not None:
-                theta_err[k] = _theta_distance(model, model.tmap(s), opts.theta_ref)
-            if params is not None:
-                params.append(np.asarray(opts.param_fn(model.tmap(s)), dtype=float))
+        for algorithm, iters in phases:
+            if memory is None and iters and algorithm in MEMORY_ALGORITHMS:
+                memory = MemoryTable.init(model, s)
+            for _ in range(iters):
+                smean = model.stat_mean(s) if needs_mean or algorithm == "em" else None
+                if h_sq is not None:
+                    hvec = smean - s
+                    h_sq[k] = hvec @ hvec
+                if vdot_sq is not None:
+                    vdot = model.bmat(s) @ (smean - s)
+                    vdot_sq[k] = vdot @ vdot
+                if records_theta:
+                    record_theta(k, s)
 
-            if algorithm == "em":
-                s_new = smean
-            elif algorithm == "online-em":
-                batch_j = draw_batch(rng_j, n, b, replace=False)
-                s_new = online_em_step(model, s, batch_j, gamma)
-            elif algorithm == "iem":
-                batch_i = draw_batch(rng_i, n, b, replace=True)
-                s_new, memory = iem_step(model, s, memory, batch_i, gamma)
-            elif algorithm == "fiem":
-                batch_i = draw_batch(rng_i, n, b, replace=True)
-                batch_j = draw_batch(rng_j, n, b, replace=True)
-                s_new, memory = fiem_step(model, s, memory, batch_i, batch_j, gamma)
-            else:  # opt-fiem
-                batch_i = draw_batch(rng_i, n, b, replace=True)
-                batch_j = draw_batch(rng_j, n, b, replace=True)
-                s_new, memory, lam = opt_fiem_step(
-                    model, s, memory, batch_i, batch_j, gamma,
-                    forced_lambda=opts.forced_lambda,
-                )
-                lambdas[k] = lam
+                s_new, lam = _step(algorithm, model, s, memory, rng_i, rng_j, b, gammas[k],
+                                   smean, opts.forced_lambda)
 
-            if cv_sq is not None:
-                gap = memory.mean - smean
-                cv_sq[k] = gap @ gap
-            delta = s_new - s
-            step_sq[k] = delta @ delta
-
-            if opts.domain_policy is not None:
-                try:
-                    model.admissible(s_new)
-                except DomainError as exc:
-                    if opts.domain_policy == "abort":
-                        raise RunAbortError(k, str(exc)) from exc
-                    violations += 1
-            s = s_new
+                if lam is not None:
+                    lambdas[k] = lam
+                if cv_sq is not None and algorithm in MEMORY_ALGORITHMS:
+                    gap = memory.mean - smean
+                    cv_sq[k] = gap @ gap
+                delta = s_new - s
+                step_sq[k] = delta @ delta
+                if opts.domain_policy is not None:
+                    try:
+                        model.admissible(s_new)
+                    except DomainError as exc:
+                        if opts.domain_policy == "abort":
+                            raise RunAbortError(k, str(exc)) from exc
+                        violations += 1
+                s = s_new
+                k += 1
+            if on_phase_end is not None:
+                on_phase_end(s)
     except DomainError as exc:
         raise RunAbortError(k, str(exc)) from exc
 
-    if opts.track_v:
-        v[k_max] = model.objective(model.tmap(s))
-    if theta_err is not None:
-        theta_err[k_max] = _theta_distance(model, model.tmap(s), opts.theta_ref)
-    if params is not None:
-        params.append(np.asarray(opts.param_fn(model.tmap(s)), dtype=float))
+    if records_theta:
+        record_theta(k_max, s)
 
     return RunDiagnostics(
-        algorithm=algorithm,
+        algorithm=name,
         k_max=k_max,
-        terminal_k=terminal_k,
+        terminal_k=None,
         gammas=gammas,
         s0=np.array(opts.s0, dtype=float),
         s_final=s,
@@ -431,6 +447,31 @@ def run(
         params=np.array(params) if params is not None else None,
         violations=violations,
     )
+
+
+def run(
+    algorithm: str,
+    model: FiniteSumModel,
+    schedule: StepSchedule,
+    termination: TerminationRule,
+    seed,
+    options: Optional[RunOptions] = None,
+) -> RunDiagnostics:
+    """Execute K_max iterations of the chosen algorithm and record diagnostics.
+
+    A single :func:`sa_path` phase.  Two algorithms run with the same seed see
+    identical index streams position by position, which is the protocol
+    behind all same-seed comparisons.  The termination index is sampled from
+    its own substream before the run starts.
+    """
+    if len(termination) != len(schedule):
+        raise ValueError("termination weights must have length K_max")
+    tree = as_seed_tree(seed)
+    terminal_k = termination.sample(tree.stream(STREAM_TERMINATION))
+    diag = sa_path(algorithm, model, [(algorithm, len(schedule))], schedule.gammas, tree,
+                   options or RunOptions())
+    diag.terminal_k = terminal_k
+    return diag
 
 
 def h_fiem_run(
@@ -450,87 +491,17 @@ def h_fiem_run(
     from the current state.  ``gamma`` is a scalar or a :class:`StepSchedule`
     covering the full iteration count.
     """
-    opts = options or RunOptions()
-    if opts.s0 is None:
-        raise ValueError("options.s0 must provide the starting statistic")
     if not (0 <= kswitch_epochs <= total_epochs):
         raise ValueError("need 0 <= kswitch_epochs <= total_epochs")
     b = int(batch_size)
     n = model.n
     if n % b != 0 or n % (2 * b) != 0:
         raise ValueError("epoch accounting requires n divisible by batch and 2*batch")
-    online_iters = kswitch_epochs * (n // b)
-    fiem_iters = (total_epochs - kswitch_epochs) * (n // (2 * b))
-    k_max = online_iters + fiem_iters
-    if isinstance(gamma, StepSchedule):
-        if len(gamma) != k_max:
-            raise ValueError(f"schedule length {len(gamma)} does not match the {k_max} iterations")
-        gammas = gamma.gammas
-    else:
-        gammas = np.full(k_max, float(gamma))
-
-    tree = as_seed_tree(seed)
-    rng_i = tree.stream(STREAM_INDICES_I)
-    rng_j = tree.stream(STREAM_INDICES_J)
-
-    s = np.array(opts.s0, dtype=float)
-    model.admissible(s)
-    memory = None
-    h_sq = np.empty(k_max) if opts.compute_h else None
-    step_sq = np.empty(k_max)
-    v = np.empty(k_max + 1) if opts.track_v else None
-    params = [] if opts.param_fn is not None else None
-    violations = 0
-
-    try:
-        for k in range(k_max):
-            if k == online_iters:
-                memory = MemoryTable.init(model, s)
-            if opts.compute_h:
-                hvec = model.stat_mean(s) - s
-                h_sq[k] = hvec @ hvec
-            if opts.track_v:
-                v[k] = model.objective(model.tmap(s))
-            if params is not None:
-                params.append(np.asarray(opts.param_fn(model.tmap(s)), dtype=float))
-
-            if k < online_iters:
-                batch_j = draw_batch(rng_j, n, b, replace=False)
-                s_new = online_em_step(model, s, batch_j, gammas[k])
-            else:
-                batch_i = draw_batch(rng_i, n, b, replace=True)
-                batch_j = draw_batch(rng_j, n, b, replace=True)
-                s_new, memory = fiem_step(model, s, memory, batch_i, batch_j, gammas[k])
-
-            delta = s_new - s
-            step_sq[k] = delta @ delta
-            if opts.domain_policy is not None:
-                try:
-                    model.admissible(s_new)
-                except DomainError as exc:
-                    if opts.domain_policy == "abort":
-                        raise RunAbortError(k, str(exc)) from exc
-                    violations += 1
-            s = s_new
-    except DomainError as exc:
-        raise RunAbortError(k, str(exc)) from exc
-
-    if opts.track_v:
-        v[k_max] = model.objective(model.tmap(s))
-    if params is not None:
-        params.append(np.asarray(opts.param_fn(model.tmap(s)), dtype=float))
-
-    return RunDiagnostics(
-        algorithm="h-fiem",
-        k_max=k_max,
-        terminal_k=None,
-        gammas=gammas,
-        s0=np.array(opts.s0, dtype=float),
-        s_final=s,
-        h_sq=h_sq,
-        step_sq=step_sq,
-        v=v,
-        params=np.array(params) if params is not None else None,
-        violations=violations,
-        switch_iteration=online_iters,
-    )
+    phases = [("online-em", kswitch_epochs * (n // b)),
+              ("fiem", (total_epochs - kswitch_epochs) * (n // (2 * b)))]
+    k_max = phases[0][1] + phases[1][1]
+    gammas = gamma.gammas if isinstance(gamma, StepSchedule) else np.full(k_max, float(gamma))
+    opts = replace(options or RunOptions(), batch_size=b)
+    diag = sa_path("h-fiem", model, phases, gammas, seed, opts)
+    diag.switch_iteration = phases[0][1]
+    return diag

@@ -16,22 +16,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algorithms import (
-    MemoryTable,
     RunDiagnostics,
     RunOptions,
     StepSchedule,
     TerminationRule,
     run,
+    sa_path,
 )
-from .errors import DomainError, RunAbortError
-from .gmm import (
-    GmmModel,
-    gmm_fiem_step,
-    gmm_iem_step,
-    gmm_loglik,
-    gmm_onlineem_step,
-    init_params,
-)
+from .errors import RunAbortError
+from .gmm import GmmModel, gmm_loglik, init_params
 from .model import FiniteSumModel
 from .rng import SeedTree, as_seed_tree
 from .stepsize import Theorem1Coefficients, theorem1_coeffs
@@ -367,81 +360,52 @@ def gmm_epoch_path(
     EM runs one iteration per epoch; iEM and Online EM n/b iterations; FIEM
     n/(2b).  h-FIEM runs ``kswitch`` Online EM epochs then FIEM epochs, with
     the memory table initialized at the switch point from the current state.
-    Online EM batches are drawn without replacement, iEM/FIEM batches with
-    replacement; all algorithms share the per-purpose index substreams.
+    Every epoch is one :func:`~fiem.algorithms.sa_path` phase, and the
+    log-likelihood and weights are recorded at its end.  iEM asserts the
+    domain proxies (a violation aborts the path); the other algorithms count
+    violations.
     """
     if algorithm not in GMM_ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     n, b = model.n, int(batch_size)
-    if algorithm != "em":
+    if algorithm == "em":
+        per_epoch = {"em": 1}
+    else:
         if n % b != 0:
             raise ValueError("epoch accounting requires n divisible by the batch size")
         if algorithm in ("fiem", "h-fiem") and n % (2 * b) != 0:
             raise ValueError("FIEM epoch accounting requires n divisible by 2*batch")
+        per_epoch = {"iem": n // b, "online-em": n // b, "fiem": n // (2 * b)}
     if algorithm != "h-fiem":
-        kswitch = 0
+        epoch_algorithms = [algorithm] * epochs
     elif not (0 <= kswitch <= epochs):
         raise ValueError("need 0 <= kswitch <= epochs")
+    else:
+        epoch_algorithms = ["online-em"] * kswitch + ["fiem"] * (epochs - kswitch)
+    phases = [(alg, per_epoch[alg]) for alg in epoch_algorithms]
+    k_max = sum(iters for _, iters in phases)
 
-    tree = as_seed_tree(seed)
-    rng_i = tree.stream("indices-I")
-    rng_j = tree.stream("indices-J")
+    s0 = model.initial_statistic(theta0)
+    loglik = []
+    weights = [model.tmap(s0).weights]
 
-    s = model.initial_statistic(theta0)
-    memory = None
-    if algorithm == "iem" or algorithm == "fiem":
-        memory = MemoryTable.init(model, s)
+    def record(s):
+        params = model.tmap(s)
+        loglik.append(gmm_loglik(params, model.dataset))
+        weights.append(params.weights)
 
-    loglik = np.empty(epochs)
-    weights = np.empty((epochs + 1, model.g))
-    weights[0] = model.tmap(s).weights
-    violations = 0
-    examples = 0
-    iterations = 0
-
-    try:
-        for epoch in range(epochs):
-            if algorithm == "em":
-                s = model.stat_mean(s)
-                examples += n
-                iterations += 1
-            elif algorithm == "iem":
-                for _ in range(n // b):
-                    batch = rng_i.integers(0, n, size=b)
-                    s, memory = gmm_iem_step(model, s, memory, batch, gamma)
-                    examples += b
-                    iterations += 1
-            elif algorithm == "online-em" or (algorithm == "h-fiem" and epoch < kswitch):
-                for _ in range(n // b):
-                    batch = rng_j.choice(n, size=b, replace=False) if b > 1 else rng_j.integers(0, n, size=1)
-                    s, bad = gmm_onlineem_step(model, s, batch, gamma)
-                    violations += bad
-                    examples += b
-                    iterations += 1
-            else:  # fiem phase
-                if algorithm == "h-fiem" and epoch == kswitch and memory is None:
-                    memory = MemoryTable.init(model, s)
-                for _ in range(n // (2 * b)):
-                    batch_i = rng_i.integers(0, n, size=b)
-                    batch_j = rng_j.integers(0, n, size=b)
-                    s, memory, bad = gmm_fiem_step(model, s, memory, batch_i, batch_j, gamma)
-                    violations += bad
-                    examples += 2 * b
-                    iterations += 1
-            params = model.tmap(s)
-            loglik[epoch] = gmm_loglik(params, model.dataset)
-            weights[epoch + 1] = params.weights
-    except DomainError as exc:
-        raise RunAbortError(iterations, str(exc)) from exc
-
+    opts = RunOptions(s0=s0, batch_size=b, compute_h=False,
+                      domain_policy="abort" if algorithm == "iem" else "warn")
+    diag = sa_path(algorithm, model, phases, np.full(k_max, float(gamma)), seed, opts,
+                   on_phase_end=record)
     return GmmPath(
         algorithm=algorithm,
-        loglik=loglik,
-        weights=weights,
-        violations=violations,
-        examples_processed=examples,
-        iterations=iterations,
-        final_params=model.tmap(s),
+        loglik=np.array(loglik),
+        weights=np.array(weights),
+        violations=diag.violations,
+        examples_processed=epochs * n,
+        iterations=k_max,
+        final_params=model.tmap(diag.s_final),
     )
 
 

@@ -195,15 +195,9 @@ class GmmModel(FiniteSumModel):
         self.n = dataset.n
         self.p = dataset.p
         self.q = self.g + self.p * self.g
-        self._tmap_cache = None
 
     def tmap(self, s: Array) -> GmmParams:
-        cache = self._tmap_cache
-        if cache is not None and cache[0] is s:
-            return cache[1]
-        params = gmm_tmap(s, self.dataset.sigma_star, self.g)
-        self._tmap_cache = (s, params)
-        return params
+        return gmm_tmap(s, self.dataset.sigma_star, self.g)
 
     def admissible(self, s: Array) -> None:
         check_statistic(self, s)
@@ -257,11 +251,6 @@ def dense_selection_matrix(y: Array, g: int) -> Array:
 
 
 # -- mini-batch steps (thin wrappers enforcing the domain proxies) ---------
-
-
-def gmm_em_epoch(model: GmmModel, s: Array) -> Array:
-    """One full EM pass: s -> sbar(T(s))."""
-    return model.stat_mean(s)
 
 
 def gmm_iem_step(model: GmmModel, s: Array, memory: MemoryTable, batch, gamma: float):

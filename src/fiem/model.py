@@ -62,9 +62,10 @@ class ModelConstants:
 class FiniteSumModel(ABC):
     """Capability interface for finite-sum curved-exponential-family models.
 
-    Implementations are immutable after construction and safe to share across
-    threads; internal memo caches key on object identity and recompute at
-    worst.  ``n`` is the example count and ``q`` the statistic dimension.
+    Implementations are immutable after construction, hold no state that
+    depends on the statistic vectors they are given, and are safe to share
+    across threads.  ``n`` is the example count and ``q`` the statistic
+    dimension.
     """
 
     n: int

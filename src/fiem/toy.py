@@ -108,8 +108,6 @@ class ToyModel(FiniteSumModel):
         l_gradv = float(np.max(np.abs(np.linalg.eigvalsh(vdot_mat))))
         self._constants = ModelConstants.uniform(v_min, v_max, lips, l_gradv, self.n)
 
-        self._stat_cache = None
-
     # -- model interface --------------------------------------------------
 
     def tmap(self, s: Array) -> Array:
@@ -127,21 +125,12 @@ class ToyModel(FiniteSumModel):
     def sbar(self, theta: Array) -> Array:
         return self.p1ybar + self.gram @ theta
 
-    def _pi2_s(self, s: Array) -> Array:
-        # identity-keyed memo: the same state vector is mapped several times
-        # per iteration (memory write, oracle rows, diagnostics)
-        cache = self._stat_cache
-        if cache is not None and cache[0] is s:
-            return cache[1]
-        val = self.pi2 @ s
-        self._stat_cache = (s, val)
-        return val
-
+    # closed form Pi2 s; sbar_rows(T(s)) would round Gram (Tmat s) differently
     def stat_rows(self, s: Array, indices) -> Array:
-        return self.p1y[np.asarray(indices)] + self._pi2_s(s)
+        return self.p1y[np.asarray(indices)] + self.pi2 @ s
 
     def stat_mean(self, s: Array) -> Array:
-        return self.p1ybar + self._pi2_s(s)
+        return self.p1ybar + self.pi2 @ s
 
     def objective(self, theta: Array) -> float:
         return 0.5 * float(theta @ self._obj_m @ theta) - float(self._obj_b @ theta) + self._obj_c
@@ -222,32 +211,3 @@ def generate_toy(
     model = ToyModel(a_mat, x_mat, upsilon, y)
     model.theta_true = theta_true
     return model
-
-
-def toy_algorithm_step(
-    model: ToyModel,
-    s: Array,
-    memory_rows: Array,
-    stilde: Array,
-    idx_i: int,
-    idx_j: int,
-    gamma: float,
-    lam: float,
-):
-    """Specialized one-iteration update of the SA family on the toy model.
-
-    Stores the old memory row, refreshes row ``idx_i`` at the current state,
-    updates the running mean, then applies the lambda-weighted update
-    (lambda 0 = plain oracle, 1 = unit control variate).  Returns
-    (new state, memory_rows, stilde); cross-checked bitwise against the
-    generic engines in the tests.
-    """
-    new_row = model.stat_rows(s, np.array([idx_i]))[0]
-    stilde = stilde + (new_row - memory_rows[idx_i]) / model.n
-    memory_rows[idx_i] = new_row
-    rows_j = model.stat_rows(s, np.array([idx_j]))
-    direction = rows_j.mean(axis=0) - s
-    if lam != 0.0:
-        mem_j = memory_rows[np.array([idx_j])].mean(axis=0)
-        direction = direction + lam * (stilde - mem_j)
-    return s + gamma * direction, memory_rows, stilde

@@ -383,11 +383,15 @@ class TestHybridRun:
         gamma = 0.1
         total_epochs = 4
         k_max = total_epochs * (m.n // 2)
-        hybrid = fiem.h_fiem_run(m, gamma, 1, 0, total_epochs, 5, opts(m))
+        diag_opts = opts(m, compute_e0=True, theta_ref=m.theta_star)
+        hybrid = fiem.h_fiem_run(m, gamma, 1, 0, total_epochs, 5, diag_opts)
         pure = fiem.run("fiem", m, StepSchedule.constant(gamma, k_max),
-                        TerminationRule.uniform(k_max), 5, opts(m))
+                        TerminationRule.uniform(k_max), 5, diag_opts)
         assert hybrid.k_max == k_max
         assert np.array_equal(hybrid.s_final, pure.s_final)
+        # the hybrid honours the same diagnostic switches as run()
+        assert np.array_equal(hybrid.vdot_sq, pure.vdot_sq)
+        assert np.array_equal(hybrid.theta_err, pure.theta_err)
 
     def test_full_switch_is_pure_online(self):
         m = toy(seed=24, n=8)

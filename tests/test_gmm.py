@@ -10,7 +10,6 @@ from fiem.gmm import (
     GmmParams,
     dense_selection_matrix,
     generate_gmm_synthetic,
-    gmm_em_epoch,
     gmm_fiem_step,
     gmm_iem_step,
     gmm_loglik,
@@ -103,6 +102,17 @@ class TestTmap:
             s2 = model.sbar(model.tmap(s))
             model.admissible(s2)
 
+    def test_in_place_change_of_state_is_seen(self):
+        # regression: tmap once cached its result keyed on the identity of
+        # ``s`` and returned the old parameter after an in-place update
+        model, _ = synthetic(seed=5, n=60)
+        s = model.initial_statistic(init_params(model.dataset, 3, 1))
+        before = model.tmap(s).means.copy()
+        s[3:] *= 0.5  # halved means keep the covariance positive definite
+        after = model.tmap(s).means
+        np.testing.assert_array_equal(after, gmm_tmap(s, model.dataset.sigma_star, 3).means)
+        assert not np.array_equal(after, before)
+
     def test_empty_component_error(self):
         model, _ = synthetic(seed=5)
         s = model.initial_statistic(init_params(model.dataset, 3, 1))
@@ -167,7 +177,7 @@ class TestMiniBatchSteps:
         s = model.initial_statistic(theta0)
         memory = MemoryTable.init(model, s)
         out, _ = gmm_iem_step(model, s, memory, np.arange(model.n), 1.0)
-        np.testing.assert_allclose(out, gmm_em_epoch(model, s), atol=1e-12)
+        np.testing.assert_allclose(out, model.stat_mean(s), atol=1e-12)
 
     def test_online_mass_preserved_along_path(self):
         model, _ = synthetic(seed=10, n=120)
@@ -206,6 +216,25 @@ class TestMiniBatchSteps:
         assert fm.iterations == 3 * 2 and fm.examples_processed == 3 * 200
         hyb = fiem.gmm_epoch_path(model, "h-fiem", theta0, 5e-2, 50, 4, seed=0, kswitch=1)
         assert hyb.iterations == 4 + 3 * 2 and hyb.examples_processed == 4 * 200
+
+    @pytest.mark.parametrize("algorithm,gamma,batch", [("online-em", 5e-2, 20), ("fiem", 5e-2, 10)])
+    def test_epoch_path_shares_the_run_index_streams(self, algorithm, gamma, batch):
+        # one epoch of the mixture path draws exactly the batches of run()
+        # under the same seed (Online EM at b > 1 draws without replacement)
+        model, _ = synthetic(seed=15, n=200)
+        theta0 = init_params(model.dataset, 3, 3)
+        path = fiem.gmm_epoch_path(model, algorithm, theta0, gamma, batch, 1, seed=7)
+        k_max = path.iterations
+        diag = fiem.run(
+            algorithm, model, fiem.StepSchedule.constant(gamma, k_max),
+            fiem.TerminationRule.uniform(k_max), 7,
+            fiem.RunOptions(s0=model.initial_statistic(theta0), batch_size=batch,
+                            compute_h=False),
+        )
+        final = model.tmap(diag.s_final)
+        np.testing.assert_array_equal(path.final_params.weights, final.weights)
+        np.testing.assert_array_equal(path.final_params.means, final.means)
+        np.testing.assert_array_equal(path.final_params.cov, final.cov)
 
     def test_em_monotone_loglik(self):
         model, _ = synthetic(seed=13, n=250)
