@@ -105,6 +105,7 @@ class MemoryTable:
         self.rows = rows
         self.mean = rows.mean(axis=0)
         self._updates = 0
+        self._scratch = None
 
     @classmethod
     def init(cls, model: FiniteSumModel, s: Array) -> "MemoryTable":
@@ -118,9 +119,10 @@ class MemoryTable:
     def write(self, model: FiniteSumModel, s: Array, batch) -> None:
         """Replace the rows of ``batch`` (duplicates collapse) by sbar_i(T(s))
         and update the running mean incrementally."""
-        uniq = np.unique(np.asarray(batch))
+        batch = np.asarray(batch)
+        uniq = batch if batch.size == 1 else np.unique(batch)
         new = model.stat_rows(s, uniq)
-        delta = (new - self.rows[uniq]).sum(axis=0)
+        delta = np.add.reduce(new - self.rows[uniq], axis=0)
         self.rows[uniq] = new
         self.mean = self.mean + delta / self.n
         self._updates += uniq.size
@@ -132,15 +134,35 @@ class MemoryTable:
         self.mean = self.rows.mean(axis=0)
         self._updates = 0
 
+    def scratch(self) -> tuple[Array, Array]:
+        """Two (n, q) work arrays owned by the table, allocated on first use,
+        so that full passes over the rows allocate nothing per iteration."""
+        if self._scratch is None:
+            self._scratch = (np.empty_like(self.rows), np.empty_like(self.rows))
+        return self._scratch
+
 
 def draw_batch(rng: np.random.Generator, n: int, size: int, replace: bool) -> Array:
     """Uniform index batch; single draws use the same generator primitive in
     both modes so that size-1 streams align across algorithms."""
     if size < 1:
         raise ValueError("batch size must be >= 1")
-    if size == 1 or replace:
+    if size == 1:
+        # a scalar draw reads the same stream position as size=1 at half the cost
+        return np.array([rng.integers(0, n)])
+    if replace:
         return rng.integers(0, n, size=size)
     return rng.choice(n, size=size, replace=False)
+
+
+def row_mean(rows: Array) -> Array:
+    """``rows.mean(axis=0)`` bit for bit (the same sum, then division by the
+    row count), without the wrapper overhead of ``ndarray.mean``.  A single
+    row is returned as the view ``rows[0]``, which dividing by 1 leaves
+    unchanged."""
+    if rows.shape[0] == 1:
+        return rows[0]
+    return np.add.reduce(rows, axis=0) / rows.shape[0]
 
 
 # -- single steps ---------------------------------------------------------
@@ -151,7 +173,7 @@ def online_em_step(model: FiniteSumModel, s: Array, batch, gamma: float) -> Arra
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
     rows = model.stat_rows(s, batch)
-    return s + gamma * (rows.mean(axis=0) - s)
+    return s + gamma * (row_mean(rows) - s)
 
 
 def iem_step(model: FiniteSumModel, s: Array, memory: MemoryTable, batch, gamma: float):
@@ -176,9 +198,9 @@ def _cv_update(
     # SA update with a control variate scaled by lam; lam=0 reproduces the
     # plain oracle step bit-for-bit (the CV term is skipped, not multiplied).
     rows_j = model.stat_rows(s, batch_j)
-    direction = rows_j.mean(axis=0) - s
+    direction = row_mean(rows_j) - s
     if lam != 0.0:
-        mem_j = memory.rows[batch_j].mean(axis=0)
+        mem_j = row_mean(memory.rows[batch_j])
         direction = direction + lam * (memory.mean - mem_j)
     return s + gamma * direction
 
@@ -208,9 +230,11 @@ def opt_fiem_lambda(model: FiniteSumModel, s: Array, memory: MemoryTable) -> flo
     lambda* = - mean_j <sbar_j(T(s)), Stilde - S_j> / mean_j ||Stilde - S_j||^2
     with the memory rows taken after the current I-update.  Raises
     :class:`DegenerateVarianceError` when the denominator is numerically zero.
+    Both (n, q) operands are written into the table's scratch arrays.
     """
-    rows = model.stat_rows(s, np.arange(model.n))
-    diff = memory.mean - memory.rows  # (n, q)
+    rows, diff = memory.scratch()
+    model.stat_rows_into(s, rows)
+    np.subtract(memory.mean, memory.rows, out=diff)
     num = float(np.einsum("nq,nq->", rows, diff)) / model.n
     # stable form of mean_j ||S_j||^2 - ||Stilde||^2
     den = float(np.einsum("nq,nq->", diff, diff)) / model.n
@@ -344,7 +368,10 @@ def sa_path(
     the first memory phase starts, and ``on_phase_end(s)`` is called after
     every phase.  The diagnostics switched on in ``options`` are recorded at
     the pre-update state of every iteration; ``cv_gap_sq`` and ``lambdas``
-    read NaN in phases without a control variate.
+    read NaN in phases without a control variate.  Raises
+    :class:`RunAbortError` on a domain violation (under the "abort" policy or
+    inside the model) and, at the first such iteration, when an update
+    ``||S^{k+1} - S^k||^2`` is not finite.
     """
     opts = options
     if opts.s0 is None:
@@ -426,6 +453,11 @@ def sa_path(
                 on_phase_end(s)
     except DomainError as exc:
         raise RunAbortError(k, str(exc)) from exc
+    # a diverging path turns its update non-finite first; one scan after the
+    # loop costs nothing per iteration
+    diverged = np.flatnonzero(~np.isfinite(step_sq))
+    if diverged.size:
+        raise RunAbortError(int(diverged[0]), "non-finite update ||S^{k+1} - S^k||^2 (diverged)")
 
     if records_theta:
         record_theta(k_max, s)

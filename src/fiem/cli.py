@@ -6,7 +6,7 @@ linear-Gaussian benchmark), ``gmm`` (mixture fits with epoch tables), and
 re-running a subcommand with identical flags writes byte-identical files.
 
 Exit codes: 0 success, 1 check failure, 2 infeasible plan or bad input,
-3 domain-violation abort.
+3 run aborted (a domain violation or divergence in any replica).
 """
 from __future__ import annotations
 
@@ -177,6 +177,11 @@ def cmd_toy(args, parser) -> int:
         table = run_replicated(exp)
     except RunAbortError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN_ABORT
+    if not table.complete:
+        for alg, aborts in table.aborted.items():
+            for r, k, condition in aborts:
+                print(f"aborted: {alg} replica {r} iteration {k}: {condition}", file=sys.stderr)
         return EXIT_DOMAIN_ABORT
 
     os.makedirs(outdir, exist_ok=True)
@@ -374,14 +379,18 @@ def cmd_check(args, parser) -> int:
     suite = get("suite", "identities")
     scale = get("scale", "desk")
     seed = int(get("seed", 0))
-    if suite == "identities":
-        results = _check_identities(seed)
-    elif suite == "theorem1":
-        results = _check_theorem1(seed, scale)
-    elif suite == "prop2":
-        results = _check_prop2(seed)
-    else:
-        parser.error(f"unknown suite {suite!r}")
+    try:
+        if suite == "identities":
+            results = _check_identities(seed)
+        elif suite == "theorem1":
+            results = _check_theorem1(seed, scale)
+        elif suite == "prop2":
+            results = _check_prop2(seed)
+        else:
+            parser.error(f"unknown suite {suite!r}")
+    except RunAbortError as exc:
+        print(f"aborted: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN_ABORT
     failed = False
     for name, ok, msg in results:
         status = "PASS" if ok else "FAIL"

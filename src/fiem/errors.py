@@ -39,7 +39,7 @@ class InfeasiblePlanError(FiemError):
 
 
 class RunAbortError(FiemError):
-    """A run hit a domain violation mid-path."""
+    """A run hit a domain violation or diverged mid-path."""
 
     def __init__(self, iteration: int, condition: str):
         super().__init__(f"iteration {iteration}: {condition}")

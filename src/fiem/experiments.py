@@ -92,13 +92,16 @@ class ExperimentConfig:
 
 @dataclass
 class ResultTable:
-    """Aggregates per (algorithm, checkpoint, metric) plus the raw runs."""
+    """Aggregates per (algorithm, checkpoint, metric) plus the raw runs.
+
+    Aggregates cover completed runs only; ``aborted`` lists every other run
+    as (replica, iteration, condition)."""
 
     aggregates: list[dict]
     runs: dict[str, list[RunDiagnostics]]
     checkpoints: list[int]
     completed: dict[str, int]
-    aborted: dict[str, list[tuple[int, str]]]
+    aborted: dict[str, list[tuple[int, int, str]]]
 
     @property
     def complete(self) -> bool:
@@ -139,14 +142,14 @@ def run_replicated(config: ExperimentConfig) -> ResultTable:
             results[r] = out
 
     runs: dict[str, list[RunDiagnostics]] = {alg: [] for alg in config.algorithms}
-    aborted: dict[str, list[tuple[int, str]]] = {alg: [] for alg in config.algorithms}
+    aborted: dict[str, list[tuple[int, int, str]]] = {alg: [] for alg in config.algorithms}
     for r in range(config.replicas):  # fixed reduction order
         for alg in config.algorithms:
             item = results[r][alg]
             if isinstance(item, RunDiagnostics):
                 runs[alg].append(item)
             else:
-                aborted[alg].append(item)
+                aborted[alg].append((r, *item))
 
     checkpoints = list(config.checkpoints) if config.checkpoints is not None \
         else default_checkpoints(len(config.schedule))
@@ -294,7 +297,9 @@ def verify_theorem1(
 
     LHS = sum_k alpha_k E||h(S^k)||^2 + sum_k delta_k E||cv gap||^2 against
     DeltaV = E V(S^0) - E V(S^Kmax); the margin is reported in per-replica
-    paired standard errors (infinite when deterministic, e.g. n = 1).
+    paired standard errors (infinite when deterministic, e.g. n = 1).  Raises
+    :class:`RunAbortError` (naming the first aborted replica) when any
+    replica aborted, since the survivors alone would bias both sides.
     """
     constants = model.constants()
     coeffs = theorem1_coeffs(
@@ -314,6 +319,10 @@ def verify_theorem1(
         workers=workers,
     )
     table = run_replicated(config)
+    if not table.complete:
+        aborts = table.aborted["fiem"]
+        r, k, condition = aborts[0]
+        raise RunAbortError(k, f"replica {r}: {condition} ({len(aborts)} of {replicas} replicas aborted)")
     diags = table.runs["fiem"]
     v0 = model.objective(model.tmap(np.asarray(s0, dtype=float)))
     lhs_r = np.array([

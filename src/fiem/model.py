@@ -104,6 +104,11 @@ class FiniteSumModel(ABC):
         """Rows ``sbar_i(T(s))``, the per-example EM images of ``s``."""
         return self.sbar_rows(self.tmap(s), indices)
 
+    def stat_rows_into(self, s: Array, out: Array) -> None:
+        """All n rows ``sbar_i(T(s))`` written into the (n, q) array ``out``;
+        models with a closed form override this to skip the temporary."""
+        out[...] = self.stat_rows(s, np.arange(self.n))
+
     def stat_mean(self, s: Array) -> Array:
         """Full EM image ``sbar(T(s))``; costs one pass over the n examples
         unless the model overrides it with a closed form."""

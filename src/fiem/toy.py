@@ -129,6 +129,9 @@ class ToyModel(FiniteSumModel):
     def stat_rows(self, s: Array, indices) -> Array:
         return self.p1y[np.asarray(indices)] + self.pi2 @ s
 
+    def stat_rows_into(self, s: Array, out: Array) -> None:
+        np.add(self.p1y, self.pi2 @ s, out=out)
+
     def stat_mean(self, s: Array) -> Array:
         return self.p1ybar + self.pi2 @ s
 

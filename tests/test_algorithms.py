@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fiem
-from fiem.algorithms import MemoryTable, StepSchedule, TerminationRule, draw_batch
-from fiem.errors import DegenerateVarianceError, MemoryStateError
+from fiem.algorithms import MemoryTable, StepSchedule, TerminationRule, draw_batch, row_mean
+from fiem.errors import DegenerateVarianceError, MemoryStateError, RunAbortError
+from fiem.rng import SeedTree
 
 
 def toy(seed=0, n=6, dims=(4, 3, 3)):
@@ -45,12 +48,74 @@ class TestMemoryTable:
             scale = max(1.0, np.abs(memory.mean).max())
             assert drift <= 1e-9 * m.q * scale
 
+    @settings(max_examples=60)
+    @given(n=st.integers(1, 40), b=st.integers(1, 5), writes=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1))
+    def test_running_mean_tracks_rows_after_random_writes(self, n, b, writes, seed):
+        m = toy(n=n)
+        rng = np.random.default_rng(seed)
+        memory = MemoryTable.init(m, rng.normal(size=m.q))
+        for _ in range(writes):
+            memory.write(m, rng.normal(size=m.q), rng.integers(0, n, size=b))
+        scale = max(1.0, np.abs(memory.rows).max())
+        assert np.abs(memory.mean - memory.rows.mean(axis=0)).max() <= 1e-12 * scale
+
     def test_duplicate_indices_collapse(self):
         m = toy(n=8)
         s = np.ones(m.q)
         memory = MemoryTable.init(m, np.zeros(m.q))
         memory.write(m, s, np.array([3, 3, 3]))
         np.testing.assert_allclose(memory.mean, memory.rows.mean(axis=0), atol=1e-14)
+
+
+class TestBitwiseFastPaths:
+    """The hot-path shortcuts must read the same stream positions and round
+    exactly as the numpy calls they replace."""
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 100, 10**4, 2 * 10**4, 2**31 + 5])
+    @pytest.mark.parametrize("replace", [True, False])
+    def test_single_draws_follow_the_size_one_stream(self, n, replace):
+        fast, ref = SeedTree(7).stream("indices-I"), SeedTree(7).stream("indices-I")
+        for _ in range(3000):
+            got = draw_batch(fast, n, 1, replace)
+            want = ref.integers(0, n, size=1)
+            assert got.dtype == want.dtype and got.shape == (1,)
+            assert got[0] == want[0]
+        assert fast.integers(0, 2**62) == ref.integers(0, 2**62)
+
+    @given(b=st.integers(1, 200), q=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
+           log_scale=st.floats(-8.0, 8.0))
+    def test_row_mean_is_ndarray_mean(self, b, q, seed, log_scale):
+        rows = np.random.default_rng(seed).normal(size=(b, q)) * 10.0**log_scale
+        assert row_mean(rows).tobytes() == rows.mean(axis=0).tobytes()
+
+    @staticmethod
+    def fresh_lambda(model, s, memory):
+        rows = model.stat_rows(s, np.arange(model.n))
+        diff = memory.mean - memory.rows
+        num = float(np.einsum("nq,nq->", rows, diff)) / model.n
+        den = float(np.einsum("nq,nq->", diff, diff)) / model.n
+        return -num / den
+
+    @pytest.mark.parametrize("kind", ["toy", "gmm"])
+    def test_lambda_pass_reuses_scratch_bitwise(self, kind):
+        if kind == "toy":
+            m = toy(seed=3, n=300)
+            s0 = np.zeros(m.q)
+            states = [np.random.default_rng(i).normal(size=m.q) for i in range(2)]
+        else:
+            ds, _ = fiem.generate_gmm_synthetic(2, n=200, g=3, p=3, separation=3.0)
+            m = fiem.GmmModel(ds, 3)
+            s0 = m.initial_statistic(fiem.init_params(ds, 3, 1))
+            states = [m.stat_mean(s0), m.stat_mean(m.stat_mean(s0))]
+        memory = MemoryTable.init(m, s0)
+        for i, s in enumerate(states):
+            memory.write(m, s, np.array([i, 5 + i]))
+            assert fiem.opt_fiem_lambda(m, s, memory) == self.fresh_lambda(m, s, memory)
+            rows, diff = memory.scratch()
+            assert rows.tobytes() == m.stat_rows(s, np.arange(m.n)).tobytes()
+            assert diff.tobytes() == (memory.mean - memory.rows).tobytes()
+            assert all(a is b for a, b in zip((rows, diff), memory.scratch()))
 
 
 class TestSingleSteps:
@@ -375,6 +440,19 @@ class TestErrorPaths:
                 TerminationRule.uniform(k_max), 0,
                 fiem.RunOptions(s0=np.ones(1), compute_h=False, domain_policy="abort"),
             )
+
+    def test_divergence_aborts_at_the_first_non_finite_update(self):
+        m = toy(seed=1, n=20)
+        k_max = 200
+        with pytest.raises(RunAbortError) as err, np.errstate(all="ignore"):
+            fiem.run("fiem", m, StepSchedule.constant(50.0, k_max),
+                     TerminationRule.uniform(k_max), 0, opts(m))
+        k = err.value.iteration
+        assert 0 < k < k_max and "non-finite" in err.value.condition
+        # the same path cut just before that iteration is still finite
+        diag = fiem.run("fiem", m, StepSchedule.constant(50.0, k),
+                        TerminationRule.uniform(k), 0, opts(m))
+        assert np.all(np.isfinite(diag.step_sq)) and np.all(np.isfinite(diag.s_final))
 
 
 class TestHybridRun:

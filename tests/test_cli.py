@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import fiem.cli
 from fiem.cli import main
+from fiem.errors import RunAbortError
 
 
 def read(path):
@@ -107,6 +109,20 @@ class TestToy:
         doc = json.loads(plan.read_text())
         assert constants["gamma_plan"] == doc["gamma"]
 
+    def test_divergent_plan_exits_3_and_names_every_abort(self, tmp_path, capsys):
+        plan = tmp_path / "g50.json"
+        plan.write_text(json.dumps({"gamma": 50}))
+        out = tmp_path / "run"
+        with np.errstate(all="ignore"):
+            code = main(["toy", "--seed", "0", "--n", "20", "--kmax", "200",
+                         "--algos", "online-em,fiem", "--replicas", "2", "--plan", str(plan),
+                         "--out", str(out), "--threads", "1"])
+        assert code == 3
+        lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("aborted:")]
+        assert len(lines) == 2 * 2
+        assert all("iteration" in l and "non-finite" in l for l in lines)
+        assert not out.exists()
+
 
 class TestGmm:
     ARGS = ["gmm", "--synthetic", "3,200,3,3,3.0", "--g", "3",
@@ -185,3 +201,11 @@ class TestCheck:
         assert main(["check", "--suite", "prop2"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    def test_aborted_replica_exits_3(self, monkeypatch, capsys):
+        def aborting(*args, **kwargs):
+            raise RunAbortError(7, "replica 2: diverged")
+
+        monkeypatch.setattr(fiem.cli, "verify_theorem1", aborting)
+        assert main(["check", "--suite", "theorem1"]) == 3
+        assert "iteration 7: replica 2: diverged" in capsys.readouterr().err

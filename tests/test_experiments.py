@@ -153,6 +153,13 @@ class TestTheorem1Verification:
         assert not np.isnan(fine.margin_sigmas)
         assert fine.holds
 
+    def test_aborted_replica_is_an_error(self):
+        m = toy(seed=10, n=6)
+        with pytest.raises(fiem.RunAbortError) as err, np.errstate(all="ignore"):
+            verify_theorem1(m, StepSchedule.constant(50.0, 200), np.zeros(m.q),
+                            replicas=3, seed=0)
+        assert "replica 0" in err.value.condition
+
     def test_deterministic_single_example(self):
         m = toy(seed=12, n=1)
         sched = StepSchedule.constant(0.05, 25)
@@ -308,6 +315,8 @@ class TestAbortHandling:
         assert total == 4
         assert len(table.aborted["online-em"]) >= 1
         assert not table.complete
+        for r, k, condition in table.aborted["online-em"]:
+            assert 0 <= r < 4 and 0 <= k < k_max and condition
 
 
 class TestScaledUpdateWindow:
