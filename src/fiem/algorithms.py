@@ -11,6 +11,7 @@ phase.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import isfinite
 from typing import Callable, Optional
 
 import numpy as np
@@ -286,9 +287,7 @@ class RunOptions:
     compute_h: bool = True          # ||h(S^k)||^2 per iteration
     compute_e2: bool = False        # ||Stilde^{k+1} - sbar(T(S^k))||^2 (O(n) for generic models)
     compute_e0: bool = False        # ||B(S^k) h(S^k)||^2 (needs bmat)
-    track_v: bool = False           # V(S^k) along the path (needs objective)
     theta_ref: object = None        # track ||theta^k - theta_ref|| when set
-    param_fn: Optional[Callable] = None  # extract a vector from T(S^k) per iteration
     forced_lambda: Optional[float] = None  # opt-fiem only
     domain_policy: Optional[str] = None    # None | "warn" | "abort"
 
@@ -298,7 +297,7 @@ class RunDiagnostics:
     """Per-iteration records of one path.
 
     Arrays indexed by iteration k cover k = 0 .. K_max-1 at the pre-update
-    state; ``v`` and ``theta_err`` get one extra entry for the final state.
+    state; ``theta_err`` gets one extra entry for the final state.
     """
 
     algorithm: str
@@ -312,9 +311,7 @@ class RunDiagnostics:
     step_sq: Optional[Array] = None
     vdot_sq: Optional[Array] = None
     lambdas: Optional[Array] = None
-    v: Optional[Array] = None
     theta_err: Optional[Array] = None
-    params: Optional[Array] = None
     violations: int = 0
     switch_iteration: Optional[int] = None
 
@@ -370,8 +367,8 @@ def sa_path(
     the pre-update state of every iteration; ``cv_gap_sq`` and ``lambdas``
     read NaN in phases without a control variate.  Raises
     :class:`RunAbortError` on a domain violation (under the "abort" policy or
-    inside the model) and, at the first such iteration, when an update
-    ``||S^{k+1} - S^k||^2`` is not finite.
+    inside the model) and at the first iteration whose update
+    ``||S^{k+1} - S^k||^2`` is not finite; a diverged path runs no further.
     """
     opts = options
     if opts.s0 is None:
@@ -398,22 +395,13 @@ def sa_path(
     step_sq = np.empty(k_max)
     vdot_sq = np.empty(k_max) if opts.compute_e0 else None
     lambdas = np.full(k_max, np.nan) if any(alg == "opt-fiem" for alg, _ in phases) else None
-    v = np.empty(k_max + 1) if opts.track_v else None
     theta_err = np.empty(k_max + 1) if opts.theta_ref is not None else None
-    params = [] if opts.param_fn is not None else None
     needs_mean = opts.compute_h or cv_sq is not None or opts.compute_e0
     violations = 0
 
     def record_theta(k, s):
-        theta = model.tmap(s)
-        if v is not None:
-            v[k] = model.objective(theta)
-        if theta_err is not None:
-            theta_err[k] = float(np.linalg.norm(_as_vector(theta) - _as_vector(opts.theta_ref)))
-        if params is not None:
-            params.append(np.asarray(opts.param_fn(theta), dtype=float))
+        theta_err[k] = float(np.linalg.norm(_as_vector(model.tmap(s)) - _as_vector(opts.theta_ref)))
 
-    records_theta = v is not None or theta_err is not None or params is not None
     k = 0
     try:
         for algorithm, iters in phases:
@@ -427,7 +415,7 @@ def sa_path(
                 if vdot_sq is not None:
                     vdot = model.bmat(s) @ (smean - s)
                     vdot_sq[k] = vdot @ vdot
-                if records_theta:
+                if theta_err is not None:
                     record_theta(k, s)
 
                 s_new, lam = _step(algorithm, model, s, memory, rng_i, rng_j, b, gammas[k],
@@ -439,7 +427,7 @@ def sa_path(
                     gap = memory.mean - smean
                     cv_sq[k] = gap @ gap
                 delta = s_new - s
-                step_sq[k] = delta @ delta
+                step_sq[k] = sq = delta @ delta
                 if opts.domain_policy is not None:
                     try:
                         model.admissible(s_new)
@@ -447,19 +435,15 @@ def sa_path(
                         if opts.domain_policy == "abort":
                             raise RunAbortError(k, str(exc)) from exc
                         violations += 1
+                if not isfinite(sq):
+                    raise RunAbortError(k, "non-finite update ||S^{k+1} - S^k||^2 (diverged)")
                 s = s_new
                 k += 1
             if on_phase_end is not None:
                 on_phase_end(s)
     except DomainError as exc:
         raise RunAbortError(k, str(exc)) from exc
-    # a diverging path turns its update non-finite first; one scan after the
-    # loop costs nothing per iteration
-    diverged = np.flatnonzero(~np.isfinite(step_sq))
-    if diverged.size:
-        raise RunAbortError(int(diverged[0]), "non-finite update ||S^{k+1} - S^k||^2 (diverged)")
-
-    if records_theta:
+    if theta_err is not None:
         record_theta(k_max, s)
 
     return RunDiagnostics(
@@ -474,9 +458,7 @@ def sa_path(
         step_sq=step_sq,
         vdot_sq=vdot_sq,
         lambdas=lambdas,
-        v=v,
         theta_err=theta_err,
-        params=np.array(params) if params is not None else None,
         violations=violations,
     )
 

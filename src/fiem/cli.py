@@ -51,24 +51,44 @@ CONFIG_SCHEMA = {
 }
 
 
-def _load_config(path: str, subcommand: str, parser: argparse.ArgumentParser) -> dict:
-    with open(path) as fh:
-        doc = json.load(fh)
+class _Parser(argparse.ArgumentParser):
+    """Reports bad input, from flags or a config file, as one line and exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_INFEASIBLE, f"{self.prog}: error: {message}\n")
+
+
+def _config_tokens(path: str, subcommand: str, parser: argparse.ArgumentParser) -> list[str]:
+    """The keys of a ``--config`` JSON object as ``--key=value`` tokens, so
+    that the subcommand's own parser type-checks them like flags."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read config file {path}: {exc}")
     if not isinstance(doc, dict):
         parser.error("config file must hold a JSON object")
     unknown = set(doc) - CONFIG_SCHEMA[subcommand]
     if unknown:
         parser.error(f"unknown config keys for {subcommand!r}: {sorted(unknown)}")
-    return doc
+    for key, value in doc.items():
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            parser.error(f"config key {key!r} must be a string or a number, not {json.dumps(value)}")
+    return [f"--{key}={value}" for key, value in doc.items()]
 
 
-def _merged(args: argparse.Namespace, config: dict, key: str, default=None):
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in config:
-        return config[key]
-    return default
+def _names(text: str) -> list[str]:
+    return [a.strip() for a in text.split(",") if a.strip()]
+
+
+def _report_aborts(aborted) -> bool:
+    """One ``aborted:`` line per aborted (algorithm, replica) on stderr;
+    True when there was any."""
+    lines = [f"aborted: {alg} replica {r} iteration {k}: {condition}"
+             for alg, aborts in aborted.items() for r, k, condition in aborts]
+    for line in lines:
+        print(line, file=sys.stderr)
+    return bool(lines)
 
 
 def _json_dump(doc, path=None):
@@ -92,32 +112,18 @@ def _write_rows_csv(path, header, rows):
 
 
 def cmd_plan(args, parser) -> int:
-    config = _load_config(args.config, "plan", parser) if args.config else {}
-    get = lambda key, default=None: _merged(args, config, key, default)
-    strategy = get("strategy", "case1")
-    weights = None
-    wfile = get("weights")
-    if wfile:
-        weights = np.loadtxt(wfile, ndmin=1)
     for key in ("n", "kmax", "vmin", "L", "Lv"):
-        if get(key) is None:
+        if getattr(args, key) is None:
             parser.error(f"plan requires --{key}")
-    inputs = PlannerInputs(
-        n=int(get("n")),
-        k_max=int(get("kmax")),
-        v_min=float(get("vmin")),
-        l_rms=float(get("L")),
-        l_gradv=float(get("Lv")),
-        mu=float(get("mu", 0.25)),
-        lam=float(get("lambda", 0.5)),
-    )
+    weights = np.loadtxt(args.weights, ndmin=1) if args.weights else None
+    inputs = PlannerInputs(n=args.n, k_max=args.kmax, v_min=args.vmin, l_rms=args.L,
+                           l_gradv=args.Lv, mu=args.mu, lam=args.lambda_)
     try:
-        plan = build_plan(strategy, inputs, weights=weights,
-                          epsilon=get("epsilon"))
+        plan = build_plan(args.strategy, inputs, weights=weights, epsilon=args.epsilon)
     except InfeasiblePlanError as exc:
         print(f"infeasible: {exc.condition}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    _json_dump(plan.to_dict(), get("out"))
+    _json_dump(plan.to_dict(), args.out)
     if not plan.feasible:
         print(f"infeasible: {plan.violated_condition}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -135,25 +141,17 @@ TOY_PRESETS = {
 
 
 def cmd_toy(args, parser) -> int:
-    config = _load_config(args.config, "toy", parser) if args.config else {}
-    get = lambda key, default=None: _merged(args, config, key, default)
-    preset = get("preset")
-    n = int(get("n", TOY_PRESETS[preset]["n"] if preset else 100))
-    kmax = get("kmax")
-    kmax = int(kmax) if kmax is not None else (
-        TOY_PRESETS[preset]["kmax_mult"] * n if preset else 10 * n)
-    replicas = int(get("replicas", TOY_PRESETS[preset]["replicas"] if preset else 100))
-    seed = int(get("seed", 0))
-    algos = [a.strip() for a in str(get("algos", "online-em,fiem,opt-fiem")).split(",") if a.strip()]
-    outdir = get("out", "toy-out")
-    threads = int(get("threads", os.cpu_count() or 1))
+    preset = TOY_PRESETS[args.preset or "desk"]  # no preset runs at desk scale
+    n = preset["n"] if args.n is None else args.n
+    kmax = preset["kmax_mult"] * n if args.kmax is None else args.kmax
+    replicas = preset["replicas"] if args.replicas is None else args.replicas
+    seed = args.seed
 
     model = generate_toy(seed, n)
     constants = model.constants()
     inputs = PlannerInputs.from_constants(constants, n=n, k_max=kmax, mu=0.25, lam=0.5)
-    plan_file = get("plan")
-    if plan_file:
-        with open(plan_file) as fh:
+    if args.plan:
+        with open(args.plan) as fh:
             doc = json.load(fh)
         gamma = doc["gamma"]
         schedule = StepSchedule(np.asarray(gamma, dtype=float)) if isinstance(gamma, list) \
@@ -163,7 +161,7 @@ def cmd_toy(args, parser) -> int:
 
     exp = ExperimentConfig(
         model=model,
-        algorithms=algos,
+        algorithms=_names(args.algos),
         schedule=schedule,
         termination=TerminationRule.uniform(kmax),
         s0=np.zeros(model.q),
@@ -171,22 +169,15 @@ def cmd_toy(args, parser) -> int:
         seed=seed,
         compute_e0=True,
         theta_ref=model.theta_star,
-        workers=threads,
+        workers=args.threads,
     )
-    try:
-        table = run_replicated(exp)
-    except RunAbortError as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN_ABORT
-    if not table.complete:
-        for alg, aborts in table.aborted.items():
-            for r, k, condition in aborts:
-                print(f"aborted: {alg} replica {r} iteration {k}: {condition}", file=sys.stderr)
+    table = run_replicated(exp)
+    if _report_aborts(table.aborted):
         return EXIT_DOMAIN_ABORT
 
-    os.makedirs(outdir, exist_ok=True)
-    write_aggregates_csv(os.path.join(outdir, "aggregates.csv"), table)
-    write_diagnostics_csv(os.path.join(outdir, "diagnostics.csv"), table)
+    os.makedirs(args.out, exist_ok=True)
+    write_aggregates_csv(os.path.join(args.out, "aggregates.csv"), table)
+    write_diagnostics_csv(os.path.join(args.out, "diagnostics.csv"), table)
     karimi = karimi_plan(inputs, constants.lipschitz_i)
     _json_dump(
         {
@@ -199,7 +190,7 @@ def cmd_toy(args, parser) -> int:
             "gamma_plan": float(schedule.gammas[0]),
             "gamma_karimi": karimi.gamma,
         },
-        os.path.join(outdir, "constants.json"),
+        os.path.join(args.out, "constants.json"),
     )
     return EXIT_OK
 
@@ -207,49 +198,41 @@ def cmd_toy(args, parser) -> int:
 # -- gmm ----------------------------------------------------------------
 
 
-GMM_PAPER_PRESET = {"g": 12, "preprocess": 20, "batch": 100, "gamma": 5e-3,
-                    "epochs": 100, "kswitch": 6}
+# the paper preset's other settings (batch 100, gamma 5e-3, 100 epochs,
+# switch after 6) are the flag defaults
+GMM_PRESETS = {None: {"g": 3, "preprocess": None}, "paper": {"g": 12, "preprocess": 20}}
 
 
 def cmd_gmm(args, parser) -> int:
-    config = _load_config(args.config, "gmm", parser) if args.config else {}
-    get = lambda key, default=None: _merged(args, config, key, default)
-    preset = GMM_PAPER_PRESET if get("preset") == "paper" else {}
-    seed = int(get("seed", 0))
-
-    data_file = get("data")
-    synthetic = get("synthetic")
-    if (data_file is None) == (synthetic is None):
+    if (args.data is None) == (args.synthetic is None):
         parser.error("provide exactly one of --data and --synthetic")
-    if data_file:
-        raw = np.loadtxt(data_file, delimiter=",", ndmin=2)
-        p_target = get("preprocess", preset.get("preprocess"))
-        dataset = preprocess(raw, int(p_target)) if p_target else GmmDataset(raw)
+    preset = GMM_PRESETS[args.preset]
+    if args.data:
+        raw = np.loadtxt(args.data, delimiter=",", ndmin=2)
+        p_target = preset["preprocess"] if args.preprocess is None else args.preprocess
+        dataset = preprocess(raw, p_target) if p_target else GmmDataset(raw)
     else:
-        gen_seed, n, g_true, p, sep = str(synthetic).split(",")
+        gen_seed, n, g_true, p, sep = args.synthetic.split(",")
         dataset, _truth = generate_gmm_synthetic(
             int(gen_seed), int(n), int(g_true), int(p), float(sep))
 
-    g = int(get("g", preset.get("g", 3)))
-    model = GmmModel(dataset, g)
+    model = GmmModel(dataset, preset["g"] if args.g is None else args.g)
     exp = GmmExperimentConfig(
         model=model,
-        algorithms=[a.strip() for a in str(get("algos", "em,iem,online-em,h-fiem")).split(",") if a.strip()],
-        gamma=float(get("gamma", preset.get("gamma", 5e-3))),
-        batch_size=int(get("batch", preset.get("batch", 100))),
-        epochs=int(get("epochs", preset.get("epochs", 100))),
-        replicas=int(get("replicas", 1)),
-        seed=seed,
-        kswitch=int(get("kswitch", preset.get("kswitch", 6))),
-        workers=int(get("threads", os.cpu_count() or 1)),
+        algorithms=_names(args.algos),
+        gamma=args.gamma,
+        batch_size=args.batch,
+        epochs=args.epochs,
+        replicas=args.replicas,
+        seed=args.seed,
+        kswitch=args.kswitch,
+        workers=args.threads,
     )
-    try:
-        rows, paths = table_report(exp)
-    except RunAbortError as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
+    rows, paths, aborted = table_report(exp)
+    if _report_aborts(aborted):
         return EXIT_DOMAIN_ABORT
 
-    outdir = get("out", "gmm-out")
+    outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     _write_rows_csv(
         os.path.join(outdir, "epoch_table.csv"),
@@ -365,7 +348,9 @@ def _check_prop2(seed: int) -> list[tuple[str, bool, str]]:
         termination=TerminationRule.uniform(k_max), s0=np.zeros(model.q),
         replicas=200, seed=seed, compute_e0=True,
     )
-    est = estimate_e(run_replicated(exp).runs["fiem"], v_max=constants.v_max)
+    table = run_replicated(exp)
+    table.raise_on_abort()
+    est = estimate_e(table.runs["fiem"], v_max=constants.v_max)
     ok_mc = est.e0 <= est.e1 + 3.0 * est.se1
     return [
         ("curvature inequality pointwise (1000 states)", ok_pointwise, f"worst excess {worst:.2e}"),
@@ -374,20 +359,13 @@ def _check_prop2(seed: int) -> list[tuple[str, bool, str]]:
 
 
 def cmd_check(args, parser) -> int:
-    config = _load_config(args.config, "check", parser) if args.config else {}
-    get = lambda key, default=None: _merged(args, config, key, default)
-    suite = get("suite", "identities")
-    scale = get("scale", "desk")
-    seed = int(get("seed", 0))
     try:
-        if suite == "identities":
-            results = _check_identities(seed)
-        elif suite == "theorem1":
-            results = _check_theorem1(seed, scale)
-        elif suite == "prop2":
-            results = _check_prop2(seed)
+        if args.suite == "identities":
+            results = _check_identities(args.seed)
+        elif args.suite == "theorem1":
+            results = _check_theorem1(args.seed, args.scale)
         else:
-            parser.error(f"unknown suite {suite!r}")
+            results = _check_prop2(args.seed)
     except RunAbortError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_DOMAIN_ABORT
@@ -406,8 +384,8 @@ def cmd_check(args, parser) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fiem", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="fiem", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("plan", help="solve a step-size plan and emit it as JSON")
@@ -417,24 +395,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vmin", type=float)
     p.add_argument("--L", type=float)
     p.add_argument("--Lv", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--lambda", dest="lambda_", type=float)
-    p.add_argument("--strategy", choices=["case1", "case2", "nonuniform", "karimi", "auto"])
+    p.add_argument("--mu", type=float, default=0.25)
+    p.add_argument("--lambda", dest="lambda_", type=float, default=0.5)
+    p.add_argument("--strategy", choices=["case1", "case2", "nonuniform", "karimi", "auto"],
+                   default="case1")
     p.add_argument("--weights", help="file with termination weights (nonuniform)")
     p.add_argument("--epsilon", type=float, help="target accuracy for auto strategy")
     p.add_argument("--out")
 
+    threads = os.cpu_count() or 1
     t = sub.add_parser("toy", help="replicated runs on the linear-Gaussian benchmark")
     t.add_argument("--config")
-    t.add_argument("--seed", type=int)
+    t.add_argument("--seed", type=int, default=0)
     t.add_argument("--n", type=int)
     t.add_argument("--kmax", type=int)
-    t.add_argument("--algos")
+    t.add_argument("--algos", default="online-em,fiem,opt-fiem")
     t.add_argument("--plan", help="step-size plan JSON from the plan subcommand")
     t.add_argument("--replicas", type=int)
-    t.add_argument("--out")
+    t.add_argument("--out", default="toy-out")
     t.add_argument("--preset", choices=sorted(TOY_PRESETS))
-    t.add_argument("--threads", type=int)
+    t.add_argument("--threads", type=int, default=threads)
 
     g = sub.add_parser("gmm", help="Gaussian-mixture fits with epoch tables")
     g.add_argument("--config")
@@ -442,31 +422,33 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--synthetic", help="seed,n,g,p,separation")
     g.add_argument("--preprocess", type=int, help="PCA target dimension")
     g.add_argument("--g", type=int, help="number of mixture components to fit")
-    g.add_argument("--algos")
-    g.add_argument("--gamma", type=float)
-    g.add_argument("--batch", type=int)
-    g.add_argument("--kswitch", type=int)
-    g.add_argument("--epochs", type=int)
-    g.add_argument("--replicas", type=int)
-    g.add_argument("--seed", type=int)
-    g.add_argument("--out")
+    g.add_argument("--algos", default="em,iem,online-em,h-fiem")
+    g.add_argument("--gamma", type=float, default=5e-3)
+    g.add_argument("--batch", type=int, default=100)
+    g.add_argument("--kswitch", type=int, default=6)
+    g.add_argument("--epochs", type=int, default=100)
+    g.add_argument("--replicas", type=int, default=1)
+    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--out", default="gmm-out")
     g.add_argument("--preset", choices=["paper"])
-    g.add_argument("--threads", type=int)
+    g.add_argument("--threads", type=int, default=threads)
 
     c = sub.add_parser("check", help="verification suites")
     c.add_argument("--config")
-    c.add_argument("--suite", choices=["theorem1", "prop2", "identities"])
-    c.add_argument("--scale", choices=["desk", "paper"])
-    c.add_argument("--seed", type=int)
+    c.add_argument("--suite", choices=["theorem1", "prop2", "identities"], default="identities")
+    c.add_argument("--scale", choices=["desk", "paper"], default="desk")
+    c.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    # map the reserved word back
-    if hasattr(args, "lambda_") and args.lambda_ is not None:
-        setattr(args, "lambda", args.lambda_)
+    if args.config:
+        # file values go in right after the subcommand, so flags override them
+        tokens = _config_tokens(args.config, args.command, parser)
+        args = parser.parse_args(argv[:1] + tokens + argv[1:])
     handlers = {"plan": cmd_plan, "toy": cmd_toy, "gmm": cmd_gmm, "check": cmd_check}
     return handlers[args.command](args, parser)
 

@@ -45,3 +45,7 @@ class RunAbortError(FiemError):
         super().__init__(f"iteration {iteration}: {condition}")
         self.iteration = iteration
         self.condition = condition
+
+    def __reduce__(self):
+        # rebuild from both fields, so the error survives a process pool
+        return type(self), (self.iteration, self.condition)

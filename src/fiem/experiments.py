@@ -9,8 +9,8 @@ produce identical tables.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from concurrent import futures
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,7 +26,7 @@ from .algorithms import (
 from .errors import RunAbortError
 from .gmm import GmmModel, gmm_loglik, init_params
 from .model import FiniteSumModel
-from .rng import SeedTree, as_seed_tree
+from .rng import SeedTree
 from .stepsize import Theorem1Coefficients, theorem1_coeffs
 
 Array = np.ndarray
@@ -67,9 +67,7 @@ class ExperimentConfig:
     batch_size: int = 1
     compute_e2: bool = False
     compute_e0: bool = False
-    track_v: bool = False
     theta_ref: object = None
-    checkpoints: Optional[Sequence[int]] = None
     workers: int = 1
 
     def __post_init__(self):
@@ -85,9 +83,12 @@ class ExperimentConfig:
             compute_h=True,
             compute_e2=self.compute_e2,
             compute_e0=self.compute_e0,
-            track_v=self.track_v,
             theta_ref=self.theta_ref,
         )
+
+
+# per algorithm, the aborted replicas as (replica, iteration, condition)
+Aborts = dict[str, list[tuple[int, int, str]]]
 
 
 @dataclass
@@ -101,26 +102,62 @@ class ResultTable:
     runs: dict[str, list[RunDiagnostics]]
     checkpoints: list[int]
     completed: dict[str, int]
-    aborted: dict[str, list[tuple[int, int, str]]]
+    aborted: Aborts
 
     @property
     def complete(self) -> bool:
         return all(not v for v in self.aborted.values())
 
+    def raise_on_abort(self) -> None:
+        """Raise :class:`RunAbortError` naming the first aborted replica, for
+        estimates that the surviving replicas alone would bias."""
+        for alg, aborts in self.aborted.items():
+            if aborts:
+                r, k, condition = aborts[0]
+                total = self.completed[alg] + len(aborts)
+                raise RunAbortError(k, f"replica {r}: {condition} ({len(aborts)} of {total} replicas aborted)")
 
-_METRICS = ("h_sq", "cv_gap_sq", "step_sq", "vdot_sq", "lambdas", "v", "theta_err")
+
+_METRICS = ("h_sq", "cv_gap_sq", "step_sq", "vdot_sq", "lambdas", "theta_err")
+
+
+def _outcomes(algorithms, path) -> dict:
+    """``path(alg)`` for every algorithm of one replica; an aborted path is
+    recorded as (iteration, condition) instead of raised."""
+    out = {}
+    for alg in algorithms:
+        try:
+            out[alg] = path(alg)
+        except RunAbortError as exc:
+            out[alg] = (exc.iteration, exc.condition)
+    return out
+
+
+def _replicate(job, jobs, algorithms, workers: int) -> tuple[dict, Aborts]:
+    """Run ``job`` on every replica's job, serially or on ``workers``
+    processes, and split the outcomes in replica order (a fixed reduction
+    order) into completed results and aborts per algorithm."""
+    if workers > 1:
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            results = dict(pool.map(job, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
+    else:
+        results = dict(map(job, jobs))
+    done = {alg: [] for alg in algorithms}
+    aborted = {alg: [] for alg in algorithms}
+    for r in range(len(jobs)):
+        for alg in algorithms:
+            item = results[r][alg]
+            if isinstance(item, tuple):
+                aborted[alg].append((r, *item))
+            else:
+                done[alg].append(item)
+    return done, aborted
 
 
 def _replica_job(args):
     model, algorithms, schedule, termination, seed, r, opts = args
     child = SeedTree(seed).child(r)
-    out = {}
-    for alg in algorithms:
-        try:
-            out[alg] = run(alg, model, schedule, termination, child, opts)
-        except RunAbortError as exc:
-            out[alg] = (exc.iteration, exc.condition)
-    return r, out
+    return r, _outcomes(algorithms, lambda alg: run(alg, model, schedule, termination, child, opts))
 
 
 def run_replicated(config: ExperimentConfig) -> ResultTable:
@@ -131,28 +168,9 @@ def run_replicated(config: ExperimentConfig) -> ResultTable:
          config.seed, r, opts)
         for r in range(config.replicas)
     ]
-    results: dict[int, dict] = {}
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for r, out in pool.map(_replica_job, jobs, chunksize=max(1, len(jobs) // (4 * config.workers))):
-                results[r] = out
-    else:
-        for job in jobs:
-            r, out = _replica_job(job)
-            results[r] = out
+    runs, aborted = _replicate(_replica_job, jobs, config.algorithms, config.workers)
 
-    runs: dict[str, list[RunDiagnostics]] = {alg: [] for alg in config.algorithms}
-    aborted: dict[str, list[tuple[int, int, str]]] = {alg: [] for alg in config.algorithms}
-    for r in range(config.replicas):  # fixed reduction order
-        for alg in config.algorithms:
-            item = results[r][alg]
-            if isinstance(item, RunDiagnostics):
-                runs[alg].append(item)
-            else:
-                aborted[alg].append((r, *item))
-
-    checkpoints = list(config.checkpoints) if config.checkpoints is not None \
-        else default_checkpoints(len(config.schedule))
+    checkpoints = default_checkpoints(len(config.schedule))
     aggregates = []
     gammas = config.schedule.gammas
     for alg in config.algorithms:
@@ -319,10 +337,7 @@ def verify_theorem1(
         workers=workers,
     )
     table = run_replicated(config)
-    if not table.complete:
-        aborts = table.aborted["fiem"]
-        r, k, condition = aborts[0]
-        raise RunAbortError(k, f"replica {r}: {condition} ({len(aborts)} of {replicas} replicas aborted)")
+    table.raise_on_abort()
     diags = table.runs["fiem"]
     v0 = model.objective(model.tmap(np.asarray(s0, dtype=float)))
     lhs_r = np.array([
@@ -340,6 +355,8 @@ def verify_theorem1(
 # -- GMM epoch experiments --------------------------------------------------
 
 GMM_ALGORITHMS = ("em", "iem", "online-em", "fiem", "h-fiem")
+# iEM steps all the way to the memory mean, as classical incremental EM does
+IEM_GAMMA = 1.0
 DEFAULT_TABLE_EPOCHS = (1, 15, 25, 50, 100)
 
 
@@ -428,7 +445,6 @@ class GmmExperimentConfig:
     replicas: int
     seed: int
     kswitch: int = 6
-    iem_gamma: float = 1.0
     table_epochs: Sequence[int] = DEFAULT_TABLE_EPOCHS
     workers: int = 1
 
@@ -437,40 +453,26 @@ def _gmm_replica_job(args):
     config, r = args
     child = SeedTree(config.seed).child(r)
     theta0 = init_params(config.model.dataset, config.model.g, child)
-    out = {}
-    for alg in config.algorithms:
-        gamma = config.iem_gamma if alg == "iem" else config.gamma
-        out[alg] = gmm_epoch_path(
-            config.model, alg, theta0, gamma, config.batch_size,
-            config.epochs, child, kswitch=config.kswitch,
-        )
-    return r, out
+    return r, _outcomes(config.algorithms, lambda alg: gmm_epoch_path(
+        config.model, alg, theta0, IEM_GAMMA if alg == "iem" else config.gamma,
+        config.batch_size, config.epochs, child, kswitch=config.kswitch))
 
 
-def table_report(config: GmmExperimentConfig) -> tuple[list[dict], dict[str, list[GmmPath]]]:
-    """Epoch table rows (algorithm, epoch, mean, std over replicas) plus the
-    raw paths.  Initialization is re-randomized per replica from child seeds;
-    within a replica all algorithms start from the same parameter and share
-    index streams.  Replicas run in parallel when ``workers`` > 1; the
-    reduction order is fixed either way."""
+def table_report(config: GmmExperimentConfig) -> tuple[list[dict], dict[str, list[GmmPath]], Aborts]:
+    """Epoch table rows (algorithm, epoch, mean, std over completed
+    replicas), the completed paths and the aborts, as in
+    :class:`ResultTable`.  Initialization is re-randomized per replica from
+    child seeds; within a replica all algorithms start from the same
+    parameter and share index streams.  Replicas run in parallel when
+    ``workers`` > 1; the reduction order is fixed either way."""
     epochs = [e for e in config.table_epochs if e <= config.epochs]
     jobs = [(config, r) for r in range(config.replicas)]
-    results: dict[int, dict] = {}
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for r, out in pool.map(_gmm_replica_job, jobs):
-                results[r] = out
-    else:
-        for job in jobs:
-            r, out = _gmm_replica_job(job)
-            results[r] = out
-    paths: dict[str, list[GmmPath]] = {alg: [] for alg in config.algorithms}
-    for r in range(config.replicas):
-        for alg in config.algorithms:
-            paths[alg].append(results[r][alg])
+    paths, aborted = _replicate(_gmm_replica_job, jobs, config.algorithms, config.workers)
 
     rows = []
     for alg in config.algorithms:
+        if not paths[alg]:
+            continue
         stacked = np.stack([p.loglik for p in paths[alg]])  # (R, epochs)
         for e in epochs:
             col = stacked[:, e - 1]
@@ -480,7 +482,7 @@ def table_report(config: GmmExperimentConfig) -> tuple[list[dict], dict[str, lis
                 "mean": float(col.mean()),
                 "std": float(col.std(ddof=1)) if col.size > 1 else 0.0,
             })
-    return rows, paths
+    return rows, paths, aborted
 
 
 # -- CSV emission ------------------------------------------------------------

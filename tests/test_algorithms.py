@@ -371,11 +371,10 @@ class TestRun:
         k_max = 12
         d = fiem.run("fiem", m, StepSchedule.constant(0.1, k_max),
                      TerminationRule.uniform(k_max), 0,
-                     opts(m, compute_e2=True, compute_e0=True, track_v=True))
+                     opts(m, compute_e2=True, compute_e0=True))
         assert d.h_sq.shape == (k_max,)
         assert d.cv_gap_sq.shape == (k_max,)
         assert d.step_sq.shape == (k_max,)
-        assert d.v.shape == (k_max + 1,)
 
     def test_unknown_algorithm_rejected(self):
         m = toy()
@@ -453,6 +452,35 @@ class TestErrorPaths:
         diag = fiem.run("fiem", m, StepSchedule.constant(50.0, k),
                         TerminationRule.uniform(k), 0, opts(m))
         assert np.all(np.isfinite(diag.step_sq)) and np.all(np.isfinite(diag.s_final))
+
+    def test_divergence_stops_the_path_at_the_aborting_iteration(self):
+        class Counting(fiem.ToyModel):
+            calls = 0
+
+            def stat_rows(self, s, indices):
+                Counting.calls += 1
+                return super().stat_rows(s, indices)
+
+        m = toy(seed=1, n=20)
+        m.__class__ = Counting
+        k_max = 200
+        with pytest.raises(RunAbortError) as err, np.errstate(all="ignore"):
+            fiem.run("fiem", m, StepSchedule.constant(50.0, k_max),
+                     TerminationRule.uniform(k_max), 0, opts(m))
+        k, aborted_calls = err.value.iteration, Counting.calls
+        Counting.calls = 0
+        fiem.run("fiem", m, StepSchedule.constant(50.0, k),
+                 TerminationRule.uniform(k), 0, opts(m))
+        # iteration k adds one memory write and one oracle batch, nothing after
+        assert aborted_calls == Counting.calls + 2
+
+    def test_abort_survives_a_pickle_round_trip(self):
+        import pickle
+
+        err = pickle.loads(pickle.dumps(RunAbortError(91, "non-finite update")))
+        assert isinstance(err, RunAbortError)
+        assert (err.iteration, err.condition) == (91, "non-finite update")
+        assert str(err) == "iteration 91: non-finite update"
 
 
 class TestHybridRun:

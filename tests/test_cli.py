@@ -57,12 +57,41 @@ class TestPlan:
                      "--out", str(tmp_path / "p.json")])
         assert code == 2
 
-    def test_config_file_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("command, doc", [
+        ("plan", {"n": 10, "bogus": 1}),
+        ("plan", [1, 2]),
+        ("toy", "{not json"),
+        ("toy", {"n": [100]}),
+        ("toy", {"n": {"value": 100}}),
+        ("toy", {"replicas": True}),
+        ("toy", {"seed": None}),
+        ("toy", {"n": "abc"}),
+        ("toy", {"preset": "bogus"}),
+        ("plan", {"strategy": "bogus", "n": 10, "kmax": 10, "vmin": 1, "L": 1, "Lv": 1}),
+        ("gmm", {"gamma": "fast", "synthetic": "0,100,2,2,3.0"}),
+        ("check", {"scale": "Desk"}),
+    ], ids=["unknown-key", "not-an-object", "not-json", "list-value", "object-value", "bool-value",
+            "null-value", "wrong-type", "bad-preset", "bad-strategy", "bad-float", "bad-scale"])
+    def test_config_file_unknown_key_rejected(self, tmp_path, capsys, command, doc):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 10, "bogus": 1}))
+        cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        out = [] if command == "check" else ["--out", str(tmp_path / "out")]
         with pytest.raises(SystemExit) as err:
-            main(["plan", "--config", str(cfg)])
+            main([command, "--config", str(cfg)] + out)
         assert err.value.code == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_flags_override_config_values(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "n": 1000, "kmax": 100, "vmin": 1.0, "L": 1.0, "Lv": 1.0,
+            "strategy": "case1", "out": str(tmp_path / "ignored.json"),
+        }))
+        out = tmp_path / "out.json"
+        assert main(["plan", "--config", str(cfg), "--strategy", "karimi", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["strategy"] == "karimi"
+        assert not (tmp_path / "ignored.json").exists()
 
     def test_config_file_supplies_values(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -181,14 +210,20 @@ class TestGmm:
                      "--out", str(out)]) == 0
         assert (out / "epoch_table.csv").exists()
 
-    def test_domain_abort_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_domain_abort_exit_code(self, tmp_path, capsys, threads):
         # a unit step with tiny batches walks the statistic straight out of
-        # the admissible region; the run must abort with exit code 3
+        # the admissible region; the run must abort with exit code 3 and
+        # name every aborted replica, with or without a process pool
         code = main(["gmm", "--synthetic", "10,120,3,4,3.0", "--g", "3",
                      "--algos", "online-em", "--gamma", "0.9", "--batch", "2",
-                     "--epochs", "20", "--replicas", "1", "--seed", "1",
-                     "--out", str(tmp_path / "run"), "--threads", "1"])
+                     "--epochs", "20", "--replicas", "2", "--seed", "1",
+                     "--out", str(tmp_path / "run"), "--threads", threads])
         assert code == 3
+        lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("aborted:")]
+        assert [l.split(" iteration ")[0] for l in lines] == [
+            "aborted: online-em replica 0", "aborted: online-em replica 1"]
+        assert not (tmp_path / "run").exists()
 
 
 class TestCheck:
@@ -209,3 +244,20 @@ class TestCheck:
         monkeypatch.setattr(fiem.cli, "verify_theorem1", aborting)
         assert main(["check", "--suite", "theorem1"]) == 3
         assert "iteration 7: replica 2: diverged" in capsys.readouterr().err
+
+    def test_prop2_aborted_replica_exits_3(self, monkeypatch, capsys):
+        # E0 and E1 from the surviving replicas alone would be biased
+        real = fiem.cli.run_replicated
+
+        def one_aborted(config):
+            table = real(config)
+            table.runs["fiem"].pop(5)
+            table.completed["fiem"] -= 1
+            table.aborted["fiem"].append((5, 17, "diverged"))
+            return table
+
+        monkeypatch.setattr(fiem.cli, "run_replicated", one_aborted)
+        assert main(["check", "--suite", "prop2"]) == 3
+        captured = capsys.readouterr()
+        assert "[PASS]" not in captured.out
+        assert "iteration 17: replica 5: diverged (1 of 200 replicas aborted)" in captured.err

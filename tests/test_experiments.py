@@ -318,6 +318,22 @@ class TestAbortHandling:
         for r, k, condition in table.aborted["online-em"]:
             assert 0 <= r < 4 and 0 <= k < k_max and condition
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_table_report_aborts_are_recorded(self, workers):
+        # a unit-scale step with tiny batches leaves the admissible region
+        ds, _ = fiem.generate_gmm_synthetic(10, n=120, g=3, p=4, separation=3.0)
+        cfg = GmmExperimentConfig(
+            model=fiem.GmmModel(ds, 3), algorithms=("em", "online-em"), gamma=0.9,
+            batch_size=2, epochs=20, replicas=2, seed=1, kswitch=0, workers=workers)
+        rows, paths, aborted = table_report(cfg)
+        assert len(paths["em"]) == 2 and not aborted["em"]
+        assert [r for r, _, _ in aborted["online-em"]] == [0, 1]
+        for r, k, condition in aborted["online-em"]:
+            assert 0 <= k < 20 * 60 and "indefinite" in condition
+        assert not paths["online-em"]
+        # rows come from completed paths only
+        assert {row["algorithm"] for row in rows} == {"em"}
+
 
 class TestScaledUpdateWindow:
     def test_reference_window(self):
@@ -344,8 +360,9 @@ class TestGmmTable:
         cfg = GmmExperimentConfig(
             model=model, algorithms=("em", "online-em"), gamma=5e-3, batch_size=50,
             epochs=6, replicas=2, seed=7, kswitch=0, table_epochs=(1, 3, 6))
-        rows1, paths1 = table_report(cfg)
-        rows2, _ = table_report(cfg)
+        rows1, paths1, aborted = table_report(cfg)
+        rows2, _, _ = table_report(cfg)
+        assert aborted == {"em": [], "online-em": []}
         assert rows1 == rows2
         assert {r["epoch"] for r in rows1} == {1, 3, 6}
         assert {r["algorithm"] for r in rows1} == {"em", "online-em"}
@@ -356,8 +373,8 @@ class TestGmmTable:
         base = dict(model=model, algorithms=("em", "online-em"), gamma=5e-3,
                     batch_size=30, epochs=4, replicas=4, seed=3, kswitch=0,
                     table_epochs=(1, 4))
-        serial, _ = table_report(GmmExperimentConfig(workers=1, **base))
-        parallel, _ = table_report(GmmExperimentConfig(workers=2, **base))
+        serial = table_report(GmmExperimentConfig(workers=1, **base))[0]
+        parallel = table_report(GmmExperimentConfig(workers=2, **base))[0]
         assert serial == parallel
 
     def test_repeated_path_has_zero_spread(self):
@@ -376,9 +393,8 @@ class TestGmmTable:
         model = fiem.GmmModel(ds, 3)
         cfg = GmmExperimentConfig(
             model=model, algorithms=("em", "iem", "online-em"), gamma=5e-3,
-            batch_size=1, epochs=1, replicas=3, seed=2, kswitch=0,
-            iem_gamma=1.0, table_epochs=(1,))
-        rows, _ = table_report(cfg)
+            batch_size=1, epochs=1, replicas=3, seed=2, kswitch=0, table_epochs=(1,))
+        rows = table_report(cfg)[0]
         by_alg = {r["algorithm"]: r["mean"] for r in rows}
         assert by_alg["iem"] > by_alg["em"]
         assert by_alg["online-em"] > by_alg["em"]
