@@ -488,6 +488,28 @@ def run(
     return diag
 
 
+def _epoch_phases(algorithm: str, n: int, batch_size: int, epochs: int, kswitch: int = 0):
+    """One ``(algorithm, iterations)`` phase per epoch of n examples.
+
+    An epoch is one EM iteration, n/b iEM or Online EM iterations, or n/(2b)
+    FIEM iterations (two batches each), so n must be divisible by the examples
+    of one iteration.  h-FIEM runs ``kswitch`` Online EM epochs, then FIEM
+    epochs, and needs n divisible by 2b.
+    """
+    b = int(batch_size)
+    if b < 1:
+        raise ValueError("need batch_size >= 1")
+    per_iteration = {"em": n, "iem": b, "online-em": b, "fiem": 2 * b, "h-fiem": 2 * b}[algorithm]
+    if n % per_iteration:
+        raise ValueError(f"epoch accounting for {algorithm} requires n={n} divisible by "
+                         f"{per_iteration}")
+    if algorithm != "h-fiem":
+        return [(algorithm, n // per_iteration)] * epochs
+    if not (0 <= kswitch <= epochs):
+        raise ValueError("need 0 <= kswitch <= epochs")
+    return [("online-em", n // b)] * kswitch + [("fiem", n // (2 * b))] * (epochs - kswitch)
+
+
 def h_fiem_run(
     model: FiniteSumModel,
     gamma,
@@ -497,25 +519,17 @@ def h_fiem_run(
     seed,
     options: Optional[RunOptions] = None,
 ) -> RunDiagnostics:
-    """Hybrid path: ``kswitch_epochs`` epochs of Online EM, then FIEM epochs.
+    """Hybrid path: ``kswitch_epochs`` epochs of Online EM, then FIEM epochs,
+    counted by :func:`_epoch_phases`.
 
-    An epoch processes n examples (n/b Online EM iterations, n/(2b) FIEM
-    iterations), so n must be divisible by ``batch_size`` and by
-    ``2 * batch_size``.  The memory table is initialized at the switch point
-    from the current state.  ``gamma`` is a scalar or a :class:`StepSchedule`
-    covering the full iteration count.
+    The memory table is initialized at the switch point from the current
+    state.  ``gamma`` is a scalar or a :class:`StepSchedule` covering the full
+    iteration count.
     """
-    if not (0 <= kswitch_epochs <= total_epochs):
-        raise ValueError("need 0 <= kswitch_epochs <= total_epochs")
-    b = int(batch_size)
-    n = model.n
-    if n % b != 0 or n % (2 * b) != 0:
-        raise ValueError("epoch accounting requires n divisible by batch and 2*batch")
-    phases = [("online-em", kswitch_epochs * (n // b)),
-              ("fiem", (total_epochs - kswitch_epochs) * (n // (2 * b)))]
-    k_max = phases[0][1] + phases[1][1]
+    phases = _epoch_phases("h-fiem", model.n, batch_size, total_epochs, kswitch_epochs)
+    k_max = sum(iters for _, iters in phases)
     gammas = gamma.gammas if isinstance(gamma, StepSchedule) else np.full(k_max, float(gamma))
-    opts = replace(options or RunOptions(), batch_size=b)
+    opts = replace(options or RunOptions(), batch_size=int(batch_size))
     diag = sa_path("h-fiem", model, phases, gammas, seed, opts)
-    diag.switch_iteration = phases[0][1]
+    diag.switch_iteration = sum(iters for alg, iters in phases if alg == "online-em")
     return diag

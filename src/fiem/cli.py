@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .algorithms import StepSchedule, TerminationRule
-from .errors import InfeasiblePlanError, RunAbortError
+from .errors import ConfigurationError, InfeasiblePlanError, RunAbortError
 from .experiments import (
     ExperimentConfig,
     GmmExperimentConfig,
@@ -30,7 +30,7 @@ from .experiments import (
     write_aggregates_csv,
     write_diagnostics_csv,
 )
-from .gmm import GmmDataset, GmmModel, generate_gmm_synthetic, preprocess
+from .gmm import GmmModel, generate_gmm_synthetic, load_csv_dataset, preprocess
 from .model import mean_field
 from .stepsize import PlannerInputs, build_plan, karimi_plan, plan_case1
 from .toy import generate_toy
@@ -118,11 +118,7 @@ def cmd_plan(args, parser) -> int:
     weights = np.loadtxt(args.weights, ndmin=1) if args.weights else None
     inputs = PlannerInputs(n=args.n, k_max=args.kmax, v_min=args.vmin, l_rms=args.L,
                            l_gradv=args.Lv, mu=args.mu, lam=args.lambda_)
-    try:
-        plan = build_plan(args.strategy, inputs, weights=weights, epsilon=args.epsilon)
-    except InfeasiblePlanError as exc:
-        print(f"infeasible: {exc.condition}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    plan = build_plan(args.strategy, inputs, weights=weights, epsilon=args.epsilon)
     _json_dump(plan.to_dict(), args.out)
     if not plan.feasible:
         print(f"infeasible: {plan.violated_condition}", file=sys.stderr)
@@ -152,8 +148,7 @@ def cmd_toy(args, parser) -> int:
     inputs = PlannerInputs.from_constants(constants, n=n, k_max=kmax, mu=0.25, lam=0.5)
     if args.plan:
         with open(args.plan) as fh:
-            doc = json.load(fh)
-        gamma = doc["gamma"]
+            gamma = json.load(fh)["gamma"]
         schedule = StepSchedule(np.asarray(gamma, dtype=float)) if isinstance(gamma, list) \
             else StepSchedule.constant(float(gamma), kmax)
     else:
@@ -208,9 +203,10 @@ def cmd_gmm(args, parser) -> int:
         parser.error("provide exactly one of --data and --synthetic")
     preset = GMM_PRESETS[args.preset]
     if args.data:
-        raw = np.loadtxt(args.data, delimiter=",", ndmin=2)
+        dataset = load_csv_dataset(args.data)
         p_target = preset["preprocess"] if args.preprocess is None else args.preprocess
-        dataset = preprocess(raw, p_target) if p_target else GmmDataset(raw)
+        if p_target:
+            dataset = preprocess(dataset.observations, p_target)
     else:
         gen_seed, n, g_true, p, sep = args.synthetic.split(",")
         dataset, _truth = generate_gmm_synthetic(
@@ -359,16 +355,12 @@ def _check_prop2(seed: int) -> list[tuple[str, bool, str]]:
 
 
 def cmd_check(args, parser) -> int:
-    try:
-        if args.suite == "identities":
-            results = _check_identities(args.seed)
-        elif args.suite == "theorem1":
-            results = _check_theorem1(args.seed, args.scale)
-        else:
-            results = _check_prop2(args.seed)
-    except RunAbortError as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN_ABORT
+    if args.suite == "identities":
+        results = _check_identities(args.seed)
+    elif args.suite == "theorem1":
+        results = _check_theorem1(args.seed, args.scale)
+    else:
+        results = _check_prop2(args.seed)
     failed = False
     for name, ok, msg in results:
         status = "PASS" if ok else "FAIL"
@@ -450,7 +442,19 @@ def main(argv=None) -> int:
         tokens = _config_tokens(args.config, args.command, parser)
         args = parser.parse_args(argv[:1] + tokens + argv[1:])
     handlers = {"plan": cmd_plan, "toy": cmd_toy, "gmm": cmd_gmm, "check": cmd_check}
-    return handlers[args.command](args, parser)
+    try:
+        return handlers[args.command](args, parser)
+    except InfeasiblePlanError as exc:
+        print(f"infeasible: {exc.condition}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except RunAbortError as exc:
+        print(f"aborted: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN_ABORT
+    except (OSError, ValueError, TypeError, KeyError, ConfigurationError) as exc:
+        # bad input that only shows once a subcommand runs: a missing or
+        # malformed file, or flag values that do not fit together
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        parser.exit(EXIT_INFEASIBLE, f"{parser.prog} {args.command}: error: {message}\n")
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from .algorithms import (
     RunOptions,
     StepSchedule,
     TerminationRule,
+    _epoch_phases,
     run,
     sa_path,
 )
@@ -381,11 +382,11 @@ def gmm_epoch_path(
     seed,
     kswitch: int = 0,
 ) -> GmmPath:
-    """One path of a mixture fit, bookkept in epochs (n examples each).
+    """One path of a mixture fit, bookkept in epochs of n examples, counted
+    by :func:`~fiem.algorithms._epoch_phases`.
 
-    EM runs one iteration per epoch; iEM and Online EM n/b iterations; FIEM
-    n/(2b).  h-FIEM runs ``kswitch`` Online EM epochs then FIEM epochs, with
-    the memory table initialized at the switch point from the current state.
+    h-FIEM runs ``kswitch`` Online EM epochs then FIEM epochs, with the
+    memory table initialized at the switch point from the current state.
     Every epoch is one :func:`~fiem.algorithms.sa_path` phase, and the
     log-likelihood and weights are recorded at its end.  iEM asserts the
     domain proxies (a violation aborts the path); the other algorithms count
@@ -393,22 +394,7 @@ def gmm_epoch_path(
     """
     if algorithm not in GMM_ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    n, b = model.n, int(batch_size)
-    if algorithm == "em":
-        per_epoch = {"em": 1}
-    else:
-        if n % b != 0:
-            raise ValueError("epoch accounting requires n divisible by the batch size")
-        if algorithm in ("fiem", "h-fiem") and n % (2 * b) != 0:
-            raise ValueError("FIEM epoch accounting requires n divisible by 2*batch")
-        per_epoch = {"iem": n // b, "online-em": n // b, "fiem": n // (2 * b)}
-    if algorithm != "h-fiem":
-        epoch_algorithms = [algorithm] * epochs
-    elif not (0 <= kswitch <= epochs):
-        raise ValueError("need 0 <= kswitch <= epochs")
-    else:
-        epoch_algorithms = ["online-em"] * kswitch + ["fiem"] * (epochs - kswitch)
-    phases = [(alg, per_epoch[alg]) for alg in epoch_algorithms]
+    phases = _epoch_phases(algorithm, model.n, batch_size, epochs, kswitch)
     k_max = sum(iters for _, iters in phases)
 
     s0 = model.initial_statistic(theta0)
@@ -420,7 +406,7 @@ def gmm_epoch_path(
         loglik.append(gmm_loglik(params, model.dataset))
         weights.append(params.weights)
 
-    opts = RunOptions(s0=s0, batch_size=b, compute_h=False,
+    opts = RunOptions(s0=s0, batch_size=int(batch_size), compute_h=False,
                       domain_policy="abort" if algorithm == "iem" else "warn")
     diag = sa_path(algorithm, model, phases, np.full(k_max, float(gamma)), seed, opts,
                    on_phase_end=record)
@@ -429,7 +415,7 @@ def gmm_epoch_path(
         loglik=np.array(loglik),
         weights=np.array(weights),
         violations=diag.violations,
-        examples_processed=epochs * n,
+        examples_processed=epochs * model.n,
         iterations=k_max,
         final_params=model.tmap(diag.s_final),
     )

@@ -315,10 +315,6 @@ def load_csv_dataset(path) -> GmmDataset:
     return GmmDataset(np.loadtxt(path, delimiter=",", ndmin=2))
 
 
-def save_csv_dataset(path, dataset: GmmDataset) -> None:
-    np.savetxt(path, dataset.observations, delimiter=",")
-
-
 def generate_gmm_synthetic(seed, n: int, g: int, p: int, separation: float):
     """Synthetic mixture: simplex weights bounded below by 0.5/g, means on a
     sphere of radius ``separation``, one shared random SPD covariance.

@@ -9,13 +9,12 @@ Three constant-step strategies plus a non-uniform-termination plan:
 * ``nonuniform`` -- per-iteration steps matched to arbitrary positive
   termination weights through the inverse of a quadratic profile.
 
-All scalar equations are monotone on a known bracket, so every solve is a
-bisection; solved values are verified against their defining equation to
-1e-12 relative before being returned.
+All scalar equations are monotone on a known bracket, so every solve runs the
+one bisection in ``_bisect``; every solved C is verified against its defining
+equation to 1e-12 relative before being returned.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -111,21 +110,16 @@ class StepSizePlan:
             doc["violated_condition"] = self.violated_condition
         return doc
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
+def _bisect(fn, lo, hi):
+    """Bracket of an increasing function's sign change, shrunk from
+    [lo, hi] by plain bisection until it collapses.
 
-def _bisect_increasing(fn, lo, hi, iters: int = 200):
-    """Root of an increasing function with fn(lo) <= 0 <= fn(hi).
-
-    Plain bisection: unconditional convergence on a monotone bracket; runs to
-    interval collapse so solutions are accurate in the argument, not only in
+    Bisection converges unconditionally on a monotone bracket; running to
+    interval collapse makes solutions accurate in the argument, not only in
     the residual.
     """
-    flo, fhi = fn(lo), fn(hi)
-    if flo > 0.0 or fhi < 0.0:
-        raise InfeasiblePlanError("root bracket does not enclose a sign change")
-    for _ in range(iters):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -133,7 +127,19 @@ def _bisect_increasing(fn, lo, hi, iters: int = 200):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return lo, hi
+
+
+def _root(g, lo, hi, scale: Optional[float]) -> float:
+    """Root of an increasing g with g(lo) <= 0 <= g(hi), checked to meet
+    |g| <= 1e-12 * scale unless the scale is None."""
+    if g(lo) > 0.0 or g(hi) < 0.0:
+        raise InfeasiblePlanError("root bracket does not enclose a sign change")
+    lo, hi = _bisect(g, lo, hi)
+    root = 0.5 * (lo + hi)
+    if scale is not None and abs(g(root)) > 1e-12 * scale:
+        raise InfeasiblePlanError("bisection failed to meet the 1e-12 relative residual")
+    return root
 
 
 def f_n(c: float, lam: float, n: int) -> float:
@@ -156,16 +162,16 @@ def f_n_tilde(c: float, lam: float, n: int, k_max: int) -> float:
     return (n * k_max) ** (-1.0 / 3.0) + c * (1.0 / n + 1.0 / (1.0 - lam))
 
 
-def _solve_scaled_equation(fn_of_c, hi_limit: float, target: float) -> float:
-    # Solve sqrt(C) * fn_of_c(C) = target for C on (0, hi_limit); the left
-    # side is continuous, increasing, 0+ at 0 and unbounded near hi_limit.
+def _solve_case1(inputs: PlannerInputs, target: float) -> float:
+    # Solve sqrt(C) f_n(C, lambda) = target for C on (0, lambda n^(1/3)); the
+    # left side is continuous, increasing, 0+ at 0 and unbounded near the limit.
     if target <= 0.0:
         raise InfeasiblePlanError("target of the step-size equation must be positive")
 
     def g(c):
-        return math.sqrt(c) * fn_of_c(c) - target
+        return math.sqrt(c) * f_n(c, inputs.lam, inputs.n) - target
 
-    lo = hi_limit * 1e-300
+    hi_limit = inputs.lam * inputs.n ** (1.0 / 3.0)
     hi = hi_limit * (1.0 - 1e-3)
     shrink = 0
     while g(hi) < 0.0:
@@ -173,18 +179,13 @@ def _solve_scaled_equation(fn_of_c, hi_limit: float, target: float) -> float:
         shrink += 1
         if shrink > 5:
             raise InfeasiblePlanError("no root below the feasibility boundary")
-    c = _bisect_increasing(g, lo, hi)
-    if abs(g(c)) > 1e-12 * target:
-        raise InfeasiblePlanError("bisection failed to meet the 1e-12 relative residual")
-    return c
+    return _root(g, hi_limit * 1e-300, hi, target)
 
 
 def solve_c_case1(inputs: PlannerInputs, target_scale: float = 2.0) -> float:
     """Unique C in (0, lambda n^(1/3)) with sqrt(C) f_n(C, lambda) equal to
     ``target_scale`` * mu * v_min * L / L_gradV (default factor 2)."""
-    target = target_scale * inputs.mu * inputs.v_min * inputs.l_rms / inputs.l_gradv
-    hi_limit = inputs.lam * inputs.n ** (1.0 / 3.0)
-    return _solve_scaled_equation(lambda c: f_n(c, inputs.lam, inputs.n), hi_limit, target)
+    return _solve_case1(inputs, target_scale * inputs.mu * inputs.v_min * inputs.l_rms / inputs.l_gradv)
 
 
 def c_plus_closed_form(mu: float, v_min: float, l_rms: float, l_gradv: float) -> float:
@@ -197,14 +198,7 @@ def solve_c_lambda_eq_c(n: int, mu: float, v_min: float, l_rms: float, l_gradv: 
     """Unique C in (0, 1) solving sqrt(C) f_n(C, C) = 2 mu v_min L / L_gradV;
     always below :func:`c_plus_closed_form`."""
     target = 2.0 * mu * v_min * l_rms / l_gradv
-
-    def g(c):
-        return math.sqrt(c) * f_n(c, c, n) - target
-
-    c = _bisect_increasing(g, 1e-300, 1.0 - 1e-16)
-    if abs(g(c)) > 1e-12 * target:
-        raise InfeasiblePlanError("bisection failed to meet the 1e-12 relative residual")
-    return c
+    return _root(lambda c: math.sqrt(c) * f_n(c, c, n) - target, 1e-300, 1.0 - 1e-16, target)
 
 
 def gamma_case1(inputs: PlannerInputs, c: float) -> float:
@@ -231,38 +225,43 @@ def c_star_asymptotic(v_min: float, l_rms: float, l_gradv: float) -> float:
     return 0.25 * (v_min * l_rms / l_gradv) ** (2.0 / 3.0)
 
 
+def _bound_constant(inputs: PlannerInputs, fn: float) -> float:
+    # B = L_gradV f / (2 mu (1-mu) v_min^2), f = f_n (case1) or f~_n (case2)
+    return inputs.l_gradv * fn / (2.0 * inputs.mu * (1.0 - inputs.mu) * inputs.v_min**2)
+
+
 def bound_case1(inputs: PlannerInputs, c: float, delta_v: float = 1.0):
     """Bound constant B = L_gradV f_n / (2 mu (1-mu) v_min^2) and the full
     bound (n^(2/3)/K_max) * B * delta_v."""
-    fn = f_n(c, inputs.lam, inputs.n)
-    bconst = inputs.l_gradv * fn / (2.0 * inputs.mu * (1.0 - inputs.mu) * inputs.v_min**2)
+    bconst = _bound_constant(inputs, f_n(c, inputs.lam, inputs.n))
     return bconst, inputs.n ** (2.0 / 3.0) / inputs.k_max * bconst * delta_v
 
 
-def plan_case1(inputs: PlannerInputs, delta_v: float = 1.0) -> StepSizePlan:
+def _plan(strategy, inputs, gamma, bconst, bval, c=None, feasible=True, condition=None,
+          mu=None, lam=None, weights=None) -> StepSizePlan:
+    # without weights: constant step gamma and uniform termination
+    if weights is None:
+        schedule = StepSchedule.constant(gamma, inputs.k_max)
+        termination = TerminationRule.uniform(inputs.k_max)
+    else:
+        schedule, termination = StepSchedule(gamma), TerminationRule(weights)
+    return StepSizePlan(strategy=strategy, n=inputs.n, k_max=inputs.k_max, mu=mu, lam=lam,
+                        c=c, schedule=schedule, termination=termination,
+                        bound_constant=bconst, bound_value=bval, feasible=feasible,
+                        violated_condition=None if feasible else condition)
+
+
+def plan_case1(inputs: PlannerInputs) -> StepSizePlan:
     c = solve_c_case1(inputs)
     if case1_identity_gap(inputs, c) > 1e-10:
         raise InfeasiblePlanError("solved C fails the dual step-size identity")
     gamma = gamma_case1(inputs, c)
-    bconst, bval = bound_case1(inputs, c, delta_v)
-    feasible = inputs.n > (c / inputs.lam) ** 3
-    return StepSizePlan(
-        strategy="case1",
-        n=inputs.n,
-        k_max=inputs.k_max,
-        mu=inputs.mu,
-        lam=inputs.lam,
-        c=c,
-        schedule=StepSchedule.constant(gamma, inputs.k_max),
-        termination=TerminationRule.uniform(inputs.k_max),
-        bound_constant=bconst,
-        bound_value=bval,
-        feasible=feasible,
-        violated_condition=None if feasible else "n > (C/lambda)^3",
-    )
+    bconst, bval = bound_case1(inputs, c)
+    return _plan("case1", inputs, gamma, bconst, bval, c, mu=inputs.mu, lam=inputs.lam,
+                 feasible=inputs.n > (c / inputs.lam) ** 3, condition="n > (C/lambda)^3")
 
 
-def solve_case2(inputs: PlannerInputs, delta_v: float = 1.0) -> StepSizePlan:
+def solve_case2(inputs: PlannerInputs) -> StepSizePlan:
     """sqrt(n)-complexity plan from sqrt(C) f~_n(C, lambda) = 2 mu v_min L / L_gradV."""
     target = 2.0 * inputs.mu * inputs.v_min * inputs.l_rms / inputs.l_gradv
 
@@ -274,29 +273,14 @@ def solve_case2(inputs: PlannerInputs, delta_v: float = 1.0) -> StepSizePlan:
         hi *= 2.0
         if hi > 1e12:
             raise InfeasiblePlanError("case2 equation has no reachable root")
-    c = _bisect_increasing(g, 1e-300, hi)
-    if abs(g(c)) > 1e-12 * target:
-        raise InfeasiblePlanError("bisection failed to meet the 1e-12 relative residual")
+    c = _root(g, 1e-300, hi, target)
 
     gamma = math.sqrt(c) / (inputs.n ** (1.0 / 3.0) * inputs.k_max ** (1.0 / 3.0) * inputs.l_rms)
-    fn = f_n_tilde(c, inputs.lam, inputs.n, inputs.k_max)
-    bconst = inputs.l_gradv * fn / (2.0 * inputs.mu * (1.0 - inputs.mu) * inputs.v_min**2)
-    bval = inputs.n ** (1.0 / 3.0) / inputs.k_max ** (2.0 / 3.0) * bconst * delta_v
+    bconst = _bound_constant(inputs, f_n_tilde(c, inputs.lam, inputs.n, inputs.k_max))
+    bval = inputs.n ** (1.0 / 3.0) / inputs.k_max ** (2.0 / 3.0) * bconst
     feasible = inputs.n ** (1.0 / 3.0) * inputs.k_max ** (-2.0 / 3.0) <= inputs.lam / c
-    return StepSizePlan(
-        strategy="case2",
-        n=inputs.n,
-        k_max=inputs.k_max,
-        mu=inputs.mu,
-        lam=inputs.lam,
-        c=c,
-        schedule=StepSchedule.constant(gamma, inputs.k_max),
-        termination=TerminationRule.uniform(inputs.k_max),
-        bound_constant=bconst,
-        bound_value=bval,
-        feasible=feasible,
-        violated_condition=None if feasible else "n^(1/3) K_max^(-2/3) <= lambda/C",
-    )
+    return _plan("case2", inputs, gamma, bconst, bval, c, mu=inputs.mu, lam=inputs.lam,
+                 feasible=feasible, condition="n^(1/3) K_max^(-2/3) <= lambda/C")
 
 
 def lambda_star_case2(v_min: float, l_rms: float, l_gradv: float, tau: float) -> float:
@@ -307,10 +291,12 @@ def lambda_star_case2(v_min: float, l_rms: float, l_gradv: float, tau: float) ->
     def g(lam):
         return rhs_scale * lam**3 - lhs_scale * (1.0 - lam) ** 2
 
-    return _bisect_increasing(g, 1e-300, 1.0 - 1e-16)
+    # no residual check: near lambda = 1 one ulp of lambda moves the residual
+    # by more than 1e-12 relative, so the collapsed bracket is the best answer
+    return _root(g, 1e-300, 1.0 - 1e-16, None)
 
 
-def karimi_plan(inputs: PlannerInputs, per_example_l, delta_v: float = 1.0) -> StepSizePlan:
+def karimi_plan(inputs: PlannerInputs, per_example_l) -> StepSizePlan:
     """Baseline constant step v_min n^(-2/3) / (max(6, 1+4 v_min) max(L_gradV, L_1..L_n))
     and its bound."""
     li = np.asarray(per_example_l, dtype=float)
@@ -320,19 +306,7 @@ def karimi_plan(inputs: PlannerInputs, per_example_l, delta_v: float = 1.0) -> S
     kappa = max(6.0, 1.0 + 4.0 * inputs.v_min)
     gamma = inputs.v_min * inputs.n ** (-2.0 / 3.0) / (kappa * big_l)
     bconst = kappa**2 * big_l / inputs.v_min**2
-    bval = inputs.n ** (2.0 / 3.0) / inputs.k_max * bconst * delta_v
-    return StepSizePlan(
-        strategy="karimi",
-        n=inputs.n,
-        k_max=inputs.k_max,
-        mu=None,
-        lam=None,
-        c=None,
-        schedule=StepSchedule.constant(gamma, inputs.k_max),
-        termination=TerminationRule.uniform(inputs.k_max),
-        bound_constant=bconst,
-        bound_value=bval,
-    )
+    return _plan("karimi", inputs, gamma, bconst, inputs.n ** (2.0 / 3.0) / inputs.k_max * bconst)
 
 
 def _quadratic_profile(inputs: PlannerInputs, fn: float):
@@ -355,24 +329,15 @@ def profile_inverse(inputs: PlannerInputs, fn: float, y: float) -> float:
         raise ValueError("profile inverse needs a positive argument")
     if y > profile(x_star) * (1.0 + 1e-12):
         raise ValueError("argument exceeds the profile maximum")
-    lo, hi = 0.0, x_star
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if profile(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return _bisect(lambda x: profile(x) - y, 0.0, x_star)[1]
 
 
-def nonuniform_plan(inputs: PlannerInputs, weights, delta_v: float = 1.0) -> StepSizePlan:
+def nonuniform_plan(inputs: PlannerInputs, weights) -> StepSizePlan:
     """Plan for an arbitrary positive termination distribution.
 
     C solves sqrt(C) f_n(C, lambda) = v_min L / L_gradV (no factor 2 mu); the
     per-iteration steps are the profile inverse of the rescaled weights, and
-    the bound is n^(2/3) * max_k p_k * 2 L_gradV f_n / v_min^2 * delta_v.
+    the bound is n^(2/3) * max_k p_k * 2 L_gradV f_n / v_min^2.
     """
     p = np.asarray(weights, dtype=float)
     if p.ndim != 1 or p.size != inputs.k_max:
@@ -382,9 +347,7 @@ def nonuniform_plan(inputs: PlannerInputs, weights, delta_v: float = 1.0) -> Ste
     if abs(p.sum() - 1.0) > 1e-12:
         raise ValueError("weights must sum to 1 within 1e-12")
 
-    target = inputs.v_min * inputs.l_rms / inputs.l_gradv
-    hi_limit = inputs.lam * inputs.n ** (1.0 / 3.0)
-    c_max = _solve_scaled_equation(lambda c: f_n(c, inputs.lam, inputs.n), hi_limit, target)
+    c_max = _solve_case1(inputs, inputs.v_min * inputs.l_rms / inputs.l_gradv)
     fn = f_n(c_max, inputs.lam, inputs.n)
 
     pmax = float(p.max())
@@ -400,22 +363,9 @@ def nonuniform_plan(inputs: PlannerInputs, weights, delta_v: float = 1.0) -> Ste
         gammas[k] = inv_cache[ratio] / (inputs.n ** (2.0 / 3.0) * inputs.l_rms)
 
     bconst = 2.0 * inputs.l_gradv * fn / inputs.v_min**2
-    bval = inputs.n ** (2.0 / 3.0) * pmax * bconst * delta_v
-    feasible = inputs.n > (c_max / inputs.lam) ** 3
-    return StepSizePlan(
-        strategy="nonuniform",
-        n=inputs.n,
-        k_max=inputs.k_max,
-        mu=None,
-        lam=inputs.lam,
-        c=c_max,
-        schedule=StepSchedule(gammas),
-        termination=TerminationRule(p),
-        bound_constant=bconst,
-        bound_value=bval,
-        feasible=feasible,
-        violated_condition=None if feasible else "n > (C/lambda)^3",
-    )
+    return _plan("nonuniform", inputs, gammas, bconst, inputs.n ** (2.0 / 3.0) * pmax * bconst,
+                 c_max, lam=inputs.lam, weights=p,
+                 feasible=inputs.n > (c_max / inputs.lam) ** 3, condition="n > (C/lambda)^3")
 
 
 def recommend(epsilon: float, n: int) -> str:
@@ -488,23 +438,21 @@ def theorem1_coeffs(
     return Theorem1Coefficients(alphas=alphas, deltas=deltas, lambdas_big=lambdas_big, betas=betas)
 
 
-def build_plan(strategy: str, inputs: PlannerInputs, weights=None, per_example_l=None,
-               delta_v: float = 1.0, epsilon: float | None = None) -> StepSizePlan:
+def build_plan(strategy: str, inputs: PlannerInputs, weights=None,
+               epsilon: float | None = None) -> StepSizePlan:
     """Dispatch helper used by the CLI."""
     if strategy == "auto":
         if epsilon is None:
             raise ValueError("auto strategy requires epsilon")
         strategy = recommend(epsilon, inputs.n)
     if strategy == "case1":
-        return plan_case1(inputs, delta_v)
+        return plan_case1(inputs)
     if strategy == "case2":
-        return solve_case2(inputs, delta_v)
+        return solve_case2(inputs)
     if strategy == "karimi":
-        if per_example_l is None:
-            per_example_l = [inputs.l_rms]
-        return karimi_plan(inputs, per_example_l, delta_v)
+        return karimi_plan(inputs, [inputs.l_rms])
     if strategy == "nonuniform":
         if weights is None:
             raise ValueError("nonuniform strategy requires termination weights")
-        return nonuniform_plan(inputs, weights, delta_v)
+        return nonuniform_plan(inputs, weights)
     raise ValueError(f"unknown strategy {strategy!r}")

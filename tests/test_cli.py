@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -15,6 +16,16 @@ def read(path):
 
 def tree_bytes(root):
     return {p.name: read(p) for p in sorted(root.iterdir()) if p.is_file()}
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+PLAN_FLAGS = ["--vmin", "0.7", "--L", "1.4", "--Lv", "3"]
 
 
 class TestPlan:
@@ -56,6 +67,31 @@ class TestPlan:
                      "--vmin", "1", "--L", "1", "--Lv", "1",
                      "--out", str(tmp_path / "p.json")])
         assert code == 2
+
+    # sha256 of the plan JSON, recorded before the planners shared one root
+    # solver and one plan constructor; a change here is a changed plan
+    @pytest.mark.parametrize("argv, sha256", [
+        (["--strategy", "case1", "--n", "1000000", "--kmax", "1000", "--vmin", "1", "--L", "1",
+          "--Lv", "1", "--mu", "0.25", "--lambda", "0.5"],
+         "37c5fcb1411fe0db312ff75e09ab419bb872917c78a7ec93d9d2d2e0a4ce8940"),
+        (["--strategy", "case2", "--n", "1000000", "--kmax", "1000000"] + PLAN_FLAGS,
+         "34498687980d846b236cb294fb7e0e0b58c81116149be4cd9a7dac037ada662e"),
+        (["--strategy", "karimi", "--n", "1000", "--kmax", "100"] + PLAN_FLAGS,
+         "f9ce2d0fc8c103c61567ce2949935fb6ebe42fb47c0299a919b680e143bcc3f5"),
+        (["--strategy", "nonuniform", "--weights", "w.txt", "--n", "2000", "--kmax", "8"]
+         + PLAN_FLAGS, "813548d88c9a1d429e7018045058d279812d187c2ed76bc98002cf67a368e307"),
+        (["--strategy", "auto", "--epsilon", "0.05", "--n", "1000000", "--kmax", "1000"]
+         + PLAN_FLAGS, "d8282bc190f5b7737266e872b06fd84e035f264807135fda72692aacff8a3f4b"),
+        (["--strategy", "auto", "--epsilon", "0.001", "--n", "1000000", "--kmax", "1000"]
+         + PLAN_FLAGS, "5735d759cc7ff53d06bbdb96e9703cd55274d2582cd6f4c60dfad21642c37d03"),
+    ], ids=["case1-readme", "case2", "karimi", "nonuniform", "auto-above-crossover",
+            "auto-below-crossover"])
+    def test_plan_json_is_pinned(self, tmp_path, monkeypatch, argv, sha256):
+        # epsilon = n^(-1/3) = 0.01 is the crossover: 0.05 picks case2, 0.001 case1
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "w.txt").write_text("0.25\n0.125\n0.125\n0.125\n0.125\n0.125\n0.0625\n0.0625\n")
+        assert main(["plan"] + argv + ["--out", "plan.json"]) == 0
+        assert hashlib.sha256(read(tmp_path / "plan.json")).hexdigest() == sha256
 
     @pytest.mark.parametrize("command, doc", [
         ("plan", {"n": 10, "bogus": 1}),
@@ -261,3 +297,44 @@ class TestCheck:
         captured = capsys.readouterr()
         assert "[PASS]" not in captured.out
         assert "iteration 17: replica 5: diverged (1 of 200 replicas aborted)" in captured.err
+
+
+GMM_SMALL = ["gmm", "--synthetic", "0,100,2,2,3.0", "--threads", "1"]
+TOY_SMALL = ["toy", "--n", "10", "--kmax", "20", "--replicas", "2", "--threads", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    GMM_SMALL + ["--batch", "30", "--algos", "online-em", "--epochs", "1"],
+    ["gmm", "--synthetic", "0,100"],
+    ["gmm", "--synthetic", "a,b,c,d,e"],
+    GMM_SMALL + ["--batch", "10", "--algos", "h-fiem", "--kswitch", "5", "--epochs", "2"],
+    GMM_SMALL + ["--batch", "0", "--algos", "online-em", "--epochs", "1"],
+    ["gmm", "--data", "nope.csv"],
+    GMM_SMALL + ["--batch", "10", "--algos", "em", "--epochs", "1", "--g", "0"],
+    TOY_SMALL + ["--plan", "nope.json"],
+    TOY_SMALL + ["--plan", "not-json.json"],
+    TOY_SMALL + ["--plan", "no-gamma.json"],
+    TOY_SMALL + ["--plan", "list.json"],
+    TOY_SMALL + ["--plan", "short.json"],
+    ["toy", "--n", "1", "--threads", "1"],
+    ["toy", "--replicas", "0", "--threads", "1"],
+    TOY_SMALL + ["--algos", "bogus"],
+    ["plan", "--strategy", "nonuniform", "--n", "100", "--kmax", "10"] + PLAN_FLAGS,
+    ["plan", "--strategy", "nonuniform", "--weights", "nope.txt", "--n", "100", "--kmax", "10"]
+    + PLAN_FLAGS,
+    ["plan", "--strategy", "auto", "--n", "100", "--kmax", "10"] + PLAN_FLAGS,
+], ids=["gmm-batch-not-dividing-n", "gmm-short-synthetic", "gmm-non-numeric-synthetic",
+        "gmm-kswitch-past-last-epoch", "gmm-zero-batch", "gmm-missing-data", "gmm-zero-components",
+        "toy-missing-plan", "toy-plan-not-json", "toy-plan-without-gamma",
+        "toy-plan-not-an-object", "toy-plan-wrong-length", "toy-n-1", "toy-zero-replicas",
+        "toy-unknown-algorithm",
+        "plan-nonuniform-without-weights", "plan-missing-weights", "plan-auto-without-epsilon"])
+def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "not-json.json").write_text("{not json")
+    (tmp_path / "no-gamma.json").write_text(json.dumps({"C": 0.1}))
+    (tmp_path / "list.json").write_text(json.dumps([0.1, 0.1]))
+    (tmp_path / "short.json").write_text(json.dumps({"gamma": [0.1, 0.1]}))
+    assert exit_code(argv + ["--out", "out"]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fiem
 from fiem.algorithms import StepSchedule
 from fiem.errors import InfeasiblePlanError
 from fiem.stepsize import (
     PlannerInputs,
+    _quadratic_profile,
     bound_case1,
     c_plus_closed_form,
     c_star_asymptotic,
@@ -219,8 +222,6 @@ class TestNonUniform:
         ins = inputs(n=500)
         c = solve_c_case1(ins, target_scale=1.0 / ins.mu)  # the nonuniform equation
         fn = f_n(c, ins.lam, ins.n)
-        from fiem.stepsize import _quadratic_profile
-
         profile, x_star = _quadratic_profile(ins, fn)
         y_max = profile(x_star)
         for frac in (1e-6, 0.1, 0.37, 0.8, 0.999, 1.0):
@@ -306,3 +307,87 @@ class TestPlanSerialization:
         plan = nonuniform_plan(inputs(n=4000, k_max=k_max), w)
         doc = plan.to_dict()
         assert isinstance(doc["gamma"], list) and len(doc["gamma"]) == k_max
+
+
+def log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+CONSTANT = log_uniform(-2.0, 2.0)
+UNIT_INTERVAL = st.floats(0.01, 0.99)
+PLANNER_INPUTS = st.builds(
+    PlannerInputs, n=st.integers(2, 10**7), k_max=st.integers(1, 10**6), v_min=CONSTANT,
+    l_rms=CONSTANT, l_gradv=CONSTANT, mu=UNIT_INTERVAL, lam=UNIT_INTERVAL)
+
+
+def assert_solves(lhs, target):
+    assert abs(lhs - target) <= 1e-12 * target
+
+
+class TestPlannerRoots:
+    """Every root meets its defining equation to 1e-12 relative over random
+    constants, unless the planner says it cannot (InfeasiblePlanError, or a
+    plan flagged infeasible, whose C must still solve its equation)."""
+
+    @given(ins=PLANNER_INPUTS)
+    def test_case1(self, ins):
+        try:
+            c = solve_c_case1(ins)
+        except InfeasiblePlanError:
+            return
+        assert_solves(math.sqrt(c) * f_n(c, ins.lam, ins.n),
+                      2.0 * ins.mu * ins.v_min * ins.l_rms / ins.l_gradv)
+
+    @given(n=st.integers(2, 10**7), mu=UNIT_INTERVAL, v_min=CONSTANT, l_rms=CONSTANT,
+           l_gradv=CONSTANT)
+    def test_lambda_eq_c(self, n, mu, v_min, l_rms, l_gradv):
+        try:
+            c = solve_c_lambda_eq_c(n, mu, v_min, l_rms, l_gradv)
+        except InfeasiblePlanError:
+            return
+        assert_solves(math.sqrt(c) * f_n(c, c, n), 2.0 * mu * v_min * l_rms / l_gradv)
+
+    @given(ins=PLANNER_INPUTS)
+    def test_case2(self, ins):
+        try:
+            plan = solve_case2(ins)
+        except InfeasiblePlanError:
+            return
+        assert_solves(math.sqrt(plan.c) * f_n_tilde(plan.c, ins.lam, ins.n, ins.k_max),
+                      2.0 * ins.mu * ins.v_min * ins.l_rms / ins.l_gradv)
+        assert plan.feasible == (plan.violated_condition is None)
+
+    @given(ins=PLANNER_INPUTS.map(lambda ins: PlannerInputs(
+               ins.n, 1 + ins.k_max % 64, ins.v_min, ins.l_rms, ins.l_gradv, ins.mu, ins.lam)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_nonuniform(self, ins, seed):
+        w = np.random.default_rng(seed).uniform(0.01, 1.0, size=ins.k_max)
+        w /= w.sum()
+        try:
+            plan = nonuniform_plan(ins, w)
+        except InfeasiblePlanError:
+            return
+        assert_solves(math.sqrt(plan.c) * f_n(plan.c, ins.lam, ins.n),
+                      ins.v_min * ins.l_rms / ins.l_gradv)
+        assert plan.feasible == (plan.violated_condition is None)
+
+    @given(v_min=CONSTANT, l_rms=CONSTANT, l_gradv=CONSTANT, tau=log_uniform(-3.0, 3.0))
+    def test_lambda_star(self, v_min, l_rms, l_gradv, tau):
+        try:
+            lam = lambda_star_case2(v_min, l_rms, l_gradv, tau)
+        except InfeasiblePlanError:
+            return
+        lhs_scale, rhs_scale = (v_min * l_rms) ** 2 * tau**3, (2.0 * l_gradv) ** 2
+        resid = abs(rhs_scale * lam**3 - lhs_scale * (1.0 - lam) ** 2)
+        # near lambda = 1 the root is ill-conditioned: one ulp of lambda moves
+        # the residual by |g'(lambda)| ulp, more than 1e-12 relative
+        slack = (3.0 * rhs_scale * lam**2 + 2.0 * lhs_scale * (1.0 - lam)) * math.ulp(lam)
+        assert resid <= 1e-12 * rhs_scale * lam**3 + slack
+
+    @given(ins=PLANNER_INPUTS, fn=log_uniform(-3.0, 3.0), frac=st.floats(1e-9, 1.0))
+    def test_profile_inverse(self, ins, fn, frac):
+        profile, x_star = _quadratic_profile(ins, fn)
+        y = frac * profile(x_star)
+        x = profile_inverse(ins, fn, y)
+        assert 0.0 < x <= x_star
+        assert_solves(profile(x), y)
