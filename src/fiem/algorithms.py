@@ -403,46 +403,49 @@ def sa_path(
         theta_err[k] = float(np.linalg.norm(_as_vector(model.tmap(s)) - _as_vector(opts.theta_ref)))
 
     k = 0
-    try:
-        for algorithm, iters in phases:
-            if memory is None and iters and algorithm in MEMORY_ALGORITHMS:
-                memory = MemoryTable.init(model, s)
-            for _ in range(iters):
-                smean = model.stat_mean(s) if needs_mean or algorithm == "em" else None
-                if h_sq is not None:
-                    hvec = smean - s
-                    h_sq[k] = hvec @ hvec
-                if vdot_sq is not None:
-                    vdot = model.bmat(s) @ (smean - s)
-                    vdot_sq[k] = vdot @ vdot
-                if theta_err is not None:
-                    record_theta(k, s)
+    # a diverging update overflows before the finiteness check below aborts
+    # the path; one errstate for the whole loop keeps numpy from warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for algorithm, iters in phases:
+                if memory is None and iters and algorithm in MEMORY_ALGORITHMS:
+                    memory = MemoryTable.init(model, s)
+                for _ in range(iters):
+                    smean = model.stat_mean(s) if needs_mean or algorithm == "em" else None
+                    if h_sq is not None:
+                        hvec = smean - s
+                        h_sq[k] = hvec @ hvec
+                    if vdot_sq is not None:
+                        vdot = model.bmat(s) @ (smean - s)
+                        vdot_sq[k] = vdot @ vdot
+                    if theta_err is not None:
+                        record_theta(k, s)
 
-                s_new, lam = _step(algorithm, model, s, memory, rng_i, rng_j, b, gammas[k],
-                                   smean, opts.forced_lambda)
+                    s_new, lam = _step(algorithm, model, s, memory, rng_i, rng_j, b, gammas[k],
+                                       smean, opts.forced_lambda)
 
-                if lam is not None:
-                    lambdas[k] = lam
-                if cv_sq is not None and algorithm in MEMORY_ALGORITHMS:
-                    gap = memory.mean - smean
-                    cv_sq[k] = gap @ gap
-                delta = s_new - s
-                step_sq[k] = sq = delta @ delta
-                if opts.domain_policy is not None:
-                    try:
-                        model.admissible(s_new)
-                    except DomainError as exc:
-                        if opts.domain_policy == "abort":
-                            raise RunAbortError(k, str(exc)) from exc
-                        violations += 1
-                if not isfinite(sq):
-                    raise RunAbortError(k, "non-finite update ||S^{k+1} - S^k||^2 (diverged)")
-                s = s_new
-                k += 1
-            if on_phase_end is not None:
-                on_phase_end(s)
-    except DomainError as exc:
-        raise RunAbortError(k, str(exc)) from exc
+                    if lam is not None:
+                        lambdas[k] = lam
+                    if cv_sq is not None and algorithm in MEMORY_ALGORITHMS:
+                        gap = memory.mean - smean
+                        cv_sq[k] = gap @ gap
+                    delta = s_new - s
+                    step_sq[k] = sq = delta @ delta
+                    if opts.domain_policy is not None:
+                        try:
+                            model.admissible(s_new)
+                        except DomainError as exc:
+                            if opts.domain_policy == "abort":
+                                raise RunAbortError(k, str(exc)) from exc
+                            violations += 1
+                    if not isfinite(sq):
+                        raise RunAbortError(k, "non-finite update ||S^{k+1} - S^k||^2 (diverged)")
+                    s = s_new
+                    k += 1
+                if on_phase_end is not None:
+                    on_phase_end(s)
+        except DomainError as exc:
+            raise RunAbortError(k, str(exc)) from exc
     if theta_err is not None:
         record_theta(k_max, s)
 

@@ -4,6 +4,9 @@ Subcommands: ``plan`` (step-size planning), ``toy`` (replicated runs on the
 linear-Gaussian benchmark), ``gmm`` (mixture fits with epoch tables), and
 ``check`` (verification suites).  All randomness flows from ``--seed``;
 re-running a subcommand with identical flags writes byte-identical files.
+``toy``, ``gmm`` and ``check`` run their replicas on ``--threads`` processes
+(default: one per CPU); replicas are reduced in replica order, so the output
+is the same at every thread count.
 
 Exit codes: 0 success, 1 check failure, 2 infeasible plan or bad input,
 3 run aborted (a domain violation or divergence in any replica).
@@ -47,7 +50,7 @@ CONFIG_SCHEMA = {
     "toy": {"seed", "n", "kmax", "algos", "plan", "replicas", "out", "preset", "threads"},
     "gmm": {"data", "synthetic", "preprocess", "g", "algos", "gamma", "batch",
             "kswitch", "epochs", "replicas", "seed", "out", "preset", "threads"},
-    "check": {"suite", "scale", "seed"},
+    "check": {"suite", "scale", "seed", "threads"},
 }
 
 
@@ -149,8 +152,12 @@ def cmd_toy(args, parser) -> int:
     if args.plan:
         with open(args.plan) as fh:
             gamma = json.load(fh)["gamma"]
-        schedule = StepSchedule(np.asarray(gamma, dtype=float)) if isinstance(gamma, list) \
-            else StepSchedule.constant(float(gamma), kmax)
+        if not isinstance(gamma, list):
+            schedule = StepSchedule.constant(float(gamma), kmax)
+        elif len(gamma) != kmax:
+            raise ValueError(f"--plan {args.plan} holds {len(gamma)} step sizes, K_max is {kmax}")
+        else:
+            schedule = StepSchedule(np.asarray(gamma, dtype=float))
     else:
         schedule = plan_case1(inputs).schedule
 
@@ -198,6 +205,16 @@ def cmd_toy(args, parser) -> int:
 GMM_PRESETS = {None: {"g": 3, "preprocess": None}, "paper": {"g": 12, "preprocess": 20}}
 
 
+def _synthetic_spec(text: str) -> tuple[int, int, int, int, float]:
+    """The ``--synthetic`` value ``seed,n,g,p,separation`` as numbers."""
+    try:
+        gen_seed, n, g_true, p, sep = text.split(",")
+        return int(gen_seed), int(n), int(g_true), int(p), float(sep)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects seed,n,g,p,separation, got {text!r}") from None
+
+
 def cmd_gmm(args, parser) -> int:
     if (args.data is None) == (args.synthetic is None):
         parser.error("provide exactly one of --data and --synthetic")
@@ -208,9 +225,7 @@ def cmd_gmm(args, parser) -> int:
         if p_target:
             dataset = preprocess(dataset.observations, p_target)
     else:
-        gen_seed, n, g_true, p, sep = args.synthetic.split(",")
-        dataset, _truth = generate_gmm_synthetic(
-            int(gen_seed), int(n), int(g_true), int(p), float(sep))
+        dataset, _truth = generate_gmm_synthetic(*args.synthetic)
 
     model = GmmModel(dataset, preset["g"] if args.g is None else args.g)
     exp = GmmExperimentConfig(
@@ -313,7 +328,7 @@ def _check_identities(seed: int) -> list[tuple[str, bool, str]]:
     return results
 
 
-def _check_theorem1(seed: int, scale: str) -> list[tuple[str, bool, str]]:
+def _check_theorem1(seed: int, scale: str, workers: int) -> list[tuple[str, bool, str]]:
     if scale == "desk":
         n, q_dims, k_max, replicas = 10, (4, 3, 3), 50, 2000
     else:
@@ -321,12 +336,13 @@ def _check_theorem1(seed: int, scale: str) -> list[tuple[str, bool, str]]:
     model = generate_toy(seed, n, dims=q_dims)
     inputs = PlannerInputs.from_constants(model.constants(), n=n, k_max=k_max)
     schedule = plan_case1(inputs).schedule
-    report = verify_theorem1(model, schedule, np.zeros(model.q), replicas, seed)
+    report = verify_theorem1(model, schedule, np.zeros(model.q), replicas, seed,
+                             workers=workers)
     msg = f"lhs={report.lhs:.4e} deltaV={report.delta_v:.4e} margin={report.margin_sigmas:.1f} sigma"
     return [("master inequality within 3 sigma", report.holds, msg)]
 
 
-def _check_prop2(seed: int) -> list[tuple[str, bool, str]]:
+def _check_prop2(seed: int, workers: int) -> list[tuple[str, bool, str]]:
     model = generate_toy(seed, n=50, dims=(6, 4, 5))
     constants = model.constants()
     rng = np.random.default_rng(seed)
@@ -342,7 +358,7 @@ def _check_prop2(seed: int) -> list[tuple[str, bool, str]]:
     exp = ExperimentConfig(
         model=model, algorithms=("fiem",), schedule=schedule,
         termination=TerminationRule.uniform(k_max), s0=np.zeros(model.q),
-        replicas=200, seed=seed, compute_e0=True,
+        replicas=200, seed=seed, compute_e0=True, workers=workers,
     )
     table = run_replicated(exp)
     table.raise_on_abort()
@@ -358,9 +374,9 @@ def cmd_check(args, parser) -> int:
     if args.suite == "identities":
         results = _check_identities(args.seed)
     elif args.suite == "theorem1":
-        results = _check_theorem1(args.seed, args.scale)
+        results = _check_theorem1(args.seed, args.scale, args.threads)
     else:
-        results = _check_prop2(args.seed)
+        results = _check_prop2(args.seed, args.threads)
     failed = False
     for name, ok, msg in results:
         status = "PASS" if ok else "FAIL"
@@ -411,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gmm", help="Gaussian-mixture fits with epoch tables")
     g.add_argument("--config")
     g.add_argument("--data", help="header-free CSV, one observation per row")
-    g.add_argument("--synthetic", help="seed,n,g,p,separation")
+    g.add_argument("--synthetic", type=_synthetic_spec, help="seed,n,g,p,separation")
     g.add_argument("--preprocess", type=int, help="PCA target dimension")
     g.add_argument("--g", type=int, help="number of mixture components to fit")
     g.add_argument("--algos", default="em,iem,online-em,h-fiem")
@@ -430,6 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--suite", choices=["theorem1", "prop2", "identities"], default="identities")
     c.add_argument("--scale", choices=["desk", "paper"], default="desk")
     c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--threads", type=int, default=threads)
     return parser
 
 

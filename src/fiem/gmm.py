@@ -108,7 +108,7 @@ class GmmParams:
 
 @dataclass(eq=False)
 class GmmDataset:
-    """Observations with their cached second moment."""
+    """Observations with their second moment, formed on first use."""
 
     observations: Array
 
@@ -117,7 +117,12 @@ class GmmDataset:
         if y.ndim != 2:
             raise ConfigurationError("observations must be an n-by-p matrix")
         self.observations = y
-        self.sigma_star = y.T @ y / y.shape[0]
+
+    @cached_property
+    def sigma_star(self) -> Array:
+        """Sigma_star = n^{-1} sum_i y_i y_i'."""
+        y = self.observations
+        return y.T @ y / y.shape[0]
 
     @property
     def n(self) -> int:

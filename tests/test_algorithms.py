@@ -1,3 +1,6 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,7 @@ from hypothesis import strategies as st
 import fiem
 from fiem.algorithms import MemoryTable, StepSchedule, TerminationRule, draw_batch, row_mean
 from fiem.errors import DegenerateVarianceError, MemoryStateError, RunAbortError
-from fiem.rng import SeedTree
+from fiem.rng import STREAM_INDICES_I, STREAM_INDICES_J, SeedTree
 
 
 def toy(seed=0, n=6, dims=(4, 3, 3)):
@@ -383,6 +386,54 @@ class TestRun:
                      TerminationRule.uniform(5), 0, opts(m))
 
 
+def index_draws(algorithm, model, k_max, batch_size, seed):
+    """The batches one ``run`` draws, per index stream, in draw order."""
+    names = {}
+    draws = {STREAM_INDICES_I: [], STREAM_INDICES_J: []}
+    stream, draw = SeedTree.stream, fiem.algorithms.draw_batch
+
+    def named_stream(tree, name):
+        rng = stream(tree, name)
+        names[id(rng)] = name
+        return rng
+
+    def spy(rng, n, size, replace):
+        batch = draw(rng, n, size, replace)
+        draws[names[id(rng)]].append(batch.tolist())
+        return batch
+
+    with mock.patch.object(SeedTree, "stream", named_stream), \
+            mock.patch.object(fiem.algorithms, "draw_batch", spy):
+        fiem.run(algorithm, model, StepSchedule.constant(0.1, k_max),
+                 TerminationRule.uniform(k_max), seed, opts(model, batch_size=batch_size))
+    return draws
+
+
+class TestIndexStreams:
+    """The shared-stream protocol behind every same-seed comparison."""
+
+    @settings(max_examples=30)
+    @given(n=st.integers(1, 30), data=st.data())
+    def test_algorithms_read_the_same_stream_positions(self, n, data):
+        b = data.draw(st.integers(1, n), label="b")
+        k_max = 8
+        model = toy(seed=n, n=n)
+        draws = {alg: index_draws(alg, model, k_max, b, seed=n)
+                 for alg in ("iem", "fiem", "opt-fiem", "online-em")}
+        i_draws = {alg: d[STREAM_INDICES_I] for alg, d in draws.items()}
+        j_draws = {alg: d[STREAM_INDICES_J] for alg, d in draws.items()}
+        # one memory (I) batch per iteration, the same one for every memory algorithm
+        assert len(i_draws["iem"]) == k_max
+        assert i_draws["iem"] == i_draws["fiem"] == i_draws["opt-fiem"]
+        assert not i_draws["online-em"] and not j_draws["iem"]
+        # one oracle (J) batch per iteration, the same for FIEM and opt-FIEM
+        assert len(j_draws["fiem"]) == k_max
+        assert j_draws["fiem"] == j_draws["opt-fiem"]
+        # Online EM draws b > 1 without replacement, a different stream use
+        if b == 1:
+            assert j_draws["online-em"] == j_draws["fiem"]
+
+
 class TestErrorPaths:
     def test_dimension_mismatch_is_fatal(self):
         from fiem.errors import ConfigurationError
@@ -452,6 +503,16 @@ class TestErrorPaths:
         diag = fiem.run("fiem", m, StepSchedule.constant(50.0, k),
                         TerminationRule.uniform(k), 0, opts(m))
         assert np.all(np.isfinite(diag.step_sq)) and np.all(np.isfinite(diag.s_final))
+
+    @pytest.mark.parametrize("algorithm", ["online-em", "fiem"])
+    def test_divergence_aborts_without_a_numpy_warning(self, algorithm):
+        # the overflow of the aborting iteration itself must not reach stderr
+        m = toy(seed=1, n=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RunAbortError):
+                fiem.run(algorithm, m, StepSchedule.constant(50.0, 200),
+                         TerminationRule.uniform(200), 0, opts(m))
 
     def test_divergence_stops_the_path_at_the_aborting_iteration(self):
         class Counting(fiem.ToyModel):

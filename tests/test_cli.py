@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 import fiem.cli
 from fiem.cli import main
 from fiem.errors import RunAbortError
+from fiem.experiments import Theorem1Report
 
 
 def read(path):
@@ -281,6 +284,38 @@ class TestCheck:
         assert main(["check", "--suite", "theorem1"]) == 3
         assert "iteration 7: replica 2: diverged" in capsys.readouterr().err
 
+    def test_prop2_pooled_stdout_equals_serial(self, capsys):
+        outs = []
+        for threads in ("1", "2"):
+            assert main(["check", "--suite", "prop2", "--threads", threads]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_theorem1_desk_verdict_is_pinned(self, capsys):
+        # at the default thread count, against the digest the benchmark gate holds
+        digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+        expected = json.loads(digests.read_text())["mc-certify"]["<stdout>"]
+        assert main(["check", "--suite", "theorem1", "--scale", "desk", "--seed", "0"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
+
+    @pytest.mark.parametrize("doc, workers", [
+        ({"suite": "theorem1"}, os.cpu_count() or 1),
+        ({"suite": "theorem1", "threads": 1}, 1),
+        ({"suite": "theorem1", "threads": 3}, 3),
+    ], ids=["default", "threads-1", "threads-3"])
+    def test_threads_reach_the_replica_pool(self, tmp_path, monkeypatch, capsys, doc, workers):
+        seen = []
+
+        def report(*args, workers):
+            seen.append(workers)
+            return Theorem1Report(lhs=0.0, delta_v=1.0, margin_sigmas=1.0, coeffs=None)
+
+        monkeypatch.setattr(fiem.cli, "verify_theorem1", report)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["check", "--config", str(cfg)]) == 0
+        assert seen == [workers]
+
     def test_prop2_aborted_replica_exits_3(self, monkeypatch, capsys):
         # E0 and E1 from the surviving replicas alone would be biased
         real = fiem.cli.run_replicated
@@ -301,6 +336,14 @@ class TestCheck:
 
 GMM_SMALL = ["gmm", "--synthetic", "0,100,2,2,3.0", "--threads", "1"]
 TOY_SMALL = ["toy", "--n", "10", "--kmax", "20", "--replicas", "2", "--threads", "1"]
+
+
+# what the message of a bad flag value must say, beyond exit 2 and one line
+NAMES_THE_FLAG = {
+    "gmm-short-synthetic": ("--synthetic", "seed,n,g,p,separation", "'0,100'"),
+    "gmm-non-numeric-synthetic": ("--synthetic", "seed,n,g,p,separation"),
+    "toy-plan-wrong-length": ("--plan", "2 step sizes", "K_max is 20"),
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -329,12 +372,15 @@ TOY_SMALL = ["toy", "--n", "10", "--kmax", "20", "--replicas", "2", "--threads",
         "toy-plan-not-an-object", "toy-plan-wrong-length", "toy-n-1", "toy-zero-replicas",
         "toy-unknown-algorithm",
         "plan-nonuniform-without-weights", "plan-missing-weights", "plan-auto-without-epsilon"])
-def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
+def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, request, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "not-json.json").write_text("{not json")
     (tmp_path / "no-gamma.json").write_text(json.dumps({"C": 0.1}))
     (tmp_path / "list.json").write_text(json.dumps([0.1, 0.1]))
     (tmp_path / "short.json").write_text(json.dumps({"gamma": [0.1, 0.1]}))
     assert exit_code(argv + ["--out", "out"]) == 2
-    assert len(capsys.readouterr().err.splitlines()) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    for part in NAMES_THE_FLAG.get(request.node.callspec.id, ()):
+        assert part in err
     assert not (tmp_path / "out").exists()

@@ -160,6 +160,16 @@ class TestTheorem1Verification:
                             replicas=3, seed=0)
         assert "replica 0" in err.value.condition
 
+    def test_pooled_replicas_equal_serial_bits(self):
+        m = toy(seed=10, n=6)
+        plan = fiem.plan_case1(
+            fiem.PlannerInputs.from_constants(m.constants(), n=m.n, k_max=30))
+        serial, pooled = (
+            verify_theorem1(m, plan.schedule, np.zeros(m.q), replicas=40, seed=0, workers=w)
+            for w in (1, 2))
+        for field in ("lhs", "delta_v", "margin_sigmas"):
+            assert getattr(serial, field).hex() == getattr(pooled, field).hex()
+
     def test_deterministic_single_example(self):
         m = toy(seed=12, n=1)
         sched = StepSchedule.constant(0.05, 25)

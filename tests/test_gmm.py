@@ -16,6 +16,7 @@ from fiem.gmm import (
     gmm_onlineem_step,
     gmm_tmap,
     init_params,
+    load_csv_dataset,
     posterior,
     posterior_rows,
     preprocess,
@@ -285,6 +286,18 @@ class TestPreprocess:
         eigs = np.sort(np.linalg.eigvalsh(z.T @ z / 400))[::-1]
         total = float(np.sum(ds.observations**2) / 400)
         np.testing.assert_allclose(total, eigs[:p_target].sum(), rtol=1e-10)
+
+    def test_raw_second_moment_is_formed_on_first_use(self, tmp_path):
+        # preprocessing discards the raw p x p second moment, so loading the
+        # CSV must not form it
+        path = tmp_path / "raw.csv"
+        np.savetxt(path, np.random.default_rng(6).normal(size=(50, 6)), delimiter=",")
+        raw = load_csv_dataset(path)
+        assert preprocess(raw.observations, 3).p == 3
+        assert "sigma_star" not in vars(raw)
+        y = raw.observations
+        assert raw.sigma_star.tobytes() == (y.T @ y / y.shape[0]).tobytes()
+        assert raw.sigma_star is raw.sigma_star
 
     def test_target_dimension_checked(self):
         with pytest.raises(ValueError):
