@@ -24,7 +24,7 @@ from .algorithms import (
     run,
 )
 from .errors import RunAbortError
-from .experiments import gmm_epoch_path, update_magnitude_window
+from .experiments import gmm_epoch_path
 from .gmm import (
     GmmDataset,
     GmmModel,
@@ -34,7 +34,7 @@ from .gmm import (
     init_params,
     preprocess,
 )
-from .model import em_step, grad_v_fd, gradv_identity_check, mean_field, objective_v, sbar
+from .model import grad_v_fd, gradv_identity_check, mean_field, objective_v
 from .rng import SeedTree
 from .stepsize import (
     PlannerInputs,

@@ -72,9 +72,9 @@ class TerminationRule:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty vector")
-        if np.any(w < 0.0):
+        if not np.all(w >= 0.0):
             raise ValueError("weights must be non-negative")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not abs(w.sum() - 1.0) <= 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
         self.weights = w
 
@@ -84,12 +84,6 @@ class TerminationRule:
     @classmethod
     def uniform(cls, k_max: int) -> "TerminationRule":
         return cls(np.full(int(k_max), 1.0 / int(k_max)))
-
-    @classmethod
-    def point_mass(cls, k: int, k_max: int) -> "TerminationRule":
-        w = np.zeros(int(k_max))
-        w[int(k)] = 1.0
-        return cls(w)
 
     def sample(self, rng: np.random.Generator) -> int:
         return int(rng.choice(self.weights.size, p=self.weights))
@@ -502,6 +496,8 @@ def _epoch_phases(algorithm: str, n: int, batch_size: int, epochs: int, kswitch:
     b = int(batch_size)
     if b < 1:
         raise ValueError("need batch_size >= 1")
+    if epochs < 1:
+        raise ValueError("need epochs >= 1")
     per_iteration = {"em": n, "iem": b, "online-em": b, "fiem": 2 * b, "h-fiem": 2 * b}[algorithm]
     if n % per_iteration:
         raise ValueError(f"epoch accounting for {algorithm} requires n={n} divisible by "
@@ -531,8 +527,9 @@ def h_fiem_run(
     """
     phases = _epoch_phases("h-fiem", model.n, batch_size, total_epochs, kswitch_epochs)
     k_max = sum(iters for _, iters in phases)
-    gammas = gamma.gammas if isinstance(gamma, StepSchedule) else np.full(k_max, float(gamma))
+    if not isinstance(gamma, StepSchedule):
+        gamma = StepSchedule.constant(gamma, k_max)
     opts = replace(options or RunOptions(), batch_size=int(batch_size))
-    diag = sa_path("h-fiem", model, phases, gammas, seed, opts)
+    diag = sa_path("h-fiem", model, phases, gamma.gammas, seed, opts)
     diag.switch_iteration = sum(iters for alg, iters in phases if alg == "online-em")
     return diag

@@ -46,16 +46,6 @@ def default_checkpoints(k_max: int) -> list[int]:
     return ks
 
 
-def update_magnitude_window(n: int, k_max: int) -> tuple[int, int]:
-    """Early-iteration window for the scaled update magnitude
-    gamma^{-2} ||S^{k+1} - S^k||^2, proportional to the data size: the
-    reference window is [1.5e3, 5e3] at n = 1e3, i.e. [1.5 n, 5 n] clipped to
-    the horizon."""
-    lo = min(k_max - 1, int(round(1.5 * n)))
-    hi = min(k_max - 1, 5 * n)
-    return lo, hi
-
-
 @dataclass
 class ExperimentConfig:
     model: FiniteSumModel
@@ -395,7 +385,7 @@ def gmm_epoch_path(
     if algorithm not in GMM_ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     phases = _epoch_phases(algorithm, model.n, batch_size, epochs, kswitch)
-    k_max = sum(iters for _, iters in phases)
+    schedule = StepSchedule.constant(gamma, sum(iters for _, iters in phases))
 
     s0 = model.initial_statistic(theta0)
     loglik = []
@@ -408,15 +398,14 @@ def gmm_epoch_path(
 
     opts = RunOptions(s0=s0, batch_size=int(batch_size), compute_h=False,
                       domain_policy="abort" if algorithm == "iem" else "warn")
-    diag = sa_path(algorithm, model, phases, np.full(k_max, float(gamma)), seed, opts,
-                   on_phase_end=record)
+    diag = sa_path(algorithm, model, phases, schedule.gammas, seed, opts, on_phase_end=record)
     return GmmPath(
         algorithm=algorithm,
         loglik=np.array(loglik),
         weights=np.array(weights),
         violations=diag.violations,
         examples_processed=epochs * model.n,
-        iterations=k_max,
+        iterations=len(schedule),
         final_params=model.tmap(diag.s_final),
     )
 

@@ -62,14 +62,6 @@ class GmmParams:
     def p(self) -> int:
         return self.means.shape[1]
 
-    def validate(self) -> None:
-        if np.any(self.weights < 0.0):
-            raise DomainError("mixture weights must be non-negative")
-        if abs(self.weights.sum() - 1.0) > 1e-10:
-            raise DomainError("mixture weights must sum to 1 within 1e-10")
-        if np.min(np.linalg.eigvalsh(0.5 * (self.cov + self.cov.T))) <= 0.0:
-            raise DomainError("covariance must be positive definite")
-
     @cached_property
     def _chol(self) -> Array:
         try:
@@ -96,14 +88,6 @@ class GmmParams:
             "means": self.means.tolist(),
             "covariance": self.cov.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "GmmParams":
-        return cls(
-            np.asarray(doc["weights"], dtype=float),
-            np.asarray(doc["means"], dtype=float),
-            np.asarray(doc["covariance"], dtype=float),
-        )
 
 
 @dataclass(eq=False)
@@ -155,11 +139,6 @@ def posterior_rows(params: GmmParams, y_rows: Array) -> Array:
     shifted = logd - logd.max(axis=1, keepdims=True)
     w = np.exp(shifted)
     return w / w.sum(axis=1, keepdims=True)
-
-
-def posterior(params: GmmParams, dataset: GmmDataset, i: int) -> Array:
-    """Responsibility vector of example ``i``."""
-    return posterior_rows(params, dataset.observations[i : i + 1])[0]
 
 
 def gmm_loglik(params: GmmParams, dataset: GmmDataset) -> float:
@@ -223,9 +202,6 @@ class GmmModel(FiniteSumModel):
         out[:, self.g :] = (rho[:, :, None] * y_rows[:, None, :]).reshape(b, self.g * self.p)
         return out
 
-    def sbar_i(self, theta: GmmParams, i: int) -> Array:
-        return self.sbar_rows(theta, np.array([i]))[0]
-
     def sbar_rows(self, theta: GmmParams, indices) -> Array:
         idx = np.asarray(indices)
         y_rows = self.dataset.observations[idx]
@@ -239,20 +215,18 @@ class GmmModel(FiniteSumModel):
         out[self.g :] = (rho.T @ y).reshape(self.g * self.p) / self.n
         return out
 
+    def stat_rows(self, s: Array, indices) -> Array:
+        return self.sbar_rows(self.tmap(s), indices)
+
+    def stat_mean(self, s: Array) -> Array:
+        return self.sbar(self.tmap(s))
+
     def objective(self, theta: GmmParams) -> float:
         return -gmm_loglik(theta, self.dataset)
 
     def initial_statistic(self, theta: GmmParams) -> Array:
         """S^0 = n^{-1} sum_i sbar_i(theta^0)."""
         return self.sbar(theta)
-
-
-def dense_selection_matrix(y: Array, g: int) -> Array:
-    """Reference (g + p g) x g matrix [I_g ; I_g kron y]; tests only."""
-    p = y.size
-    top = np.eye(g)
-    bottom = np.kron(np.eye(g), y.reshape(p, 1))
-    return np.vstack([top, bottom])
 
 
 # -- mini-batch steps (thin wrappers enforcing the domain proxies) ---------

@@ -11,7 +11,7 @@ points of EM.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +65,8 @@ class FiniteSumModel(ABC):
     Implementations are immutable after construction, hold no state that
     depends on the statistic vectors they are given, and are safe to share
     across threads.  ``n`` is the example count and ``q`` the statistic
-    dimension.
+    dimension.  A model defines ``tmap``, ``admissible`` and ``stat_rows``;
+    the algorithms need nothing else.
     """
 
     n: int
@@ -81,28 +82,9 @@ class FiniteSumModel(ABC):
         is outside the domain of ``tmap``."""
 
     @abstractmethod
-    def sbar_i(self, theta, i: int) -> Array:
-        """Conditional expectation of the statistic for example ``i``."""
-
-    def sbar_rows(self, theta, indices) -> Array:
-        """Rows ``sbar_i(theta)`` for ``i`` in ``indices``; shape (b, q)."""
-        rows = np.empty((len(indices), self.q))
-        for pos, i in enumerate(indices):
-            row = np.asarray(self.sbar_i(theta, int(i)), dtype=float)
-            if row.shape != (self.q,):
-                raise ConfigurationError(
-                    f"sbar_i returned shape {row.shape}, expected ({self.q},)"
-                )
-            rows[pos] = row
-        return rows
-
-    def sbar(self, theta) -> Array:
-        """Full mean statistic ``n^{-1} sum_i sbar_i(theta)``."""
-        return self.sbar_rows(theta, np.arange(self.n)).mean(axis=0)
-
     def stat_rows(self, s: Array, indices) -> Array:
-        """Rows ``sbar_i(T(s))``, the per-example EM images of ``s``."""
-        return self.sbar_rows(self.tmap(s), indices)
+        """Rows ``sbar_i(T(s))``, the per-example EM images of ``s``, for
+        ``i`` in ``indices``; shape (b, q)."""
 
     def stat_rows_into(self, s: Array, out: Array) -> None:
         """All n rows ``sbar_i(T(s))`` written into the (n, q) array ``out``;
@@ -110,9 +92,9 @@ class FiniteSumModel(ABC):
         out[...] = self.stat_rows(s, np.arange(self.n))
 
     def stat_mean(self, s: Array) -> Array:
-        """Full EM image ``sbar(T(s))``; costs one pass over the n examples
-        unless the model overrides it with a closed form."""
-        return self.sbar(self.tmap(s))
+        """Full EM image ``sbar(T(s))``, the mean of all n rows; costs one
+        pass over the examples unless the model overrides it."""
+        return self.stat_rows(s, np.arange(self.n)).mean(axis=0)
 
     # -- optional capabilities -------------------------------------------
 
@@ -134,17 +116,6 @@ def check_statistic(model: FiniteSumModel, s: Array) -> Array:
     if not np.all(np.isfinite(s)):
         raise DomainError("statistic has non-finite entries")
     return s
-
-
-def sbar(model: FiniteSumModel, theta) -> Array:
-    """Mean statistic at ``theta`` (deterministic average over all examples)."""
-    return model.sbar(theta)
-
-
-def em_step(model: FiniteSumModel, s: Array) -> Array:
-    """One EM iteration in expectation space: ``s -> sbar(T(s))``."""
-    model.admissible(s)
-    return model.stat_mean(s)
 
 
 def mean_field(model: FiniteSumModel, s: Array) -> Array:

@@ -46,8 +46,9 @@ class PlannerInputs:
         if self.k_max < 1:
             raise ValueError("need k_max >= 1")
         for name in ("v_min", "l_rms", "l_gradv"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not (0.0 < self.mu < 1.0):
             raise ValueError("mu must lie in (0, 1)")
         if not (0.0 < self.lam < 1.0):
@@ -342,9 +343,9 @@ def nonuniform_plan(inputs: PlannerInputs, weights) -> StepSizePlan:
     p = np.asarray(weights, dtype=float)
     if p.ndim != 1 or p.size != inputs.k_max:
         raise ValueError("weights must have length k_max")
-    if np.any(p <= 0.0):
+    if not np.all(p > 0.0):
         raise ValueError("all termination weights must be positive")
-    if abs(p.sum() - 1.0) > 1e-12:
+    if not abs(p.sum() - 1.0) <= 1e-12:
         raise ValueError("weights must sum to 1 within 1e-12")
 
     c_max = _solve_case1(inputs, inputs.v_min * inputs.l_rms / inputs.l_gradv)

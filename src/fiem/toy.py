@@ -116,16 +116,6 @@ class ToyModel(FiniteSumModel):
     def admissible(self, s: Array) -> None:
         check_statistic(self, s)
 
-    def sbar_i(self, theta: Array, i: int) -> Array:
-        return self.p1y[i] + self.gram @ theta
-
-    def sbar_rows(self, theta: Array, indices) -> Array:
-        return self.p1y[np.asarray(indices)] + self.gram @ theta
-
-    def sbar(self, theta: Array) -> Array:
-        return self.p1ybar + self.gram @ theta
-
-    # closed form Pi2 s; sbar_rows(T(s)) would round Gram (Tmat s) differently
     def stat_rows(self, s: Array, indices) -> Array:
         return self.p1y[np.asarray(indices)] + self.pi2 @ s
 
@@ -149,30 +139,6 @@ class ToyModel(FiniteSumModel):
     def em_fixed_point(self) -> Array:
         """s_star solving (I - Pi2) s_star = Pi1 Ybar."""
         return np.linalg.solve(np.eye(self.q) - self.pi2, self.p1ybar)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON document with matrices row-major."""
-        return {
-            "a": self.a_mat.tolist(),
-            "x": self.x_mat.tolist(),
-            "upsilon": self.upsilon,
-            "observations": self.y_obs.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ToyModel":
-        return cls(
-            np.asarray(doc["a"], dtype=float),
-            np.asarray(doc["x"], dtype=float),
-            float(doc["upsilon"]),
-            np.asarray(doc["observations"], dtype=float),
-        )
-
-    def save_observations_csv(self, path) -> None:
-        """Header-free CSV, one observation per row."""
-        np.savetxt(path, self.y_obs, delimiter=",")
 
 
 def generate_toy(

@@ -125,7 +125,7 @@ class TestSingleSteps:
     def test_em_step_fixed_point(self):
         m = toy(seed=2)
         s_star = m.em_fixed_point()
-        assert np.linalg.norm(fiem.em_step(m, s_star) - s_star) < 1e-10
+        assert np.linalg.norm(m.stat_mean(s_star) - s_star) < 1e-10
 
     def test_online_gamma_zero_is_identity(self):
         m = toy(seed=3)
@@ -137,7 +137,7 @@ class TestSingleSteps:
         s = np.ones(m.q)
         full = np.arange(m.n)
         np.testing.assert_allclose(
-            fiem.online_em_step(m, s, full, 1.0), fiem.em_step(m, s), atol=1e-13
+            fiem.online_em_step(m, s, full, 1.0), m.stat_mean(s), atol=1e-13
         )
 
     def test_online_empty_batch_rejected(self):
@@ -150,7 +150,7 @@ class TestSingleSteps:
         s = np.ones(m.q)
         memory = MemoryTable.init(m, np.zeros(m.q))
         out, _ = fiem.iem_step(m, s, memory, np.arange(m.n), 1.0)
-        np.testing.assert_allclose(out, fiem.em_step(m, s), atol=1e-13)
+        np.testing.assert_allclose(out, m.stat_mean(s), atol=1e-13)
 
     def test_iem_gamma_zero_updates_memory_only(self):
         m = toy(seed=6)
@@ -167,7 +167,7 @@ class TestSingleSteps:
         memory = MemoryTable.init(m, np.zeros(m.q))
         for i in range(m.n):
             _, memory = fiem.iem_step(m, s, memory, np.array([i]), 1.0)
-        np.testing.assert_allclose(memory.mean, fiem.em_step(m, s), atol=1e-12)
+        np.testing.assert_allclose(memory.mean, m.stat_mean(s), atol=1e-12)
 
     def test_iem_requires_memory(self):
         m = toy()
@@ -340,7 +340,7 @@ class TestRun:
         d = fiem.run("fiem", m, sched, TerminationRule.uniform(k_max), 0, opts(m))
         s = np.zeros(m.q)
         for _ in range(k_max):
-            s = s + gamma * (fiem.em_step(m, s) - s)
+            s = s + gamma * (m.stat_mean(s) - s)
         assert np.linalg.norm(d.s_final - s) <= 1e-14 * max(1.0, np.linalg.norm(s))
 
     def test_run_trajectory_matches_manual_steps(self):
@@ -435,25 +435,6 @@ class TestIndexStreams:
 
 
 class TestErrorPaths:
-    def test_dimension_mismatch_is_fatal(self):
-        from fiem.errors import ConfigurationError
-        from fiem.model import FiniteSumModel
-
-        class Broken(FiniteSumModel):
-            n, q = 3, 2
-
-            def tmap(self, s):
-                return s
-
-            def admissible(self, s):
-                return None
-
-            def sbar_i(self, theta, i):
-                return np.zeros(3)  # wrong length
-
-        with pytest.raises(ConfigurationError):
-            fiem.sbar(Broken(), np.zeros(2))
-
     def test_domain_policy_warn_counts_violations(self):
         from fiem.errors import DomainError
         from fiem.model import FiniteSumModel
@@ -470,8 +451,8 @@ class TestErrorPaths:
                 if s[0] < 0.0:
                     raise DomainError("first coordinate went negative")
 
-            def sbar_i(self, theta, i):
-                return np.full(1, -2.0)
+            def stat_rows(self, s, indices):
+                return np.full((len(indices), 1), -2.0)
 
         model = Leaky()
         k_max = 10

@@ -343,6 +343,8 @@ NAMES_THE_FLAG = {
     "gmm-short-synthetic": ("--synthetic", "seed,n,g,p,separation", "'0,100'"),
     "gmm-non-numeric-synthetic": ("--synthetic", "seed,n,g,p,separation"),
     "toy-plan-wrong-length": ("--plan", "2 step sizes", "K_max is 20"),
+    "plan-nan-vmin": ("v_min", "nan"),
+    "plan-nan-weight": ("weights",),
 }
 
 
@@ -366,18 +368,28 @@ NAMES_THE_FLAG = {
     ["plan", "--strategy", "nonuniform", "--weights", "nope.txt", "--n", "100", "--kmax", "10"]
     + PLAN_FLAGS,
     ["plan", "--strategy", "auto", "--n", "100", "--kmax", "10"] + PLAN_FLAGS,
+    ["plan", "--n", "1000", "--kmax", "100", "--vmin", "nan", "--L", "1", "--Lv", "1"],
+    ["plan", "--strategy", "nonuniform", "--weights", "nan-weight.txt", "--n", "1000",
+     "--kmax", "2", "--vmin", "1", "--L", "1", "--Lv", "1"],
+    GMM_SMALL + ["--batch", "10", "--algos", "online-em", "--epochs", "1", "--gamma", "0"],
+    GMM_SMALL + ["--batch", "10", "--algos", "online-em", "--epochs", "1", "--gamma", "-0.5"],
+    GMM_SMALL + ["--batch", "10", "--algos", "online-em", "--epochs", "1", "--gamma", "nan"],
+    GMM_SMALL + ["--batch", "10", "--algos", "em,online-em", "--epochs", "0"],
 ], ids=["gmm-batch-not-dividing-n", "gmm-short-synthetic", "gmm-non-numeric-synthetic",
         "gmm-kswitch-past-last-epoch", "gmm-zero-batch", "gmm-missing-data", "gmm-zero-components",
         "toy-missing-plan", "toy-plan-not-json", "toy-plan-without-gamma",
         "toy-plan-not-an-object", "toy-plan-wrong-length", "toy-n-1", "toy-zero-replicas",
         "toy-unknown-algorithm",
-        "plan-nonuniform-without-weights", "plan-missing-weights", "plan-auto-without-epsilon"])
+        "plan-nonuniform-without-weights", "plan-missing-weights", "plan-auto-without-epsilon",
+        "plan-nan-vmin", "plan-nan-weight", "gmm-zero-gamma", "gmm-negative-gamma",
+        "gmm-nan-gamma", "gmm-zero-epochs"])
 def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, request, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "not-json.json").write_text("{not json")
     (tmp_path / "no-gamma.json").write_text(json.dumps({"C": 0.1}))
     (tmp_path / "list.json").write_text(json.dumps([0.1, 0.1]))
     (tmp_path / "short.json").write_text(json.dumps({"gamma": [0.1, 0.1]}))
+    (tmp_path / "nan-weight.txt").write_text("0.5\nnan\n")
     assert exit_code(argv + ["--out", "out"]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1

@@ -105,9 +105,10 @@ class TestEstimates:
         sched = StepSchedule.constant(0.5, k_max)
         base = dict(model=m, algorithms=("em",), schedule=sched, s0=np.zeros(m.q),
                     replicas=20, seed=1)
+        last = np.zeros(k_max)
+        last[-1] = 1.0
         uni = run_replicated(ExperimentConfig(termination=TerminationRule.uniform(k_max), **base))
-        point = run_replicated(ExperimentConfig(
-            termination=TerminationRule.point_mass(k_max - 1, k_max), **base))
+        point = run_replicated(ExperimentConfig(termination=TerminationRule(last), **base))
         e_uni = estimate_e(uni.runs["em"])
         e_point = estimate_e(point.runs["em"])
         assert e_point.e1 <= e_uni.e1
@@ -346,13 +347,6 @@ class TestAbortHandling:
 
 
 class TestScaledUpdateWindow:
-    def test_reference_window(self):
-        assert fiem.update_magnitude_window(1000, 20000) == (1500, 5000)
-
-    def test_clipped_to_horizon(self):
-        assert fiem.update_magnitude_window(1000, 2000) == (1500, 1999)
-        assert fiem.update_magnitude_window(1000, 1200) == (1199, 1199)
-
     def test_scaled_metric_in_aggregates(self):
         m = toy(seed=15)
         table = run_replicated(config(m, replicas=2))

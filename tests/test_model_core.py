@@ -1,9 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 
 import fiem
+from fiem.algorithms import ALGORITHMS, MEMORY_ALGORITHMS, StepSchedule, TerminationRule
 from fiem.errors import ConfigurationError, DomainError, UnsupportedCapabilityError
-from fiem.model import FiniteSumModel, ModelConstants
+from fiem.model import FiniteSumModel, ModelConstants, check_statistic
 
 
 def toy(seed=0, n=5, dims=(4, 3, 3), **kw):
@@ -28,27 +31,28 @@ class TestModelConstants:
 class TestSbar:
     def test_single_example_mean_is_the_example(self):
         m = toy(n=1)
-        theta = np.array([0.3, -1.0, 2.0])
-        assert np.array_equal(fiem.sbar(m, theta), m.sbar_i(theta, 0))
+        s = np.array([0.3, -1.0, 2.0])
+        assert np.array_equal(m.stat_mean(s), m.stat_rows(s, [0])[0])
 
     def test_matches_direct_resummation(self):
-        # oracle: rebuild Pi1/gram from raw solves and average the five
+        # oracle: rebuild Pi1/gram and T from raw solves and average the five
         # per-example statistics independently of the model's methods
         m = toy(seed=3, n=5)
-        theta = np.array([1.0, 0.5, -2.0])
+        s = np.array([1.0, 0.5, -2.0])
         p_dim = m.a_mat.shape[1]
         inner = np.linalg.inv(np.eye(p_dim) + m.a_mat.T @ m.a_mat)
         pi1 = m.x_mat.T @ inner @ m.a_mat.T
         gram = m.x_mat.T @ inner @ m.x_mat
+        theta = np.linalg.solve(m.upsilon * np.eye(m.q) + m.x_mat.T @ m.x_mat, s)
         rows = np.stack([pi1 @ m.y_obs[i] + gram @ theta for i in range(5)])
-        np.testing.assert_allclose(fiem.sbar(m, theta), rows.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(m.stat_mean(s), rows.mean(axis=0), rtol=1e-12)
 
     def test_gmm_symmetric_components(self):
         y = np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]])
         ds = fiem.GmmDataset(y)
         m = fiem.GmmModel(ds, 2)
         theta = fiem.GmmParams(np.array([0.5, 0.5]), np.zeros((2, 2)), np.eye(2))
-        s = fiem.sbar(m, theta)
+        s = m.sbar(theta)
         np.testing.assert_allclose(s[:2], [0.5, 0.5], atol=1e-14)
 
 
@@ -64,7 +68,7 @@ class TestMeanField:
         for _ in range(20):
             s = rng.normal(size=m.q)
             h = fiem.mean_field(m, s)
-            np.testing.assert_allclose(h, fiem.em_step(m, s) - s, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(h, m.stat_mean(s) - s, rtol=0, atol=1e-14)
             oracle = m.p1ybar + m.pi2 @ s - s
             np.testing.assert_allclose(h, oracle, rtol=1e-12, atol=1e-14)
 
@@ -82,7 +86,7 @@ class TestMeanField:
         for _ in range(50):
             s = rng.normal(size=m.q)
             h = fiem.mean_field(m, s)
-            step = fiem.em_step(m, s)
+            step = m.stat_mean(s)
             assert (np.linalg.norm(h) == 0.0) == np.array_equal(step, s)
 
     def test_domain_error_names_condition(self):
@@ -116,8 +120,8 @@ class TestObjectiveV:
             def admissible(self, s):
                 return None
 
-            def sbar_i(self, theta, i):
-                return theta
+            def stat_rows(self, s, indices):
+                return np.tile(s, (len(indices), 1))
 
         with pytest.raises(UnsupportedCapabilityError):
             fiem.objective_v(Bare(), np.zeros(1))
@@ -160,3 +164,58 @@ class TestCurvatureSandwich:
             quad = float(h @ (m.bmat(s) @ h))
             assert quad >= c.v_min * hsq - 1e-10
             assert quad <= c.v_max * hsq + 1e-10 * max(1.0, hsq)
+
+
+class Affine(FiniteSumModel):
+    """A toy model's statistic map through the three required methods only,
+    so that the generic ``stat_mean`` and ``stat_rows_into`` serve it."""
+
+    def __init__(self, toy_model):
+        self.n, self.q = toy_model.n, toy_model.q
+        self.tmat, self.pi2, self.p1y = toy_model.tmat, toy_model.pi2, toy_model.p1y
+
+    def tmap(self, s):
+        return self.tmat @ s
+
+    def admissible(self, s):
+        check_statistic(self, s)
+
+    def stat_rows(self, s, indices):
+        return self.p1y[np.asarray(indices)] + self.pi2 @ s
+
+
+class TestContract:
+    def test_three_methods_define_a_model(self):
+        assert FiniteSumModel.__abstractmethods__ == {"tmap", "admissible", "stat_rows"}
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_generic_model_runs_like_its_closed_forms(self, algorithm):
+        m = toy(seed=9, n=12)
+        k_max = 30
+        sched = StepSchedule.constant(0.4, k_max)
+        diags = [fiem.run(algorithm, model, sched, TerminationRule.uniform(k_max), 3,
+                          fiem.RunOptions(s0=np.zeros(m.q), compute_e2=True))
+                 for model in (Affine(m), m)]
+        generic, closed = diags
+        np.testing.assert_allclose(generic.s_final, closed.s_final, rtol=1e-11)
+        np.testing.assert_allclose(generic.h_sq, closed.h_sq, rtol=1e-9, atol=1e-24)
+        if algorithm in MEMORY_ALGORITHMS:
+            # at k = 0 the memory mean is the EM image itself: a zero gap,
+            # up to rounding
+            np.testing.assert_allclose(generic.cv_gap_sq, closed.cv_gap_sq, rtol=1e-9, atol=1e-24)
+        if algorithm == "opt-fiem":
+            np.testing.assert_allclose(generic.lambdas, closed.lambdas, rtol=1e-9)
+
+
+def test_public_surface_is_pinned():
+    exported = sorted(name for name, value in vars(fiem).items()
+                      if not name.startswith("_") and not inspect.ismodule(value))
+    assert exported == [
+        "GmmDataset", "GmmModel", "GmmParams", "PlannerInputs", "RunAbortError",
+        "RunOptions", "SeedTree", "StepSchedule", "TerminationRule", "ToyModel",
+        "f_n", "f_n_tilde", "fiem_step", "generate_gmm_synthetic", "generate_toy",
+        "gmm_epoch_path", "gmm_loglik", "grad_v_fd", "gradv_identity_check", "h_fiem_run",
+        "iem_step", "init_params", "karimi_plan", "mean_field", "nonuniform_plan",
+        "objective_v", "online_em_step", "opt_fiem_lambda", "opt_fiem_step", "plan_case1",
+        "preprocess", "run", "solve_case2",
+    ]

@@ -56,20 +56,6 @@ class TestGeneration:
         assert np.array_equal(a.y_obs, b.y_obs)
         assert np.array_equal(a.x_mat, b.x_mat)
 
-    def test_serialization_round_trip(self, tmp_path):
-        import json
-
-        m = fiem.generate_toy(13, n=6, dims=(4, 3, 3))
-        doc = json.loads(json.dumps(m.to_dict()))
-        back = ToyModel.from_dict(doc)
-        assert np.array_equal(back.a_mat, m.a_mat)
-        assert np.array_equal(back.y_obs, m.y_obs)
-        np.testing.assert_allclose(back.theta_star, m.theta_star, rtol=1e-14)
-        csv_path = tmp_path / "obs.csv"
-        m.save_observations_csv(csv_path)
-        loaded = np.loadtxt(csv_path, delimiter=",", ndmin=2)
-        np.testing.assert_allclose(loaded, m.y_obs, rtol=1e-15)
-
 
 class TestThetaStar:
     def test_zero_loading_matrix(self):
@@ -103,12 +89,14 @@ class TestThetaStar:
 
 class TestInterface:
     def test_em_step_matches_affine_form(self):
+        # the closed-form EM image is the mean of the n affine rows
         m = paper_model(seed=3, n=15)
         rng = np.random.default_rng(4)
         for _ in range(10):
             s = rng.normal(size=m.q)
             np.testing.assert_allclose(
-                fiem.em_step(m, s), m.p1ybar + m.pi2 @ s, rtol=1e-13, atol=1e-13
+                m.stat_mean(s), m.stat_rows(s, np.arange(m.n)).mean(axis=0),
+                rtol=1e-13, atol=1e-13
             )
 
     def test_fixed_point_solves_linear_system(self):
@@ -158,7 +146,7 @@ class TestInterface:
         s = np.zeros(m.q)
         err = np.linalg.norm(s - s_star)
         for _ in range(400):
-            s = fiem.em_step(m, s)
+            s = m.stat_mean(s)
             new_err = np.linalg.norm(s - s_star)
             assert new_err <= op_norm * err + 1e-12
             err = new_err
