@@ -84,6 +84,17 @@ def _names(text: str) -> list[str]:
     return [a.strip() for a in text.split(",") if a.strip()]
 
 
+def _process_count(text: str) -> int:
+    """The ``--threads`` value: a whole number of processes, at least one."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"expects a whole number of at least 1, got {text!r}")
+    return count
+
+
 def _report_aborts(aborted) -> bool:
     """One ``aborted:`` line per aborted (algorithm, replica) on stderr;
     True when there was any."""
@@ -422,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--replicas", type=int)
     t.add_argument("--out", default="toy-out")
     t.add_argument("--preset", choices=sorted(TOY_PRESETS))
-    t.add_argument("--threads", type=int, default=threads)
+    t.add_argument("--threads", type=_process_count, default=threads)
 
     g = sub.add_parser("gmm", help="Gaussian-mixture fits with epoch tables")
     g.add_argument("--config")
@@ -439,14 +450,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default="gmm-out")
     g.add_argument("--preset", choices=["paper"])
-    g.add_argument("--threads", type=int, default=threads)
+    g.add_argument("--threads", type=_process_count, default=threads)
 
     c = sub.add_parser("check", help="verification suites")
     c.add_argument("--config")
     c.add_argument("--suite", choices=["theorem1", "prop2", "identities"], default="identities")
     c.add_argument("--scale", choices=["desk", "paper"], default="desk")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--threads", type=int, default=threads)
+    c.add_argument("--threads", type=_process_count, default=threads)
     return parser
 
 

@@ -423,6 +423,10 @@ class GmmExperimentConfig:
     table_epochs: Sequence[int] = DEFAULT_TABLE_EPOCHS
     workers: int = 1
 
+    def __post_init__(self):
+        if self.replicas < 1:
+            raise ValueError("need replicas >= 1")
+
 
 def _gmm_replica_job(args):
     config, r = args

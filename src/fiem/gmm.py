@@ -119,15 +119,24 @@ class GmmDataset:
 
 def log_weighted_densities(params: GmmParams, y_rows: Array) -> Array:
     """log(alpha_l) + log N(mu_l, Sigma)[y] for each row and component,
-    omitting the p log(2 pi)/2 constant; shape (b, g)."""
+    omitting the p log(2 pi)/2 constant; shape (b, g).
+
+    The difference operand is column-major, the transpose of a C-contiguous
+    (p, b) array, so einsum's inner loop runs over b at unit stride.  It
+    adds (d_p P_pq) d_q into each row in the same p-major, q-minor sequence
+    as with a row-major operand, which it read p^2 times per row at stride
+    p.  The bits are those of the row-major form at every shape but
+    b = p = 2, where numpy summed that operand's 2x2 block as
+    (t00 + t01) + (t10 + t11); ``tests/test_gmm.py`` pins them."""
     b = y_rows.shape[0]
     out = np.empty((b, params.g))
     prec = params._precision
     base = -0.5 * params._log_det
     with np.errstate(divide="ignore"):
         logw = np.log(params.weights)
+    y_cols = np.ascontiguousarray(y_rows.T)
     for l in range(params.g):
-        diff = y_rows - params.means[l]
+        diff = (y_cols - params.means[l][:, None]).T
         quad = np.einsum("bp,pq,bq->b", diff, prec, diff)
         out[:, l] = logw[l] + base - 0.5 * quad
     return out

@@ -221,6 +221,26 @@ class TestGmm:
         assert main(self.ARGS + ["--out", str(b)]) == 0
         assert tree_bytes(a) == tree_bytes(b)
 
+    def test_five_algorithm_fit_is_pinned(self, tmp_path):
+        # sha256 of every output, recorded before the density kernel took a
+        # column-major operand; a change here is a change in the fitted bits
+        out = tmp_path / "run"
+        assert main(["gmm", "--synthetic", "0,2000,3,5,3.0", "--g", "3",
+                     "--algos", "em,iem,online-em,fiem,h-fiem", "--batch", "100",
+                     "--epochs", "10", "--kswitch", "2", "--threads", "1", "--seed", "0",
+                     "--out", str(out)]) == 0
+        assert {name: hashlib.sha256(data).hexdigest()
+                for name, data in tree_bytes(out).items()} == {
+            "epoch_accounting.csv":
+                "9cf51bb3147459c33b1ab0625c658234eacc3d3abfcde3939b687bfd08f840e2",
+            "epoch_table.csv":
+                "3bae279de5f33dbd60625aeef4f8cd9ae68e371dfed2f120751433524bfc9756",
+            "fitted_params.json":
+                "a4fc95793f46173cec49f2cad847845c61458c2a474349c42b83f408016334ea",
+            "weights_trajectories.csv":
+                "d66a6b51b71110d3a1001e8319eb71a7f48c3be993b09279b16a709a2cccca52",
+        }
+
     def test_requires_exactly_one_source(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["gmm", "--g", "2", "--out", str(tmp_path / "x")])
@@ -345,6 +365,12 @@ NAMES_THE_FLAG = {
     "toy-plan-wrong-length": ("--plan", "2 step sizes", "K_max is 20"),
     "plan-nan-vmin": ("v_min", "nan"),
     "plan-nan-weight": ("weights",),
+    "gmm-zero-replicas": ("replicas",),
+    "gmm-negative-replicas": ("replicas",),
+    "toy-zero-threads": ("--threads", "at least 1", "'0'"),
+    "gmm-negative-threads": ("--threads", "at least 1", "'-3'"),
+    "check-zero-threads": ("--threads", "at least 1", "'0'"),
+    "check-zero-threads-config": ("--threads", "at least 1", "'0'"),
 }
 
 
@@ -375,6 +401,13 @@ NAMES_THE_FLAG = {
     GMM_SMALL + ["--batch", "10", "--algos", "online-em", "--epochs", "1", "--gamma", "-0.5"],
     GMM_SMALL + ["--batch", "10", "--algos", "online-em", "--epochs", "1", "--gamma", "nan"],
     GMM_SMALL + ["--batch", "10", "--algos", "em,online-em", "--epochs", "0"],
+    GMM_SMALL + ["--batch", "10", "--algos", "online-em", "--epochs", "1", "--replicas", "0"],
+    GMM_SMALL + ["--batch", "10", "--algos", "online-em", "--epochs", "1", "--replicas", "-2"],
+    ["toy", "--n", "10", "--kmax", "20", "--replicas", "2", "--threads", "0"],
+    ["gmm", "--synthetic", "0,100,2,2,3.0", "--batch", "10", "--algos", "online-em",
+     "--epochs", "1", "--threads", "-3"],
+    ["check", "--suite", "identities", "--threads", "0"],
+    ["check", "--config", "zero-threads.json"],
 ], ids=["gmm-batch-not-dividing-n", "gmm-short-synthetic", "gmm-non-numeric-synthetic",
         "gmm-kswitch-past-last-epoch", "gmm-zero-batch", "gmm-missing-data", "gmm-zero-components",
         "toy-missing-plan", "toy-plan-not-json", "toy-plan-without-gamma",
@@ -382,7 +415,9 @@ NAMES_THE_FLAG = {
         "toy-unknown-algorithm",
         "plan-nonuniform-without-weights", "plan-missing-weights", "plan-auto-without-epsilon",
         "plan-nan-vmin", "plan-nan-weight", "gmm-zero-gamma", "gmm-negative-gamma",
-        "gmm-nan-gamma", "gmm-zero-epochs"])
+        "gmm-nan-gamma", "gmm-zero-epochs", "gmm-zero-replicas", "gmm-negative-replicas",
+        "toy-zero-threads", "gmm-negative-threads", "check-zero-threads",
+        "check-zero-threads-config"])
 def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, request, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "not-json.json").write_text("{not json")
@@ -390,7 +425,10 @@ def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, req
     (tmp_path / "list.json").write_text(json.dumps([0.1, 0.1]))
     (tmp_path / "short.json").write_text(json.dumps({"gamma": [0.1, 0.1]}))
     (tmp_path / "nan-weight.txt").write_text("0.5\nnan\n")
-    assert exit_code(argv + ["--out", "out"]) == 2
+    (tmp_path / "zero-threads.json").write_text(json.dumps({"suite": "identities", "threads": 0}))
+    # check writes to standard output and has no --out
+    out = [] if argv[0] == "check" else ["--out", "out"]
+    assert exit_code(argv + out) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     for part in NAMES_THE_FLAG.get(request.node.callspec.id, ()):
