@@ -16,7 +16,6 @@ from .algorithms import (
     StepSchedule,
     TerminationRule,
     fiem_step,
-    h_fiem_run,
     iem_step,
     online_em_step,
     opt_fiem_lambda,

@@ -5,12 +5,11 @@ stochastic-approximation loop: it walks a list of (algorithm, iterations)
 phases on one state with per-iteration diagnostics under the shared-seed
 protocol (dedicated substreams for the memory-update draws "indices-I" and
 the oracle draws "indices-J").  :func:`run` is a single phase with a random
-termination index, :func:`h_fiem_run` an Online EM phase followed by a FIEM
-phase.
+termination index.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isfinite
 from typing import Callable, Optional
 
@@ -274,14 +273,14 @@ def opt_fiem_step(
 
 @dataclass
 class RunOptions:
-    """Switches for :func:`sa_path`; expensive diagnostics are opt-in."""
+    """The start and the switches of one :func:`sa_path`; costly diagnostics are opt-in."""
 
-    s0: Optional[Array] = None
+    s0: Array                       # the starting statistic S^0
     batch_size: int = 1
     compute_h: bool = True          # ||h(S^k)||^2 per iteration
     compute_e2: bool = False        # ||Stilde^{k+1} - sbar(T(S^k))||^2 (O(n) for generic models)
     compute_e0: bool = False        # ||B(S^k) h(S^k)||^2 (needs bmat)
-    theta_ref: object = None        # track ||theta^k - theta_ref|| when set
+    theta_ref: Optional[Array] = None  # track ||T(S^k) - theta_ref|| when set
     forced_lambda: Optional[float] = None  # opt-fiem only
     domain_policy: Optional[str] = None    # None | "warn" | "abort"
 
@@ -294,10 +293,8 @@ class RunDiagnostics:
     state; ``theta_err`` gets one extra entry for the final state.
     """
 
-    algorithm: str
     k_max: int
     terminal_k: Optional[int]
-    gammas: Array
     s0: Array
     s_final: Array
     h_sq: Optional[Array] = None
@@ -307,14 +304,6 @@ class RunDiagnostics:
     lambdas: Optional[Array] = None
     theta_err: Optional[Array] = None
     violations: int = 0
-    switch_iteration: Optional[int] = None
-
-    def metric(self, name: str) -> Optional[Array]:
-        return getattr(self, name)
-
-
-def _as_vector(theta) -> Array:
-    return theta.as_vector() if hasattr(theta, "as_vector") else np.asarray(theta, dtype=float).ravel()
 
 
 def _step(algorithm, model, s, memory, rng_i, rng_j, b, gamma, smean, forced_lambda):
@@ -341,7 +330,6 @@ def _step(algorithm, model, s, memory, rng_i, rng_j, b, gamma, smean, forced_lam
 
 
 def sa_path(
-    name: str,
     model: FiniteSumModel,
     phases,
     gammas: Array,
@@ -364,9 +352,6 @@ def sa_path(
     inside the model) and at the first iteration whose update
     ``||S^{k+1} - S^k||^2`` is not finite; a diverged path runs no further.
     """
-    opts = options
-    if opts.s0 is None:
-        raise ValueError("options.s0 must provide the starting statistic")
     for algorithm, _ in phases:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
@@ -378,23 +363,23 @@ def sa_path(
     rng_i = tree.stream(STREAM_INDICES_I)
     rng_j = tree.stream(STREAM_INDICES_J)
 
-    s = np.array(opts.s0, dtype=float)
+    s0 = s = np.array(options.s0, dtype=float)
     model.admissible(s)
     memory = None
-    b = int(opts.batch_size)
+    b = int(options.batch_size)
     uses_memory = any(alg in MEMORY_ALGORITHMS and iters for alg, iters in phases)
 
-    h_sq = np.empty(k_max) if opts.compute_h else None
-    cv_sq = np.full(k_max, np.nan) if (opts.compute_e2 and uses_memory) else None
+    h_sq = np.empty(k_max) if options.compute_h else None
+    cv_sq = np.full(k_max, np.nan) if (options.compute_e2 and uses_memory) else None
     step_sq = np.empty(k_max)
-    vdot_sq = np.empty(k_max) if opts.compute_e0 else None
+    vdot_sq = np.empty(k_max) if options.compute_e0 else None
     lambdas = np.full(k_max, np.nan) if any(alg == "opt-fiem" for alg, _ in phases) else None
-    theta_err = np.empty(k_max + 1) if opts.theta_ref is not None else None
-    needs_mean = opts.compute_h or cv_sq is not None or opts.compute_e0
+    theta_err = np.empty(k_max + 1) if options.theta_ref is not None else None
+    needs_mean = options.compute_h or cv_sq is not None or options.compute_e0
     violations = 0
 
     def record_theta(k, s):
-        theta_err[k] = float(np.linalg.norm(_as_vector(model.tmap(s)) - _as_vector(opts.theta_ref)))
+        theta_err[k] = float(np.linalg.norm(model.tmap(s) - options.theta_ref))
 
     k = 0
     # a diverging update overflows before the finiteness check below aborts
@@ -416,7 +401,7 @@ def sa_path(
                         record_theta(k, s)
 
                     s_new, lam = _step(algorithm, model, s, memory, rng_i, rng_j, b, gammas[k],
-                                       smean, opts.forced_lambda)
+                                       smean, options.forced_lambda)
 
                     if lam is not None:
                         lambdas[k] = lam
@@ -425,11 +410,11 @@ def sa_path(
                         cv_sq[k] = gap @ gap
                     delta = s_new - s
                     step_sq[k] = sq = delta @ delta
-                    if opts.domain_policy is not None:
+                    if options.domain_policy is not None:
                         try:
                             model.admissible(s_new)
                         except DomainError as exc:
-                            if opts.domain_policy == "abort":
+                            if options.domain_policy == "abort":
                                 raise RunAbortError(k, str(exc)) from exc
                             violations += 1
                     if not isfinite(sq):
@@ -444,11 +429,9 @@ def sa_path(
         record_theta(k_max, s)
 
     return RunDiagnostics(
-        algorithm=name,
         k_max=k_max,
         terminal_k=None,
-        gammas=gammas,
-        s0=np.array(opts.s0, dtype=float),
+        s0=s0,
         s_final=s,
         h_sq=h_sq,
         cv_gap_sq=cv_sq,
@@ -466,7 +449,7 @@ def run(
     schedule: StepSchedule,
     termination: TerminationRule,
     seed,
-    options: Optional[RunOptions] = None,
+    options: RunOptions,
 ) -> RunDiagnostics:
     """Execute K_max iterations of the chosen algorithm and record diagnostics.
 
@@ -479,57 +462,7 @@ def run(
         raise ValueError("termination weights must have length K_max")
     tree = as_seed_tree(seed)
     terminal_k = termination.sample(tree.stream(STREAM_TERMINATION))
-    diag = sa_path(algorithm, model, [(algorithm, len(schedule))], schedule.gammas, tree,
-                   options or RunOptions())
+    diag = sa_path(model, [(algorithm, len(schedule))], schedule.gammas, tree, options)
     diag.terminal_k = terminal_k
     return diag
 
-
-def _epoch_phases(algorithm: str, n: int, batch_size: int, epochs: int, kswitch: int = 0):
-    """One ``(algorithm, iterations)`` phase per epoch of n examples.
-
-    An epoch is one EM iteration, n/b iEM or Online EM iterations, or n/(2b)
-    FIEM iterations (two batches each), so n must be divisible by the examples
-    of one iteration.  h-FIEM runs ``kswitch`` Online EM epochs, then FIEM
-    epochs, and needs n divisible by 2b.
-    """
-    b = int(batch_size)
-    if b < 1:
-        raise ValueError("need batch_size >= 1")
-    if epochs < 1:
-        raise ValueError("need epochs >= 1")
-    per_iteration = {"em": n, "iem": b, "online-em": b, "fiem": 2 * b, "h-fiem": 2 * b}[algorithm]
-    if n % per_iteration:
-        raise ValueError(f"epoch accounting for {algorithm} requires n={n} divisible by "
-                         f"{per_iteration}")
-    if algorithm != "h-fiem":
-        return [(algorithm, n // per_iteration)] * epochs
-    if not (0 <= kswitch <= epochs):
-        raise ValueError("need 0 <= kswitch <= epochs")
-    return [("online-em", n // b)] * kswitch + [("fiem", n // (2 * b))] * (epochs - kswitch)
-
-
-def h_fiem_run(
-    model: FiniteSumModel,
-    gamma,
-    batch_size: int,
-    kswitch_epochs: int,
-    total_epochs: int,
-    seed,
-    options: Optional[RunOptions] = None,
-) -> RunDiagnostics:
-    """Hybrid path: ``kswitch_epochs`` epochs of Online EM, then FIEM epochs,
-    counted by :func:`_epoch_phases`.
-
-    The memory table is initialized at the switch point from the current
-    state.  ``gamma`` is a scalar or a :class:`StepSchedule` covering the full
-    iteration count.
-    """
-    phases = _epoch_phases("h-fiem", model.n, batch_size, total_epochs, kswitch_epochs)
-    k_max = sum(iters for _, iters in phases)
-    if not isinstance(gamma, StepSchedule):
-        gamma = StepSchedule.constant(gamma, k_max)
-    opts = replace(options or RunOptions(), batch_size=int(batch_size))
-    diag = sa_path("h-fiem", model, phases, gamma.gammas, seed, opts)
-    diag.switch_iteration = sum(iters for alg, iters in phases if alg == "online-em")
-    return diag

@@ -21,9 +21,10 @@ import sys
 
 import numpy as np
 
-from .algorithms import StepSchedule, TerminationRule
+from .algorithms import ALGORITHMS, RunOptions, StepSchedule, TerminationRule, run
 from .errors import ConfigurationError, InfeasiblePlanError, RunAbortError
 from .experiments import (
+    GMM_ALGORITHMS,
     ExperimentConfig,
     GmmExperimentConfig,
     estimate_e,
@@ -80,8 +81,15 @@ def _config_tokens(path: str, subcommand: str, parser: argparse.ArgumentParser) 
     return [f"--{key}={value}" for key, value in doc.items()]
 
 
-def _names(text: str) -> list[str]:
-    return [a.strip() for a in text.split(",") if a.strip()]
+def _algorithm_list(choices):
+    """The ``--algos`` type: comma-separated names from ``choices``, none twice."""
+    def parse(text: str) -> list[str]:
+        names = [a.strip() for a in text.split(",")]
+        if not set(names) <= set(choices) or len(set(names)) < len(names):
+            raise argparse.ArgumentTypeError(f"expects distinct names from {','.join(choices)}, "
+                                             f"comma-separated, got {text!r}")
+        return names
+    return parse
 
 
 def _process_count(text: str) -> int:
@@ -155,9 +163,8 @@ def cmd_toy(args, parser) -> int:
     n = preset["n"] if args.n is None else args.n
     kmax = preset["kmax_mult"] * n if args.kmax is None else args.kmax
     replicas = preset["replicas"] if args.replicas is None else args.replicas
-    seed = args.seed
 
-    model = generate_toy(seed, n)
+    model = generate_toy(args.seed, n)
     constants = model.constants()
     inputs = PlannerInputs.from_constants(constants, n=n, k_max=kmax, mu=0.25, lam=0.5)
     if args.plan:
@@ -174,14 +181,12 @@ def cmd_toy(args, parser) -> int:
 
     exp = ExperimentConfig(
         model=model,
-        algorithms=_names(args.algos),
+        algorithms=args.algos,
         schedule=schedule,
         termination=TerminationRule.uniform(kmax),
-        s0=np.zeros(model.q),
+        options=RunOptions(s0=np.zeros(model.q), compute_e0=True, theta_ref=model.theta_star),
         replicas=replicas,
-        seed=seed,
-        compute_e0=True,
-        theta_ref=model.theta_star,
+        seed=args.seed,
         workers=args.threads,
     )
     table = run_replicated(exp)
@@ -241,7 +246,7 @@ def cmd_gmm(args, parser) -> int:
     model = GmmModel(dataset, preset["g"] if args.g is None else args.g)
     exp = GmmExperimentConfig(
         model=model,
-        algorithms=_names(args.algos),
+        algorithms=args.algos,
         gamma=args.gamma,
         batch_size=args.batch,
         epochs=args.epochs,
@@ -290,7 +295,6 @@ def cmd_gmm(args, parser) -> int:
 
 
 def _check_identities(seed: int) -> list[tuple[str, bool, str]]:
-    from .algorithms import RunOptions, run
     from .stepsize import (
         c_plus_closed_form,
         case1_identity_gap,
@@ -324,18 +328,13 @@ def _check_identities(seed: int) -> list[tuple[str, bool, str]]:
 
     sched = StepSchedule.constant(plan_case1(PlannerInputs.from_constants(
         constants, n=model.n, k_max=40, mu=0.25, lam=0.5)).gamma, 40)
-    opts = RunOptions(s0=np.zeros(model.q))
     term = TerminationRule.uniform(40)
-    d_onl = run("online-em", model, sched, term, seed, opts)
-    d_l0 = run("opt-fiem", model, sched, term, seed,
-               RunOptions(s0=np.zeros(model.q), forced_lambda=0.0))
-    d_f = run("fiem", model, sched, term, seed, opts)
-    d_l1 = run("opt-fiem", model, sched, term, seed,
-               RunOptions(s0=np.zeros(model.q), forced_lambda=1.0))
-    ok0 = np.array_equal(d_onl.s_final, d_l0.s_final)
-    ok1 = np.array_equal(d_f.s_final, d_l1.s_final)
-    results.append(("opt-FIEM lambda=0 is Online EM bitwise", ok0, ""))
-    results.append(("opt-FIEM lambda=1 is FIEM bitwise", ok1, ""))
+    for twin, lam, label in (("online-em", 0.0, "Online EM"), ("fiem", 1.0, "FIEM")):
+        d_twin = run(twin, model, sched, term, seed, RunOptions(s0=np.zeros(model.q)))
+        d_opt = run("opt-fiem", model, sched, term, seed,
+                    RunOptions(s0=np.zeros(model.q), forced_lambda=lam))
+        results.append((f"opt-FIEM lambda={lam:g} is {label} bitwise",
+                        np.array_equal(d_twin.s_final, d_opt.s_final), ""))
     return results
 
 
@@ -368,8 +367,9 @@ def _check_prop2(seed: int, workers: int) -> list[tuple[str, bool, str]]:
     schedule = plan_case1(PlannerInputs.from_constants(constants, n=model.n, k_max=k_max)).schedule
     exp = ExperimentConfig(
         model=model, algorithms=("fiem",), schedule=schedule,
-        termination=TerminationRule.uniform(k_max), s0=np.zeros(model.q),
-        replicas=200, seed=seed, compute_e0=True, workers=workers,
+        termination=TerminationRule.uniform(k_max),
+        options=RunOptions(s0=np.zeros(model.q), compute_e0=True),
+        replicas=200, seed=seed, workers=workers,
     )
     table = run_replicated(exp)
     table.raise_on_abort()
@@ -428,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--n", type=int)
     t.add_argument("--kmax", type=int)
-    t.add_argument("--algos", default="online-em,fiem,opt-fiem")
+    t.add_argument("--algos", type=_algorithm_list(ALGORITHMS), default="online-em,fiem,opt-fiem")
     t.add_argument("--plan", help="step-size plan JSON from the plan subcommand")
     t.add_argument("--replicas", type=int)
     t.add_argument("--out", default="toy-out")
@@ -441,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--synthetic", type=_synthetic_spec, help="seed,n,g,p,separation")
     g.add_argument("--preprocess", type=int, help="PCA target dimension")
     g.add_argument("--g", type=int, help="number of mixture components to fit")
-    g.add_argument("--algos", default="em,iem,online-em,h-fiem")
+    g.add_argument("--algos", type=_algorithm_list(GMM_ALGORITHMS),
+                   default="em,iem,online-em,h-fiem")
     g.add_argument("--gamma", type=float, default=5e-3)
     g.add_argument("--batch", type=int, default=100)
     g.add_argument("--kswitch", type=int, default=6)

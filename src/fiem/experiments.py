@@ -20,7 +20,6 @@ from .algorithms import (
     RunOptions,
     StepSchedule,
     TerminationRule,
-    _epoch_phases,
     run,
     sa_path,
 )
@@ -48,34 +47,24 @@ def default_checkpoints(k_max: int) -> list[int]:
 
 @dataclass
 class ExperimentConfig:
+    """R replicas of each algorithm, every path started and switched by ``options``."""
+
     model: FiniteSumModel
     algorithms: Sequence[str]
     schedule: StepSchedule
     termination: TerminationRule
-    s0: Array
+    options: RunOptions
     replicas: int
     seed: int
-    batch_size: int = 1
-    compute_e2: bool = False
-    compute_e0: bool = False
-    theta_ref: object = None
     workers: int = 1
 
     def __post_init__(self):
         if self.replicas < 1:
             raise ValueError("need replicas >= 1")
-        if len(self.schedule) < 1:
-            raise ValueError("schedule must be non-empty")
 
-    def run_options(self) -> RunOptions:
-        return RunOptions(
-            s0=np.asarray(self.s0, dtype=float),
-            batch_size=self.batch_size,
-            compute_h=True,
-            compute_e2=self.compute_e2,
-            compute_e0=self.compute_e0,
-            theta_ref=self.theta_ref,
-        )
+    @property
+    def batch_size(self) -> int:
+        return self.options.batch_size
 
 
 # per algorithm, the aborted replicas as (replica, iteration, condition)
@@ -153,10 +142,9 @@ def _replica_job(args):
 
 def run_replicated(config: ExperimentConfig) -> ResultTable:
     """R independent replicas per algorithm under the shared-seed protocol."""
-    opts = config.run_options()
     jobs = [
         (config.model, tuple(config.algorithms), config.schedule, config.termination,
-         config.seed, r, opts)
+         config.seed, r, config.options)
         for r in range(config.replicas)
     ]
     runs, aborted = _replicate(_replica_job, jobs, config.algorithms, config.workers)
@@ -168,10 +156,9 @@ def run_replicated(config: ExperimentConfig) -> ResultTable:
         diags = runs[alg]
         if not diags:
             continue
-        metric_arrays = {m: [d.metric(m) for d in diags] for m in _METRICS}
+        metric_arrays = {m: [getattr(d, m) for d in diags] for m in _METRICS}
         # derived: update magnitude scaled by the squared step size
-        if metric_arrays["step_sq"][0] is not None:
-            metric_arrays["step_sq_scaled"] = [a / gammas**2 for a in metric_arrays["step_sq"]]
+        metric_arrays["step_sq_scaled"] = [a / gammas**2 for a in metric_arrays["step_sq"]]
         for metric, arrays in metric_arrays.items():
             if arrays[0] is None:
                 continue
@@ -321,10 +308,9 @@ def verify_theorem1(
         algorithms=("fiem",),
         schedule=schedule,
         termination=TerminationRule.uniform(k_max),
-        s0=s0,
+        options=RunOptions(s0=s0, compute_e2=True),
         replicas=replicas,
         seed=seed,
-        compute_e2=True,
         workers=workers,
     )
     table = run_replicated(config)
@@ -345,15 +331,41 @@ def verify_theorem1(
 
 # -- GMM epoch experiments --------------------------------------------------
 
-GMM_ALGORITHMS = ("em", "iem", "online-em", "fiem", "h-fiem")
+# examples that one iteration of each mixture algorithm processes, from n and b
+_EXAMPLES_PER_ITERATION = {"em": lambda n, b: n, "iem": lambda n, b: b, "online-em": lambda n, b: b,
+                           "fiem": lambda n, b: 2 * b, "h-fiem": lambda n, b: 2 * b}
+GMM_ALGORITHMS = tuple(_EXAMPLES_PER_ITERATION)
 # iEM steps all the way to the memory mean, as classical incremental EM does
 IEM_GAMMA = 1.0
 DEFAULT_TABLE_EPOCHS = (1, 15, 25, 50, 100)
 
 
+def _epoch_phases(algorithm: str, n: int, batch_size: int, epochs: int, kswitch: int = 0):
+    """One ``(algorithm, iterations)`` phase per epoch of n examples.
+
+    An epoch is one EM iteration, n/b iEM or Online EM iterations, or n/(2b)
+    FIEM iterations (two batches each), so n must be divisible by the examples
+    of one iteration.  h-FIEM runs ``kswitch`` Online EM epochs, then FIEM
+    epochs, and needs n divisible by 2b.
+    """
+    b = int(batch_size)
+    if b < 1:
+        raise ValueError("need batch_size >= 1")
+    if epochs < 1:
+        raise ValueError("need epochs >= 1")
+    per_iteration = _EXAMPLES_PER_ITERATION[algorithm](n, b)
+    if n % per_iteration:
+        raise ValueError(f"epoch accounting for {algorithm} requires n={n} divisible by "
+                         f"{per_iteration}")
+    if algorithm != "h-fiem":
+        return [(algorithm, n // per_iteration)] * epochs
+    if not (0 <= kswitch <= epochs):
+        raise ValueError("need 0 <= kswitch <= epochs")
+    return [("online-em", n // b)] * kswitch + [("fiem", n // (2 * b))] * (epochs - kswitch)
+
+
 @dataclass
 class GmmPath:
-    algorithm: str
     loglik: Array            # per epoch, entry e = after epoch e+1
     weights: Array           # (epochs + 1, g), entry 0 = initial
     violations: int
@@ -373,7 +385,7 @@ def gmm_epoch_path(
     kswitch: int = 0,
 ) -> GmmPath:
     """One path of a mixture fit, bookkept in epochs of n examples, counted
-    by :func:`~fiem.algorithms._epoch_phases`.
+    by :func:`_epoch_phases`.
 
     h-FIEM runs ``kswitch`` Online EM epochs then FIEM epochs, with the
     memory table initialized at the switch point from the current state.
@@ -398,9 +410,8 @@ def gmm_epoch_path(
 
     opts = RunOptions(s0=s0, batch_size=int(batch_size), compute_h=False,
                       domain_policy="abort" if algorithm == "iem" else "warn")
-    diag = sa_path(algorithm, model, phases, schedule.gammas, seed, opts, on_phase_end=record)
+    diag = sa_path(model, phases, schedule.gammas, seed, opts, on_phase_end=record)
     return GmmPath(
-        algorithm=algorithm,
         loglik=np.array(loglik),
         weights=np.array(weights),
         violations=diag.violations,
@@ -484,7 +495,7 @@ def write_diagnostics_csv(path, table: ResultTable) -> None:
         for alg, diags in table.runs.items():
             for r, d in enumerate(diags):
                 for metric in _METRICS:
-                    arr = d.metric(metric)
+                    arr = getattr(d, metric)
                     if arr is None:
                         continue
                     for k in table.checkpoints:

@@ -79,9 +79,6 @@ class GmmParams:
     def _log_det(self) -> float:
         return 2.0 * float(np.log(np.diag(self._chol)).sum())
 
-    def as_vector(self) -> Array:
-        return np.concatenate([self.weights, self.means.ravel(), self.cov.ravel()])
-
     def to_dict(self) -> dict:
         return {
             "weights": self.weights.tolist(),
@@ -281,6 +278,8 @@ def preprocess(raw: Array, p_target: int) -> GmmDataset:
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2:
         raise ValueError("raw data must be an n-by-d matrix")
+    if p_target < 1:
+        raise ValueError(f"p_target={p_target} must be at least 1")
     std = raw.std(axis=0)
     keep = std > 0.0
     kept = raw[:, keep]

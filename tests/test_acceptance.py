@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fiem
-from fiem.algorithms import MemoryTable, StepSchedule, TerminationRule
+from fiem.algorithms import MemoryTable, RunOptions, StepSchedule, TerminationRule
 from fiem.cli import main as cli_main
 from fiem.experiments import (
     ExperimentConfig,
@@ -59,11 +59,9 @@ def theorem1_runs():
         algorithms=("fiem",),
         schedule=plan.schedule,
         termination=TerminationRule.uniform(k_max),
-        s0=np.zeros(model.q),
+        options=RunOptions(s0=np.zeros(model.q), compute_e2=True, compute_e0=True),
         replicas=10_000,
         seed=0,
-        compute_e2=True,
-        compute_e0=True,
     )
     table = run_replicated(config)
     return model, plan, table, time.time() - t0
@@ -82,10 +80,9 @@ def prop4_runs():
         algorithms=("fiem",),
         schedule=plan.schedule,
         termination=TerminationRule.uniform(k_max),
-        s0=np.zeros(model.q),
+        options=RunOptions(s0=np.zeros(model.q), compute_e0=True),
         replicas=500,
         seed=0,
-        compute_e0=True,
     )
     table = run_replicated(config)
     return model, plan, table, time.time() - t0
@@ -290,7 +287,7 @@ def test_optimal_coefficient_tends_to_one():
         algorithms=("opt-fiem",),
         schedule=plan.schedule,
         termination=TerminationRule.uniform(k_max),
-        s0=np.zeros(model.q),
+        options=RunOptions(s0=np.zeros(model.q)),
         replicas=100,
         seed=0,
     )

@@ -523,36 +523,3 @@ class TestErrorPaths:
         assert isinstance(err, RunAbortError)
         assert (err.iteration, err.condition) == (91, "non-finite update")
         assert str(err) == "iteration 91: non-finite update"
-
-
-class TestHybridRun:
-    def test_zero_switch_is_pure_fiem(self):
-        m = toy(seed=23, n=8)
-        gamma = 0.1
-        total_epochs = 4
-        k_max = total_epochs * (m.n // 2)
-        diag_opts = opts(m, compute_e0=True, theta_ref=m.theta_star)
-        hybrid = fiem.h_fiem_run(m, gamma, 1, 0, total_epochs, 5, diag_opts)
-        pure = fiem.run("fiem", m, StepSchedule.constant(gamma, k_max),
-                        TerminationRule.uniform(k_max), 5, diag_opts)
-        assert hybrid.k_max == k_max
-        assert np.array_equal(hybrid.s_final, pure.s_final)
-        # the hybrid honours the same diagnostic switches as run()
-        assert np.array_equal(hybrid.vdot_sq, pure.vdot_sq)
-        assert np.array_equal(hybrid.theta_err, pure.theta_err)
-
-    def test_full_switch_is_pure_online(self):
-        m = toy(seed=24, n=8)
-        gamma = 0.1
-        total_epochs = 3
-        k_max = total_epochs * m.n
-        hybrid = fiem.h_fiem_run(m, gamma, 1, total_epochs, total_epochs, 6, opts(m))
-        pure = fiem.run("online-em", m, StepSchedule.constant(gamma, k_max),
-                        TerminationRule.uniform(k_max), 6, opts(m))
-        assert hybrid.switch_iteration == k_max
-        assert np.array_equal(hybrid.s_final, pure.s_final)
-
-    def test_epoch_divisibility_enforced(self):
-        m = toy(seed=25, n=9)
-        with pytest.raises(ValueError):
-            fiem.h_fiem_run(m, 0.1, 2, 1, 2, 0, opts(m))

@@ -165,6 +165,22 @@ class TestToy:
         assert main(args + ["--out", str(b)]) == 0
         assert tree_bytes(a) == tree_bytes(b)
 
+    def test_small_run_is_pinned(self, tmp_path):
+        # sha256 of every output, recorded before the experiment config took
+        # its run options as one RunOptions; covers theta_err and vdot_sq
+        out = tmp_path / "run"
+        assert main(["toy", "--seed", "0", "--n", "20", "--kmax", "40", "--replicas", "3",
+                     "--threads", "1", "--out", str(out)]) == 0
+        assert {name: hashlib.sha256(data).hexdigest()
+                for name, data in tree_bytes(out).items()} == {
+            "aggregates.csv":
+                "c56c2c50539c3d8f7c9d7d9c0f65848007602661853953ecf65dcb0a01a50fd9",
+            "constants.json":
+                "485adc1cfc3d35cefde8c07ca5ee6c59a5783460acf3290206b226f27052f31b",
+            "diagnostics.csv":
+                "eb50fd45fa986e29b850f60d48cb4b4605bee0e2c9f19787c8a1752de3f3a2f5",
+        }
+
     def test_plan_file_input(self, tmp_path):
         plan = tmp_path / "plan.json"
         assert main(["plan", "--strategy", "karimi", "--n", "16", "--kmax", "30",
@@ -311,6 +327,13 @@ class TestCheck:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 
+    def test_prop2_stdout_is_pinned(self, capsys):
+        # recorded before the experiment config took its run options as one
+        # RunOptions
+        assert main(["check", "--suite", "prop2", "--seed", "0", "--threads", "1"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "b18be733fdf02391ba0b72538c311935aab4a05c9852e10c3bb3fbef9ec74891")
+
     def test_theorem1_desk_verdict_is_pinned(self, capsys):
         # at the default thread count, against the digest the benchmark gate holds
         digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
@@ -371,6 +394,13 @@ NAMES_THE_FLAG = {
     "gmm-negative-threads": ("--threads", "at least 1", "'-3'"),
     "check-zero-threads": ("--threads", "at least 1", "'0'"),
     "check-zero-threads-config": ("--threads", "at least 1", "'0'"),
+    "toy-unknown-algorithm": ("--algos", "'bogus'"),
+    "toy-repeated-algorithm": ("--algos", "'fiem,fiem'"),
+    "gmm-repeated-algorithm": ("--algos", "'em,em'"),
+    "toy-empty-algorithms": ("--algos", "''"),
+    "gmm-empty-algorithms": ("--algos", "','"),
+    "toy-repeated-algorithm-config": ("--algos", "'online-em,fiem,online-em'"),
+    "gmm-negative-preprocess": ("p_target=-3", "at least 1"),
 }
 
 
@@ -408,6 +438,13 @@ NAMES_THE_FLAG = {
      "--epochs", "1", "--threads", "-3"],
     ["check", "--suite", "identities", "--threads", "0"],
     ["check", "--config", "zero-threads.json"],
+    TOY_SMALL + ["--algos", "fiem,fiem"],
+    GMM_SMALL + ["--batch", "10", "--algos", "em,em", "--epochs", "1"],
+    TOY_SMALL + ["--algos", ""],
+    GMM_SMALL + ["--batch", "10", "--algos", ",", "--epochs", "1"],
+    TOY_SMALL + ["--config", "repeated-algos.json"],
+    ["gmm", "--data", "data.csv", "--preprocess", "-3", "--algos", "em", "--epochs", "1",
+     "--threads", "1"],
 ], ids=["gmm-batch-not-dividing-n", "gmm-short-synthetic", "gmm-non-numeric-synthetic",
         "gmm-kswitch-past-last-epoch", "gmm-zero-batch", "gmm-missing-data", "gmm-zero-components",
         "toy-missing-plan", "toy-plan-not-json", "toy-plan-without-gamma",
@@ -417,7 +454,9 @@ NAMES_THE_FLAG = {
         "plan-nan-vmin", "plan-nan-weight", "gmm-zero-gamma", "gmm-negative-gamma",
         "gmm-nan-gamma", "gmm-zero-epochs", "gmm-zero-replicas", "gmm-negative-replicas",
         "toy-zero-threads", "gmm-negative-threads", "check-zero-threads",
-        "check-zero-threads-config"])
+        "check-zero-threads-config", "toy-repeated-algorithm", "gmm-repeated-algorithm",
+        "toy-empty-algorithms", "gmm-empty-algorithms", "toy-repeated-algorithm-config",
+        "gmm-negative-preprocess"])
 def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, request, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "not-json.json").write_text("{not json")
@@ -426,6 +465,8 @@ def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, req
     (tmp_path / "short.json").write_text(json.dumps({"gamma": [0.1, 0.1]}))
     (tmp_path / "nan-weight.txt").write_text("0.5\nnan\n")
     (tmp_path / "zero-threads.json").write_text(json.dumps({"suite": "identities", "threads": 0}))
+    (tmp_path / "repeated-algos.json").write_text(json.dumps({"algos": "online-em,fiem,online-em"}))
+    np.savetxt(tmp_path / "data.csv", np.arange(24.0).reshape(6, 4) % 5, delimiter=",")
     # check writes to standard output and has no --out
     out = [] if argv[0] == "check" else ["--out", "out"]
     assert exit_code(argv + out) == 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fiem
-from fiem.algorithms import StepSchedule, TerminationRule
+from fiem.algorithms import RunOptions, StepSchedule, TerminationRule
 from fiem.experiments import (
     ExperimentConfig,
     GmmExperimentConfig,
@@ -21,16 +21,16 @@ def toy(seed=0, n=8, dims=(4, 3, 3)):
     return fiem.generate_toy(seed, n=n, dims=dims)
 
 
-def config(model, algorithms=("fiem",), k_max=30, replicas=5, seed=0, **kw):
+def config(model, algorithms=("fiem",), k_max=30, replicas=5, seed=0, workers=1, **options):
     return ExperimentConfig(
         model=model,
         algorithms=algorithms,
         schedule=StepSchedule.constant(0.1, k_max),
         termination=TerminationRule.uniform(k_max),
-        s0=np.zeros(model.q),
+        options=RunOptions(s0=np.zeros(model.q), **options),
         replicas=replicas,
         seed=seed,
-        **kw,
+        workers=workers,
     )
 
 
@@ -103,8 +103,8 @@ class TestEstimates:
         m = toy(seed=6)
         k_max = 40
         sched = StepSchedule.constant(0.5, k_max)
-        base = dict(model=m, algorithms=("em",), schedule=sched, s0=np.zeros(m.q),
-                    replicas=20, seed=1)
+        base = dict(model=m, algorithms=("em",), schedule=sched,
+                    options=RunOptions(s0=np.zeros(m.q)), replicas=20, seed=1)
         last = np.zeros(k_max)
         last[-1] = 1.0
         uni = run_replicated(ExperimentConfig(termination=TerminationRule.uniform(k_max), **base))
@@ -203,8 +203,8 @@ class TestBoundVerification:
         plan = fiem.plan_case1(ins)
         cfg = ExperimentConfig(
             model=m, algorithms=("fiem",), schedule=plan.schedule,
-            termination=TerminationRule.uniform(k_max), s0=np.zeros(m.q),
-            replicas=60, seed=5, compute_e2=True)
+            termination=TerminationRule.uniform(k_max),
+            options=RunOptions(s0=np.zeros(m.q), compute_e2=True), replicas=60, seed=5)
         table = run_replicated(cfg)
         diags = table.runs["fiem"]
         coeff = m.n ** (2.0 / 3.0) / k_max * plan.bound_constant
@@ -227,8 +227,8 @@ class TestBoundVerification:
         assert plan.feasible
         cfg = ExperimentConfig(
             model=m, algorithms=("fiem",), schedule=plan.schedule,
-            termination=TerminationRule.uniform(k_max), s0=np.zeros(m.q),
-            replicas=100, seed=0, compute_e2=True)
+            termination=TerminationRule.uniform(k_max),
+            options=RunOptions(s0=np.zeros(m.q), compute_e2=True), replicas=100, seed=0)
         table = run_replicated(cfg)
         diags = table.runs["fiem"]
         coeff = m.n ** (1.0 / 3.0) / k_max ** (2.0 / 3.0) * plan.bound_constant
@@ -255,7 +255,7 @@ class TestBoundVerification:
         assert plan.feasible
         cfg = ExperimentConfig(
             model=m, algorithms=("fiem",), schedule=plan.schedule,
-            termination=plan.termination, s0=np.zeros(m.q),
+            termination=plan.termination, options=RunOptions(s0=np.zeros(m.q)),
             replicas=100, seed=1)
         table = run_replicated(cfg)
         coeff = m.n ** (2.0 / 3.0) * float(w.max()) * plan.bound_constant
@@ -284,8 +284,8 @@ class TestRatioCurves:
             fiem.PlannerInputs.from_constants(m.constants(), n=m.n, k_max=k_max))
         cfg = ExperimentConfig(
             model=m, algorithms=("opt-fiem", "fiem"), schedule=plan.schedule,
-            termination=TerminationRule.uniform(k_max), s0=np.zeros(m.q),
-            replicas=40, seed=0, theta_ref=m.theta_star)
+            termination=TerminationRule.uniform(k_max),
+            options=RunOptions(s0=np.zeros(m.q), theta_ref=m.theta_star), replicas=40, seed=0)
         table = run_replicated(cfg)
         err = {
             alg: np.stack([d.theta_err for d in table.runs[alg]])
@@ -318,8 +318,8 @@ class TestAbortHandling:
         cfg = ExperimentConfig(
             model=model, algorithms=("online-em",),
             schedule=StepSchedule.constant(5e-2, k_max),
-            termination=TerminationRule.uniform(k_max), s0=s0,
-            replicas=4, seed=1, batch_size=10)
+            termination=TerminationRule.uniform(k_max),
+            options=RunOptions(s0=s0, batch_size=10), replicas=4, seed=1)
         # the aggressive step leaves the admissible region on at least one path
         table = run_replicated(cfg)
         total = table.completed["online-em"] + len(table.aborted["online-em"])
@@ -402,3 +402,33 @@ class TestGmmTable:
         by_alg = {r["algorithm"]: r["mean"] for r in rows}
         assert by_alg["iem"] > by_alg["em"]
         assert by_alg["online-em"] > by_alg["em"]
+
+
+class TestHybridEpochPath:
+    def setup_method(self):
+        ds, _ = fiem.generate_gmm_synthetic(23, n=120, g=3, p=3, separation=3.0)
+        self.model = fiem.GmmModel(ds, 3)
+        self.theta0 = fiem.init_params(ds, 3, 5)
+
+    def path(self, algorithm, epochs, kswitch=0, batch_size=10):
+        return fiem.gmm_epoch_path(self.model, algorithm, self.theta0, 5e-2, batch_size,
+                                   epochs, seed=5, kswitch=kswitch)
+
+    def assert_same_path(self, a, b):
+        assert np.array_equal(a.loglik, b.loglik)
+        assert np.array_equal(a.weights, b.weights)
+        for field in ("weights", "means", "cov"):
+            assert np.array_equal(getattr(a.final_params, field), getattr(b.final_params, field))
+        assert (a.iterations, a.examples_processed) == (b.iterations, b.examples_processed)
+
+    def test_zero_switch_is_pure_fiem(self):
+        self.assert_same_path(self.path("h-fiem", 4, kswitch=0), self.path("fiem", 4))
+
+    def test_full_switch_is_pure_online(self):
+        self.assert_same_path(self.path("h-fiem", 3, kswitch=3), self.path("online-em", 3))
+
+    def test_epoch_divisibility_enforced(self):
+        # 40 divides n = 120 but two batches of 40 do not
+        self.path("online-em", 2, batch_size=40)
+        with pytest.raises(ValueError):
+            self.path("h-fiem", 2, kswitch=1, batch_size=40)

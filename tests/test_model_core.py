@@ -214,7 +214,7 @@ def test_public_surface_is_pinned():
         "GmmDataset", "GmmModel", "GmmParams", "PlannerInputs", "RunAbortError",
         "RunOptions", "SeedTree", "StepSchedule", "TerminationRule", "ToyModel",
         "f_n", "f_n_tilde", "fiem_step", "generate_gmm_synthetic", "generate_toy",
-        "gmm_epoch_path", "gmm_loglik", "grad_v_fd", "gradv_identity_check", "h_fiem_run",
+        "gmm_epoch_path", "gmm_loglik", "grad_v_fd", "gradv_identity_check",
         "iem_step", "init_params", "karimi_plan", "mean_field", "nonuniform_plan",
         "objective_v", "online_em_step", "opt_fiem_lambda", "opt_fiem_step", "plan_case1",
         "preprocess", "run", "solve_case2",
