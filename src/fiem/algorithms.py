@@ -293,17 +293,20 @@ class RunDiagnostics:
     state; ``theta_err`` gets one extra entry for the final state.
     """
 
-    k_max: int
     terminal_k: Optional[int]
     s0: Array
     s_final: Array
+    step_sq: Array
     h_sq: Optional[Array] = None
     cv_gap_sq: Optional[Array] = None
-    step_sq: Optional[Array] = None
     vdot_sq: Optional[Array] = None
     lambdas: Optional[Array] = None
     theta_err: Optional[Array] = None
     violations: int = 0
+
+    @property
+    def k_max(self) -> int:
+        return self.step_sq.size
 
 
 def _step(algorithm, model, s, memory, rng_i, rng_j, b, gamma, smean, forced_lambda):
@@ -429,13 +432,12 @@ def sa_path(
         record_theta(k_max, s)
 
     return RunDiagnostics(
-        k_max=k_max,
         terminal_k=None,
         s0=s0,
         s_final=s,
+        step_sq=step_sq,
         h_sq=h_sq,
         cv_gap_sq=cv_sq,
-        step_sq=step_sq,
         vdot_sq=vdot_sq,
         lambdas=lambdas,
         theta_err=theta_err,

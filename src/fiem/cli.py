@@ -44,22 +44,16 @@ EXIT_CHECK_FAILED = 1
 EXIT_INFEASIBLE = 2
 EXIT_DOMAIN_ABORT = 3
 
-# published config-file schema: subcommand -> allowed keys
-CONFIG_SCHEMA = {
-    "plan": {"n", "kmax", "vmin", "L", "Lv", "mu", "lambda", "strategy",
-             "weights", "epsilon", "out"},
-    "toy": {"seed", "n", "kmax", "algos", "plan", "replicas", "out", "preset", "threads"},
-    "gmm": {"data", "synthetic", "preprocess", "g", "algos", "gamma", "batch",
-            "kswitch", "epochs", "replicas", "seed", "out", "preset", "threads"},
-    "check": {"suite", "scale", "seed", "threads"},
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports bad input, from flags or a config file, as one line and exit 2."""
 
     def error(self, message):
         self.exit(EXIT_INFEASIBLE, f"{self.prog}: error: {message}\n")
+
+    def config_keys(self) -> set[str]:
+        """The keys a ``--config`` file may hold: the long flags but ``--config``."""
+        return {flag[2:] for action in self._actions for flag in action.option_strings
+                if flag.startswith("--")} - {"config", "help"}
 
 
 def _config_tokens(path: str, subcommand: str, parser: argparse.ArgumentParser) -> list[str]:
@@ -72,7 +66,7 @@ def _config_tokens(path: str, subcommand: str, parser: argparse.ArgumentParser) 
         parser.error(f"cannot read config file {path}: {exc}")
     if not isinstance(doc, dict):
         parser.error("config file must hold a JSON object")
-    unknown = set(doc) - CONFIG_SCHEMA[subcommand]
+    unknown = set(doc) - parser.commands[subcommand].config_keys()
     if unknown:
         parser.error(f"unknown config keys for {subcommand!r}: {sorted(unknown)}")
     for key, value in doc.items():
@@ -166,7 +160,7 @@ def cmd_toy(args, parser) -> int:
 
     model = generate_toy(args.seed, n)
     constants = model.constants()
-    inputs = PlannerInputs.from_constants(constants, n=n, k_max=kmax, mu=0.25, lam=0.5)
+    inputs = PlannerInputs.from_constants(constants, n=n, k_max=kmax)
     if args.plan:
         with open(args.plan) as fh:
             gamma = json.load(fh)["gamma"]
@@ -240,6 +234,8 @@ def cmd_gmm(args, parser) -> int:
         p_target = preset["preprocess"] if args.preprocess is None else args.preprocess
         if p_target:
             dataset = preprocess(dataset.observations, p_target)
+    elif args.preprocess is not None:
+        parser.error("--preprocess applies to --data only, not to --synthetic")
     else:
         dataset, _truth = generate_gmm_synthetic(*args.synthetic)
 
@@ -306,7 +302,7 @@ def _check_identities(seed: int) -> list[tuple[str, bool, str]]:
     results = []
     model = generate_toy(seed, n=8, dims=(4, 3, 3))
     constants = model.constants()
-    inputs = PlannerInputs.from_constants(constants, n=1000, k_max=50, mu=0.25, lam=0.5)
+    inputs = PlannerInputs.from_constants(constants, n=1000, k_max=50)
 
     c = solve_c_case1(inputs)
     gap = case1_identity_gap(inputs, c)
@@ -321,13 +317,13 @@ def _check_identities(seed: int) -> list[tuple[str, bool, str]]:
                     f"C={c_eq:.6f} C+={c_plus:.6f}"))
 
     uniform = nonuniform_plan(inputs, np.full(inputs.k_max, 1.0 / inputs.k_max))
-    case1 = plan_case1(PlannerInputs.from_constants(constants, n=1000, k_max=50, mu=0.5, lam=0.5))
+    case1 = plan_case1(PlannerInputs.from_constants(constants, n=1000, k_max=50, mu=0.5))
     dev = np.max(np.abs(uniform.schedule.gammas - case1.schedule.gammas)) / case1.schedule.gammas[0]
     results.append(("uniform non-uniform plan equals case1 at mu=1/2", dev <= 1e-12,
                     f"max relative deviation {dev:.2e}"))
 
     sched = StepSchedule.constant(plan_case1(PlannerInputs.from_constants(
-        constants, n=model.n, k_max=40, mu=0.25, lam=0.5)).gamma, 40)
+        constants, n=model.n, k_max=40)).gamma, 40)
     term = TerminationRule.uniform(40)
     for twin, lam, label in (("online-em", 0.0, "Online EM"), ("fiem", 1.0, "FIEM")):
         d_twin = run(twin, model, sched, term, seed, RunOptions(s0=np.zeros(model.q)))
@@ -348,7 +344,7 @@ def _check_theorem1(seed: int, scale: str, workers: int) -> list[tuple[str, bool
     schedule = plan_case1(inputs).schedule
     report = verify_theorem1(model, schedule, np.zeros(model.q), replicas, seed,
                              workers=workers)
-    msg = f"lhs={report.lhs:.4e} deltaV={report.delta_v:.4e} margin={report.margin_sigmas:.1f} sigma"
+    msg = f"lhs={report.lhs:.4e} deltaV={report.rhs:.4e} margin={report.margin_sigmas:.1f} sigma"
     return [("master inequality within 3 sigma", report.holds, msg)]
 
 
@@ -408,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("plan", help="solve a step-size plan and emit it as JSON")
-    p.add_argument("--config", help="JSON config file (schema-checked)")
+    p.add_argument("--config", help="JSON config file whose keys are the long flags")
     p.add_argument("--n", type=int)
     p.add_argument("--kmax", type=int)
     p.add_argument("--vmin", type=float)
@@ -459,6 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--scale", choices=["desk", "paper"], default="desk")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--threads", type=_process_count, default=threads)
+    parser.commands = sub.choices
     return parser
 
 

@@ -27,7 +27,7 @@ from .errors import RunAbortError
 from .gmm import GmmModel, gmm_loglik, init_params
 from .model import FiniteSumModel
 from .rng import SeedTree
-from .stepsize import Theorem1Coefficients, theorem1_coeffs
+from .stepsize import theorem1_coeffs
 
 Array = np.ndarray
 
@@ -81,8 +81,11 @@ class ResultTable:
     aggregates: list[dict]
     runs: dict[str, list[RunDiagnostics]]
     checkpoints: list[int]
-    completed: dict[str, int]
     aborted: Aborts
+
+    @property
+    def completed(self) -> dict[str, int]:
+        return {alg: len(diags) for alg, diags in self.runs.items()}
 
     @property
     def complete(self) -> bool:
@@ -177,9 +180,7 @@ def run_replicated(config: ExperimentConfig) -> ResultTable:
                     "q75": float(np.quantile(col, 0.75)),
                 })
 
-    completed = {alg: len(runs[alg]) for alg in config.algorithms}
-    return ResultTable(aggregates=aggregates, runs=runs, checkpoints=checkpoints,
-                       completed=completed, aborted=aborted)
+    return ResultTable(aggregates=aggregates, runs=runs, checkpoints=checkpoints, aborted=aborted)
 
 
 @dataclass
@@ -267,18 +268,6 @@ def verify_bound(diags: Sequence[RunDiagnostics], model: FiniteSumModel,
     )
 
 
-@dataclass
-class Theorem1Report:
-    lhs: float
-    delta_v: float
-    margin_sigmas: float
-    coeffs: Theorem1Coefficients
-
-    @property
-    def holds(self) -> bool:
-        return self.margin_sigmas >= -3.0 or self.lhs <= self.delta_v
-
-
 def verify_theorem1(
     model: FiniteSumModel,
     schedule: StepSchedule,
@@ -286,13 +275,12 @@ def verify_theorem1(
     replicas: int,
     seed: int,
     betas=None,
-    lam: float = 0.5,
     workers: int = 1,
-) -> Theorem1Report:
+) -> BoundReport:
     """Estimate both sides of the master inequality on variance-reduced runs.
 
     LHS = sum_k alpha_k E||h(S^k)||^2 + sum_k delta_k E||cv gap||^2 against
-    DeltaV = E V(S^0) - E V(S^Kmax); the margin is reported in per-replica
+    rhs = DeltaV = E V(S^0) - E V(S^Kmax); the margin is reported in per-replica
     paired standard errors (infinite when deterministic, e.g. n = 1).  Raises
     :class:`RunAbortError` (naming the first aborted replica) when any
     replica aborted, since the survivors alone would bias both sides.
@@ -300,7 +288,7 @@ def verify_theorem1(
     constants = model.constants()
     coeffs = theorem1_coeffs(
         schedule, model.n, constants.lipschitz_rms, constants.v_min,
-        constants.lipschitz_gradv, betas=betas, lam=lam,
+        constants.lipschitz_gradv, betas=betas,
     )
     k_max = len(schedule)
     config = ExperimentConfig(
@@ -321,11 +309,11 @@ def verify_theorem1(
         coeffs.alphas @ d.h_sq + coeffs.deltas @ d.cv_gap_sq for d in diags
     ])
     dv_r = np.array([v0 - model.objective(model.tmap(d.s_final)) for d in diags])
-    return Theorem1Report(
+    return BoundReport(
+        strategy="theorem1",
         lhs=float(lhs_r.mean()),
-        delta_v=float(dv_r.mean()),
+        rhs=float(dv_r.mean()),
         margin_sigmas=paired_margin(lhs_r, dv_r),
-        coeffs=coeffs,
     )
 
 
@@ -337,7 +325,8 @@ _EXAMPLES_PER_ITERATION = {"em": lambda n, b: n, "iem": lambda n, b: b, "online-
 GMM_ALGORITHMS = tuple(_EXAMPLES_PER_ITERATION)
 # iEM steps all the way to the memory mean, as classical incremental EM does
 IEM_GAMMA = 1.0
-DEFAULT_TABLE_EPOCHS = (1, 15, 25, 50, 100)
+# the epochs at which the paper's table reports the log-likelihood
+TABLE_EPOCHS = (1, 15, 25, 50, 100)
 
 
 def _epoch_phases(algorithm: str, n: int, batch_size: int, epochs: int, kswitch: int = 0):
@@ -431,7 +420,6 @@ class GmmExperimentConfig:
     replicas: int
     seed: int
     kswitch: int = 6
-    table_epochs: Sequence[int] = DEFAULT_TABLE_EPOCHS
     workers: int = 1
 
     def __post_init__(self):
@@ -455,7 +443,7 @@ def table_report(config: GmmExperimentConfig) -> tuple[list[dict], dict[str, lis
     child seeds; within a replica all algorithms start from the same
     parameter and share index streams.  Replicas run in parallel when
     ``workers`` > 1; the reduction order is fixed either way."""
-    epochs = [e for e in config.table_epochs if e <= config.epochs]
+    epochs = [e for e in TABLE_EPOCHS if e <= config.epochs]
     jobs = [(config, r) for r in range(config.replicas)]
     paths, aborted = _replicate(_gmm_replica_job, jobs, config.algorithms, config.workers)
 

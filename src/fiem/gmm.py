@@ -89,7 +89,7 @@ class GmmParams:
 
 @dataclass(eq=False)
 class GmmDataset:
-    """Observations with their second moment, formed on first use."""
+    """Finite observations with their second moment, formed on first use."""
 
     observations: Array
 
@@ -97,6 +97,10 @@ class GmmDataset:
         y = np.asarray(self.observations, dtype=float)
         if y.ndim != 2:
             raise ConfigurationError("observations must be an n-by-p matrix")
+        bad = np.argwhere(~np.isfinite(y))
+        if bad.size:
+            i, j = bad[0]
+            raise ConfigurationError(f"row {i + 1}, column {j + 1} is {y[i, j]}, not finite")
         self.observations = y
 
     @cached_property
@@ -280,6 +284,8 @@ def preprocess(raw: Array, p_target: int) -> GmmDataset:
         raise ValueError("raw data must be an n-by-d matrix")
     if p_target < 1:
         raise ValueError(f"p_target={p_target} must be at least 1")
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("raw data has non-finite entries")
     std = raw.std(axis=0)
     keep = std > 0.0
     kept = raw[:, keep]
@@ -298,8 +304,11 @@ def preprocess(raw: Array, p_target: int) -> GmmDataset:
 
 
 def load_csv_dataset(path) -> GmmDataset:
-    """Header-free CSV, one observation per row, decimal floats."""
-    return GmmDataset(np.loadtxt(path, delimiter=",", ndmin=2))
+    """Header-free CSV, one observation per row, finite decimal floats."""
+    try:
+        return GmmDataset(np.loadtxt(path, delimiter=",", ndmin=2))
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
 
 
 def generate_gmm_synthetic(seed, n: int, g: int, p: int, separation: float):

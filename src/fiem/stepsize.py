@@ -55,15 +55,16 @@ class PlannerInputs:
             raise ValueError("lambda must lie in (0, 1)")
 
     @classmethod
-    def from_constants(cls, constants: ModelConstants, n, k_max, mu=0.25, lam=0.5):
+    def from_constants(cls, constants: ModelConstants, n, k_max, **rates):
+        """Inputs from a model's constants; ``rates`` may override the
+        default ``mu`` and ``lam``."""
         return cls(
             n=int(n),
             k_max=int(k_max),
             v_min=constants.v_min,
             l_rms=constants.lipschitz_rms,
             l_gradv=constants.lipschitz_gradv,
-            mu=mu,
-            lam=lam,
+            **rates,
         )
 
 
@@ -73,7 +74,6 @@ class StepSizePlan:
 
     strategy: str
     n: int
-    k_max: int
     mu: Optional[float]
     lam: Optional[float]
     c: Optional[float]
@@ -81,8 +81,15 @@ class StepSizePlan:
     termination: TerminationRule
     bound_constant: float
     bound_value: float
-    feasible: bool = True
     violated_condition: Optional[str] = None
+
+    @property
+    def k_max(self) -> int:
+        return len(self.schedule)
+
+    @property
+    def feasible(self) -> bool:
+        return self.violated_condition is None
 
     @property
     def gamma(self) -> float:
@@ -183,10 +190,10 @@ def _solve_case1(inputs: PlannerInputs, target: float) -> float:
     return _root(g, hi_limit * 1e-300, hi, target)
 
 
-def solve_c_case1(inputs: PlannerInputs, target_scale: float = 2.0) -> float:
+def solve_c_case1(inputs: PlannerInputs) -> float:
     """Unique C in (0, lambda n^(1/3)) with sqrt(C) f_n(C, lambda) equal to
-    ``target_scale`` * mu * v_min * L / L_gradV (default factor 2)."""
-    return _solve_case1(inputs, target_scale * inputs.mu * inputs.v_min * inputs.l_rms / inputs.l_gradv)
+    2 mu v_min L / L_gradV."""
+    return _solve_case1(inputs, 2.0 * inputs.mu * inputs.v_min * inputs.l_rms / inputs.l_gradv)
 
 
 def c_plus_closed_form(mu: float, v_min: float, l_rms: float, l_gradv: float) -> float:
@@ -231,11 +238,11 @@ def _bound_constant(inputs: PlannerInputs, fn: float) -> float:
     return inputs.l_gradv * fn / (2.0 * inputs.mu * (1.0 - inputs.mu) * inputs.v_min**2)
 
 
-def bound_case1(inputs: PlannerInputs, c: float, delta_v: float = 1.0):
-    """Bound constant B = L_gradV f_n / (2 mu (1-mu) v_min^2) and the full
-    bound (n^(2/3)/K_max) * B * delta_v."""
+def bound_case1(inputs: PlannerInputs, c: float):
+    """Bound constant B = L_gradV f_n / (2 mu (1-mu) v_min^2) and the bound
+    per unit of DeltaV, (n^(2/3)/K_max) * B."""
     bconst = _bound_constant(inputs, f_n(c, inputs.lam, inputs.n))
-    return bconst, inputs.n ** (2.0 / 3.0) / inputs.k_max * bconst * delta_v
+    return bconst, inputs.n ** (2.0 / 3.0) / inputs.k_max * bconst
 
 
 def _plan(strategy, inputs, gamma, bconst, bval, c=None, feasible=True, condition=None,
@@ -246,9 +253,8 @@ def _plan(strategy, inputs, gamma, bconst, bval, c=None, feasible=True, conditio
         termination = TerminationRule.uniform(inputs.k_max)
     else:
         schedule, termination = StepSchedule(gamma), TerminationRule(weights)
-    return StepSizePlan(strategy=strategy, n=inputs.n, k_max=inputs.k_max, mu=mu, lam=lam,
-                        c=c, schedule=schedule, termination=termination,
-                        bound_constant=bconst, bound_value=bval, feasible=feasible,
+    return StepSizePlan(strategy=strategy, n=inputs.n, mu=mu, lam=lam, c=c, schedule=schedule,
+                        termination=termination, bound_constant=bconst, bound_value=bval,
                         violated_condition=None if feasible else condition)
 
 

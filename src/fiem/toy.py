@@ -27,8 +27,6 @@ Array = np.ndarray
 def _ar1_matrix(rng: np.random.Generator, rows: int, cols: int, rho: float) -> Array:
     """Columns follow a stationary AR(1): first column sqrt(1-rho^2) N(0, I),
     then col_{j+1} = rho col_j + sqrt(1-rho^2) N(0, I)."""
-    if not (-1.0 < rho < 1.0):
-        raise ValueError("autoregression coefficient must lie in (-1, 1)")
     scale = np.sqrt(1.0 - rho * rho)
     out = np.empty((rows, cols))
     out[:, 0] = scale * rng.standard_normal(rows)
@@ -141,42 +139,30 @@ class ToyModel(FiniteSumModel):
         return np.linalg.solve(np.eye(self.q) - self.pi2, self.p1ybar)
 
 
-def generate_toy(
-    seed,
-    n: int,
-    dims: tuple[int, int, int] = (15, 10, 20),
-    rho: float = 0.8,
-    rho_tilde: float = 0.9,
-    sparsity: float = 0.4,
-    value_range: tuple[float, float] = (-5.0, 5.0),
-    upsilon: float = 0.1,
-) -> ToyModel:
-    """Sample the benchmark problem instance.
+def generate_toy(seed, n: int, dims: tuple[int, int, int] = (15, 10, 20)) -> ToyModel:
+    """Sample the benchmark problem instance, the one configuration used
+    throughout the experiments; only the (y, p, q) shape varies.
 
     A (y x p) and X (p x q) have stationary AR(1) columns with coefficients
-    rho and rho_tilde; theta_true has floor(sparsity * q) zero entries, the
-    rest uniform on ``value_range``; observations are drawn from the marginal
-    N(A X theta_true, I + A A').  The defaults (dims (15, 10, 20), rho=0.8,
-    rho_tilde=0.9, sparsity=0.4, range (-5, 5), upsilon=0.1) are the
-    benchmark configuration used throughout the experiments.
+    0.8 and 0.9; theta_true has floor(0.4 q) zero entries, the rest uniform
+    on (-5, 5); observations are drawn from the marginal
+    N(A X theta_true, I + A A'); the penalty is upsilon = 0.1.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if not (0.0 <= sparsity <= 1.0):
-        raise ValueError("sparsity must lie in [0, 1]")
     y_dim, p_dim, q_dim = dims
     rng = as_seed_tree(seed).stream(STREAM_DATA)
-    a_mat = _ar1_matrix(rng, y_dim, p_dim, rho)
-    x_mat = _ar1_matrix(rng, p_dim, q_dim, rho_tilde)
+    a_mat = _ar1_matrix(rng, y_dim, p_dim, 0.8)
+    x_mat = _ar1_matrix(rng, p_dim, q_dim, 0.9)
 
-    theta_true = rng.uniform(value_range[0], value_range[1], size=q_dim)
-    n_zero = int(np.floor(sparsity * q_dim))
+    theta_true = rng.uniform(-5.0, 5.0, size=q_dim)
+    n_zero = int(np.floor(0.4 * q_dim))
     zero_idx = rng.permutation(q_dim)[:n_zero]
     theta_true[zero_idx] = 0.0
 
     z = x_mat @ theta_true + rng.standard_normal((n, p_dim))  # (n, p)
     y = z @ a_mat.T + rng.standard_normal((n, y_dim))
 
-    model = ToyModel(a_mat, x_mat, upsilon, y)
+    model = ToyModel(a_mat, x_mat, 0.1, y)
     model.theta_true = theta_true
     return model

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import fiem.cli
 from fiem.cli import main
 from fiem.errors import RunAbortError
-from fiem.experiments import Theorem1Report
+from fiem.experiments import BoundReport
 
 
 def read(path):
@@ -109,8 +110,11 @@ class TestPlan:
         ("plan", {"strategy": "bogus", "n": 10, "kmax": 10, "vmin": 1, "L": 1, "Lv": 1}),
         ("gmm", {"gamma": "fast", "synthetic": "0,100,2,2,3.0"}),
         ("check", {"scale": "Desk"}),
+        ("toy", {"rep": 3}),
+        ("check", {"config": "x"}),
     ], ids=["unknown-key", "not-an-object", "not-json", "list-value", "object-value", "bool-value",
-            "null-value", "wrong-type", "bad-preset", "bad-strategy", "bad-float", "bad-scale"])
+            "null-value", "wrong-type", "bad-preset", "bad-strategy", "bad-float", "bad-scale",
+            "abbreviated-key", "config-key"])
     def test_config_file_unknown_key_rejected(self, tmp_path, capsys, command, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -120,6 +124,12 @@ class TestPlan:
         assert err.value.code == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["plan", "toy", "gmm", "check"])
+    def test_config_keys_are_the_long_flags(self, capsys, command):
+        assert exit_code([command, "--help"]) == 0
+        flags = set(re.findall(r"--(\w+)", capsys.readouterr().out)) - {"config", "help"}
+        assert fiem.cli.build_parser().commands[command].config_keys() == flags
 
     def test_flags_override_config_values(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -351,7 +361,7 @@ class TestCheck:
 
         def report(*args, workers):
             seen.append(workers)
-            return Theorem1Report(lhs=0.0, delta_v=1.0, margin_sigmas=1.0, coeffs=None)
+            return BoundReport(strategy="theorem1", lhs=0.0, rhs=1.0, margin_sigmas=1.0)
 
         monkeypatch.setattr(fiem.cli, "verify_theorem1", report)
         cfg = tmp_path / "cfg.json"
@@ -366,7 +376,6 @@ class TestCheck:
         def one_aborted(config):
             table = real(config)
             table.runs["fiem"].pop(5)
-            table.completed["fiem"] -= 1
             table.aborted["fiem"].append((5, 17, "diverged"))
             return table
 
@@ -401,6 +410,11 @@ NAMES_THE_FLAG = {
     "gmm-empty-algorithms": ("--algos", "','"),
     "toy-repeated-algorithm-config": ("--algos", "'online-em,fiem,online-em'"),
     "gmm-negative-preprocess": ("p_target=-3", "at least 1"),
+    "gmm-synthetic-preprocess": ("--preprocess", "--synthetic"),
+    "gmm-synthetic-preprocess-config": ("--preprocess", "--synthetic"),
+    "gmm-nan-data": ("nan-data.csv", "row 4, column 2", "nan"),
+    "gmm-nan-data-preprocess": ("nan-data.csv", "row 4, column 2", "nan"),
+    "gmm-inf-data": ("inf-data.csv", "row 100, column 3", "inf"),
 }
 
 
@@ -445,6 +459,13 @@ NAMES_THE_FLAG = {
     TOY_SMALL + ["--config", "repeated-algos.json"],
     ["gmm", "--data", "data.csv", "--preprocess", "-3", "--algos", "em", "--epochs", "1",
      "--threads", "1"],
+    GMM_SMALL + ["--preprocess", "2", "--algos", "em", "--epochs", "2"],
+    ["gmm", "--config", "synthetic-preprocess.json", "--algos", "em", "--epochs", "2",
+     "--threads", "1"],
+    ["gmm", "--data", "nan-data.csv", "--algos", "em", "--epochs", "1", "--threads", "1"],
+    ["gmm", "--data", "nan-data.csv", "--preprocess", "2", "--algos", "em", "--epochs", "1",
+     "--threads", "1"],
+    ["gmm", "--data", "inf-data.csv", "--algos", "em", "--epochs", "1", "--threads", "1"],
 ], ids=["gmm-batch-not-dividing-n", "gmm-short-synthetic", "gmm-non-numeric-synthetic",
         "gmm-kswitch-past-last-epoch", "gmm-zero-batch", "gmm-missing-data", "gmm-zero-components",
         "toy-missing-plan", "toy-plan-not-json", "toy-plan-without-gamma",
@@ -456,7 +477,8 @@ NAMES_THE_FLAG = {
         "toy-zero-threads", "gmm-negative-threads", "check-zero-threads",
         "check-zero-threads-config", "toy-repeated-algorithm", "gmm-repeated-algorithm",
         "toy-empty-algorithms", "gmm-empty-algorithms", "toy-repeated-algorithm-config",
-        "gmm-negative-preprocess"])
+        "gmm-negative-preprocess", "gmm-synthetic-preprocess", "gmm-synthetic-preprocess-config",
+        "gmm-nan-data", "gmm-nan-data-preprocess", "gmm-inf-data"])
 def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, request, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "not-json.json").write_text("{not json")
@@ -467,6 +489,13 @@ def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, req
     (tmp_path / "zero-threads.json").write_text(json.dumps({"suite": "identities", "threads": 0}))
     (tmp_path / "repeated-algos.json").write_text(json.dumps({"algos": "online-em,fiem,online-em"}))
     np.savetxt(tmp_path / "data.csv", np.arange(24.0).reshape(6, 4) % 5, delimiter=",")
+    (tmp_path / "synthetic-preprocess.json").write_text(
+        json.dumps({"synthetic": "0,100,2,3,3.0", "preprocess": 2}))
+    data = np.random.default_rng(0).standard_normal((100, 3))
+    data[3, 1] = np.nan
+    np.savetxt(tmp_path / "nan-data.csv", data, delimiter=",")
+    data[3, 1], data[99, 2] = 0.0, np.inf
+    np.savetxt(tmp_path / "inf-data.csv", data, delimiter=",")
     # check writes to standard output and has no --out
     out = [] if argv[0] == "check" else ["--out", "out"]
     assert exit_code(argv + out) == 2

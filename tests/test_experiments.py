@@ -141,7 +141,7 @@ class TestTheorem1Verification:
             fiem.PlannerInputs.from_constants(m.constants(), n=m.n, k_max=30))
         report = verify_theorem1(m, plan.schedule, np.zeros(m.q), replicas=200, seed=0)
         assert report.holds
-        assert report.lhs <= report.delta_v + 3.0 * abs(report.delta_v - report.lhs)
+        assert report.lhs <= report.rhs + 3.0 * abs(report.rhs - report.lhs)
 
     def test_vanishing_steps_shrink_both_sides(self):
         m = toy(seed=11, n=6)
@@ -150,7 +150,7 @@ class TestTheorem1Verification:
         fine = verify_theorem1(m, StepSchedule.constant(1e-8, 20), np.zeros(m.q),
                                replicas=10, seed=0)
         assert fine.lhs < 1e-3 * coarse.lhs
-        assert abs(fine.delta_v) < 1e-3 * abs(coarse.delta_v)
+        assert abs(fine.rhs) < 1e-3 * abs(coarse.rhs)
         assert not np.isnan(fine.margin_sigmas)
         assert fine.holds
 
@@ -168,7 +168,7 @@ class TestTheorem1Verification:
         serial, pooled = (
             verify_theorem1(m, plan.schedule, np.zeros(m.q), replicas=40, seed=0, workers=w)
             for w in (1, 2))
-        for field in ("lhs", "delta_v", "margin_sigmas"):
+        for field in ("lhs", "rhs", "margin_sigmas"):
             assert getattr(serial, field).hex() == getattr(pooled, field).hex()
 
     def test_deterministic_single_example(self):
@@ -176,7 +176,7 @@ class TestTheorem1Verification:
         sched = StepSchedule.constant(0.05, 25)
         report = verify_theorem1(m, sched, np.zeros(m.q), replicas=1, seed=0)
         assert report.margin_sigmas == float("inf")
-        assert report.lhs <= report.delta_v + 1e-12
+        assert report.lhs <= report.rhs + 1e-12
 
 
 class TestBoundVerification:
@@ -361,22 +361,22 @@ class TestGmmTable:
     def test_table_rows_and_determinism(self):
         ds, _ = fiem.generate_gmm_synthetic(4, n=200, g=3, p=3, separation=3.0)
         model = fiem.GmmModel(ds, 3)
+        # 25 epochs reach the table rows 1, 15 and 25
         cfg = GmmExperimentConfig(
             model=model, algorithms=("em", "online-em"), gamma=5e-3, batch_size=50,
-            epochs=6, replicas=2, seed=7, kswitch=0, table_epochs=(1, 3, 6))
+            epochs=25, replicas=2, seed=7, kswitch=0)
         rows1, paths1, aborted = table_report(cfg)
         rows2, _, _ = table_report(cfg)
         assert aborted == {"em": [], "online-em": []}
         assert rows1 == rows2
-        assert {r["epoch"] for r in rows1} == {1, 3, 6}
+        assert {r["epoch"] for r in rows1} == {1, 15, 25}
         assert {r["algorithm"] for r in rows1} == {"em", "online-em"}
 
     def test_parallel_table_equals_serial(self):
         ds, _ = fiem.generate_gmm_synthetic(8, n=120, g=2, p=2, separation=2.0)
         model = fiem.GmmModel(ds, 2)
         base = dict(model=model, algorithms=("em", "online-em"), gamma=5e-3,
-                    batch_size=30, epochs=4, replicas=4, seed=3, kswitch=0,
-                    table_epochs=(1, 4))
+                    batch_size=30, epochs=15, replicas=4, seed=3, kswitch=0)
         serial = table_report(GmmExperimentConfig(workers=1, **base))[0]
         parallel = table_report(GmmExperimentConfig(workers=2, **base))[0]
         assert serial == parallel
@@ -397,7 +397,7 @@ class TestGmmTable:
         model = fiem.GmmModel(ds, 3)
         cfg = GmmExperimentConfig(
             model=model, algorithms=("em", "iem", "online-em"), gamma=5e-3,
-            batch_size=1, epochs=1, replicas=3, seed=2, kswitch=0, table_epochs=(1,))
+            batch_size=1, epochs=1, replicas=3, seed=2, kswitch=0)
         rows = table_report(cfg)[0]
         by_alg = {r["algorithm"]: r["mean"] for r in rows}
         assert by_alg["iem"] > by_alg["em"]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import fiem
 from fiem.algorithms import MemoryTable
-from fiem.errors import DomainError
+from fiem.errors import ConfigurationError, DomainError
 from fiem.gmm import (
     GmmDataset,
     GmmModel,
@@ -367,6 +367,16 @@ class TestPreprocess:
     def test_target_dimension_checked(self):
         with pytest.raises(ValueError):
             preprocess(np.ones((10, 3)), 4)  # all-constant features all dropped
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # a NaN column has a NaN spread and would be dropped as constant
+        raw = np.random.default_rng(7).normal(size=(20, 3))
+        raw[5, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            preprocess(raw, 2)
+        with pytest.raises(ConfigurationError, match="row 6, column 2"):
+            GmmDataset(raw)
 
 
 class TestSynthetic:

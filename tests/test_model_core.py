@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -219,3 +220,39 @@ def test_public_surface_is_pinned():
         "objective_v", "online_em_step", "opt_fiem_lambda", "opt_fiem_step", "plan_case1",
         "preprocess", "run", "solve_case2",
     ]
+
+
+def test_settings_are_pinned():
+    # every settable field and parameter here is a configuration tests must
+    # cover; a new one shows up as a diff of this table
+    from fiem.algorithms import RunDiagnostics
+    from fiem.experiments import (BoundReport, ExperimentConfig, GmmExperimentConfig,
+                                  ResultTable, verify_theorem1)
+    from fiem.stepsize import StepSizePlan, bound_case1, solve_c_case1
+
+    fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in (
+        fiem.RunOptions, ExperimentConfig, GmmExperimentConfig, fiem.PlannerInputs,
+        StepSizePlan, RunDiagnostics, ResultTable, BoundReport)}
+    assert fields == {
+        "RunOptions": ["s0", "batch_size", "compute_h", "compute_e2", "compute_e0",
+                       "theta_ref", "forced_lambda", "domain_policy"],
+        "ExperimentConfig": ["model", "algorithms", "schedule", "termination", "options",
+                             "replicas", "seed", "workers"],
+        "GmmExperimentConfig": ["model", "algorithms", "gamma", "batch_size", "epochs",
+                                "replicas", "seed", "kswitch", "workers"],
+        "PlannerInputs": ["n", "k_max", "v_min", "l_rms", "l_gradv", "mu", "lam"],
+        "StepSizePlan": ["strategy", "n", "mu", "lam", "c", "schedule", "termination",
+                         "bound_constant", "bound_value", "violated_condition"],
+        "RunDiagnostics": ["terminal_k", "s0", "s_final", "step_sq", "h_sq", "cv_gap_sq",
+                           "vdot_sq", "lambdas", "theta_err", "violations"],
+        "ResultTable": ["aggregates", "runs", "checkpoints", "aborted"],
+        "BoundReport": ["strategy", "lhs", "rhs", "margin_sigmas"],
+    }
+    params = {fn.__name__: list(inspect.signature(fn).parameters) for fn in (
+        fiem.generate_toy, verify_theorem1, solve_c_case1, bound_case1)}
+    assert params == {
+        "generate_toy": ["seed", "n", "dims"],
+        "verify_theorem1": ["model", "schedule", "s0", "replicas", "seed", "betas", "workers"],
+        "solve_c_case1": ["inputs"],
+        "bound_case1": ["inputs", "c"],
+    }

@@ -114,12 +114,6 @@ class TestGammaAndBound:
         expect = 2.0 * ins.l_gradv * f_n(c, ins.lam, ins.n) / ins.v_min**2
         assert bconst == pytest.approx(expect, rel=1e-14)
 
-    def test_zero_delta_v(self):
-        ins = inputs()
-        c = solve_c_case1(ins)
-        _, bound = bound_case1(ins, c, delta_v=0.0)
-        assert bound == 0.0
-
     def test_bound_minimized_in_the_interior(self):
         mus = np.linspace(0.05, 0.9, 35)
         vals = []
@@ -220,7 +214,8 @@ class TestNonUniform:
 
     def test_profile_round_trip(self):
         ins = inputs(n=500)
-        c = solve_c_case1(ins, target_scale=1.0 / ins.mu)  # the nonuniform equation
+        # C of the nonuniform equation, sqrt(C) f_n(C, lambda) = v_min L / L_gradV
+        c = nonuniform_plan(ins, np.full(ins.k_max, 1.0 / ins.k_max)).c
         fn = f_n(c, ins.lam, ins.n)
         profile, x_star = _quadratic_profile(ins, fn)
         y_max = profile(x_star)

@@ -23,11 +23,11 @@ class TestGeneration:
         nz = m.theta_true[m.theta_true != 0.0]
         assert np.all(np.abs(nz) <= 5.0)
 
-    def test_full_sparsity_centers_observations(self):
-        m = fiem.generate_toy(3, n=20000, dims=(5, 4, 6), sparsity=1.0)
-        assert np.all(m.theta_true == 0.0)
+    def test_observations_center_on_the_model_mean(self):
+        m = fiem.generate_toy(3, n=20000, dims=(5, 4, 6))
         sd = np.sqrt(np.diag(np.eye(5) + m.a_mat @ m.a_mat.T) / 20000)
-        assert np.all(np.abs(m.y_obs.mean(axis=0)) < 4.0 * sd)
+        mean = m.a_mat @ m.x_mat @ m.theta_true
+        assert np.all(np.abs(m.y_obs.mean(axis=0) - mean) < 4.0 * sd)
 
     def test_marginal_covariance(self):
         n = 100000
@@ -40,15 +40,11 @@ class TestGeneration:
         assert np.all(np.abs(emp - target) < 3.5 * se)
 
     def test_column_process_autocorrelation(self):
-        m = fiem.generate_toy(7, n=1, dims=(30, 400, 3), rho=0.8)
+        m = fiem.generate_toy(7, n=1, dims=(30, 400, 3))
         cols = m.a_mat
         num = np.sum(cols[:, :-1] * cols[:, 1:])
         den = np.sum(cols[:, :-1] ** 2)
         assert abs(num / den - 0.8) < 0.1
-
-    def test_invalid_rho_rejected(self):
-        with pytest.raises(ValueError):
-            fiem.generate_toy(0, n=5, rho=1.0)
 
     def test_deterministic(self):
         a = fiem.generate_toy(12, n=10, dims=(4, 3, 3))
