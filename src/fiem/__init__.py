@@ -33,12 +33,10 @@ from .gmm import (
     init_params,
     preprocess,
 )
-from .model import grad_v_fd, gradv_identity_check, mean_field, objective_v
+from .model import mean_field, objective_v
 from .rng import SeedTree
 from .stepsize import (
     PlannerInputs,
-    f_n,
-    f_n_tilde,
     karimi_plan,
     nonuniform_plan,
     plan_case1,

@@ -15,12 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateVarianceError,
-    DomainError,
-    MemoryStateError,
-    RunAbortError,
-)
+from .errors import DomainError, MemoryStateError, RunAbortError
 from .model import FiniteSumModel
 from .rng import (
     STREAM_INDICES_I,
@@ -222,9 +217,9 @@ def opt_fiem_lambda(model: FiniteSumModel, s: Array, memory: MemoryTable) -> flo
     """Optimal control-variate coefficient, exact O(n q) form.
 
     lambda* = - mean_j <sbar_j(T(s)), Stilde - S_j> / mean_j ||Stilde - S_j||^2
-    with the memory rows taken after the current I-update.  Raises
-    :class:`DegenerateVarianceError` when the denominator is numerically zero.
-    Both (n, q) operands are written into the table's scratch arrays.
+    with the memory rows taken after the current I-update, or 1 (the FIEM
+    coefficient) when the denominator is numerically zero.  Both (n, q)
+    operands are written into the table's scratch arrays.
     """
     rows, diff = memory.scratch()
     model.stat_rows_into(s, rows)
@@ -233,7 +228,7 @@ def opt_fiem_lambda(model: FiniteSumModel, s: Array, memory: MemoryTable) -> flo
     # stable form of mean_j ||S_j||^2 - ||Stilde||^2
     den = float(np.einsum("nq,nq->", diff, diff)) / model.n
     if den < 1e-14 * (1.0 + float(memory.mean @ memory.mean)):
-        raise DegenerateVarianceError("control variate has numerically zero variance")
+        return 1.0
     return -num / den
 
 
@@ -250,7 +245,7 @@ def opt_fiem_step(
 
     Returns (new state, memory, lambda used).  ``forced_lambda`` overrides the
     optimal coefficient (0 reproduces Online EM, 1 reproduces FIEM bit for
-    bit under identical draws); a degenerate variance falls back to 1.
+    bit under identical draws).
     """
     if len(batch_i) == 0 or len(batch_j) == 0:
         raise ValueError("batches must be non-empty")
@@ -258,13 +253,7 @@ def opt_fiem_step(
         raise MemoryStateError("opt-FIEM requires an initialized memory table")
     batch_j = np.asarray(batch_j)
     memory.write(model, s, batch_i)
-    if forced_lambda is not None:
-        lam = float(forced_lambda)
-    else:
-        try:
-            lam = opt_fiem_lambda(model, s, memory)
-        except DegenerateVarianceError:
-            lam = 1.0
+    lam = opt_fiem_lambda(model, s, memory) if forced_lambda is None else float(forced_lambda)
     return _cv_update(model, s, memory, batch_j, gamma, lam), memory, lam
 
 

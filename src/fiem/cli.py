@@ -86,6 +86,13 @@ def _algorithm_list(choices):
     return parse
 
 
+def _path(text: str) -> str:
+    """The type of a file flag: a non-empty path."""
+    if not text:
+        raise argparse.ArgumentTypeError("expects a file path, got ''")
+    return text
+
+
 def _process_count(text: str) -> int:
     """The ``--threads`` value: a whole number of processes, at least one."""
     try:
@@ -131,7 +138,10 @@ def cmd_plan(args, parser) -> int:
     for key in ("n", "kmax", "vmin", "L", "Lv"):
         if getattr(args, key) is None:
             parser.error(f"plan requires --{key}")
-    weights = np.loadtxt(args.weights, ndmin=1) if args.weights else None
+    for key, strategy in (("weights", "nonuniform"), ("epsilon", "auto")):
+        if getattr(args, key) is not None and args.strategy != strategy:
+            parser.error(f"--{key} applies to --strategy {strategy} only")
+    weights = None if args.weights is None else np.loadtxt(args.weights, ndmin=1)
     inputs = PlannerInputs(n=args.n, k_max=args.kmax, v_min=args.vmin, l_rms=args.L,
                            l_gradv=args.Lv, mu=args.mu, lam=args.lambda_)
     plan = build_plan(args.strategy, inputs, weights=weights, epsilon=args.epsilon)
@@ -161,11 +171,15 @@ def cmd_toy(args, parser) -> int:
     model = generate_toy(args.seed, n)
     constants = model.constants()
     inputs = PlannerInputs.from_constants(constants, n=n, k_max=kmax)
-    if args.plan:
+    if args.plan is not None:
         with open(args.plan) as fh:
-            gamma = json.load(fh)["gamma"]
+            doc = json.load(fh)
+        gamma = doc.get("gamma") if isinstance(doc, dict) else None
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                   for x in (gamma if isinstance(gamma, list) else [gamma])):
+            parser.error(f"--plan {args.plan} must hold \"gamma\": a number or a list of numbers")
         if not isinstance(gamma, list):
-            schedule = StepSchedule.constant(float(gamma), kmax)
+            schedule = StepSchedule.constant(gamma, kmax)
         elif len(gamma) != kmax:
             raise ValueError(f"--plan {args.plan} holds {len(gamma)} step sizes, K_max is {kmax}")
         else:
@@ -229,7 +243,7 @@ def cmd_gmm(args, parser) -> int:
     if (args.data is None) == (args.synthetic is None):
         parser.error("provide exactly one of --data and --synthetic")
     preset = GMM_PRESETS[args.preset]
-    if args.data:
+    if args.data is not None:
         dataset = load_csv_dataset(args.data)
         p_target = preset["preprocess"] if args.preprocess is None else args.preprocess
         if p_target:
@@ -334,11 +348,11 @@ def _check_identities(seed: int) -> list[tuple[str, bool, str]]:
     return results
 
 
-def _check_theorem1(seed: int, scale: str, workers: int) -> list[tuple[str, bool, str]]:
-    if scale == "desk":
-        n, q_dims, k_max, replicas = 10, (4, 3, 3), 50, 2000
-    else:
+def _check_theorem1(seed: int, scale: str | None, workers: int) -> list[tuple[str, bool, str]]:
+    if scale == "paper":
         n, q_dims, k_max, replicas = 100, (15, 10, 20), 500, 2000
+    else:  # desk, the default
+        n, q_dims, k_max, replicas = 10, (4, 3, 3), 50, 2000
     model = generate_toy(seed, n, dims=q_dims)
     inputs = PlannerInputs.from_constants(model.constants(), n=n, k_max=k_max)
     schedule = plan_case1(inputs).schedule
@@ -378,6 +392,8 @@ def _check_prop2(seed: int, workers: int) -> list[tuple[str, bool, str]]:
 
 
 def cmd_check(args, parser) -> int:
+    if args.scale is not None and args.suite != "theorem1":
+        parser.error("--scale applies to --suite theorem1 only")
     if args.suite == "identities":
         results = _check_identities(args.seed)
     elif args.suite == "theorem1":
@@ -404,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("plan", help="solve a step-size plan and emit it as JSON")
-    p.add_argument("--config", help="JSON config file whose keys are the long flags")
+    p.add_argument("--config", type=_path, help="JSON config file whose keys are the long flags")
     p.add_argument("--n", type=int)
     p.add_argument("--kmax", type=int)
     p.add_argument("--vmin", type=float)
@@ -414,26 +430,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lambda_", type=float, default=0.5)
     p.add_argument("--strategy", choices=["case1", "case2", "nonuniform", "karimi", "auto"],
                    default="case1")
-    p.add_argument("--weights", help="file with termination weights (nonuniform)")
+    p.add_argument("--weights", type=_path, help="file with termination weights (nonuniform)")
     p.add_argument("--epsilon", type=float, help="target accuracy for auto strategy")
-    p.add_argument("--out")
+    p.add_argument("--out", type=_path)
 
     threads = os.cpu_count() or 1
     t = sub.add_parser("toy", help="replicated runs on the linear-Gaussian benchmark")
-    t.add_argument("--config")
+    t.add_argument("--config", type=_path)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--n", type=int)
     t.add_argument("--kmax", type=int)
     t.add_argument("--algos", type=_algorithm_list(ALGORITHMS), default="online-em,fiem,opt-fiem")
-    t.add_argument("--plan", help="step-size plan JSON from the plan subcommand")
+    t.add_argument("--plan", type=_path, help="step-size plan JSON from the plan subcommand")
     t.add_argument("--replicas", type=int)
-    t.add_argument("--out", default="toy-out")
+    t.add_argument("--out", type=_path, default="toy-out")
     t.add_argument("--preset", choices=sorted(TOY_PRESETS))
     t.add_argument("--threads", type=_process_count, default=threads)
 
     g = sub.add_parser("gmm", help="Gaussian-mixture fits with epoch tables")
-    g.add_argument("--config")
-    g.add_argument("--data", help="header-free CSV, one observation per row")
+    g.add_argument("--config", type=_path)
+    g.add_argument("--data", type=_path, help="header-free CSV, one observation per row")
     g.add_argument("--synthetic", type=_synthetic_spec, help="seed,n,g,p,separation")
     g.add_argument("--preprocess", type=int, help="PCA target dimension")
     g.add_argument("--g", type=int, help="number of mixture components to fit")
@@ -445,14 +461,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--epochs", type=int, default=100)
     g.add_argument("--replicas", type=int, default=1)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", default="gmm-out")
+    g.add_argument("--out", type=_path, default="gmm-out")
     g.add_argument("--preset", choices=["paper"])
     g.add_argument("--threads", type=_process_count, default=threads)
 
     c = sub.add_parser("check", help="verification suites")
-    c.add_argument("--config")
+    c.add_argument("--config", type=_path)
     c.add_argument("--suite", choices=["theorem1", "prop2", "identities"], default="identities")
-    c.add_argument("--scale", choices=["desk", "paper"], default="desk")
+    c.add_argument("--scale", choices=["desk", "paper"], help="theorem1 only (default: desk)")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--threads", type=_process_count, default=threads)
     parser.commands = sub.choices
@@ -463,7 +479,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    if args.config:
+    if args.config is not None:
         # file values go in right after the subcommand, so flags override them
         tokens = _config_tokens(args.config, args.command, parser)
         args = parser.parse_args(argv[:1] + tokens + argv[1:])

@@ -24,11 +24,6 @@ class MemoryStateError(FiemError):
     """A memory table was used before being initialized."""
 
 
-class DegenerateVarianceError(FiemError):
-    """Control-variate variance is numerically zero; the optimal mixing
-    coefficient is undefined and callers substitute 1."""
-
-
 class InfeasiblePlanError(FiemError):
     """A step-size plan cannot be built; ``condition`` names the violated
     inequality."""

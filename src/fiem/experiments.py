@@ -25,7 +25,7 @@ from .algorithms import (
 )
 from .errors import RunAbortError
 from .gmm import GmmModel, gmm_loglik, init_params
-from .model import FiniteSumModel
+from .model import FiniteSumModel, objective_v
 from .rng import SeedTree
 from .stepsize import theorem1_coeffs
 
@@ -87,10 +87,6 @@ class ResultTable:
     def completed(self) -> dict[str, int]:
         return {alg: len(diags) for alg, diags in self.runs.items()}
 
-    @property
-    def complete(self) -> bool:
-        return all(not v for v in self.aborted.values())
-
     def raise_on_abort(self) -> None:
         """Raise :class:`RunAbortError` naming the first aborted replica, for
         estimates that the surviving replicas alone would bias."""
@@ -116,10 +112,12 @@ def _outcomes(algorithms, path) -> dict:
     return out
 
 
-def _replicate(job, jobs, algorithms, workers: int) -> tuple[dict, Aborts]:
-    """Run ``job`` on every replica's job, serially or on ``workers``
-    processes, and split the outcomes in replica order (a fixed reduction
-    order) into completed results and aborts per algorithm."""
+def _replicate(job, config) -> tuple[dict, Aborts]:
+    """Run ``job((config, r))`` for every replica r, serially or on
+    ``config.workers`` processes, and split the outcomes in replica order (a
+    fixed reduction order) into completed results and aborts per algorithm."""
+    jobs = [(config, r) for r in range(config.replicas)]
+    algorithms, workers = config.algorithms, config.workers
     if workers > 1:
         with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(pool.map(job, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
@@ -138,19 +136,15 @@ def _replicate(job, jobs, algorithms, workers: int) -> tuple[dict, Aborts]:
 
 
 def _replica_job(args):
-    model, algorithms, schedule, termination, seed, r, opts = args
-    child = SeedTree(seed).child(r)
-    return r, _outcomes(algorithms, lambda alg: run(alg, model, schedule, termination, child, opts))
+    config, r = args
+    child = SeedTree(config.seed).child(r)
+    return r, _outcomes(config.algorithms, lambda alg: run(
+        alg, config.model, config.schedule, config.termination, child, config.options))
 
 
 def run_replicated(config: ExperimentConfig) -> ResultTable:
     """R independent replicas per algorithm under the shared-seed protocol."""
-    jobs = [
-        (config.model, tuple(config.algorithms), config.schedule, config.termination,
-         config.seed, r, config.options)
-        for r in range(config.replicas)
-    ]
-    runs, aborted = _replicate(_replica_job, jobs, config.algorithms, config.workers)
+    runs, aborted = _replicate(_replica_job, config)
 
     checkpoints = default_checkpoints(len(config.schedule))
     aggregates = []
@@ -239,6 +233,11 @@ class BoundReport:
     def holds(self) -> bool:
         return self.margin_sigmas >= -3.0 or self.lhs <= self.rhs
 
+    @classmethod
+    def paired(cls, strategy: str, lhs: Array, rhs: Array) -> "BoundReport":
+        """Means of the per-replica sides and their paired margin."""
+        return cls(strategy, float(lhs.mean()), float(rhs.mean()), paired_margin(lhs, rhs))
+
 
 def paired_margin(lhs_values: Array, rhs_values: Array) -> float:
     """Mean of (rhs - lhs) in units of its standard error; +inf when the
@@ -250,22 +249,22 @@ def paired_margin(lhs_values: Array, rhs_values: Array) -> float:
     return mean / se
 
 
+def _delta_v(model: FiniteSumModel, diags: Sequence[RunDiagnostics]) -> Array:
+    """Per-replica DeltaV = V(S^0) - V(S^Kmax) of runs from one start, with
+    ``V(s) = F(T(s))``."""
+    v0 = objective_v(model, diags[0].s0)
+    return np.array([v0 - objective_v(model, d.s_final) for d in diags])
+
+
 def verify_bound(diags: Sequence[RunDiagnostics], model: FiniteSumModel,
                  coefficient: float, strategy: str) -> BoundReport:
     """Check E1_hat <= coefficient * DeltaV_hat with a per-replica paired margin.
 
     ``coefficient`` is the bound without its DeltaV factor (for the constant
     step strategies, n^a K_max^-b times the bound constant); DeltaV is
-    estimated from the same runs as V(S^0) - V(S^Kmax)."""
+    estimated from the same runs by :func:`_delta_v`."""
     lhs = np.array([d.h_sq[d.terminal_k] for d in diags])
-    v0 = model.objective(model.tmap(np.asarray(diags[0].s0, dtype=float)))
-    rhs = coefficient * np.array([v0 - model.objective(model.tmap(d.s_final)) for d in diags])
-    return BoundReport(
-        strategy=strategy,
-        lhs=float(lhs.mean()),
-        rhs=float(rhs.mean()),
-        margin_sigmas=paired_margin(lhs, rhs),
-    )
+    return BoundReport.paired(strategy, lhs, coefficient * _delta_v(model, diags))
 
 
 def verify_theorem1(
@@ -304,17 +303,8 @@ def verify_theorem1(
     table = run_replicated(config)
     table.raise_on_abort()
     diags = table.runs["fiem"]
-    v0 = model.objective(model.tmap(np.asarray(s0, dtype=float)))
-    lhs_r = np.array([
-        coeffs.alphas @ d.h_sq + coeffs.deltas @ d.cv_gap_sq for d in diags
-    ])
-    dv_r = np.array([v0 - model.objective(model.tmap(d.s_final)) for d in diags])
-    return BoundReport(
-        strategy="theorem1",
-        lhs=float(lhs_r.mean()),
-        rhs=float(dv_r.mean()),
-        margin_sigmas=paired_margin(lhs_r, dv_r),
-    )
+    lhs = np.array([coeffs.alphas @ d.h_sq + coeffs.deltas @ d.cv_gap_sq for d in diags])
+    return BoundReport.paired("theorem1", lhs, _delta_v(model, diags))
 
 
 # -- GMM epoch experiments --------------------------------------------------
@@ -444,8 +434,7 @@ def table_report(config: GmmExperimentConfig) -> tuple[list[dict], dict[str, lis
     parameter and share index streams.  Replicas run in parallel when
     ``workers`` > 1; the reduction order is fixed either way."""
     epochs = [e for e in TABLE_EPOCHS if e <= config.epochs]
-    jobs = [(config, r) for r in range(config.replicas)]
-    paths, aborted = _replicate(_gmm_replica_job, jobs, config.algorithms, config.workers)
+    paths, aborted = _replicate(_gmm_replica_job, config)
 
     rows = []
     for alg in config.algorithms:
@@ -489,11 +478,3 @@ def write_diagnostics_csv(path, table: ResultTable) -> None:
                     for k in table.checkpoints:
                         if k < len(arr):
                             w.writerow([alg, r, k, metric, repr(float(arr[k]))])
-
-
-def write_bound_csv(path, reports: Sequence[BoundReport]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["strategy", "lhs", "rhs", "margin_sigmas"])
-        for rep in reports:
-            w.writerow([rep.strategy, repr(rep.lhs), repr(rep.rhs), repr(rep.margin_sigmas)])

@@ -128,31 +128,3 @@ def objective_v(model: FiniteSumModel, s: Array) -> float:
     """Objective in expectation space, ``V(s) = F(T(s))``."""
     model.admissible(s)
     return model.objective(model.tmap(s))
-
-
-def grad_v_fd(model: FiniteSumModel, s: Array) -> Array:
-    """Central finite-difference gradient of ``V`` at ``s``.
-
-    Per-coordinate step ``1e-5 * (1 + |s_j|)``; second-order accurate.
-    Intended for tests only (2q objective evaluations).
-    """
-    s = np.asarray(s, dtype=float)
-    grad = np.empty_like(s)
-    for j in range(s.size):
-        hj = 1e-5 * (1.0 + abs(s[j]))
-        up = s.copy()
-        dn = s.copy()
-        up[j] += hj
-        dn[j] -= hj
-        grad[j] = (objective_v(model, up) - objective_v(model, dn)) / (2.0 * hj)
-    return grad
-
-
-def gradv_identity_check(model: FiniteSumModel, s: Array) -> float:
-    """Residual of the gradient identity ``grad V(s) = -B(s) h(s)``.
-
-    Returns ``|| grad_fd V(s) + B(s) h(s) ||`` with the gradient taken by
-    central differences; used in tests to validate model wiring.
-    """
-    g = grad_v_fd(model, s)
-    return float(np.linalg.norm(g + model.bmat(s) @ mean_field(model, s)))

@@ -138,14 +138,14 @@ def _bisect(fn, lo, hi):
     return lo, hi
 
 
-def _root(g, lo, hi, scale: Optional[float]) -> float:
+def _root(g, lo, hi, scale: float) -> float:
     """Root of an increasing g with g(lo) <= 0 <= g(hi), checked to meet
-    |g| <= 1e-12 * scale unless the scale is None."""
+    |g| <= 1e-12 * scale."""
     if g(lo) > 0.0 or g(hi) < 0.0:
         raise InfeasiblePlanError("root bracket does not enclose a sign change")
     lo, hi = _bisect(g, lo, hi)
     root = 0.5 * (lo + hi)
-    if scale is not None and abs(g(root)) > 1e-12 * scale:
+    if abs(g(root)) > 1e-12 * scale:
         raise InfeasiblePlanError("bisection failed to meet the 1e-12 relative residual")
     return root
 
@@ -228,11 +228,6 @@ def case1_identity_gap(inputs: PlannerInputs, c: float) -> float:
     return abs(gamma - dual) / gamma
 
 
-def c_star_asymptotic(v_min: float, l_rms: float, l_gradv: float) -> float:
-    """Large-n choice C = 0.25 (v_min L / L_gradV)^(2/3) (with lambda = 1/2)."""
-    return 0.25 * (v_min * l_rms / l_gradv) ** (2.0 / 3.0)
-
-
 def _bound_constant(inputs: PlannerInputs, fn: float) -> float:
     # B = L_gradV f / (2 mu (1-mu) v_min^2), f = f_n (case1) or f~_n (case2)
     return inputs.l_gradv * fn / (2.0 * inputs.mu * (1.0 - inputs.mu) * inputs.v_min**2)
@@ -288,19 +283,6 @@ def solve_case2(inputs: PlannerInputs) -> StepSizePlan:
     feasible = inputs.n ** (1.0 / 3.0) * inputs.k_max ** (-2.0 / 3.0) <= inputs.lam / c
     return _plan("case2", inputs, gamma, bconst, bval, c, mu=inputs.mu, lam=inputs.lam,
                  feasible=feasible, condition="n^(1/3) K_max^(-2/3) <= lambda/C")
-
-
-def lambda_star_case2(v_min: float, l_rms: float, l_gradv: float, tau: float) -> float:
-    """Unique lambda in (0,1) with (v_min L)^2 tau^3 (1-lambda)^2 = (2 L_gradV)^2 lambda^3."""
-    lhs_scale = (v_min * l_rms) ** 2 * tau**3
-    rhs_scale = (2.0 * l_gradv) ** 2
-
-    def g(lam):
-        return rhs_scale * lam**3 - lhs_scale * (1.0 - lam) ** 2
-
-    # no residual check: near lambda = 1 one ulp of lambda moves the residual
-    # by more than 1e-12 relative, so the collapsed bracket is the best answer
-    return _root(g, 1e-300, 1.0 - 1e-16, None)
 
 
 def karimi_plan(inputs: PlannerInputs, per_example_l) -> StepSizePlan:

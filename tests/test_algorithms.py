@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import fiem
 from fiem.algorithms import MemoryTable, StepSchedule, TerminationRule, draw_batch, row_mean
-from fiem.errors import DegenerateVarianceError, MemoryStateError, RunAbortError
+from fiem.errors import MemoryStateError, RunAbortError
 from fiem.rng import STREAM_INDICES_I, STREAM_INDICES_J, SeedTree
 
 
@@ -227,8 +227,8 @@ class TestOptimalLambda:
         m = toy(seed=11, n=5)
         s = np.zeros(m.q)
         memory = MemoryTable(np.tile(np.ones(m.q), (m.n, 1)))
-        with pytest.raises(DegenerateVarianceError):
-            fiem.opt_fiem_lambda(m, s, memory)
+        # a constant memory has no variance: the coefficient falls back to 1
+        assert fiem.opt_fiem_lambda(m, s, memory) == 1.0
 
     def test_perfectly_tracking_memory_gives_one(self):
         m = toy(seed=12, n=7)

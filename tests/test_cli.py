@@ -415,6 +415,19 @@ NAMES_THE_FLAG = {
     "gmm-nan-data": ("nan-data.csv", "row 4, column 2", "nan"),
     "gmm-nan-data-preprocess": ("nan-data.csv", "row 4, column 2", "nan"),
     "gmm-inf-data": ("inf-data.csv", "row 100, column 3", "inf"),
+    "gmm-empty-data": ("--data", "file path"),
+    "gmm-empty-data-config": ("--data", "file path"),
+    "toy-empty-plan": ("--plan", "file path"),
+    "check-empty-config": ("--config", "file path"),
+    "toy-empty-out": ("--out", "file path"),
+    "plan-empty-out": ("--out", "file path"),
+    "toy-plan-without-gamma": ("--plan", "no-gamma.json", "gamma"),
+    "toy-plan-boolean-gamma": ("--plan", "bool-gamma.json", "gamma"),
+    "check-scale-outside-theorem1": ("--scale", "theorem1"),
+    "check-scale-outside-theorem1-config": ("--scale", "theorem1"),
+    "plan-weights-outside-nonuniform": ("--weights", "nonuniform"),
+    "plan-weights-outside-nonuniform-config": ("--weights", "nonuniform"),
+    "plan-epsilon-outside-auto": ("--epsilon", "auto"),
 }
 
 
@@ -466,6 +479,20 @@ NAMES_THE_FLAG = {
     ["gmm", "--data", "nan-data.csv", "--preprocess", "2", "--algos", "em", "--epochs", "1",
      "--threads", "1"],
     ["gmm", "--data", "inf-data.csv", "--algos", "em", "--epochs", "1", "--threads", "1"],
+    ["gmm", "--data", "", "--algos", "em", "--epochs", "1", "--threads", "1"],
+    ["gmm", "--config", "empty-data.json", "--algos", "em", "--epochs", "1", "--threads", "1"],
+    TOY_SMALL + ["--plan", ""],
+    ["check", "--config", ""],
+    TOY_SMALL + ["--out", ""],
+    ["plan", "--n", "100", "--kmax", "10", "--out", ""] + PLAN_FLAGS,
+    TOY_SMALL + ["--plan", "bool-gamma.json"],
+    ["check", "--suite", "identities", "--scale", "paper"],
+    ["check", "--config", "scale.json"],
+    ["plan", "--strategy", "case1", "--weights", "nope.txt", "--n", "100", "--kmax", "10"]
+    + PLAN_FLAGS,
+    ["plan", "--config", "weights.json", "--n", "100", "--kmax", "10"] + PLAN_FLAGS,
+    ["plan", "--strategy", "case2", "--epsilon", "0.3", "--n", "100", "--kmax", "10"]
+    + PLAN_FLAGS,
 ], ids=["gmm-batch-not-dividing-n", "gmm-short-synthetic", "gmm-non-numeric-synthetic",
         "gmm-kswitch-past-last-epoch", "gmm-zero-batch", "gmm-missing-data", "gmm-zero-components",
         "toy-missing-plan", "toy-plan-not-json", "toy-plan-without-gamma",
@@ -478,11 +505,20 @@ NAMES_THE_FLAG = {
         "check-zero-threads-config", "toy-repeated-algorithm", "gmm-repeated-algorithm",
         "toy-empty-algorithms", "gmm-empty-algorithms", "toy-repeated-algorithm-config",
         "gmm-negative-preprocess", "gmm-synthetic-preprocess", "gmm-synthetic-preprocess-config",
-        "gmm-nan-data", "gmm-nan-data-preprocess", "gmm-inf-data"])
+        "gmm-nan-data", "gmm-nan-data-preprocess", "gmm-inf-data", "gmm-empty-data",
+        "gmm-empty-data-config", "toy-empty-plan", "check-empty-config", "toy-empty-out",
+        "plan-empty-out", "toy-plan-boolean-gamma",
+        "check-scale-outside-theorem1", "check-scale-outside-theorem1-config",
+        "plan-weights-outside-nonuniform", "plan-weights-outside-nonuniform-config",
+        "plan-epsilon-outside-auto"])
 def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, request, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "not-json.json").write_text("{not json")
     (tmp_path / "no-gamma.json").write_text(json.dumps({"C": 0.1}))
+    (tmp_path / "bool-gamma.json").write_text(json.dumps({"gamma": True}))
+    (tmp_path / "empty-data.json").write_text(json.dumps({"data": ""}))
+    (tmp_path / "scale.json").write_text(json.dumps({"suite": "prop2", "scale": "desk"}))
+    (tmp_path / "weights.json").write_text(json.dumps({"weights": "nope.txt"}))
     (tmp_path / "list.json").write_text(json.dumps([0.1, 0.1]))
     (tmp_path / "short.json").write_text(json.dumps({"gamma": [0.1, 0.1]}))
     (tmp_path / "nan-weight.txt").write_text("0.5\nnan\n")

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ import fiem
 from fiem.algorithms import ALGORITHMS, MEMORY_ALGORITHMS, StepSchedule, TerminationRule
 from fiem.errors import ConfigurationError, DomainError, UnsupportedCapabilityError
 from fiem.model import FiniteSumModel, ModelConstants, check_statistic
+
+from model_reference import grad_v_fd, gradv_identity_check
 
 
 def toy(seed=0, n=5, dims=(4, 3, 3), **kw):
@@ -134,13 +138,13 @@ class TestGradientIdentity:
         rng = np.random.default_rng(3)
         for _ in range(10):
             s = rng.normal(scale=3.0, size=m.q)
-            res = fiem.gradv_identity_check(m, s)
-            gnorm = np.linalg.norm(fiem.grad_v_fd(m, s))
+            res = gradv_identity_check(m, s)
+            gnorm = np.linalg.norm(grad_v_fd(m, s))
             assert res <= 1e-6 * (1.0 + gnorm)
 
     def test_fixed_point_is_critical(self):
         m = toy(seed=8, n=6)
-        g = fiem.grad_v_fd(m, m.em_fixed_point())
+        g = grad_v_fd(m, m.em_fixed_point())
         assert np.linalg.norm(g) <= 1e-6
 
     def test_residual_invariant_under_regularization_change(self):
@@ -148,8 +152,8 @@ class TestGradientIdentity:
         other = fiem.ToyModel(base.a_mat, base.x_mat, 0.7, base.y_obs)
         s = np.array([0.5, -1.0, 0.25])
         for m in (base, other):
-            res = fiem.gradv_identity_check(m, s)
-            gnorm = np.linalg.norm(fiem.grad_v_fd(m, s))
+            res = gradv_identity_check(m, s)
+            gnorm = np.linalg.norm(grad_v_fd(m, s))
             assert res <= 1e-6 * (1.0 + gnorm)
 
 
@@ -214,8 +218,7 @@ def test_public_surface_is_pinned():
     assert exported == [
         "GmmDataset", "GmmModel", "GmmParams", "PlannerInputs", "RunAbortError",
         "RunOptions", "SeedTree", "StepSchedule", "TerminationRule", "ToyModel",
-        "f_n", "f_n_tilde", "fiem_step", "generate_gmm_synthetic", "generate_toy",
-        "gmm_epoch_path", "gmm_loglik", "grad_v_fd", "gradv_identity_check",
+        "fiem_step", "generate_gmm_synthetic", "generate_toy", "gmm_epoch_path", "gmm_loglik",
         "iem_step", "init_params", "karimi_plan", "mean_field", "nonuniform_plan",
         "objective_v", "online_em_step", "opt_fiem_lambda", "opt_fiem_step", "plan_case1",
         "preprocess", "run", "solve_case2",
@@ -256,3 +259,36 @@ def test_settings_are_pinned():
         "solve_c_case1": ["inputs"],
         "bound_case1": ["inputs", "c"],
     }
+
+
+# library names that only tests call, each with the reason it stays
+TEST_ONLY_NAMES = {
+    "verify_bound": "test_prop4_bound gates Prop. 4 through it",
+}
+
+
+def _referenced_names(node) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_library_name_has_a_product_caller():
+    # a module-level function or class of src/fiem is used when another
+    # definition in a package module (re-exports in __init__ do not count)
+    # names it, or when the benchmark tracer wraps it by name
+    repo = Path(__file__).resolve().parents[1]
+    defined, used = set(), set()
+    for path in sorted((repo / "src" / "fiem").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            own = {stmt.name} if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else set()
+            defined |= own
+            if path.name != "__init__.py":
+                used |= _referenced_names(stmt) - own
+    spans = ast.parse((repo / "perfbench" / "spans.py").read_text())
+    targets = next(stmt.value for stmt in spans.body if isinstance(stmt, ast.Assign)
+                   and [t.id for t in stmt.targets] == ["TARGETS"])
+    for entry in targets.elts:
+        used |= set(entry.elts[1].value.split("."))
+    unused = sorted(defined - used - set(TEST_ONLY_NAMES))
+    assert unused == [], f"no product caller: {unused}"
+    assert sorted(TEST_ONLY_NAMES) == sorted(defined - used)

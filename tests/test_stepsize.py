@@ -13,13 +13,11 @@ from fiem.stepsize import (
     _quadratic_profile,
     bound_case1,
     c_plus_closed_form,
-    c_star_asymptotic,
     case1_identity_gap,
     f_n,
     f_n_tilde,
     gamma_case1,
     karimi_plan,
-    lambda_star_case2,
     nonuniform_plan,
     plan_case1,
     profile_inverse,
@@ -101,12 +99,6 @@ class TestGammaAndBound:
         ins = inputs(n=8)
         assert gamma_case1(ins, 1.0) == pytest.approx(0.25, rel=1e-15)
 
-    def test_asymptotic_choice(self):
-        c_star = c_star_asymptotic(1.0, 1.0, 1.0)
-        assert c_star == 0.25
-        n = 10**6
-        assert gamma_case1(inputs(n=n), c_star) == pytest.approx(0.5 / n ** (2 / 3), rel=1e-14)
-
     def test_half_mu_matches_nonuniform_constant(self):
         ins = inputs(mu=0.5)
         c = solve_c_case1(ins)
@@ -141,12 +133,6 @@ class TestCase2:
         plan = solve_case2(inputs(n=10**6, k_max=2))
         assert not plan.feasible
         assert "lambda/C" in plan.violated_condition
-
-    def test_lambda_star_helper(self):
-        # v=L=1, Lv=1/2, tau=1: (1-lam)^2 = lam^3, root near 0.5698
-        lam = lambda_star_case2(1.0, 1.0, 0.5, 1.0)
-        assert abs((1.0 - lam) ** 2 - lam**3) < 1e-12
-        assert lam == pytest.approx(0.5698, abs=5e-4)
 
     def test_strategy_crossover(self):
         n = 10**6
@@ -365,19 +351,6 @@ class TestPlannerRoots:
         assert_solves(math.sqrt(plan.c) * f_n(plan.c, ins.lam, ins.n),
                       ins.v_min * ins.l_rms / ins.l_gradv)
         assert plan.feasible == (plan.violated_condition is None)
-
-    @given(v_min=CONSTANT, l_rms=CONSTANT, l_gradv=CONSTANT, tau=log_uniform(-3.0, 3.0))
-    def test_lambda_star(self, v_min, l_rms, l_gradv, tau):
-        try:
-            lam = lambda_star_case2(v_min, l_rms, l_gradv, tau)
-        except InfeasiblePlanError:
-            return
-        lhs_scale, rhs_scale = (v_min * l_rms) ** 2 * tau**3, (2.0 * l_gradv) ** 2
-        resid = abs(rhs_scale * lam**3 - lhs_scale * (1.0 - lam) ** 2)
-        # near lambda = 1 the root is ill-conditioned: one ulp of lambda moves
-        # the residual by |g'(lambda)| ulp, more than 1e-12 relative
-        slack = (3.0 * rhs_scale * lam**2 + 2.0 * lhs_scale * (1.0 - lam)) * math.ulp(lam)
-        assert resid <= 1e-12 * rhs_scale * lam**3 + slack
 
     @given(ins=PLANNER_INPUTS, fn=log_uniform(-3.0, 3.0), frac=st.floats(1e-9, 1.0))
     def test_profile_inverse(self, ins, fn, frac):

@@ -6,6 +6,8 @@ from fiem.algorithms import MemoryTable
 from fiem.errors import ConfigurationError
 from fiem.toy import ToyModel
 
+from model_reference import grad_v_fd
+
 
 def paper_model(seed=0, n=40):
     return fiem.generate_toy(seed, n=n)  # y=15, p=10, q=20 defaults
@@ -131,7 +133,7 @@ class TestInterface:
         rng = np.random.default_rng(6)
         for _ in range(5):
             s = rng.normal(size=m.q)
-            g = fiem.grad_v_fd(m, s)
+            g = grad_v_fd(m, s)
             target = -m.tmat @ fiem.mean_field(m, s)
             assert np.linalg.norm(g - target) <= 1e-6 * (1.0 + np.linalg.norm(g))
 
