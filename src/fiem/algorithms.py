@@ -97,20 +97,23 @@ class MemoryTable:
         self._scratch = None
 
     @classmethod
-    def init(cls, model: FiniteSumModel, s: Array) -> "MemoryTable":
-        """Initialize every row at the current EM image, row i = sbar_i(T(s))."""
-        return cls(model.stat_rows(s, np.arange(model.n)))
+    def init(cls, model: FiniteSumModel, image) -> "MemoryTable":
+        """Initialize every row at the current EM image, row i = sbar_i(T(s)),
+        from the state's image ``model.image(s)``."""
+        rows = np.empty((model.n, model.q))
+        model.stat_rows_into(image, rows)
+        return cls(rows)
 
     @property
     def n(self) -> int:
         return self.rows.shape[0]
 
-    def write(self, model: FiniteSumModel, s: Array, batch) -> None:
-        """Replace the rows of ``batch`` (duplicates collapse) by sbar_i(T(s))
-        and update the running mean incrementally."""
+    def write(self, model: FiniteSumModel, image, batch) -> None:
+        """Replace the rows of ``batch`` (duplicates collapse) by sbar_i(T(s)),
+        read from the state's image, and update the running mean incrementally."""
         batch = np.asarray(batch)
         uniq = batch if batch.size == 1 else np.unique(batch)
-        new = model.stat_rows(s, uniq)
+        new = model.stat_rows(image, uniq)
         delta = np.add.reduce(new - self.rows[uniq], axis=0)
         self.rows[uniq] = new
         self.mean = self.mean + delta / self.n
@@ -155,30 +158,33 @@ def row_mean(rows: Array) -> Array:
 
 
 # -- single steps ---------------------------------------------------------
+# Each step takes the state ``s`` and its image ``model.image(s)``, which
+# the oracles read; a path evaluates the image once per visited state.
 
 
-def online_em_step(model: FiniteSumModel, s: Array, batch, gamma: float) -> Array:
+def online_em_step(model: FiniteSumModel, s: Array, image, batch, gamma: float) -> Array:
     """s + gamma * (mean_{i in batch} sbar_i(T(s)) - s)."""
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
-    rows = model.stat_rows(s, batch)
+    rows = model.stat_rows(image, batch)
     return s + gamma * (row_mean(rows) - s)
 
 
-def iem_step(model: FiniteSumModel, s: Array, memory: MemoryTable, batch, gamma: float):
+def iem_step(model: FiniteSumModel, s: Array, image, memory: MemoryTable, batch, gamma: float):
     """Memory rows of ``batch`` refreshed at the current state, then
     ``(1-gamma) s + gamma Stilde``. Returns (new state, memory)."""
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
     if memory is None:
         raise MemoryStateError("iEM requires an initialized memory table")
-    memory.write(model, s, batch)
+    memory.write(model, image, batch)
     return (1.0 - gamma) * s + gamma * memory.mean, memory
 
 
 def _cv_update(
     model: FiniteSumModel,
     s: Array,
+    image,
     memory: MemoryTable,
     batch_j: Array,
     gamma: float,
@@ -186,7 +192,7 @@ def _cv_update(
 ) -> Array:
     # SA update with a control variate scaled by lam; lam=0 reproduces the
     # plain oracle step bit-for-bit (the CV term is skipped, not multiplied).
-    rows_j = model.stat_rows(s, batch_j)
+    rows_j = model.stat_rows(image, batch_j)
     direction = row_mean(rows_j) - s
     if lam != 0.0:
         mem_j = row_mean(memory.rows[batch_j])
@@ -197,6 +203,7 @@ def _cv_update(
 def fiem_step(
     model: FiniteSumModel,
     s: Array,
+    image,
     memory: MemoryTable,
     batch_i,
     batch_j,
@@ -209,20 +216,21 @@ def fiem_step(
     if memory is None:
         raise MemoryStateError("FIEM requires an initialized memory table")
     batch_j = np.asarray(batch_j)
-    memory.write(model, s, batch_i)
-    return _cv_update(model, s, memory, batch_j, gamma, 1.0), memory
+    memory.write(model, image, batch_i)
+    return _cv_update(model, s, image, memory, batch_j, gamma, 1.0), memory
 
 
-def opt_fiem_lambda(model: FiniteSumModel, s: Array, memory: MemoryTable) -> float:
+def opt_fiem_lambda(model: FiniteSumModel, image, memory: MemoryTable) -> float:
     """Optimal control-variate coefficient, exact O(n q) form.
 
     lambda* = - mean_j <sbar_j(T(s)), Stilde - S_j> / mean_j ||Stilde - S_j||^2
     with the memory rows taken after the current I-update, or 1 (the FIEM
-    coefficient) when the denominator is numerically zero.  Both (n, q)
-    operands are written into the table's scratch arrays.
+    coefficient) when the denominator is numerically zero.  The rows
+    sbar_j(T(s)) come from the state's image; both (n, q) operands are
+    written into the table's scratch arrays.
     """
     rows, diff = memory.scratch()
-    model.stat_rows_into(s, rows)
+    model.stat_rows_into(image, rows)
     np.subtract(memory.mean, memory.rows, out=diff)
     num = float(np.einsum("nq,nq->", rows, diff)) / model.n
     # stable form of mean_j ||S_j||^2 - ||Stilde||^2
@@ -235,6 +243,7 @@ def opt_fiem_lambda(model: FiniteSumModel, s: Array, memory: MemoryTable) -> flo
 def opt_fiem_step(
     model: FiniteSumModel,
     s: Array,
+    image,
     memory: MemoryTable,
     batch_i,
     batch_j,
@@ -252,9 +261,9 @@ def opt_fiem_step(
     if memory is None:
         raise MemoryStateError("opt-FIEM requires an initialized memory table")
     batch_j = np.asarray(batch_j)
-    memory.write(model, s, batch_i)
-    lam = opt_fiem_lambda(model, s, memory) if forced_lambda is None else float(forced_lambda)
-    return _cv_update(model, s, memory, batch_j, gamma, lam), memory, lam
+    memory.write(model, image, batch_i)
+    lam = opt_fiem_lambda(model, image, memory) if forced_lambda is None else float(forced_lambda)
+    return _cv_update(model, s, image, memory, batch_j, gamma, lam), memory, lam
 
 
 # -- full runs ------------------------------------------------------------
@@ -298,8 +307,9 @@ class RunDiagnostics:
         return self.step_sq.size
 
 
-def _step(algorithm, model, s, memory, rng_i, rng_j, b, gamma, smean, forced_lambda):
-    """One update of ``algorithm`` from ``s``; returns (new state, lambda or None).
+def _step(algorithm, model, s, image, memory, rng_i, rng_j, b, gamma, smean, forced_lambda):
+    """One update of ``algorithm`` from ``s``, whose image is ``image``;
+    returns (new state, lambda or None).
 
     Memory batches are drawn from ``rng_i`` before oracle batches from
     ``rng_j``, so every algorithm reads the same stream positions.  The step
@@ -309,14 +319,14 @@ def _step(algorithm, model, s, memory, rng_i, rng_j, b, gamma, smean, forced_lam
     if algorithm == "em":
         return smean, None
     if algorithm == "online-em":
-        return online_em_step(model, s, draw_batch(rng_j, n, b, replace=False), gamma), None
+        return online_em_step(model, s, image, draw_batch(rng_j, n, b, replace=False), gamma), None
     batch_i = draw_batch(rng_i, n, b, replace=True)
     if algorithm == "iem":
-        return iem_step(model, s, memory, batch_i, gamma)[0], None
+        return iem_step(model, s, image, memory, batch_i, gamma)[0], None
     batch_j = draw_batch(rng_j, n, b, replace=True)
     if algorithm == "fiem":
-        return fiem_step(model, s, memory, batch_i, batch_j, gamma)[0], None
-    s_new, _, lam = opt_fiem_step(model, s, memory, batch_i, batch_j, gamma,
+        return fiem_step(model, s, image, memory, batch_i, batch_j, gamma)[0], None
+    s_new, _, lam = opt_fiem_step(model, s, image, memory, batch_i, batch_j, gamma,
                                   forced_lambda=forced_lambda)
     return s_new, lam
 
@@ -336,13 +346,18 @@ def sa_path(
     drawn without replacement from "indices-J", memory batches with
     replacement from "indices-I" and FIEM oracle batches with replacement from
     "indices-J".  The memory table is initialized from the current state when
-    the first memory phase starts, and ``on_phase_end(s)`` is called after
-    every phase.  The diagnostics switched on in ``options`` are recorded at
-    the pre-update state of every iteration; ``cv_gap_sq`` and ``lambdas``
-    read NaN in phases without a control variate.  Raises
-    :class:`RunAbortError` on a domain violation (under the "abort" policy or
-    inside the model) and at the first iteration whose update
-    ``||S^{k+1} - S^k||^2`` is not finite; a diverged path runs no further.
+    the first memory phase starts, and ``on_phase_end(s, image)`` is called
+    after every phase.  The image ``model.image(s)`` of each visited state is
+    evaluated once, after the state has passed the checks below, and serves
+    that state's diagnostics, memory writes, oracle batches, lambda pass and
+    phase-end call; it is dropped with the state, and the final state's image
+    is evaluated only for ``on_phase_end``.  The diagnostics switched on in
+    ``options`` are recorded at the pre-update state of every iteration;
+    ``cv_gap_sq`` and ``lambdas`` read NaN in phases without a control
+    variate.  Raises :class:`RunAbortError` on a domain violation (under the
+    "abort" policy or inside the model) and at the first iteration whose
+    update ``||S^{k+1} - S^k||^2`` is not finite; a diverged path runs no
+    further.
     """
     for algorithm, _ in phases:
         if algorithm not in ALGORITHMS:
@@ -378,11 +393,12 @@ def sa_path(
     # the path; one errstate for the whole loop keeps numpy from warning
     with np.errstate(over="ignore", invalid="ignore"):
         try:
+            image = model.image(s)
             for algorithm, iters in phases:
                 if memory is None and iters and algorithm in MEMORY_ALGORITHMS:
-                    memory = MemoryTable.init(model, s)
+                    memory = MemoryTable.init(model, image)
                 for _ in range(iters):
-                    smean = model.stat_mean(s) if needs_mean or algorithm == "em" else None
+                    smean = model.stat_mean(image) if needs_mean or algorithm == "em" else None
                     if h_sq is not None:
                         hvec = smean - s
                         h_sq[k] = hvec @ hvec
@@ -392,8 +408,8 @@ def sa_path(
                     if theta_err is not None:
                         record_theta(k, s)
 
-                    s_new, lam = _step(algorithm, model, s, memory, rng_i, rng_j, b, gammas[k],
-                                       smean, options.forced_lambda)
+                    s_new, lam = _step(algorithm, model, s, image, memory, rng_i, rng_j, b,
+                                       gammas[k], smean, options.forced_lambda)
 
                     if lam is not None:
                         lambdas[k] = lam
@@ -413,8 +429,10 @@ def sa_path(
                         raise RunAbortError(k, "non-finite update ||S^{k+1} - S^k||^2 (diverged)")
                     s = s_new
                     k += 1
+                    if k < k_max or on_phase_end is not None:
+                        image = model.image(s)
                 if on_phase_end is not None:
-                    on_phase_end(s)
+                    on_phase_end(s, image)
         except DomainError as exc:
             raise RunAbortError(k, str(exc)) from exc
     if theta_err is not None:

@@ -56,14 +56,20 @@ class _Parser(argparse.ArgumentParser):
                 if flag.startswith("--")} - {"config", "help"}
 
 
+def _read_json(path: str, flag: str, parser: argparse.ArgumentParser):
+    """The JSON document that ``flag`` names; a file that cannot be opened
+    or parsed is bad input naming the flag and the path."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read {flag} file {path}: {exc}")
+
+
 def _config_tokens(path: str, subcommand: str, parser: argparse.ArgumentParser) -> list[str]:
     """The keys of a ``--config`` JSON object as ``--key=value`` tokens, so
     that the subcommand's own parser type-checks them like flags."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        parser.error(f"cannot read config file {path}: {exc}")
+    doc = _read_json(path, "--config", parser)
     if not isinstance(doc, dict):
         parser.error("config file must hold a JSON object")
     unknown = set(doc) - parser.commands[subcommand].config_keys()
@@ -134,16 +140,28 @@ def _write_rows_csv(path, header, rows):
 # -- plan ---------------------------------------------------------------
 
 
+# the optional plan flags, their argparse dests and the strategies that read them
+PLAN_FLAG_STRATEGIES = (
+    ("weights", "weights", ("nonuniform",)),
+    ("epsilon", "epsilon", ("auto",)),
+    ("mu", "mu", ("case1", "case2", "auto")),
+    ("lambda", "lambda_", ("case1", "case2", "nonuniform", "auto")),
+)
+
+
 def cmd_plan(args, parser) -> int:
     for key in ("n", "kmax", "vmin", "L", "Lv"):
         if getattr(args, key) is None:
             parser.error(f"plan requires --{key}")
-    for key, strategy in (("weights", "nonuniform"), ("epsilon", "auto")):
-        if getattr(args, key) is not None and args.strategy != strategy:
-            parser.error(f"--{key} applies to --strategy {strategy} only")
+    for flag, dest, strategies in PLAN_FLAG_STRATEGIES:
+        if getattr(args, dest) is not None and args.strategy not in strategies:
+            parser.error(f"--{flag} applies only to --strategy {', '.join(strategies)}")
     weights = None if args.weights is None else np.loadtxt(args.weights, ndmin=1)
+    # PlannerInputs holds the default mu and lambda of the flags left out
+    rates = {key: value for key, value in (("mu", args.mu), ("lam", args.lambda_))
+             if value is not None}
     inputs = PlannerInputs(n=args.n, k_max=args.kmax, v_min=args.vmin, l_rms=args.L,
-                           l_gradv=args.Lv, mu=args.mu, lam=args.lambda_)
+                           l_gradv=args.Lv, **rates)
     plan = build_plan(args.strategy, inputs, weights=weights, epsilon=args.epsilon)
     _json_dump(plan.to_dict(), args.out)
     if not plan.feasible:
@@ -172,8 +190,7 @@ def cmd_toy(args, parser) -> int:
     constants = model.constants()
     inputs = PlannerInputs.from_constants(constants, n=n, k_max=kmax)
     if args.plan is not None:
-        with open(args.plan) as fh:
-            doc = json.load(fh)
+        doc = _read_json(args.plan, "--plan", parser)
         gamma = doc.get("gamma") if isinstance(doc, dict) else None
         if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
                    for x in (gamma if isinstance(gamma, list) else [gamma])):
@@ -426,8 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vmin", type=float)
     p.add_argument("--L", type=float)
     p.add_argument("--Lv", type=float)
-    p.add_argument("--mu", type=float, default=0.25)
-    p.add_argument("--lambda", dest="lambda_", type=float, default=0.5)
+    p.add_argument("--mu", type=float, help="case1, case2 and auto (default 0.25)")
+    p.add_argument("--lambda", dest="lambda_", type=float,
+                   help="every strategy but karimi (default 0.5)")
     p.add_argument("--strategy", choices=["case1", "case2", "nonuniform", "karimi", "auto"],
                    default="case1")
     p.add_argument("--weights", type=_path, help="file with termination weights (nonuniform)")

@@ -24,7 +24,7 @@ from .algorithms import (
     sa_path,
 )
 from .errors import RunAbortError
-from .gmm import GmmModel, gmm_loglik, init_params
+from .gmm import GmmModel, init_params
 from .model import FiniteSumModel, objective_v
 from .rng import SeedTree
 from .stepsize import theorem1_coeffs
@@ -356,47 +356,48 @@ class GmmPath:
 def gmm_epoch_path(
     model: GmmModel,
     algorithm: str,
-    theta0,
+    s0: Array,
     gamma: float,
     batch_size: int,
     epochs: int,
     seed,
     kswitch: int = 0,
 ) -> GmmPath:
-    """One path of a mixture fit, bookkept in epochs of n examples, counted
-    by :func:`_epoch_phases`.
+    """One path of a mixture fit from the statistic ``s0`` (S^0, usually
+    ``model.initial_statistic(theta0)``), bookkept in epochs of n examples,
+    counted by :func:`_epoch_phases`.
 
     h-FIEM runs ``kswitch`` Online EM epochs then FIEM epochs, with the
     memory table initialized at the switch point from the current state.
     Every epoch is one :func:`~fiem.algorithms.sa_path` phase, and the
-    log-likelihood and weights are recorded at its end.  iEM asserts the
-    domain proxies (a violation aborts the path); the other algorithms count
-    violations.
+    log-likelihood and weights are recorded at its end from the image that
+    the path evaluated for that state, so T(s) is evaluated once per visited
+    state.  iEM asserts the domain proxies (a violation aborts the path);
+    the other algorithms count violations.
     """
     if algorithm not in GMM_ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     phases = _epoch_phases(algorithm, model.n, batch_size, epochs, kswitch)
     schedule = StepSchedule.constant(gamma, sum(iters for _, iters in phases))
 
-    s0 = model.initial_statistic(theta0)
-    loglik = []
-    weights = [model.tmap(s0).weights]
+    # the weights of T(S^0), alpha_l = s1_l / sum(s1), without the rest of T
+    masses = s0[: model.g]
+    loglik, thetas = [], []
 
-    def record(s):
-        params = model.tmap(s)
-        loglik.append(gmm_loglik(params, model.dataset))
-        weights.append(params.weights)
+    def record(s, image):
+        loglik.append(image.loglik())
+        thetas.append(image.theta)
 
     opts = RunOptions(s0=s0, batch_size=int(batch_size), compute_h=False,
                       domain_policy="abort" if algorithm == "iem" else "warn")
     diag = sa_path(model, phases, schedule.gammas, seed, opts, on_phase_end=record)
     return GmmPath(
         loglik=np.array(loglik),
-        weights=np.array(weights),
+        weights=np.array([masses / masses.sum()] + [theta.weights for theta in thetas]),
         violations=diag.violations,
         examples_processed=epochs * model.n,
         iterations=len(schedule),
-        final_params=model.tmap(diag.s_final),
+        final_params=thetas[-1],
     )
 
 
@@ -420,9 +421,9 @@ class GmmExperimentConfig:
 def _gmm_replica_job(args):
     config, r = args
     child = SeedTree(config.seed).child(r)
-    theta0 = init_params(config.model.dataset, config.model.g, child)
+    s0 = config.model.initial_statistic(init_params(config.model.dataset, config.model.g, child))
     return r, _outcomes(config.algorithms, lambda alg: gmm_epoch_path(
-        config.model, alg, theta0, IEM_GAMMA if alg == "iem" else config.gamma,
+        config.model, alg, s0, IEM_GAMMA if alg == "iem" else config.gamma,
         config.batch_size, config.epochs, child, kswitch=config.kswitch))
 
 

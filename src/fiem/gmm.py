@@ -13,7 +13,9 @@ maximization map cheap:
     Sigma   = Sigma_star - sum_l s1_l mu_l mu_l'
 
 Admissibility is tracked through testable proxies of the statistic domain:
-non-negative masses and total mass one.
+non-negative masses and total mass one.  The oracles read a state's
+:class:`GmmImage`: T(s), plus the log-densities of all n observations under
+it when a full pass asks for them.
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ MASS_FLOOR = -1e-10          # proxy: component masses may not dip below this
 MASS_TOTAL_TOL = 1e-8        # proxy: total mass stays at one
 EMPTY_COMPONENT_FLOOR = 1e-12
 COV_EIG_FLOOR = -1e-10       # rounding-level indefiniteness is tolerated
+ROW_BLOCK = 2048             # rows per density einsum; bounds its (g, p, rows) block
 
 
 @dataclass(eq=False)
@@ -122,41 +125,76 @@ def log_weighted_densities(params: GmmParams, y_rows: Array) -> Array:
     """log(alpha_l) + log N(mu_l, Sigma)[y] for each row and component,
     omitting the p log(2 pi)/2 constant; shape (b, g).
 
-    The difference operand is column-major, the transpose of a C-contiguous
-    (p, b) array, so einsum's inner loop runs over b at unit stride.  It
-    adds (d_p P_pq) d_q into each row in the same p-major, q-minor sequence
-    as with a row-major operand, which it read p^2 times per row at stride
-    p.  The bits are those of the row-major form at every shape but
-    b = p = 2, where numpy summed that operand's 2x2 block as
-    (t00 + t01) + (t10 + t11); ``tests/test_gmm.py`` pins them."""
+    All g quadratic forms come from one einsum per block of ``ROW_BLOCK``
+    rows, which bounds the (g, p, rows) difference block at any n.  That
+    block is C-contiguous, and einsum reads it as its (g, rows, p) view, so
+    the inner loop runs over the rows at unit stride and adds
+    (d_p P_pq) d_q into each row in sequential p-major, q-minor order.  A
+    one-row block is evaluated as two rows: numpy sums a lone row's 2x2
+    form at p = 2 as (t00 + t01) + (t10 + t11).  A row's bits thus do not
+    depend on the batch or block it is evaluated in, and they are those of
+    the per-component row-major form at every shape but b <= 2 at p = 2,
+    where that form takes the pairwise order; ``tests/test_gmm.py`` pins
+    them."""
     b = y_rows.shape[0]
     out = np.empty((b, params.g))
     prec = params._precision
-    base = -0.5 * params._log_det
     with np.errstate(divide="ignore"):
         logw = np.log(params.weights)
-    y_cols = np.ascontiguousarray(y_rows.T)
-    for l in range(params.g):
-        diff = (y_cols - params.means[l][:, None]).T
-        quad = np.einsum("bp,pq,bq->b", diff, prec, diff)
-        out[:, l] = logw[l] + base - 0.5 * quad
+    shift = (logw - 0.5 * params._log_det)[:, None]
+    means = params.means[:, :, None]
+    for start in range(0, b, ROW_BLOCK):
+        rows = y_rows[start : start + ROW_BLOCK]
+        lone = rows.shape[0] == 1
+        if lone:
+            rows = np.concatenate((rows, rows))
+        diff = (np.ascontiguousarray(rows.T) - means).transpose(0, 2, 1)
+        quad = np.einsum("gbp,pq,gbq->gb", diff, prec, diff)
+        out[start : start + ROW_BLOCK] = (shift - 0.5 * quad)[:, : 1 if lone else None].T
     return out
 
 
-def posterior_rows(params: GmmParams, y_rows: Array) -> Array:
-    """Posterior component responsibilities for each row; log-domain softmax."""
-    logd = log_weighted_densities(params, y_rows)
+def _softmax_rows(logd: Array) -> Array:
     shifted = logd - logd.max(axis=1, keepdims=True)
     w = np.exp(shifted)
     return w / w.sum(axis=1, keepdims=True)
 
 
+def posterior_rows(params: GmmParams, y_rows: Array) -> Array:
+    """Posterior component responsibilities for each row; log-domain softmax."""
+    return _softmax_rows(log_weighted_densities(params, y_rows))
+
+
 def gmm_loglik(params: GmmParams, dataset: GmmDataset) -> float:
     """Normalized log-likelihood n^{-1} sum_i log sum_l alpha_l N(mu_l, Sigma)[y_i],
     with the p log(2 pi)/2 constant omitted."""
-    logd = log_weighted_densities(params, dataset.observations)
-    m = logd.max(axis=1)
-    return float(np.mean(m + np.log(np.exp(logd - m[:, None]).sum(axis=1))))
+    return GmmImage(params, dataset.observations).loglik()
+
+
+@dataclass(eq=False)
+class GmmImage:
+    """What the oracles need from a statistic s: the parameter T(s) and, on
+    first use, the log-weighted densities of all n observations under it.
+
+    A path forms one image per visited state and drops it after the
+    iteration, so one n-row pass serves every full-data consumer of that
+    state: the epoch-end log-likelihood, the EM step and a memory table
+    initialized there."""
+
+    theta: GmmParams
+    observations: Array
+
+    @cached_property
+    def log_densities(self) -> Array:
+        return log_weighted_densities(self.theta, self.observations)
+
+    def posteriors(self) -> Array:
+        return _softmax_rows(self.log_densities)
+
+    def loglik(self) -> float:
+        logd = self.log_densities
+        m = logd.max(axis=1)
+        return float(np.mean(m + np.log(np.exp(logd - m[:, None]).sum(axis=1))))
 
 
 def gmm_tmap(s: Array, sigma_star: Array, g: int) -> GmmParams:
@@ -203,33 +241,40 @@ class GmmModel(FiniteSumModel):
         if abs(total - 1.0) > MASS_TOTAL_TOL:
             raise DomainError(f"total component mass {total!r} deviates from 1 beyond 1e-8")
 
-    def _assemble(self, rho: Array, y_rows: Array) -> Array:
-        # statistic rows [rho_i, rho_i1 y_i, ..., rho_ig y_i] without forming
-        # the selection matrix
-        b = rho.shape[0]
-        out = np.empty((b, self.q))
+    def image(self, s: Array) -> GmmImage:
+        return GmmImage(self.tmap(s), self.dataset.observations)
+
+    def _assemble(self, rho: Array, y_rows: Array, out: Array) -> None:
+        # statistic rows [rho_i, rho_i1 y_i, ..., rho_ig y_i] written into
+        # out without forming the selection matrix or a (b, g, p) temporary
         out[:, : self.g] = rho
-        out[:, self.g :] = (rho[:, :, None] * y_rows[:, None, :]).reshape(b, self.g * self.p)
-        return out
+        np.multiply(rho[:, :, None], y_rows[:, None, :],
+                    out=out[:, self.g :].reshape(rho.shape[0], self.g, self.p))
 
     def sbar_rows(self, theta: GmmParams, indices) -> Array:
         idx = np.asarray(indices)
         y_rows = self.dataset.observations[idx]
-        return self._assemble(posterior_rows(theta, y_rows), y_rows)
+        out = np.empty((idx.size, self.q))
+        self._assemble(posterior_rows(theta, y_rows), y_rows, out)
+        return out
 
     def sbar(self, theta: GmmParams) -> Array:
+        """Full EM image sbar(theta); one pass over the examples."""
+        return self.stat_mean(GmmImage(theta, self.dataset.observations))
+
+    def stat_rows(self, image: GmmImage, indices) -> Array:
+        return self.sbar_rows(image.theta, indices)
+
+    def stat_rows_into(self, image: GmmImage, out: Array) -> None:
+        self._assemble(image.posteriors(), self.dataset.observations, out)
+
+    def stat_mean(self, image: GmmImage) -> Array:
         y = self.dataset.observations
-        rho = posterior_rows(theta, y)
+        rho = image.posteriors()
         out = np.empty(self.q)
         out[: self.g] = rho.mean(axis=0)
         out[self.g :] = (rho.T @ y).reshape(self.g * self.p) / self.n
         return out
-
-    def stat_rows(self, s: Array, indices) -> Array:
-        return self.sbar_rows(self.tmap(s), indices)
-
-    def stat_mean(self, s: Array) -> Array:
-        return self.sbar(self.tmap(s))
 
     def objective(self, theta: GmmParams) -> float:
         return -gmm_loglik(theta, self.dataset)
@@ -244,14 +289,14 @@ class GmmModel(FiniteSumModel):
 
 def gmm_iem_step(model: GmmModel, s: Array, memory: MemoryTable, batch, gamma: float):
     """Incremental step; the domain proxies provably hold and are asserted."""
-    s_new, memory = iem_step(model, s, memory, batch, gamma)
+    s_new, memory = iem_step(model, s, model.image(s), memory, batch, gamma)
     model.admissible(s_new)
     return s_new, memory
 
 
 def gmm_onlineem_step(model: GmmModel, s: Array, batch, gamma: float):
     """Plain oracle step; returns (state, proxy violation count)."""
-    s_new = online_em_step(model, s, batch, gamma)
+    s_new = online_em_step(model, s, model.image(s), batch, gamma)
     return s_new, _count_violation(model, s_new)
 
 
@@ -261,7 +306,7 @@ def gmm_fiem_step(model: GmmModel, s: Array, memory: MemoryTable, batch_i, batch
     Negative masses are possible here in principle (the control variate is
     signed); they are detected and counted, never clamped.
     """
-    s_new, memory = fiem_step(model, s, memory, batch_i, batch_j, gamma)
+    s_new, memory = fiem_step(model, s, model.image(s), memory, batch_i, batch_j, gamma)
     return s_new, memory, _count_violation(model, s_new)
 
 

@@ -67,6 +67,11 @@ class FiniteSumModel(ABC):
     across threads.  ``n`` is the example count and ``q`` the statistic
     dimension.  A model defines ``tmap``, ``admissible`` and ``stat_rows``;
     the algorithms need nothing else.
+
+    The oracles ``stat_rows``, ``stat_rows_into`` and ``stat_mean`` take
+    the image ``image(s)`` of a state rather than the state itself, so that
+    a path evaluates what they share, such as ``T(s)``, once per visited
+    state.  The image is ``s`` unless the model overrides :meth:`image`.
     """
 
     n: int
@@ -81,20 +86,25 @@ class FiniteSumModel(ABC):
         """Raise :class:`DomainError` naming the violated condition if ``s``
         is outside the domain of ``tmap``."""
 
-    @abstractmethod
-    def stat_rows(self, s: Array, indices) -> Array:
-        """Rows ``sbar_i(T(s))``, the per-example EM images of ``s``, for
-        ``i`` in ``indices``; shape (b, q)."""
+    def image(self, s: Array):
+        """What the oracles need from the admissible state ``s``; ``s``
+        itself unless a model has something to evaluate once per state."""
+        return s
 
-    def stat_rows_into(self, s: Array, out: Array) -> None:
+    @abstractmethod
+    def stat_rows(self, image, indices) -> Array:
+        """Rows ``sbar_i(T(s))``, the per-example EM images of the state
+        whose image is ``image``, for ``i`` in ``indices``; shape (b, q)."""
+
+    def stat_rows_into(self, image, out: Array) -> None:
         """All n rows ``sbar_i(T(s))`` written into the (n, q) array ``out``;
         models with a closed form override this to skip the temporary."""
-        out[...] = self.stat_rows(s, np.arange(self.n))
+        out[...] = self.stat_rows(image, np.arange(self.n))
 
-    def stat_mean(self, s: Array) -> Array:
+    def stat_mean(self, image) -> Array:
         """Full EM image ``sbar(T(s))``, the mean of all n rows; costs one
         pass over the examples unless the model overrides it."""
-        return self.stat_rows(s, np.arange(self.n)).mean(axis=0)
+        return self.stat_rows(image, np.arange(self.n)).mean(axis=0)
 
     # -- optional capabilities -------------------------------------------
 
@@ -121,7 +131,7 @@ def check_statistic(model: FiniteSumModel, s: Array) -> Array:
 def mean_field(model: FiniteSumModel, s: Array) -> Array:
     """``h(s) = sbar(T(s)) - s``; zero exactly at EM fixed points."""
     model.admissible(s)
-    return model.stat_mean(s) - s
+    return model.stat_mean(model.image(s)) - s
 
 
 def objective_v(model: FiniteSumModel, s: Array) -> float:

@@ -10,8 +10,9 @@ affine or quadratic:
     B(s)            = (upsilon I + X'X)^{-1}  (constant)
     grad V(s)       = -B h(s)
 
-so the constants v_min, v_max, L, L_gradV come from eigenvalue problems and
-the minimizer theta_star is a linear solve.
+so the oracles read the image Pi2 s of a state, the constants v_min, v_max,
+L, L_gradV come from eigenvalue problems and the minimizer theta_star is a
+linear solve.
 """
 from __future__ import annotations
 
@@ -114,14 +115,17 @@ class ToyModel(FiniteSumModel):
     def admissible(self, s: Array) -> None:
         check_statistic(self, s)
 
-    def stat_rows(self, s: Array, indices) -> Array:
-        return self.p1y[np.asarray(indices)] + self.pi2 @ s
+    def image(self, s: Array) -> Array:
+        return self.pi2 @ s
 
-    def stat_rows_into(self, s: Array, out: Array) -> None:
-        np.add(self.p1y, self.pi2 @ s, out=out)
+    def stat_rows(self, image: Array, indices) -> Array:
+        return self.p1y[np.asarray(indices)] + image
 
-    def stat_mean(self, s: Array) -> Array:
-        return self.p1ybar + self.pi2 @ s
+    def stat_rows_into(self, image: Array, out: Array) -> None:
+        np.add(self.p1y, image, out=out)
+
+    def stat_mean(self, image: Array) -> Array:
+        return self.p1ybar + image
 
     def objective(self, theta: Array) -> float:
         return 0.5 * float(theta @ self._obj_m @ theta) - float(self._obj_b @ theta) + self._obj_c

@@ -249,7 +249,7 @@ def test_algorithm_identities():
                  TerminationRule.uniform(30), 0, fiem.RunOptions(s0=np.zeros(single.q)))
     s = np.zeros(single.q)
     for _ in range(30):
-        s = s + gamma * (single.stat_mean(s) - s)
+        s = s + gamma * (single.stat_mean(single.image(s)) - s)
     sa_err = np.linalg.norm(d.s_final - s) / max(1.0, np.linalg.norm(s))
     sa_ok = sa_err <= 1e-14
 
@@ -258,11 +258,11 @@ def test_algorithm_identities():
     for seed in range(5):
         m = fiem.generate_toy(seed, n=6, dims=(4, 3, 3))
         s = rng.normal(size=m.q)
-        memory = MemoryTable.init(m, rng.normal(size=m.q))
-        memory.write(m, s, np.array([seed % m.n]))
+        memory = MemoryTable.init(m, m.image(rng.normal(size=m.q)))
+        memory.write(m, m.image(s), np.array([seed % m.n]))
         memory.refresh()
-        lam = fiem.opt_fiem_lambda(m, s, memory)
-        rows = m.stat_rows(s, np.arange(m.n))
+        lam = fiem.opt_fiem_lambda(m, m.image(s), memory)
+        rows = m.stat_rows(m.image(s), np.arange(m.n))
         u = rows - rows.mean(axis=0)
         v = memory.mean - memory.rows
         vertex = -float(np.einsum("nq,nq->", u, v)) / float(np.einsum("nq,nq->", v, v))
@@ -317,9 +317,9 @@ def test_gradient_identity():
 def test_gmm_criteria():
     ds, _ = fiem.generate_gmm_synthetic(0, n=2000, g=3, p=5, separation=3.0)
     model = fiem.GmmModel(ds, 3)
-    theta0 = fiem.init_params(ds, 3, 1)
+    s0 = model.initial_statistic(fiem.init_params(ds, 3, 1))
 
-    em = fiem.gmm_epoch_path(model, "em", theta0, 1.0, 100, 100, seed=0)
+    em = fiem.gmm_epoch_path(model, "em", s0, 1.0, 100, 100, seed=0)
     monotone_ok = bool(np.all(np.diff(em.loglik) >= -1e-9))
 
     small, _ = fiem.generate_gmm_synthetic(1, n=20, g=3, p=5, separation=2.0)
@@ -334,9 +334,9 @@ def test_gmm_criteria():
     kron_ok = kron_err <= 1e-12
 
     batch = 100
-    iem = fiem.gmm_epoch_path(model, "iem", theta0, 0.8, batch, 20, seed=3)
-    onl = fiem.gmm_epoch_path(model, "online-em", theta0, 5e-3, batch, 20, seed=3)
-    fm = fiem.gmm_epoch_path(model, "fiem", theta0, 5e-3, batch, 20, seed=3)
+    iem = fiem.gmm_epoch_path(model, "iem", s0, 0.8, batch, 20, seed=3)
+    onl = fiem.gmm_epoch_path(model, "online-em", s0, 5e-3, batch, 20, seed=3)
+    fm = fiem.gmm_epoch_path(model, "fiem", s0, 5e-3, batch, 20, seed=3)
     proxy_ok = iem.violations == 0 and onl.violations == 0 and fm.violations == 0
 
     ok = monotone_ok and kron_ok and proxy_ok

@@ -43,10 +43,10 @@ class TestMemoryTable:
         m = toy(n=50)
         rng = np.random.default_rng(1)
         s = rng.normal(size=m.q)
-        memory = MemoryTable.init(m, s)
+        memory = MemoryTable.init(m, m.image(s))
         for _ in range(500):
             s = rng.normal(size=m.q)
-            memory.write(m, s, rng.integers(0, m.n, size=3))
+            memory.write(m, m.image(s), rng.integers(0, m.n, size=3))
             drift = np.abs(memory.mean - memory.rows.mean(axis=0)).max()
             scale = max(1.0, np.abs(memory.mean).max())
             assert drift <= 1e-9 * m.q * scale
@@ -57,17 +57,17 @@ class TestMemoryTable:
     def test_running_mean_tracks_rows_after_random_writes(self, n, b, writes, seed):
         m = toy(n=n)
         rng = np.random.default_rng(seed)
-        memory = MemoryTable.init(m, rng.normal(size=m.q))
+        memory = MemoryTable.init(m, m.image(rng.normal(size=m.q)))
         for _ in range(writes):
-            memory.write(m, rng.normal(size=m.q), rng.integers(0, n, size=b))
+            memory.write(m, m.image(rng.normal(size=m.q)), rng.integers(0, n, size=b))
         scale = max(1.0, np.abs(memory.rows).max())
         assert np.abs(memory.mean - memory.rows.mean(axis=0)).max() <= 1e-12 * scale
 
     def test_duplicate_indices_collapse(self):
         m = toy(n=8)
         s = np.ones(m.q)
-        memory = MemoryTable.init(m, np.zeros(m.q))
-        memory.write(m, s, np.array([3, 3, 3]))
+        memory = MemoryTable.init(m, m.image(np.zeros(m.q)))
+        memory.write(m, m.image(s), np.array([3, 3, 3]))
         np.testing.assert_allclose(memory.mean, memory.rows.mean(axis=0), atol=1e-14)
 
 
@@ -94,7 +94,7 @@ class TestBitwiseFastPaths:
 
     @staticmethod
     def fresh_lambda(model, s, memory):
-        rows = model.stat_rows(s, np.arange(model.n))
+        rows = model.stat_rows(model.image(s), np.arange(model.n))
         diff = memory.mean - memory.rows
         num = float(np.einsum("nq,nq->", rows, diff)) / model.n
         den = float(np.einsum("nq,nq->", diff, diff)) / model.n
@@ -110,13 +110,14 @@ class TestBitwiseFastPaths:
             ds, _ = fiem.generate_gmm_synthetic(2, n=200, g=3, p=3, separation=3.0)
             m = fiem.GmmModel(ds, 3)
             s0 = m.initial_statistic(fiem.init_params(ds, 3, 1))
-            states = [m.stat_mean(s0), m.stat_mean(m.stat_mean(s0))]
-        memory = MemoryTable.init(m, s0)
+            s1 = m.stat_mean(m.image(s0))
+            states = [s1, m.stat_mean(m.image(s1))]
+        memory = MemoryTable.init(m, m.image(s0))
         for i, s in enumerate(states):
-            memory.write(m, s, np.array([i, 5 + i]))
-            assert fiem.opt_fiem_lambda(m, s, memory) == self.fresh_lambda(m, s, memory)
+            memory.write(m, m.image(s), np.array([i, 5 + i]))
+            assert fiem.opt_fiem_lambda(m, m.image(s), memory) == self.fresh_lambda(m, s, memory)
             rows, diff = memory.scratch()
-            assert rows.tobytes() == m.stat_rows(s, np.arange(m.n)).tobytes()
+            assert rows.tobytes() == m.stat_rows(m.image(s), np.arange(m.n)).tobytes()
             assert diff.tobytes() == (memory.mean - memory.rows).tobytes()
             assert all(a is b for a, b in zip((rows, diff), memory.scratch()))
 
@@ -125,68 +126,70 @@ class TestSingleSteps:
     def test_em_step_fixed_point(self):
         m = toy(seed=2)
         s_star = m.em_fixed_point()
-        assert np.linalg.norm(m.stat_mean(s_star) - s_star) < 1e-10
+        assert np.linalg.norm(m.stat_mean(m.image(s_star)) - s_star) < 1e-10
 
     def test_online_gamma_zero_is_identity(self):
         m = toy(seed=3)
         s = np.arange(m.q, dtype=float) + 1.0
-        assert np.array_equal(fiem.online_em_step(m, s, np.array([2]), 0.0), s)
+        assert np.array_equal(fiem.online_em_step(m, s, m.image(s), np.array([2]), 0.0), s)
 
     def test_online_full_batch_unit_step_is_em(self):
         m = toy(seed=4)
         s = np.ones(m.q)
         full = np.arange(m.n)
         np.testing.assert_allclose(
-            fiem.online_em_step(m, s, full, 1.0), m.stat_mean(s), atol=1e-13
+            fiem.online_em_step(m, s, m.image(s), full, 1.0), m.stat_mean(m.image(s)), atol=1e-13
         )
 
     def test_online_empty_batch_rejected(self):
         m = toy()
+        s = np.zeros(m.q)
         with pytest.raises(ValueError):
-            fiem.online_em_step(m, np.zeros(m.q), np.array([], dtype=int), 0.5)
+            fiem.online_em_step(m, s, m.image(s), np.array([], dtype=int), 0.5)
 
     def test_iem_full_batch_unit_step_is_em(self):
         m = toy(seed=5)
         s = np.ones(m.q)
-        memory = MemoryTable.init(m, np.zeros(m.q))
-        out, _ = fiem.iem_step(m, s, memory, np.arange(m.n), 1.0)
-        np.testing.assert_allclose(out, m.stat_mean(s), atol=1e-13)
+        memory = MemoryTable.init(m, m.image(np.zeros(m.q)))
+        out, _ = fiem.iem_step(m, s, m.image(s), memory, np.arange(m.n), 1.0)
+        np.testing.assert_allclose(out, m.stat_mean(m.image(s)), atol=1e-13)
 
     def test_iem_gamma_zero_updates_memory_only(self):
         m = toy(seed=6)
         s = np.ones(m.q)
-        memory = MemoryTable.init(m, np.zeros(m.q))
+        memory = MemoryTable.init(m, m.image(np.zeros(m.q)))
         before = memory.rows[1].copy()
-        out, memory = fiem.iem_step(m, s, memory, np.array([1]), 0.0)
+        out, memory = fiem.iem_step(m, s, m.image(s), memory, np.array([1]), 0.0)
         assert np.array_equal(out, s)
         assert not np.array_equal(memory.rows[1], before)
 
     def test_iem_single_sweep_rebuilds_mean(self):
         m = toy(seed=7)
         s = np.full(m.q, 0.5)
-        memory = MemoryTable.init(m, np.zeros(m.q))
+        memory = MemoryTable.init(m, m.image(np.zeros(m.q)))
         for i in range(m.n):
-            _, memory = fiem.iem_step(m, s, memory, np.array([i]), 1.0)
-        np.testing.assert_allclose(memory.mean, m.stat_mean(s), atol=1e-12)
+            _, memory = fiem.iem_step(m, s, m.image(s), memory, np.array([i]), 1.0)
+        np.testing.assert_allclose(memory.mean, m.stat_mean(m.image(s)), atol=1e-12)
 
     def test_iem_requires_memory(self):
         m = toy()
+        s = np.zeros(m.q)
         with pytest.raises(MemoryStateError):
-            fiem.iem_step(m, np.zeros(m.q), None, np.array([0]), 0.5)
+            fiem.iem_step(m, s, m.image(s), None, np.array([0]), 0.5)
 
     def test_fiem_gamma_zero_is_identity(self):
         m = toy(seed=8)
         s = np.ones(m.q)
-        memory = MemoryTable.init(m, s)
-        out, _ = fiem.fiem_step(m, s, memory, np.array([0]), np.array([1]), 0.0)
+        memory = MemoryTable.init(m, m.image(s))
+        out, _ = fiem.fiem_step(m, s, m.image(s), memory, np.array([0]), np.array([1]), 0.0)
         assert np.array_equal(out, s)
 
     def test_fiem_n1_control_variate_cancels(self):
         m = toy(seed=9, n=1)
         s = np.zeros(m.q)
-        memory = MemoryTable.init(m, s)
+        memory = MemoryTable.init(m, m.image(s))
         gamma = 0.3
-        out, _ = fiem.fiem_step(m, s, memory, np.array([0]), np.array([0]), gamma)
+        out, _ = fiem.fiem_step(m, s, m.image(s), memory, np.array([0]), np.array([0]), gamma)
         expected = s + gamma * fiem.mean_field(m, s)
         assert np.linalg.norm(out - expected) <= 1e-14
 
@@ -195,13 +198,13 @@ class TestSingleSteps:
         m = toy(seed=10, n=6)
         rng = np.random.default_rng(2)
         s = rng.normal(size=m.q)
-        memory = MemoryTable.init(m, rng.normal(size=m.q))
-        memory.write(m, s, np.array([2]))
+        memory = MemoryTable.init(m, m.image(rng.normal(size=m.q)))
+        memory.write(m, m.image(s), np.array([2]))
         memory.refresh()
         directions = []
         for j in range(m.n):
             directions.append(
-                m.stat_rows(s, np.array([j]))[0] - s + memory.mean - memory.rows[j]
+                m.stat_rows(m.image(s), np.array([j]))[0] - s + memory.mean - memory.rows[j]
             )
         np.testing.assert_allclose(
             np.mean(directions, axis=0), fiem.mean_field(m, s), rtol=1e-12, atol=1e-13
@@ -213,7 +216,7 @@ def enumerate_lambda_quadratic(model, s, memory):
     the control-variate coefficient: returns (a, b, c) with var(lam) =
     a lam^2 + 2 b lam + c, enumerated over the oracle index."""
     n = model.n
-    rows = model.stat_rows(s, np.arange(n))
+    rows = model.stat_rows(model.image(s), np.arange(n))
     u = rows - rows.mean(axis=0)                 # oracle deviation
     v = memory.mean - memory.rows                # control variate values
     a = float(np.einsum("nq,nq->", v, v)) / n
@@ -228,14 +231,14 @@ class TestOptimalLambda:
         s = np.zeros(m.q)
         memory = MemoryTable(np.tile(np.ones(m.q), (m.n, 1)))
         # a constant memory has no variance: the coefficient falls back to 1
-        assert fiem.opt_fiem_lambda(m, s, memory) == 1.0
+        assert fiem.opt_fiem_lambda(m, m.image(s), memory) == 1.0
 
     def test_perfectly_tracking_memory_gives_one(self):
         m = toy(seed=12, n=7)
         rng = np.random.default_rng(3)
         s = rng.normal(size=m.q)
-        memory = MemoryTable(m.stat_rows(s, np.arange(m.n)))
-        lam = fiem.opt_fiem_lambda(m, s, memory)
+        memory = MemoryTable(m.stat_rows(m.image(s), np.arange(m.n)))
+        lam = fiem.opt_fiem_lambda(m, m.image(s), memory)
         assert abs(lam - 1.0) < 1e-10
 
     def test_vertex_of_enumerated_quadratic(self):
@@ -243,10 +246,10 @@ class TestOptimalLambda:
         for seed in range(5):
             m = toy(seed=seed, n=6)
             s = rng.normal(size=m.q)
-            memory = MemoryTable.init(m, rng.normal(size=m.q))
-            memory.write(m, s, np.array([seed % m.n]))
+            memory = MemoryTable.init(m, m.image(rng.normal(size=m.q)))
+            memory.write(m, m.image(s), np.array([seed % m.n]))
             memory.refresh()
-            lam = fiem.opt_fiem_lambda(m, s, memory)
+            lam = fiem.opt_fiem_lambda(m, m.image(s), memory)
             a, b, _ = enumerate_lambda_quadratic(m, s, memory)
             assert abs(lam - (-b / a)) < 1e-10
 
@@ -254,9 +257,9 @@ class TestOptimalLambda:
         rng = np.random.default_rng(5)
         m = toy(seed=13, n=6)
         s = rng.normal(size=m.q)
-        memory = MemoryTable.init(m, rng.normal(size=m.q))
+        memory = MemoryTable.init(m, m.image(rng.normal(size=m.q)))
         memory.refresh()
-        lam = fiem.opt_fiem_lambda(m, s, memory)
+        lam = fiem.opt_fiem_lambda(m, m.image(s), memory)
         a, b, c = enumerate_lambda_quadratic(m, s, memory)
         var = lambda l: a * l * l + 2.0 * b * l + c
         for other in (0.0, 1.0, lam - 0.1, lam + 0.1):
@@ -268,10 +271,10 @@ class TestOptimalLambda:
         rng = np.random.default_rng(6)
         m = toy(seed=14, n=6)
         s = rng.normal(size=m.q)
-        memory = MemoryTable.init(m, rng.normal(size=m.q))
-        memory.write(m, s, np.array([1]))
+        memory = MemoryTable.init(m, m.image(rng.normal(size=m.q)))
+        memory.write(m, m.image(s), np.array([1]))
         memory.refresh()
-        lam = fiem.opt_fiem_lambda(m, s, memory)
+        lam = fiem.opt_fiem_lambda(m, m.image(s), memory)
         a, b, c = enumerate_lambda_quadratic(m, s, memory)
         var_opt = a * lam * lam + 2.0 * b * lam + c
         corr_sq = b * b / (a * c)
@@ -284,15 +287,16 @@ class TestOptimalLambda:
         gamma = 0.2
         bi, bj = np.array([3]), np.array([5])
 
-        mem1 = MemoryTable.init(m, s)
-        out_online = fiem.online_em_step(m, s, bj, gamma)
-        out_l0, _, lam0 = fiem.opt_fiem_step(m, s, mem1, bi, bj, gamma, forced_lambda=0.0)
+        image = m.image(s)
+        mem1 = MemoryTable.init(m, image)
+        out_online = fiem.online_em_step(m, s, image, bj, gamma)
+        out_l0, _, lam0 = fiem.opt_fiem_step(m, s, image, mem1, bi, bj, gamma, forced_lambda=0.0)
         assert lam0 == 0.0 and np.array_equal(out_online, out_l0)
 
-        mem2 = MemoryTable.init(m, s)
-        mem3 = MemoryTable.init(m, s)
-        out_fiem, _ = fiem.fiem_step(m, s, mem2, bi, bj, gamma)
-        out_l1, _, lam1 = fiem.opt_fiem_step(m, s, mem3, bi, bj, gamma, forced_lambda=1.0)
+        mem2 = MemoryTable.init(m, image)
+        mem3 = MemoryTable.init(m, image)
+        out_fiem, _ = fiem.fiem_step(m, s, image, mem2, bi, bj, gamma)
+        out_l1, _, lam1 = fiem.opt_fiem_step(m, s, image, mem3, bi, bj, gamma, forced_lambda=1.0)
         assert lam1 == 1.0 and np.array_equal(out_fiem, out_l1)
 
 
@@ -340,7 +344,7 @@ class TestRun:
         d = fiem.run("fiem", m, sched, TerminationRule.uniform(k_max), 0, opts(m))
         s = np.zeros(m.q)
         for _ in range(k_max):
-            s = s + gamma * (m.stat_mean(s) - s)
+            s = s + gamma * (m.stat_mean(m.image(s)) - s)
         assert np.linalg.norm(d.s_final - s) <= 1e-14 * max(1.0, np.linalg.norm(s))
 
     def test_run_trajectory_matches_manual_steps(self):
@@ -355,11 +359,11 @@ class TestRun:
         rng_i = tree.stream("indices-I")
         rng_j = tree.stream("indices-J")
         s = np.zeros(m.q)
-        memory = MemoryTable.init(m, s)
+        memory = MemoryTable.init(m, m.image(s))
         for _ in range(k_max):
             bi = draw_batch(rng_i, m.n, 1, replace=True)
             bj = draw_batch(rng_j, m.n, 1, replace=True)
-            s, memory = fiem.fiem_step(m, s, memory, bi, bj, gamma)
+            s, memory = fiem.fiem_step(m, s, m.image(s), memory, bi, bj, gamma)
         assert np.array_equal(d.s_final, s)
 
     def test_lambda_recorded_for_opt_fiem(self):
@@ -434,6 +438,35 @@ class TestIndexStreams:
             assert j_draws["online-em"] == j_draws["fiem"]
 
 
+class CountingMatrix(np.ndarray):
+    """A matrix that counts the products it is the left operand of."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountingMatrix.products += 1
+        return np.asarray(self) @ other
+
+
+class TestEvaluationCounts:
+    @pytest.mark.parametrize("algorithm", ["fiem", "opt-fiem"])
+    def test_toy_path_forms_pi2_s_once_per_iteration(self, algorithm):
+        # the memory write, the oracle batch, the lambda pass and the
+        # diagnostics all read one image Pi2 s per visited state
+        m = toy(seed=22, n=9)
+        k_max = 30
+        sched = StepSchedule.constant(0.2, k_max)
+        plain = fiem.run(algorithm, m, sched, TerminationRule.uniform(k_max), 4,
+                         opts(m, compute_e2=True))
+        m.pi2 = m.pi2.view(CountingMatrix)
+        CountingMatrix.products = 0
+        counted = fiem.run(algorithm, m, sched, TerminationRule.uniform(k_max), 4,
+                           opts(m, compute_e2=True))
+        assert CountingMatrix.products == k_max
+        assert counted.s_final.tobytes() == plain.s_final.tobytes()
+        assert counted.h_sq.tobytes() == plain.h_sq.tobytes()
+
+
 class TestErrorPaths:
     def test_domain_policy_warn_counts_violations(self):
         from fiem.errors import DomainError
@@ -499,9 +532,9 @@ class TestErrorPaths:
         class Counting(fiem.ToyModel):
             calls = 0
 
-            def stat_rows(self, s, indices):
+            def stat_rows(self, image, indices):
                 Counting.calls += 1
-                return super().stat_rows(s, indices)
+                return super().stat_rows(image, indices)
 
         m = toy(seed=1, n=20)
         m.__class__ = Counting

@@ -428,6 +428,14 @@ NAMES_THE_FLAG = {
     "plan-weights-outside-nonuniform": ("--weights", "nonuniform"),
     "plan-weights-outside-nonuniform-config": ("--weights", "nonuniform"),
     "plan-epsilon-outside-auto": ("--epsilon", "auto"),
+    "toy-plan-not-json": ("--plan", "not-json.json"),
+    "toy-plan-not-json-config": ("--plan", "not-json.json"),
+    "toy-missing-plan": ("--plan", "nope.json"),
+    "plan-mu-under-karimi": ("--mu", "case1, case2, auto"),
+    "plan-mu-under-nonuniform": ("--mu", "case1, case2, auto"),
+    "plan-mu-under-karimi-config": ("--mu", "case1, case2, auto"),
+    "plan-lambda-under-karimi": ("--lambda", "nonuniform"),
+    "plan-lambda-under-karimi-config": ("--lambda", "nonuniform"),
 }
 
 
@@ -493,6 +501,14 @@ NAMES_THE_FLAG = {
     ["plan", "--config", "weights.json", "--n", "100", "--kmax", "10"] + PLAN_FLAGS,
     ["plan", "--strategy", "case2", "--epsilon", "0.3", "--n", "100", "--kmax", "10"]
     + PLAN_FLAGS,
+    TOY_SMALL + ["--config", "plan-not-json.json"],
+    ["plan", "--strategy", "karimi", "--mu", "0.9", "--n", "100", "--kmax", "10"] + PLAN_FLAGS,
+    ["plan", "--strategy", "nonuniform", "--weights", "half.txt", "--mu", "0.9", "--n", "100",
+     "--kmax", "2"] + PLAN_FLAGS,
+    ["plan", "--config", "karimi-mu.json", "--n", "100", "--kmax", "10"] + PLAN_FLAGS,
+    ["plan", "--strategy", "karimi", "--lambda", "0.3", "--n", "100", "--kmax", "10"]
+    + PLAN_FLAGS,
+    ["plan", "--config", "karimi-lambda.json", "--n", "100", "--kmax", "10"] + PLAN_FLAGS,
 ], ids=["gmm-batch-not-dividing-n", "gmm-short-synthetic", "gmm-non-numeric-synthetic",
         "gmm-kswitch-past-last-epoch", "gmm-zero-batch", "gmm-missing-data", "gmm-zero-components",
         "toy-missing-plan", "toy-plan-not-json", "toy-plan-without-gamma",
@@ -510,7 +526,9 @@ NAMES_THE_FLAG = {
         "plan-empty-out", "toy-plan-boolean-gamma",
         "check-scale-outside-theorem1", "check-scale-outside-theorem1-config",
         "plan-weights-outside-nonuniform", "plan-weights-outside-nonuniform-config",
-        "plan-epsilon-outside-auto"])
+        "plan-epsilon-outside-auto", "toy-plan-not-json-config", "plan-mu-under-karimi",
+        "plan-mu-under-nonuniform", "plan-mu-under-karimi-config", "plan-lambda-under-karimi",
+        "plan-lambda-under-karimi-config"])
 def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, request, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "not-json.json").write_text("{not json")
@@ -524,6 +542,10 @@ def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, req
     (tmp_path / "nan-weight.txt").write_text("0.5\nnan\n")
     (tmp_path / "zero-threads.json").write_text(json.dumps({"suite": "identities", "threads": 0}))
     (tmp_path / "repeated-algos.json").write_text(json.dumps({"algos": "online-em,fiem,online-em"}))
+    (tmp_path / "plan-not-json.json").write_text(json.dumps({"plan": "not-json.json"}))
+    (tmp_path / "half.txt").write_text("0.5\n0.5\n")
+    (tmp_path / "karimi-mu.json").write_text(json.dumps({"strategy": "karimi", "mu": 0.9}))
+    (tmp_path / "karimi-lambda.json").write_text(json.dumps({"strategy": "karimi", "lambda": 0.3}))
     np.savetxt(tmp_path / "data.csv", np.arange(24.0).reshape(6, 4) % 5, delimiter=",")
     (tmp_path / "synthetic-preprocess.json").write_text(
         json.dumps({"synthetic": "0,100,2,3,3.0", "preprocess": 2}))

@@ -375,9 +375,9 @@ class TestGmmTable:
     def test_repeated_path_has_zero_spread(self):
         ds, _ = fiem.generate_gmm_synthetic(5, n=100, g=2, p=2, separation=2.0)
         model = fiem.GmmModel(ds, 2)
-        theta0 = fiem.init_params(ds, 2, 0)
-        a = fiem.gmm_epoch_path(model, "online-em", theta0, 5e-3, 25, 4, seed=11)
-        b = fiem.gmm_epoch_path(model, "online-em", theta0, 5e-3, 25, 4, seed=11)
+        s0 = model.initial_statistic(fiem.init_params(ds, 2, 0))
+        a = fiem.gmm_epoch_path(model, "online-em", s0, 5e-3, 25, 4, seed=11)
+        b = fiem.gmm_epoch_path(model, "online-em", s0, 5e-3, 25, 4, seed=11)
         stacked = np.stack([a.loglik, b.loglik])
         assert np.all(stacked.std(axis=0) == 0.0)
 
@@ -399,10 +399,10 @@ class TestHybridEpochPath:
     def setup_method(self):
         ds, _ = fiem.generate_gmm_synthetic(23, n=120, g=3, p=3, separation=3.0)
         self.model = fiem.GmmModel(ds, 3)
-        self.theta0 = fiem.init_params(ds, 3, 5)
+        self.s0 = self.model.initial_statistic(fiem.init_params(ds, 3, 5))
 
     def path(self, algorithm, epochs, kswitch=0, batch_size=10):
-        return fiem.gmm_epoch_path(self.model, algorithm, self.theta0, 5e-2, batch_size,
+        return fiem.gmm_epoch_path(self.model, algorithm, self.s0, 5e-2, batch_size,
                                    epochs, seed=5, kswitch=kswitch)
 
     def assert_same_path(self, a, b):

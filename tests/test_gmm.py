@@ -7,6 +7,7 @@ import fiem
 from fiem.algorithms import MemoryTable
 from fiem.errors import ConfigurationError, DomainError
 from fiem.gmm import (
+    ROW_BLOCK,
     GmmDataset,
     GmmModel,
     GmmParams,
@@ -91,7 +92,8 @@ def random_mixture(seed, b, p, g):
 
 
 class TestDensityKernelBits:
-    """The column-major density kernel rounds exactly as the row-major form.
+    """The one-einsum density kernel rounds exactly as the per-component
+    row-major form.
 
     A numpy whose einsum sums the quadratic form in another order fails here.
     """
@@ -99,19 +101,27 @@ class TestDensityKernelBits:
     @given(b=st.integers(1, 300), p=st.integers(1, 24), g=st.integers(1, 12),
            seed=st.integers(0, 2**32 - 1))
     @example(b=2, p=2, g=3, seed=0)
+    @example(b=1, p=2, g=3, seed=0)
     def test_matches_the_row_major_form(self, b, p, g, seed):
         params, y = random_mixture(seed, b, p, g)
         got = log_weighted_densities(params, y)
         assert got.flags.c_contiguous
-        # at b = p = 2 alone numpy sums the row-major operand's 2x2 block as
-        # (t00 + t01) + (t10 + t11); the column-major one keeps the
-        # sequential p-major order there, as at every other shape
-        reference = (sequential_log_weighted_densities if (b, p) == (2, 2)
+        # at p = 2 and b <= 2 numpy sums the row-major operand's 2x2 block as
+        # (t00 + t01) + (t10 + t11); the kernel keeps the sequential p-major
+        # order there, as at every other shape
+        reference = (sequential_log_weighted_densities if p == 2 and b <= 2
                      else row_major_log_weighted_densities)
         assert got.tobytes() == reference(params, y).tobytes()
 
+    def test_a_lone_last_block_rounds_as_in_a_longer_batch(self):
+        # the last block holds one row, which the kernel evaluates as two
+        params, y = random_mixture(1, ROW_BLOCK + 1, 2, 3)
+        reference = row_major_log_weighted_densities(params, y)
+        assert log_weighted_densities(params, y).tobytes() == reference.tobytes()
+
     def test_matches_the_row_major_form_at_gmm_fit_scale(self):
-        # 20,000 rows run einsum through more than one 8192-element buffer
+        # 20,000 rows span ten row blocks and run einsum through more than
+        # one 8192-element buffer
         dataset, _ = generate_gmm_synthetic(0, 20000, 5, 10, 3.0)
         params = init_params(dataset, 5, 0)
         assert not np.array_equal(params._precision, params._precision.T)
@@ -120,20 +130,13 @@ class TestDensityKernelBits:
         reference = row_major_log_weighted_densities(params, dataset.observations)
         assert got.tobytes() == reference.tobytes()
 
-    @given(b=st.integers(1, 300), p=st.integers(1, 24).filter(lambda p: p != 2),
-           g=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    @given(b=st.integers(1, 300), p=st.integers(1, 24), g=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    @example(b=50, p=2, g=3, seed=0)
     def test_rows_do_not_depend_on_their_batch(self, b, p, g, seed):
         params, y = random_mixture(seed, b, p, g)
         rows = posterior_rows(params, y)
         for i in range(b):
-            assert rows[i].tobytes() == posterior_rows(params, y[i : i + 1])[0].tobytes()
-
-    @pytest.mark.xfail(strict=True, reason="at p = 2 numpy sums a single row's 2x2 block as "
-                       "(t00 + t01) + (t10 + t11) and longer batches sequentially")
-    def test_rows_do_not_depend_on_their_batch_at_p_2(self):
-        params, y = random_mixture(0, 50, 2, 3)
-        rows = posterior_rows(params, y)
-        for i in range(50):
             assert rows[i].tobytes() == posterior_rows(params, y[i : i + 1])[0].tobytes()
 
 
@@ -236,14 +239,48 @@ class TestKroneckerStructure:
         np.testing.assert_allclose(model.sbar(theta), ref / 20, atol=1e-12)
 
 
+class TestEvaluationCounts:
+    """A path evaluates T(s) once per visited state and shares each n-row
+    density pass among the full-data consumers of its state."""
+
+    @pytest.mark.parametrize("algorithm,gamma,kswitch", [
+        ("em", 1.0, 0), ("iem", 1.0, 0), ("online-em", 5e-2, 0), ("fiem", 5e-2, 0),
+        ("h-fiem", 5e-2, 2),
+    ])
+    def test_one_tmap_per_state_and_shared_density_passes(self, monkeypatch, algorithm,
+                                                          gamma, kswitch):
+        model, _ = synthetic(seed=16, n=120)
+        s0 = model.initial_statistic(init_params(model.dataset, 3, 4))
+        epochs = 4
+        tmaps, passes = [], []
+
+        def counting_tmap(s, sigma_star, g):
+            tmaps.append(1)
+            return gmm_tmap(s, sigma_star, g)
+
+        def counting_densities(params, y_rows):
+            passes.append(y_rows.shape[0] == model.n)
+            return log_weighted_densities(params, y_rows)
+
+        monkeypatch.setattr(fiem.gmm, "gmm_tmap", counting_tmap)
+        monkeypatch.setattr(fiem.gmm, "log_weighted_densities", counting_densities)
+        path = fiem.gmm_epoch_path(model, algorithm, s0, gamma, 10, epochs, seed=2,
+                                   kswitch=kswitch)
+        # S^0 .. S^K, each once: the epoch ends and the final parameter
+        # read the images the path evaluated
+        assert len(tmaps) == path.iterations + 1
+        assert sum(passes) <= epochs + 2
+        assert path.weights.shape == (epochs + 1, 3) and path.loglik.shape == (epochs,)
+
+
 class TestMiniBatchSteps:
     def test_full_batch_unit_step_iem_is_em_epoch(self):
         model, _ = synthetic(seed=9, n=60)
         theta0 = init_params(model.dataset, 3, 5)
         s = model.initial_statistic(theta0)
-        memory = MemoryTable.init(model, s)
+        memory = MemoryTable.init(model, model.image(s))
         out, _ = gmm_iem_step(model, s, memory, np.arange(model.n), 1.0)
-        np.testing.assert_allclose(out, model.stat_mean(s), atol=1e-12)
+        np.testing.assert_allclose(out, model.stat_mean(model.image(s)), atol=1e-12)
 
     def test_online_mass_preserved_along_path(self):
         model, _ = synthetic(seed=10, n=120)
@@ -258,7 +295,7 @@ class TestMiniBatchSteps:
     def test_fiem_mass_preserved_and_monitored(self):
         model, _ = synthetic(seed=11, n=120)
         s = model.initial_statistic(init_params(model.dataset, 3, 2))
-        memory = MemoryTable.init(model, s)
+        memory = MemoryTable.init(model, model.image(s))
         rng = np.random.default_rng(2)
         violations = 0
         for _ in range(200):
@@ -271,16 +308,16 @@ class TestMiniBatchSteps:
 
     def test_epoch_accounting(self):
         model, _ = synthetic(seed=12, n=200)
-        theta0 = init_params(model.dataset, 3, 8)
-        em = fiem.gmm_epoch_path(model, "em", theta0, 1.0, 50, 3, seed=0)
+        s0 = model.initial_statistic(init_params(model.dataset, 3, 8))
+        em = fiem.gmm_epoch_path(model, "em", s0, 1.0, 50, 3, seed=0)
         assert em.iterations == 3 and em.examples_processed == 3 * 200
-        iem = fiem.gmm_epoch_path(model, "iem", theta0, 1.0, 50, 3, seed=0)
+        iem = fiem.gmm_epoch_path(model, "iem", s0, 1.0, 50, 3, seed=0)
         assert iem.iterations == 3 * 4 and iem.examples_processed == 3 * 200
-        onl = fiem.gmm_epoch_path(model, "online-em", theta0, 5e-2, 50, 3, seed=0)
+        onl = fiem.gmm_epoch_path(model, "online-em", s0, 5e-2, 50, 3, seed=0)
         assert onl.iterations == 3 * 4 and onl.examples_processed == 3 * 200
-        fm = fiem.gmm_epoch_path(model, "fiem", theta0, 5e-2, 50, 3, seed=0)
+        fm = fiem.gmm_epoch_path(model, "fiem", s0, 5e-2, 50, 3, seed=0)
         assert fm.iterations == 3 * 2 and fm.examples_processed == 3 * 200
-        hyb = fiem.gmm_epoch_path(model, "h-fiem", theta0, 5e-2, 50, 4, seed=0, kswitch=1)
+        hyb = fiem.gmm_epoch_path(model, "h-fiem", s0, 5e-2, 50, 4, seed=0, kswitch=1)
         assert hyb.iterations == 4 + 3 * 2 and hyb.examples_processed == 4 * 200
 
     @pytest.mark.parametrize("algorithm,gamma,batch", [("online-em", 5e-2, 20), ("fiem", 5e-2, 10)])
@@ -288,14 +325,13 @@ class TestMiniBatchSteps:
         # one epoch of the mixture path draws exactly the batches of run()
         # under the same seed (Online EM at b > 1 draws without replacement)
         model, _ = synthetic(seed=15, n=200)
-        theta0 = init_params(model.dataset, 3, 3)
-        path = fiem.gmm_epoch_path(model, algorithm, theta0, gamma, batch, 1, seed=7)
+        s0 = model.initial_statistic(init_params(model.dataset, 3, 3))
+        path = fiem.gmm_epoch_path(model, algorithm, s0, gamma, batch, 1, seed=7)
         k_max = path.iterations
         diag = fiem.run(
             algorithm, model, fiem.StepSchedule.constant(gamma, k_max),
             fiem.TerminationRule.uniform(k_max), 7,
-            fiem.RunOptions(s0=model.initial_statistic(theta0), batch_size=batch,
-                            compute_h=False),
+            fiem.RunOptions(s0=s0, batch_size=batch, compute_h=False),
         )
         final = model.tmap(diag.s_final)
         np.testing.assert_array_equal(path.final_params.weights, final.weights)
@@ -304,8 +340,8 @@ class TestMiniBatchSteps:
 
     def test_em_monotone_loglik(self):
         model, _ = synthetic(seed=13, n=250)
-        path = fiem.gmm_epoch_path(model, "em", init_params(model.dataset, 3, 9),
-                                   1.0, 50, 40, seed=0)
+        path = fiem.gmm_epoch_path(model, "em", model.initial_statistic(
+            init_params(model.dataset, 3, 9)), 1.0, 50, 40, seed=0)
         assert np.all(np.diff(path.loglik) >= -1e-9)
 
     def test_hybrid_reduces_weight_variability(self):
@@ -315,10 +351,9 @@ class TestMiniBatchSteps:
         model = GmmModel(ds, 3)
         hyb_spread, onl_spread = [], []
         for r in range(3):
-            theta0 = init_params(ds, 3, 100 + r)
-            hyb = fiem.gmm_epoch_path(model, "h-fiem", theta0, 5e-3, 50, 100,
-                                      seed=r, kswitch=6)
-            onl = fiem.gmm_epoch_path(model, "online-em", theta0, 5e-3, 50, 100, seed=r)
+            s0 = model.initial_statistic(init_params(ds, 3, 100 + r))
+            hyb = fiem.gmm_epoch_path(model, "h-fiem", s0, 5e-3, 50, 100, seed=r, kswitch=6)
+            onl = fiem.gmm_epoch_path(model, "online-em", s0, 5e-3, 50, 100, seed=r)
             window = slice(51, 101)  # well after the switch
             hyb_spread.append(hyb.weights[window].std(axis=0).mean())
             onl_spread.append(onl.weights[window].std(axis=0).mean())
@@ -406,7 +441,7 @@ class TestSynthetic:
         )
         s = model.initial_statistic(start)
         for _ in range(50):
-            s = model.stat_mean(s)
+            s = model.stat_mean(model.image(s))
         fitted = model.tmap(s)
         err = np.abs(np.sort(fitted.weights) - np.sort(truth.weights)).max()
         assert err < 0.05

@@ -37,7 +37,7 @@ class TestSbar:
     def test_single_example_mean_is_the_example(self):
         m = toy(n=1)
         s = np.array([0.3, -1.0, 2.0])
-        assert np.array_equal(m.stat_mean(s), m.stat_rows(s, [0])[0])
+        assert np.array_equal(m.stat_mean(m.image(s)), m.stat_rows(m.image(s), [0])[0])
 
     def test_matches_direct_resummation(self):
         # oracle: rebuild Pi1/gram and T from raw solves and average the five
@@ -50,7 +50,7 @@ class TestSbar:
         gram = m.x_mat.T @ inner @ m.x_mat
         theta = np.linalg.solve(m.upsilon * np.eye(m.q) + m.x_mat.T @ m.x_mat, s)
         rows = np.stack([pi1 @ m.y_obs[i] + gram @ theta for i in range(5)])
-        np.testing.assert_allclose(m.stat_mean(s), rows.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(m.stat_mean(m.image(s)), rows.mean(axis=0), rtol=1e-12)
 
     def test_gmm_symmetric_components(self):
         y = np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]])
@@ -73,7 +73,7 @@ class TestMeanField:
         for _ in range(20):
             s = rng.normal(size=m.q)
             h = fiem.mean_field(m, s)
-            np.testing.assert_allclose(h, m.stat_mean(s) - s, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(h, m.stat_mean(m.image(s)) - s, rtol=0, atol=1e-14)
             oracle = m.p1ybar + m.pi2 @ s - s
             np.testing.assert_allclose(h, oracle, rtol=1e-12, atol=1e-14)
 
@@ -91,7 +91,7 @@ class TestMeanField:
         for _ in range(50):
             s = rng.normal(size=m.q)
             h = fiem.mean_field(m, s)
-            step = m.stat_mean(s)
+            step = m.stat_mean(m.image(s))
             assert (np.linalg.norm(h) == 0.0) == np.array_equal(step, s)
 
     def test_domain_error_names_condition(self):
