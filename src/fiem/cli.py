@@ -312,7 +312,7 @@ def cmd_gmm(args, parser) -> int:
         counts,
     )
     _json_dump(
-        {alg: plist[0].final_params.to_dict() for alg, plist in paths.items()},
+        {alg: plist[0].params[-1].to_dict() for alg, plist in paths.items()},
         os.path.join(outdir, "fitted_params.json"),
     )
     return EXIT_OK
@@ -376,6 +376,8 @@ def _check_theorem1(seed: int, scale: str | None, workers: int) -> list[tuple[st
     report = verify_theorem1(model, schedule, np.zeros(model.q), replicas, seed,
                              workers=workers)
     msg = f"lhs={report.lhs:.4e} deltaV={report.rhs:.4e} margin={report.margin_sigmas:.1f} sigma"
+    if report.vacuous:
+        msg = f"vacuous: {report.vacuous}; {msg}"
     return [("master inequality within 3 sigma", report.holds, msg)]
 
 

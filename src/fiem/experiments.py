@@ -222,21 +222,35 @@ def estimate_e(diags: Sequence[RunDiagnostics], v_max: Optional[float] = None) -
 
 @dataclass
 class BoundReport:
-    """One verified bound: estimated criterion against its certified value."""
+    """One verified bound: estimated criterion against its certified value.
+
+    ``vacuous`` says why the comparison certifies nothing (a non-positive
+    alpha_k or mean DeltaV, under which any lhs can pass); such a bound does
+    not hold."""
 
     strategy: str
     lhs: float
     rhs: float
     margin_sigmas: float
+    vacuous: Optional[str] = None
 
     @property
     def holds(self) -> bool:
-        return self.margin_sigmas >= -3.0 or self.lhs <= self.rhs
+        return self.vacuous is None and (self.margin_sigmas >= -3.0 or self.lhs <= self.rhs)
 
     @classmethod
-    def paired(cls, strategy: str, lhs: Array, rhs: Array) -> "BoundReport":
-        """Means of the per-replica sides and their paired margin."""
-        return cls(strategy, float(lhs.mean()), float(rhs.mean()), paired_margin(lhs, rhs))
+    def paired(cls, strategy: str, lhs: Array, rhs: Array, delta_v: Array,
+               alphas: Optional[Array] = None) -> "BoundReport":
+        """Means of the per-replica sides and their paired margin, vacuous
+        when the mean of the per-replica ``delta_v`` or some of ``alphas``
+        is not positive."""
+        reasons = []
+        if alphas is not None and not alphas.min() > 0.0:
+            reasons.append(f"min alpha_k={alphas.min():.3e} <= 0")
+        if not delta_v.mean() > 0.0:
+            reasons.append(f"mean deltaV={delta_v.mean():.3e} <= 0")
+        return cls(strategy, float(lhs.mean()), float(rhs.mean()), paired_margin(lhs, rhs),
+                   "; ".join(reasons) or None)
 
 
 def paired_margin(lhs_values: Array, rhs_values: Array) -> float:
@@ -262,9 +276,11 @@ def verify_bound(diags: Sequence[RunDiagnostics], model: FiniteSumModel,
 
     ``coefficient`` is the bound without its DeltaV factor (for the constant
     step strategies, n^a K_max^-b times the bound constant); DeltaV is
-    estimated from the same runs by :func:`_delta_v`."""
+    estimated from the same runs by :func:`_delta_v`, and the check is vacuous
+    when its mean is not positive."""
     lhs = np.array([d.h_sq[d.terminal_k] for d in diags])
-    return BoundReport.paired(strategy, lhs, coefficient * _delta_v(model, diags))
+    delta_v = _delta_v(model, diags)
+    return BoundReport.paired(strategy, lhs, coefficient * delta_v, delta_v)
 
 
 def verify_theorem1(
@@ -280,7 +296,9 @@ def verify_theorem1(
 
     LHS = sum_k alpha_k E||h(S^k)||^2 + sum_k delta_k E||cv gap||^2 against
     rhs = DeltaV = E V(S^0) - E V(S^Kmax); the margin is reported in per-replica
-    paired standard errors (infinite when deterministic, e.g. n = 1).  Raises
+    paired standard errors (infinite when deterministic, e.g. n = 1).  The
+    check is vacuous, and does not hold, when some alpha_k <= 0 or the mean
+    DeltaV is not positive: a diverging path then passes it.  Raises
     :class:`RunAbortError` (naming the first aborted replica) when any
     replica aborted, since the survivors alone would bias both sides.
     """
@@ -304,7 +322,8 @@ def verify_theorem1(
     table.raise_on_abort()
     diags = table.runs["fiem"]
     lhs = np.array([coeffs.alphas @ d.h_sq + coeffs.deltas @ d.cv_gap_sq for d in diags])
-    return BoundReport.paired("theorem1", lhs, _delta_v(model, diags))
+    delta_v = _delta_v(model, diags)
+    return BoundReport.paired("theorem1", lhs, delta_v, delta_v, coeffs.alphas)
 
 
 # -- GMM epoch experiments --------------------------------------------------
@@ -325,32 +344,35 @@ def _epoch_phases(algorithm: str, n: int, batch_size: int, epochs: int, kswitch:
     An epoch is one EM iteration, n/b iEM or Online EM iterations, or n/(2b)
     FIEM iterations (two batches each), so n must be divisible by the examples
     of one iteration.  h-FIEM runs ``kswitch`` Online EM epochs, then FIEM
-    epochs, and needs n divisible by 2b.
+    epochs, and needs n divisible by 2b.  Each error message states the
+    values that do not fit.
     """
+    if algorithm not in GMM_ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
     b = int(batch_size)
     if b < 1:
-        raise ValueError("need batch_size >= 1")
+        raise ValueError(f"batch {b} is below 1")
     if epochs < 1:
-        raise ValueError("need epochs >= 1")
+        raise ValueError(f"epochs={epochs} is below 1")
     per_iteration = _EXAMPLES_PER_ITERATION[algorithm](n, b)
     if n % per_iteration:
-        raise ValueError(f"epoch accounting for {algorithm} requires n={n} divisible by "
-                         f"{per_iteration}")
+        examples = f"batch {b}" if per_iteration == b else f"2*batch={per_iteration}"
+        raise ValueError(f"{examples} does not divide n={n} for {algorithm}")
     if algorithm != "h-fiem":
         return [(algorithm, n // per_iteration)] * epochs
     if not (0 <= kswitch <= epochs):
-        raise ValueError("need 0 <= kswitch <= epochs")
+        raise ValueError(f"kswitch={kswitch} is outside 0..epochs={epochs}")
     return [("online-em", n // b)] * kswitch + [("fiem", n // (2 * b))] * (epochs - kswitch)
 
 
 @dataclass
 class GmmPath:
-    loglik: Array            # per epoch, entry e = after epoch e+1
+    loglik: Array            # one per TABLE_EPOCHS entry <= epochs, in that order
     weights: Array           # (epochs + 1, g), entry 0 = initial
+    params: list             # T(S) at the end of each epoch
     violations: int
     examples_processed: int
     iterations: int
-    final_params: object = None
 
 
 def gmm_epoch_path(
@@ -369,14 +391,15 @@ def gmm_epoch_path(
 
     h-FIEM runs ``kswitch`` Online EM epochs then FIEM epochs, with the
     memory table initialized at the switch point from the current state.
-    Every epoch is one :func:`~fiem.algorithms.sa_path` phase, and the
-    log-likelihood and weights are recorded at its end from the image that
-    the path evaluated for that state, so T(s) is evaluated once per visited
-    state.  iEM asserts the domain proxies (a violation aborts the path);
-    the other algorithms count violations.
+    Every epoch is one :func:`~fiem.algorithms.sa_path` phase.  At its end
+    the path keeps T(S) and the weights of every epoch, and the normalized
+    log-likelihood only at the table epochs (:data:`TABLE_EPOCHS`), each
+    read from the image that the path evaluated for that state: T(s) is
+    evaluated once per visited state, and the n-row density pass of a table
+    epoch also serves the next EM step or a memory init there.  iEM asserts
+    the domain proxies (a violation aborts the path); the other algorithms
+    count violations.
     """
-    if algorithm not in GMM_ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
     phases = _epoch_phases(algorithm, model.n, batch_size, epochs, kswitch)
     schedule = StepSchedule.constant(gamma, sum(iters for _, iters in phases))
 
@@ -385,8 +408,9 @@ def gmm_epoch_path(
     loglik, thetas = [], []
 
     def record(s, image):
-        loglik.append(image.loglik())
         thetas.append(image.theta)
+        if len(thetas) in TABLE_EPOCHS:
+            loglik.append(image.loglik())
 
     opts = RunOptions(s0=s0, batch_size=int(batch_size), compute_h=False,
                       domain_policy="abort" if algorithm == "iem" else "warn")
@@ -394,15 +418,19 @@ def gmm_epoch_path(
     return GmmPath(
         loglik=np.array(loglik),
         weights=np.array([masses / masses.sum()] + [theta.weights for theta in thetas]),
+        params=thetas,
         violations=diag.violations,
         examples_processed=epochs * model.n,
         iterations=len(schedule),
-        final_params=thetas[-1],
     )
 
 
 @dataclass
 class GmmExperimentConfig:
+    """R replicas of each mixture algorithm; the epoch accounting and the
+    step size of every requested algorithm are checked here, before any path
+    runs."""
+
     model: GmmModel
     algorithms: Sequence[str]
     gamma: float
@@ -416,6 +444,12 @@ class GmmExperimentConfig:
     def __post_init__(self):
         if self.replicas < 1:
             raise ValueError("need replicas >= 1")
+        for alg in self.algorithms:
+            _epoch_phases(alg, self.model.n, self.batch_size, self.epochs, self.kswitch)
+            StepSchedule.constant(self.gamma_for(alg), 1)
+
+    def gamma_for(self, algorithm: str) -> float:
+        return IEM_GAMMA if algorithm == "iem" else self.gamma
 
 
 def _gmm_replica_job(args):
@@ -423,7 +457,7 @@ def _gmm_replica_job(args):
     child = SeedTree(config.seed).child(r)
     s0 = config.model.initial_statistic(init_params(config.model.dataset, config.model.g, child))
     return r, _outcomes(config.algorithms, lambda alg: gmm_epoch_path(
-        config.model, alg, s0, IEM_GAMMA if alg == "iem" else config.gamma,
+        config.model, alg, s0, config.gamma_for(alg),
         config.batch_size, config.epochs, child, kswitch=config.kswitch))
 
 
@@ -441,9 +475,8 @@ def table_report(config: GmmExperimentConfig) -> tuple[list[dict], dict[str, lis
     for alg in config.algorithms:
         if not paths[alg]:
             continue
-        stacked = np.stack([p.loglik for p in paths[alg]])  # (R, epochs)
-        for e in epochs:
-            col = stacked[:, e - 1]
+        stacked = np.stack([p.loglik for p in paths[alg]])  # (R, table epochs)
+        for e, col in zip(epochs, stacked.T):
             rows.append({
                 "algorithm": alg,
                 "epoch": int(e),

@@ -178,8 +178,8 @@ class GmmImage:
 
     A path forms one image per visited state and drops it after the
     iteration, so one n-row pass serves every full-data consumer of that
-    state: the epoch-end log-likelihood, the EM step and a memory table
-    initialized there."""
+    state: a table epoch's log-likelihood, the EM step and a memory table
+    initialized there.  A state that none of them reads makes no pass."""
 
     theta: GmmParams
     observations: Array

@@ -320,7 +320,8 @@ def test_gmm_criteria():
     s0 = model.initial_statistic(fiem.init_params(ds, 3, 1))
 
     em = fiem.gmm_epoch_path(model, "em", s0, 1.0, 100, 100, seed=0)
-    monotone_ok = bool(np.all(np.diff(em.loglik) >= -1e-9))
+    curve = [fiem.gmm_loglik(theta, ds) for theta in em.params]
+    monotone_ok = len(curve) == 100 and bool(np.all(np.diff(curve) >= -1e-9))
 
     small, _ = fiem.generate_gmm_synthetic(1, n=20, g=3, p=5, separation=2.0)
     small_model = fiem.GmmModel(small, 3)

@@ -369,6 +369,17 @@ class TestCheck:
         assert main(["check", "--config", str(cfg)]) == 0
         assert seen == [workers]
 
+    def test_vacuous_theorem1_fails_with_its_reason(self, monkeypatch, capsys):
+        def report(*args, workers):
+            return BoundReport(strategy="theorem1", lhs=-2.9, rhs=0.18, margin_sigmas=152.8,
+                               vacuous="min alpha_k=-9.819e+00 <= 0")
+
+        monkeypatch.setattr(fiem.cli, "verify_theorem1", report)
+        assert main(["check", "--suite", "theorem1", "--threads", "1"]) == 1
+        assert capsys.readouterr().out == (
+            "[FAIL] master inequality within 3 sigma (vacuous: min alpha_k=-9.819e+00 <= 0; "
+            "lhs=-2.9000e+00 deltaV=1.8000e-01 margin=152.8 sigma)\n")
+
     def test_prop2_aborted_replica_exits_3(self, monkeypatch, capsys):
         # E0 and E1 from the surviving replicas alone would be biased
         real = fiem.cli.run_replicated
@@ -392,6 +403,10 @@ TOY_SMALL = ["toy", "--n", "10", "--kmax", "20", "--replicas", "2", "--threads",
 
 # what the message of a bad flag value must say, beyond exit 2 and one line
 NAMES_THE_FLAG = {
+    "gmm-batch-not-dividing-n": ("batch 30 does not divide n=100 for online-em",),
+    "gmm-kswitch-past-last-epoch": ("kswitch=5 is outside 0..epochs=2",),
+    "gmm-default-kswitch-past-epochs": ("kswitch=6 is outside 0..epochs=3",),
+    "gmm-zero-batch": ("batch 0 is below 1",),
     "gmm-short-synthetic": ("--synthetic", "seed,n,g,p,separation", "'0,100'"),
     "gmm-non-numeric-synthetic": ("--synthetic", "seed,n,g,p,separation"),
     "toy-plan-wrong-length": ("--plan", "2 step sizes", "K_max is 20"),
@@ -444,6 +459,7 @@ NAMES_THE_FLAG = {
     ["gmm", "--synthetic", "0,100"],
     ["gmm", "--synthetic", "a,b,c,d,e"],
     GMM_SMALL + ["--batch", "10", "--algos", "h-fiem", "--kswitch", "5", "--epochs", "2"],
+    GMM_SMALL + ["--batch", "10", "--epochs", "3"],
     GMM_SMALL + ["--batch", "0", "--algos", "online-em", "--epochs", "1"],
     ["gmm", "--data", "nope.csv"],
     GMM_SMALL + ["--batch", "10", "--algos", "em", "--epochs", "1", "--g", "0"],
@@ -510,7 +526,8 @@ NAMES_THE_FLAG = {
     + PLAN_FLAGS,
     ["plan", "--config", "karimi-lambda.json", "--n", "100", "--kmax", "10"] + PLAN_FLAGS,
 ], ids=["gmm-batch-not-dividing-n", "gmm-short-synthetic", "gmm-non-numeric-synthetic",
-        "gmm-kswitch-past-last-epoch", "gmm-zero-batch", "gmm-missing-data", "gmm-zero-components",
+        "gmm-kswitch-past-last-epoch", "gmm-default-kswitch-past-epochs", "gmm-zero-batch",
+        "gmm-missing-data", "gmm-zero-components",
         "toy-missing-plan", "toy-plan-not-json", "toy-plan-without-gamma",
         "toy-plan-not-an-object", "toy-plan-wrong-length", "toy-n-1", "toy-zero-replicas",
         "toy-unknown-algorithm",
@@ -554,9 +571,13 @@ def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, req
     np.savetxt(tmp_path / "nan-data.csv", data, delimiter=",")
     data[3, 1], data[99, 2] = 0.0, np.inf
     np.savetxt(tmp_path / "inf-data.csv", data, delimiter=",")
+    # flag values that do not fit together are rejected before any path runs
+    paths = []
+    monkeypatch.setattr(fiem.experiments, "gmm_epoch_path", lambda *a, **k: paths.append(a))
     # check writes to standard output and has no --out
     out = [] if argv[0] == "check" else ["--out", "out"]
     assert exit_code(argv + out) == 2
+    assert paths == []
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     for part in NAMES_THE_FLAG.get(request.node.callspec.id, ()):

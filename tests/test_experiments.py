@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,22 @@ class TestTheorem1Verification:
         assert not np.isnan(fine.margin_sigmas)
         assert fine.holds
 
+    @pytest.mark.parametrize("factor, min_alpha", [(5.0, "-9.819e+00"), (20.0, "-1.739e+11")])
+    def test_oversized_steps_are_vacuous(self, factor, min_alpha):
+        # at the desk setting, 5 and 20 times the planned step turn some
+        # alpha_k negative: the lhs drops below DeltaV without certifying
+        # anything, so the check must not pass
+        m = toy(seed=0, n=10)
+        plan = fiem.plan_case1(
+            fiem.PlannerInputs.from_constants(m.constants(), n=m.n, k_max=50))
+        planned = verify_theorem1(m, plan.schedule, np.zeros(m.q), replicas=200, seed=0)
+        assert planned.vacuous is None and planned.holds
+        report = verify_theorem1(m, StepSchedule(factor * plan.schedule.gammas),
+                                 np.zeros(m.q), replicas=200, seed=0)
+        assert report.lhs < 0.0 < report.rhs and report.margin_sigmas > 3.0
+        assert report.vacuous == f"min alpha_k={min_alpha} <= 0"
+        assert not report.holds
+
     def test_aborted_replica_is_an_error(self):
         m = toy(seed=10, n=6)
         with pytest.raises(fiem.RunAbortError) as err, np.errstate(all="ignore"):
@@ -263,7 +281,20 @@ class TestBoundVerification:
             fiem.PlannerInputs.from_constants(m.constants(), n=m.n, k_max=k_max))
         report = verify_theorem1(m, plan.schedule, np.zeros(m.q), replicas=100,
                                  seed=2, betas=np.full(k_max, 0.1))
-        assert report.holds
+        assert report.margin_sigmas >= -3.0 or report.lhs <= report.rhs
+        # a negative h-weight makes the comparison vacuous, so it is no pass
+        assert report.vacuous.startswith("min alpha_k=-")
+        assert not report.holds
+
+    def test_bound_with_no_descent_is_vacuous(self):
+        m = toy(seed=13, n=20, dims=(5, 4, 4))
+        table = run_replicated(config(m, k_max=20, replicas=4))
+        # every path ends where it started: DeltaV = 0 certifies nothing
+        diags = [dataclasses.replace(d, terminal_k=d.k_max - 1, s_final=d.s0)
+                 for d in table.runs["fiem"]]
+        report = verify_bound(diags, m, 1.0, "case1")
+        assert report.vacuous == "mean deltaV=0.000e+00 <= 0"
+        assert not report.holds
 
 
 class TestRatioCurves:
@@ -378,7 +409,9 @@ class TestGmmTable:
         s0 = model.initial_statistic(fiem.init_params(ds, 2, 0))
         a = fiem.gmm_epoch_path(model, "online-em", s0, 5e-3, 25, 4, seed=11)
         b = fiem.gmm_epoch_path(model, "online-em", s0, 5e-3, 25, 4, seed=11)
-        stacked = np.stack([a.loglik, b.loglik])
+        stacked = np.array([[fiem.gmm_loglik(theta, ds) for theta in path.params]
+                            for path in (a, b)])
+        assert stacked.shape == (2, 4)
         assert np.all(stacked.std(axis=0) == 0.0)
 
     def test_incremental_methods_lead_after_first_epoch(self):
@@ -408,8 +441,13 @@ class TestHybridEpochPath:
     def assert_same_path(self, a, b):
         assert np.array_equal(a.loglik, b.loglik)
         assert np.array_equal(a.weights, b.weights)
-        for field in ("weights", "means", "cov"):
-            assert np.array_equal(getattr(a.final_params, field), getattr(b.final_params, field))
+        assert len(a.params) == len(b.params)
+        for pa, pb in zip(a.params, b.params):
+            for field in ("weights", "means", "cov"):
+                assert np.array_equal(getattr(pa, field), getattr(pb, field))
+        curves = [[fiem.gmm_loglik(theta, self.model.dataset) for theta in path.params]
+                  for path in (a, b)]
+        assert np.array_equal(*curves)
         assert (a.iterations, a.examples_processed) == (b.iterations, b.examples_processed)
 
     def test_zero_switch_is_pure_fiem(self):

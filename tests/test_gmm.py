@@ -270,7 +270,38 @@ class TestEvaluationCounts:
         # read the images the path evaluated
         assert len(tmaps) == path.iterations + 1
         assert sum(passes) <= epochs + 2
-        assert path.weights.shape == (epochs + 1, 3) and path.loglik.shape == (epochs,)
+        # T(S) at every epoch end, the log-likelihood at table epoch 1 only
+        assert path.weights.shape == (epochs + 1, 3) and len(path.params) == epochs
+        assert path.loglik.shape == (1,)
+
+    @pytest.mark.parametrize("algorithm,gamma,kswitch,expected", [
+        ("em", 1.0, 0, 16), ("iem", 1.0, 0, 3), ("online-em", 5e-3, 0, 2),
+        ("fiem", 5e-2, 0, 3), ("h-fiem", 5e-2, 2, 3),
+    ])
+    def test_loglik_passes_only_at_table_epochs(self, monkeypatch, algorithm, gamma, kswitch,
+                                                expected):
+        # 16 epochs reach the table epochs 1 and 15: n-row passes are one per
+        # table epoch, plus EM's steps and the memory init at S^0 (iEM,
+        # FIEM) or at the switch (h-FIEM); a table epoch's pass also serves
+        # the EM step or memory init of the same state
+        model, _ = synthetic(seed=16, n=120)
+        s0 = model.initial_statistic(init_params(model.dataset, 3, 4))
+        tmaps, passes = [], []
+
+        def counting_tmap(s, sigma_star, g):
+            tmaps.append(1)
+            return gmm_tmap(s, sigma_star, g)
+
+        def counting_densities(params, y_rows):
+            passes.append(y_rows.shape[0] == model.n)
+            return log_weighted_densities(params, y_rows)
+
+        monkeypatch.setattr(fiem.gmm, "gmm_tmap", counting_tmap)
+        monkeypatch.setattr(fiem.gmm, "log_weighted_densities", counting_densities)
+        path = fiem.gmm_epoch_path(model, algorithm, s0, gamma, 10, 16, seed=2, kswitch=kswitch)
+        assert len(tmaps) == path.iterations + 1
+        assert sum(passes) == expected
+        assert path.loglik.shape == (2,) and len(path.params) == 16
 
 
 class TestMiniBatchSteps:
@@ -334,15 +365,16 @@ class TestMiniBatchSteps:
             fiem.RunOptions(s0=s0, batch_size=batch, compute_h=False),
         )
         final = model.tmap(diag.s_final)
-        np.testing.assert_array_equal(path.final_params.weights, final.weights)
-        np.testing.assert_array_equal(path.final_params.means, final.means)
-        np.testing.assert_array_equal(path.final_params.cov, final.cov)
+        np.testing.assert_array_equal(path.params[-1].weights, final.weights)
+        np.testing.assert_array_equal(path.params[-1].means, final.means)
+        np.testing.assert_array_equal(path.params[-1].cov, final.cov)
 
     def test_em_monotone_loglik(self):
         model, _ = synthetic(seed=13, n=250)
         path = fiem.gmm_epoch_path(model, "em", model.initial_statistic(
             init_params(model.dataset, 3, 9)), 1.0, 50, 40, seed=0)
-        assert np.all(np.diff(path.loglik) >= -1e-9)
+        curve = [gmm_loglik(theta, model.dataset) for theta in path.params]
+        assert len(curve) == 40 and np.all(np.diff(curve) >= -1e-9)
 
     def test_hybrid_reduces_weight_variability(self):
         # matched replicas: per-epoch std of the weight trajectories after the

@@ -249,7 +249,7 @@ def test_settings_are_pinned():
         "RunDiagnostics": ["terminal_k", "s0", "s_final", "step_sq", "h_sq", "cv_gap_sq",
                            "vdot_sq", "lambdas", "theta_err", "violations"],
         "ResultTable": ["aggregates", "runs", "checkpoints", "aborted"],
-        "BoundReport": ["strategy", "lhs", "rhs", "margin_sigmas"],
+        "BoundReport": ["strategy", "lhs", "rhs", "margin_sigmas", "vacuous"],
     }
     params = {fn.__name__: list(inspect.signature(fn).parameters) for fn in (
         fiem.generate_toy, verify_theorem1, solve_c_case1, bound_case1)}
