@@ -110,14 +110,25 @@ class MemoryTable:
 
     def write(self, model: FiniteSumModel, image, batch) -> None:
         """Replace the rows of ``batch`` (duplicates collapse) by sbar_i(T(s)),
-        read from the state's image, and update the running mean incrementally."""
+        read from the state's image, and update the running mean incrementally.
+
+        A single index reads and assigns its row as a view; the sum of the
+        changes over a one-row batch is that row's change, bit for bit."""
         batch = np.asarray(batch)
-        uniq = batch if batch.size == 1 else np.unique(batch)
-        new = model.stat_rows(image, uniq)
-        delta = np.add.reduce(new - self.rows[uniq], axis=0)
-        self.rows[uniq] = new
+        if batch.size == 1:
+            i = batch[0]
+            new = model.stat_rows(image, batch)[0]
+            delta = new - self.rows[i]
+            self.rows[i] = new
+            written = 1
+        else:
+            uniq = np.unique(batch)
+            new = model.stat_rows(image, uniq)
+            delta = np.add.reduce(new - self.rows[uniq], axis=0)
+            self.rows[uniq] = new
+            written = uniq.size
         self.mean = self.mean + delta / self.n
-        self._updates += uniq.size
+        self._updates += written
         if self._updates >= self.n:
             self.refresh()
 
@@ -191,12 +202,15 @@ def _cv_update(
     lam: float,
 ) -> Array:
     # SA update with a control variate scaled by lam; lam=0 reproduces the
-    # plain oracle step bit-for-bit (the CV term is skipped, not multiplied).
+    # plain oracle step bit-for-bit (the CV term is skipped, not multiplied),
+    # and lam=1 adds the CV term unscaled, which 1.0 * x leaves unchanged.
+    # A single oracle index reads its memory row as a view.
     rows_j = model.stat_rows(image, batch_j)
     direction = row_mean(rows_j) - s
     if lam != 0.0:
-        mem_j = row_mean(memory.rows[batch_j])
-        direction = direction + lam * (memory.mean - mem_j)
+        mem_j = memory.rows[batch_j[0]] if len(batch_j) == 1 else row_mean(memory.rows[batch_j])
+        cv = memory.mean - mem_j
+        direction = direction + (cv if lam == 1.0 else lam * cv)
     return s + gamma * direction
 
 

@@ -99,15 +99,19 @@ def _path(text: str) -> str:
     return text
 
 
-def _process_count(text: str) -> int:
-    """The ``--threads`` value: a whole number of processes, at least one."""
-    try:
-        count = int(text)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"expects a whole number of at least 1, got {text!r}")
-    return count
+def _whole_number(minimum: int):
+    """The type of a size flag: a whole number of at least ``minimum``.  The
+    planners need n >= 2 examples; iterations, replicas and processes >= 1."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expects a whole number of at least {minimum}, got {text!r}")
+        return value
+    return parse
 
 
 def _report_aborts(aborted) -> bool:
@@ -440,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="solve a step-size plan and emit it as JSON")
     p.add_argument("--config", type=_path, help="JSON config file whose keys are the long flags")
-    p.add_argument("--n", type=int)
-    p.add_argument("--kmax", type=int)
+    p.add_argument("--n", type=_whole_number(2))
+    p.add_argument("--kmax", type=_whole_number(1))
     p.add_argument("--vmin", type=float)
     p.add_argument("--L", type=float)
     p.add_argument("--Lv", type=float)
@@ -458,14 +462,14 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("toy", help="replicated runs on the linear-Gaussian benchmark")
     t.add_argument("--config", type=_path)
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--n", type=int)
-    t.add_argument("--kmax", type=int)
+    t.add_argument("--n", type=_whole_number(2))
+    t.add_argument("--kmax", type=_whole_number(1))
     t.add_argument("--algos", type=_algorithm_list(ALGORITHMS), default="online-em,fiem,opt-fiem")
     t.add_argument("--plan", type=_path, help="step-size plan JSON from the plan subcommand")
-    t.add_argument("--replicas", type=int)
+    t.add_argument("--replicas", type=_whole_number(1))
     t.add_argument("--out", type=_path, default="toy-out")
     t.add_argument("--preset", choices=sorted(TOY_PRESETS))
-    t.add_argument("--threads", type=_process_count, default=threads)
+    t.add_argument("--threads", type=_whole_number(1), default=threads)
 
     g = sub.add_parser("gmm", help="Gaussian-mixture fits with epoch tables")
     g.add_argument("--config", type=_path)
@@ -483,14 +487,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", type=_path, default="gmm-out")
     g.add_argument("--preset", choices=["paper"])
-    g.add_argument("--threads", type=_process_count, default=threads)
+    g.add_argument("--threads", type=_whole_number(1), default=threads)
 
     c = sub.add_parser("check", help="verification suites")
     c.add_argument("--config", type=_path)
     c.add_argument("--suite", choices=["theorem1", "prop2", "identities"], default="identities")
     c.add_argument("--scale", choices=["desk", "paper"], help="theorem1 only (default: desk)")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--threads", type=_process_count, default=threads)
+    c.add_argument("--threads", type=_whole_number(1), default=threads)
     parser.commands = sub.choices
     return parser
 

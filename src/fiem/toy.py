@@ -119,7 +119,8 @@ class ToyModel(FiniteSumModel):
         return self.pi2 @ s
 
     def stat_rows(self, image: Array, indices) -> Array:
-        return self.p1y[np.asarray(indices)] + image
+        # take is the same gather as fancy indexing at about half the fixed cost
+        return self.p1y.take(indices, axis=0) + image
 
     def stat_rows_into(self, image: Array, out: Array) -> None:
         np.add(self.p1y, image, out=out)

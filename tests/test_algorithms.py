@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 from unittest import mock
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import fiem
 from fiem.algorithms import MemoryTable, StepSchedule, TerminationRule, draw_batch, row_mean
 from fiem.errors import MemoryStateError, RunAbortError
+from fiem.experiments import ExperimentConfig, run_replicated
 from fiem.rng import STREAM_INDICES_I, STREAM_INDICES_J, SeedTree
 
 
@@ -120,6 +122,73 @@ class TestBitwiseFastPaths:
             assert rows.tobytes() == m.stat_rows(m.image(s), np.arange(m.n)).tobytes()
             assert diff.tobytes() == (memory.mean - memory.rows).tobytes()
             assert all(a is b for a, b in zip((rows, diff), memory.scratch()))
+
+    @staticmethod
+    def model_and_states(kind):
+        if kind == "toy":
+            m = toy(seed=3, n=40)
+            return m, [np.random.default_rng(i).normal(size=m.q) for i in range(60)]
+        ds, _ = fiem.generate_gmm_synthetic(2, n=60, g=3, p=3, separation=3.0)
+        m = fiem.GmmModel(ds, 3)
+        states = [m.initial_statistic(fiem.init_params(ds, 3, 1))]
+        for _ in range(7):
+            states.append(m.stat_mean(m.image(states[-1])))
+        return m, states
+
+    @pytest.mark.parametrize("kind", ["toy", "gmm"])
+    def test_single_index_write_is_the_collapsed_duplicate_write(self, kind):
+        # [i, i] goes through np.unique, the fancy gather and scatter and the
+        # reduce; [i] through the row view.  Enough writes to cross a refresh.
+        m, states = self.model_and_states(kind)
+        single = MemoryTable.init(m, m.image(states[0]))
+        doubled = MemoryTable.init(m, m.image(states[0]))
+        rng = np.random.default_rng(5)
+        for k in range(2 * m.n + 3):
+            image = m.image(states[k % len(states)])
+            i = int(rng.integers(0, m.n))
+            single.write(m, image, np.array([i]))
+            doubled.write(m, image, np.array([i, i]))
+            assert single.rows.tobytes() == doubled.rows.tobytes()
+            assert single.mean.tobytes() == doubled.mean.tobytes()
+
+    @pytest.mark.parametrize("lam", [1.0, 0.37])
+    def test_control_variate_update_is_the_explicit_sum(self, lam):
+        m, states = self.model_and_states("toy")
+        memory = MemoryTable.init(m, m.image(states[0]))
+        rng = np.random.default_rng(9)
+        for s in states[1:]:
+            image = m.image(s)
+            memory.write(m, image, rng.integers(0, m.n, size=1))
+            j = rng.integers(0, m.n, size=1)
+            row_j = m.p1y[j[0]] + image
+            mem_j = memory.rows[j][0]
+            want = s + 0.03 * ((row_j - s) + lam * (memory.mean - mem_j))
+            got = fiem.algorithms._cv_update(m, s, image, memory, j, 0.03, lam)
+            assert got.tobytes() == want.tobytes()
+
+    def test_unit_coefficient_skips_an_exact_multiply(self):
+        # the lam=1 branch adds the CV term unscaled: x + 1.0 * y and x + y
+        # agree bytewise on signed zeros, infinities, NaN and subnormals
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1.5, 2.0**1000])
+        x, y = np.meshgrid(special, special)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert (x + 1.0 * y).tobytes() == (x + y).tobytes()
+
+    @pytest.mark.parametrize("indices", [[4], [2, 7, 2], list(range(40))],
+                             ids=["b1", "b3-duplicates", "all-rows"])
+    def test_toy_rows_take_is_the_fancy_gather(self, indices):
+        m, states = self.model_and_states("toy")
+        image = m.image(states[1])
+        got = m.stat_rows(image, np.array(indices))
+        assert got.tobytes() == (m.p1y[np.asarray(indices)] + image).tobytes()
+
+    def test_the_mean_never_aliases_a_row_at_n_1(self):
+        m = toy(seed=1, n=1)
+        memory = MemoryTable.init(m, m.image(np.ones(m.q)))
+        assert not np.shares_memory(memory.mean, memory.rows)
+        memory.write(m, m.image(np.full(m.q, 2.0)), np.array([0]))
+        assert not np.shares_memory(memory.mean, memory.rows)
+        assert memory.mean.tobytes() == memory.rows[0].tobytes()
 
 
 class TestSingleSteps:
@@ -556,3 +625,62 @@ class TestErrorPaths:
         assert isinstance(err, RunAbortError)
         assert (err.iteration, err.condition) == (91, "non-finite update")
         assert str(err) == "iteration 91: non-finite update"
+
+
+_PINNED_FIELDS = ("s_final", "h_sq", "cv_gap_sq", "step_sq", "vdot_sq", "lambdas", "theta_err")
+
+
+def diagnostics_digest(runs):
+    """sha256 over every recorded array and the termination index of each run,
+    in the given order; a missing diagnostic hashes as a fixed marker."""
+    digest = hashlib.sha256()
+    for diag in runs:
+        for field in _PINNED_FIELDS:
+            value = getattr(diag, field)
+            digest.update(b"-" if value is None else np.ascontiguousarray(value).tobytes())
+        digest.update(str(diag.terminal_k).encode())
+    return digest.hexdigest()
+
+
+def case1_schedule(model, k_max):
+    inputs = fiem.PlannerInputs.from_constants(model.constants(), n=model.n, k_max=k_max)
+    return fiem.plan_case1(inputs).schedule
+
+
+class TestFullPrecisionPins:
+    """Every diagnostic bit of the b = 1 and b = 3 paths, in replica order.
+
+    The verdict pins print 4 significant digits, so a last-bit change in a
+    step passes them; these digests do not.  They were recorded under the
+    OpenBLAS SkylakeX kernels (see ROADMAP item 5: other kernels change the
+    model arrays and the diagnostic dot products)."""
+
+    def test_theorem1_desk_replicas(self):
+        model = fiem.generate_toy(0, 10, dims=(4, 3, 3))
+        schedule = case1_schedule(model, 50)
+        table = run_replicated(ExperimentConfig(
+            model=model, algorithms=("fiem",), schedule=schedule,
+            termination=TerminationRule.uniform(50),
+            options=fiem.RunOptions(s0=np.zeros(model.q), compute_e2=True),
+            replicas=200, seed=0))
+        assert len(table.runs["fiem"]) == 200
+        assert diagnostics_digest(table.runs["fiem"]) == (
+            "997e4e4200e0fd892fdbefb68b228b91d01d782a173151b28e33bd23c004777b")
+
+    @pytest.mark.parametrize("b, expected", [
+        (1, "6f8d7ff94eda8c3d7641b9611e1a0f09aa38be18c3d8e54242c4763878720ed5"),
+        (3, "08937bfd42fde008a1fe96bd033c6f6520fd5ce1a305c34942df8aacd8fe1732"),
+    ])
+    def test_every_algorithm_at_b(self, b, expected):
+        model = fiem.generate_toy(0, 30, dims=(6, 4, 5))
+        schedule = case1_schedule(model, 50)
+        algorithms = ("online-em", "iem", "fiem", "opt-fiem")
+        table = run_replicated(ExperimentConfig(
+            model=model, algorithms=algorithms, schedule=schedule,
+            termination=TerminationRule.uniform(50),
+            options=fiem.RunOptions(s0=np.zeros(model.q), batch_size=b, compute_e0=True,
+                                    compute_e2=True, theta_ref=model.theta_star),
+            replicas=4, seed=1))
+        runs = [d for alg in algorithms for d in table.runs[alg]]
+        assert len(runs) == 16
+        assert diagnostics_digest(runs) == expected

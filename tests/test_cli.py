@@ -451,6 +451,12 @@ NAMES_THE_FLAG = {
     "plan-mu-under-karimi-config": ("--mu", "case1, case2, auto"),
     "plan-lambda-under-karimi": ("--lambda", "nonuniform"),
     "plan-lambda-under-karimi-config": ("--lambda", "nonuniform"),
+    "toy-n-1": ("--n", "at least 2", "'1'"),
+    "toy-zero-n": ("--n", "at least 2", "'0'"),
+    "toy-zero-kmax": ("--kmax", "at least 1", "'0'"),
+    "toy-zero-replicas": ("--replicas", "at least 1", "'0'"),
+    "plan-n-1": ("--n", "at least 2", "'1'"),
+    "plan-zero-kmax": ("--kmax", "at least 1", "'0'"),
 }
 
 
@@ -525,6 +531,10 @@ NAMES_THE_FLAG = {
     ["plan", "--strategy", "karimi", "--lambda", "0.3", "--n", "100", "--kmax", "10"]
     + PLAN_FLAGS,
     ["plan", "--config", "karimi-lambda.json", "--n", "100", "--kmax", "10"] + PLAN_FLAGS,
+    ["toy", "--n", "0", "--threads", "1"],
+    ["toy", "--n", "10", "--kmax", "0", "--threads", "1"],
+    ["plan", "--n", "1", "--kmax", "10"] + PLAN_FLAGS,
+    ["plan", "--n", "100", "--kmax", "0"] + PLAN_FLAGS,
 ], ids=["gmm-batch-not-dividing-n", "gmm-short-synthetic", "gmm-non-numeric-synthetic",
         "gmm-kswitch-past-last-epoch", "gmm-default-kswitch-past-epochs", "gmm-zero-batch",
         "gmm-missing-data", "gmm-zero-components",
@@ -545,7 +555,8 @@ NAMES_THE_FLAG = {
         "plan-weights-outside-nonuniform", "plan-weights-outside-nonuniform-config",
         "plan-epsilon-outside-auto", "toy-plan-not-json-config", "plan-mu-under-karimi",
         "plan-mu-under-nonuniform", "plan-mu-under-karimi-config", "plan-lambda-under-karimi",
-        "plan-lambda-under-karimi-config"])
+        "plan-lambda-under-karimi-config", "toy-zero-n", "toy-zero-kmax", "plan-n-1",
+        "plan-zero-kmax"])
 def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, request, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "not-json.json").write_text("{not json")
