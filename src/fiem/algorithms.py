@@ -5,7 +5,8 @@ stochastic-approximation loop: it walks a list of (algorithm, iterations)
 phases on one state with per-iteration diagnostics under the shared-seed
 protocol (dedicated substreams for the memory-update draws "indices-I" and
 the oracle draws "indices-J").  :func:`run` is a single phase with a random
-termination index.
+termination index.  :func:`fiem_replicas` runs FIEM at one example per draw
+for many replicas at once, bit for bit as :func:`run` on each.
 """
 from __future__ import annotations
 
@@ -28,6 +29,8 @@ ALGORITHMS = ("em", "iem", "online-em", "fiem", "opt-fiem")
 MEMORY_ALGORITHMS = ("iem", "fiem", "opt-fiem")
 
 Array = np.ndarray
+
+_DIVERGED = "non-finite update ||S^{k+1} - S^k||^2 (diverged)"
 
 
 @dataclass
@@ -440,7 +443,7 @@ def sa_path(
                                 raise RunAbortError(k, str(exc)) from exc
                             violations += 1
                     if not isfinite(sq):
-                        raise RunAbortError(k, "non-finite update ||S^{k+1} - S^k||^2 (diverged)")
+                        raise RunAbortError(k, _DIVERGED)
                     s = s_new
                     k += 1
                     if k < k_max or on_phase_end is not None:
@@ -489,3 +492,122 @@ def run(
     diag.terminal_k = terminal_k
     return diag
 
+
+def _matvecs(mat: Array, vecs: Array) -> Array:
+    """``mat @ v`` for every row v of ``vecs``: the stacked matmul calls the
+    one-state gemv once per row (a gemm or einsum rounds differently)."""
+    return np.matmul(mat, vecs[..., None])[..., 0]
+
+
+def _sq_norms(vecs: Array) -> Array:
+    """``v @ v`` for every row v of ``vecs``, through the one-state dot."""
+    return np.matmul(vecs[..., None, :], vecs[..., None])[..., 0, 0]
+
+
+@dataclass
+class ReplicaBlock:
+    """Replicas run together by :func:`fiem_replicas`, one row per replica.
+
+    Iterating yields, in replica order, the :class:`RunDiagnostics` of each
+    completed replica (its arrays are row views) or the (iteration,
+    condition) of its abort: the first iteration whose
+    ``||S^{k+1} - S^k||^2`` is not finite.  A block pickles as its few
+    arrays, so a pool worker sends back one message of arrays rather than
+    one object per replica."""
+
+    terminal_k: list
+    s0: Array
+    s_final: Array                   # (R, q)
+    step_sq: Array                   # (R, K_max), as are the diagnostics below
+    h_sq: Optional[Array]
+    cv_gap_sq: Optional[Array]
+    vdot_sq: Optional[Array]
+
+    def __len__(self) -> int:
+        return len(self.terminal_k)
+
+    def __iter__(self):
+        finite = np.isfinite(self.step_sq)
+        first_bad = np.argmin(finite, axis=1)
+        for r, k in enumerate(first_bad):
+            if not finite[r, k]:
+                yield int(k), _DIVERGED
+                continue
+            diagnostics = {name: None if rows is None else rows[r] for name, rows in (
+                ("h_sq", self.h_sq), ("cv_gap_sq", self.cv_gap_sq), ("vdot_sq", self.vdot_sq))}
+            yield RunDiagnostics(terminal_k=self.terminal_k[r], s0=self.s0.copy(),
+                                 s_final=self.s_final[r], step_sq=self.step_sq[r], **diagnostics)
+
+
+def fiem_replicas(
+    model: FiniteSumModel,
+    schedule: StepSchedule,
+    termination: TerminationRule,
+    trees,
+    options: RunOptions,
+) -> ReplicaBlock:
+    """FIEM at one example per draw on every seed tree of ``trees`` at once,
+    each replica bit for bit :func:`run` ("fiem", ..., tree, options).
+
+    The state is an (R, q) array and the memory an (R, n, q) array; the
+    model must accept the replica axis (``model.replica_axis``), and
+    ``options`` may not set ``theta_ref`` or ``domain_policy``.  Replica r
+    samples its termination index and draws all its "indices-I" and
+    "indices-J" indices up front from its own tree (``integers(0, n,
+    size=K)`` reads the values of K single draws).  Every product that BLAS
+    rounds is a stacked matmul, which makes the one-state gemv or dot call
+    per replica.
+    """
+    if len(termination) != len(schedule):
+        raise ValueError("termination weights must have length K_max")
+    k_max, n, replicas = len(schedule), model.n, len(trees)
+    terminal = []
+    draws_i = np.empty((replicas, k_max), dtype=np.int64)
+    draws_j = np.empty((replicas, k_max), dtype=np.int64)
+    for r, tree in enumerate(trees):
+        terminal.append(termination.sample(tree.stream(STREAM_TERMINATION)))
+        draws_i[r] = tree.stream(STREAM_INDICES_I).integers(0, n, size=k_max)
+        draws_j[r] = tree.stream(STREAM_INDICES_J).integers(0, n, size=k_max)
+
+    s0 = np.array(options.s0, dtype=float)
+    model.admissible(s0)
+    s = np.tile(s0, (replicas, 1))
+    h_sq = np.empty((replicas, k_max)) if options.compute_h else None
+    cv_sq = np.empty((replicas, k_max)) if options.compute_e2 else None
+    vdot_sq = np.empty((replicas, k_max)) if options.compute_e0 else None
+    step_sq = np.empty((replicas, k_max))
+    needs_mean = options.compute_h or options.compute_e2 or options.compute_e0
+    every = np.arange(replicas)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        image = model.image(s)
+        rows = np.empty((replicas, n, model.q))
+        model.stat_rows_into(image, rows)
+        mean = rows.mean(axis=1)
+        for k in range(k_max):
+            if needs_mean:
+                smean = model.stat_mean(image)
+            if h_sq is not None:
+                h_sq[:, k] = _sq_norms(smean - s)
+            if vdot_sq is not None:
+                vdot_sq[:, k] = _sq_norms(_matvecs(model.bmat(s), smean - s))
+            # memory write at I, refreshed from the rows every n writes
+            i, j = draws_i[:, k], draws_j[:, k]
+            new = model.stat_rows(image, i[:, None])[:, 0]
+            delta = new - rows[every, i]
+            rows[every, i] = new
+            mean = mean + delta / n
+            if (k + 1) % n == 0:
+                mean = rows.mean(axis=1)
+            # oracle at J with the unit-coefficient control variate
+            direction = model.stat_rows(image, j[:, None])[:, 0] - s
+            direction = direction + (mean - rows[every, j])
+            s_new = s + schedule.gammas[k] * direction
+            if cv_sq is not None:
+                cv_sq[:, k] = _sq_norms(mean - smean)
+            step_sq[:, k] = _sq_norms(s_new - s)
+            s = s_new
+            if k + 1 < k_max:
+                image = model.image(s)
+
+    return ReplicaBlock(terminal, s0, s, step_sq, h_sq, cv_sq, vdot_sq)

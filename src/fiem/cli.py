@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import sys
+from math import isfinite
 
 import numpy as np
 
@@ -196,9 +197,13 @@ def cmd_toy(args, parser) -> int:
     if args.plan is not None:
         doc = _read_json(args.plan, "--plan", parser)
         gamma = doc.get("gamma") if isinstance(doc, dict) else None
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                   for x in (gamma if isinstance(gamma, list) else [gamma])):
+        steps = gamma if isinstance(gamma, list) else [gamma]
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in steps):
             parser.error(f"--plan {args.plan} must hold \"gamma\": a number or a list of numbers")
+        for i, x in enumerate(steps):
+            if not (x > 0.0 and isfinite(x)):
+                where = f"gamma[{i}]" if isinstance(gamma, list) else "gamma"
+                parser.error(f"--plan {args.plan}: {where} = {x!r} is not a positive finite step size")
         if not isinstance(gamma, list):
             schedule = StepSchedule.constant(gamma, kmax)
         elif len(gamma) != kmax:

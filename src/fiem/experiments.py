@@ -20,6 +20,7 @@ from .algorithms import (
     RunOptions,
     StepSchedule,
     TerminationRule,
+    fiem_replicas,
     run,
     sa_path,
 )
@@ -101,37 +102,41 @@ _METRICS = ("h_sq", "cv_gap_sq", "step_sq", "vdot_sq", "lambdas", "theta_err")
 
 
 def _outcomes(algorithms, path) -> dict:
-    """``path(alg)`` for every algorithm of one replica; an aborted path is
-    recorded as (iteration, condition) instead of raised."""
+    """``[path(alg)]`` for every algorithm of one replica; an aborted path
+    is recorded as (iteration, condition) instead of raised."""
     out = {}
     for alg in algorithms:
         try:
-            out[alg] = path(alg)
+            out[alg] = [path(alg)]
         except RunAbortError as exc:
-            out[alg] = (exc.iteration, exc.condition)
+            out[alg] = [(exc.iteration, exc.condition)]
     return out
 
 
-def _replicate(job, config) -> tuple[dict, Aborts]:
-    """Run ``job((config, r))`` for every replica r, serially or on
-    ``config.workers`` processes, and split the outcomes in replica order (a
-    fixed reduction order) into completed results and aborts per algorithm."""
-    jobs = [(config, r) for r in range(config.replicas)]
+def _replicate(job, config, jobs=None) -> tuple[dict, Aborts]:
+    """Run ``job`` on each of ``jobs`` (by default ``(config, r)`` for every
+    replica r), serially or on ``config.workers`` processes.  A job covers a
+    contiguous range of replicas, the jobs in replica order, and returns its
+    first replica with the outcomes per algorithm, in replica order.  They
+    are split in that order (a fixed reduction order) into completed results
+    and aborts per algorithm."""
+    if jobs is None:
+        jobs = [(config, r) for r in range(config.replicas)]
     algorithms, workers = config.algorithms, config.workers
     if workers > 1:
         with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(job, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
+            parts = list(pool.map(job, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
     else:
-        results = dict(map(job, jobs))
+        parts = list(map(job, jobs))
     done = {alg: [] for alg in algorithms}
     aborted = {alg: [] for alg in algorithms}
-    for r in range(len(jobs)):
+    for first, outcomes in parts:
         for alg in algorithms:
-            item = results[r][alg]
-            if isinstance(item, tuple):
-                aborted[alg].append((r, *item))
-            else:
-                done[alg].append(item)
+            for r, item in enumerate(outcomes[alg], first):
+                if isinstance(item, tuple):
+                    aborted[alg].append((r, *item))
+                else:
+                    done[alg].append(item)
     return done, aborted
 
 
@@ -142,9 +147,47 @@ def _replica_job(args):
         alg, config.model, config.schedule, config.termination, child, config.options))
 
 
+# the memory table of one chunk of replicas on the replica axis stays below this
+_CHUNK_BYTES = 64 << 20
+
+
+def _on_replica_axis(config: ExperimentConfig) -> bool:
+    """True when :func:`fiem_replicas` covers every algorithm and option of
+    ``config``: FIEM alone at one example per draw, with no ``theta_ref``
+    or ``domain_policy``, on a model that takes the replica axis."""
+    options = config.options
+    return (tuple(config.algorithms) == ("fiem",) and options.batch_size == 1
+            and options.theta_ref is None and options.domain_policy is None
+            and config.model.replica_axis)
+
+
+def _chunks(config: ExperimentConfig) -> list[tuple]:
+    """Contiguous replica ranges: one per worker, more when a range's memory
+    table would pass :data:`_CHUNK_BYTES`."""
+    replicas, model = config.replicas, config.model
+    by_memory = -(-replicas * model.n * model.q * 8 // _CHUNK_BYTES)
+    count = min(replicas, max(config.workers, by_memory))
+    bounds = [replicas * c // count for c in range(count + 1)]
+    return [(config, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _chunk_job(args):
+    config, lo, hi = args
+    tree = SeedTree(config.seed)
+    return lo, {"fiem": fiem_replicas(config.model, config.schedule, config.termination,
+                                      [tree.child(r) for r in range(lo, hi)], config.options)}
+
+
 def run_replicated(config: ExperimentConfig) -> ResultTable:
-    """R independent replicas per algorithm under the shared-seed protocol."""
-    runs, aborted = _replicate(_replica_job, config)
+    """R independent replicas per algorithm under the shared-seed protocol.
+
+    A FIEM-only config that :func:`fiem_replicas` covers runs its replicas
+    together in contiguous chunks, bit for bit as one :func:`run` per
+    replica; every other config runs one path per (replica, algorithm)."""
+    if _on_replica_axis(config):
+        runs, aborted = _replicate(_chunk_job, config, _chunks(config))
+    else:
+        runs, aborted = _replicate(_replica_job, config)
 
     checkpoints = default_checkpoints(len(config.schedule))
     aggregates = []

@@ -72,10 +72,21 @@ class FiniteSumModel(ABC):
     the image ``image(s)`` of a state rather than the state itself, so that
     a path evaluates what they share, such as ``T(s)``, once per visited
     state.  The image is ``s`` unless the model overrides :meth:`image`.
+
+    A model with ``replica_axis`` true also takes R states at once: given
+    an (R, q) stack ``S``, ``image(S)`` is the stack of the R images,
+    ``stat_rows(image(S), indices)`` takes (R, b) ``indices``, whose row r
+    pairs with replica r, and returns (R, b, q) rows, ``stat_rows_into``
+    fills an (R, n, q) array, ``stat_mean`` returns (R, q) and ``bmat(S)``
+    is a matrix or a stack of them that ``np.matmul`` broadcasts over the
+    replicas.  Row r of each result must hold the bits that the same call
+    on replica r alone gives, and the oracles raise no :class:`DomainError`.
+    FIEM replicas then run together (:func:`fiem.algorithms.fiem_replicas`).
     """
 
     n: int
     q: int
+    replica_axis = False
 
     @abstractmethod
     def tmap(self, s: Array):

@@ -37,7 +37,10 @@ def _ar1_matrix(rng: np.random.Generator, rows: int, cols: int, rho: float) -> A
 
 
 class ToyModel(FiniteSumModel):
-    """Fully specified linear-Gaussian model; immutable after construction."""
+    """Fully specified linear-Gaussian model; immutable after construction.
+    Its oracles, ``image`` and ``bmat`` accept a leading replica axis."""
+
+    replica_axis = True
 
     def __init__(self, a_mat: Array, x_mat: Array, upsilon: float, observations: Array):
         a_mat = np.asarray(a_mat, dtype=float)
@@ -116,14 +119,17 @@ class ToyModel(FiniteSumModel):
         check_statistic(self, s)
 
     def image(self, s: Array) -> Array:
-        return self.pi2 @ s
+        if s.ndim == 1:
+            return self.pi2 @ s
+        # one gemv per state, as above; a gemm (s @ pi2.T) rounds differently
+        return np.matmul(self.pi2, s[..., None])[..., 0]
 
     def stat_rows(self, image: Array, indices) -> Array:
         # take is the same gather as fancy indexing at about half the fixed cost
-        return self.p1y.take(indices, axis=0) + image
+        return self.p1y.take(indices, axis=0) + image[..., None, :]
 
     def stat_rows_into(self, image: Array, out: Array) -> None:
-        np.add(self.p1y, image, out=out)
+        np.add(self.p1y, image[..., None, :], out=out)
 
     def stat_mean(self, image: Array) -> Array:
         return self.p1ybar + image

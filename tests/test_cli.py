@@ -410,6 +410,9 @@ NAMES_THE_FLAG = {
     "gmm-short-synthetic": ("--synthetic", "seed,n,g,p,separation", "'0,100'"),
     "gmm-non-numeric-synthetic": ("--synthetic", "seed,n,g,p,separation"),
     "toy-plan-wrong-length": ("--plan", "2 step sizes", "K_max is 20"),
+    "toy-plan-negative-gamma": ("--plan", "negative.json", "gamma = -1 "),
+    "toy-plan-nan-step": ("--plan", "nan-step.json", "gamma[1] = nan "),
+    "toy-plan-zero-step": ("--plan", "zero-step.json", "gamma[19] = 0.0 "),
     "plan-nan-vmin": ("v_min", "nan"),
     "plan-nan-weight": ("weights",),
     "gmm-zero-replicas": ("replicas",),
@@ -474,6 +477,9 @@ NAMES_THE_FLAG = {
     TOY_SMALL + ["--plan", "no-gamma.json"],
     TOY_SMALL + ["--plan", "list.json"],
     TOY_SMALL + ["--plan", "short.json"],
+    TOY_SMALL + ["--plan", "negative.json"],
+    TOY_SMALL + ["--plan", "nan-step.json"],
+    TOY_SMALL + ["--plan", "zero-step.json"],
     ["toy", "--n", "1", "--threads", "1"],
     ["toy", "--replicas", "0", "--threads", "1"],
     TOY_SMALL + ["--algos", "bogus"],
@@ -539,7 +545,8 @@ NAMES_THE_FLAG = {
         "gmm-kswitch-past-last-epoch", "gmm-default-kswitch-past-epochs", "gmm-zero-batch",
         "gmm-missing-data", "gmm-zero-components",
         "toy-missing-plan", "toy-plan-not-json", "toy-plan-without-gamma",
-        "toy-plan-not-an-object", "toy-plan-wrong-length", "toy-n-1", "toy-zero-replicas",
+        "toy-plan-not-an-object", "toy-plan-wrong-length", "toy-plan-negative-gamma",
+        "toy-plan-nan-step", "toy-plan-zero-step", "toy-n-1", "toy-zero-replicas",
         "toy-unknown-algorithm",
         "plan-nonuniform-without-weights", "plan-missing-weights", "plan-auto-without-epsilon",
         "plan-nan-vmin", "plan-nan-weight", "gmm-zero-gamma", "gmm-negative-gamma",
@@ -567,6 +574,9 @@ def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, req
     (tmp_path / "weights.json").write_text(json.dumps({"weights": "nope.txt"}))
     (tmp_path / "list.json").write_text(json.dumps([0.1, 0.1]))
     (tmp_path / "short.json").write_text(json.dumps({"gamma": [0.1, 0.1]}))
+    (tmp_path / "negative.json").write_text(json.dumps({"gamma": -1}))
+    (tmp_path / "nan-step.json").write_text(json.dumps({"gamma": [0.1, float("nan")] + [0.1] * 18}))
+    (tmp_path / "zero-step.json").write_text(json.dumps({"gamma": [0.1] * 19 + [0.0]}))
     (tmp_path / "nan-weight.txt").write_text("0.5\nnan\n")
     (tmp_path / "zero-threads.json").write_text(json.dumps({"suite": "identities", "threads": 0}))
     (tmp_path / "repeated-algos.json").write_text(json.dumps({"algos": "online-em,fiem,online-em"}))

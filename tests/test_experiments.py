@@ -1,10 +1,14 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import fiem
-from fiem.algorithms import RunOptions, StepSchedule, TerminationRule
+import fiem.algorithms
+import fiem.experiments
+from fiem.algorithms import RunOptions, StepSchedule, TerminationRule, fiem_replicas
+from fiem.errors import RunAbortError
 from fiem.experiments import (
     ExperimentConfig,
     GmmExperimentConfig,
@@ -461,3 +465,161 @@ class TestHybridEpochPath:
         self.path("online-em", 2, batch_size=40)
         with pytest.raises(ValueError):
             self.path("h-fiem", 2, kswitch=1, batch_size=40)
+
+
+# -- FIEM replicas on one (R, q) state ---------------------------------------
+
+_DIAG_FIELDS = ("s0", "s_final", "step_sq", "h_sq", "cv_gap_sq", "vdot_sq", "lambdas",
+                "theta_err", "terminal_k", "violations")
+
+
+def _bits(outcome):
+    """Every recorded field of a run as bytes, or an abort as it is."""
+    if isinstance(outcome, tuple):
+        return outcome
+    return tuple(np.asarray(v).tobytes() if isinstance(v, np.ndarray) else v
+                 for v in (getattr(outcome, f) for f in _DIAG_FIELDS))
+
+
+def _per_path(model, schedule, termination, seed, replicas, options):
+    """One :func:`fiem.run` per replica on ``SeedTree(seed).child(r)``; an
+    abort kept as (iteration, condition)."""
+    out = []
+    for r in range(replicas):
+        try:
+            out.append(fiem.run("fiem", model, schedule, termination,
+                                SeedTree(seed).child(r), options))
+        except RunAbortError as exc:
+            out.append((exc.iteration, exc.condition))
+    return [_bits(o) for o in out]
+
+
+def _table_bits(table):
+    """The outcomes of a FIEM table in replica order, as :func:`_bits`."""
+    aborted = {r: (k, condition) for r, k, condition in table.aborted["fiem"]}
+    done = iter(table.runs["fiem"])
+    return [aborted[r] if r in aborted else _bits(next(done))
+            for r in range(len(aborted) + len(table.runs["fiem"]))]
+
+
+# the diagnostics switched on, each on and off across the n values
+_DIAGNOSTICS = [dict(compute_h=True, compute_e0=True, compute_e2=True),
+                dict(compute_h=False, compute_e0=False, compute_e2=False),
+                dict(compute_h=True, compute_e0=False, compute_e2=False),
+                dict(compute_h=False, compute_e0=True, compute_e2=True)]
+
+
+class TestReplicaAxis:
+    @pytest.mark.parametrize("dims", [(4, 3, 3), (6, 4, 5), (15, 10, 20)])
+    @pytest.mark.parametrize("n, diagnostics", zip([1, 2, 10, 30], _DIAGNOSTICS))
+    def test_engine_is_run_bit_for_bit(self, dims, n, diagnostics):
+        # K crosses four memory refreshes; R == q catches a pi2 @ S that
+        # silently forms the wrong product
+        m = fiem.generate_toy(3, n, dims=dims)
+        k_max = 4 * n + 3
+        schedule = StepSchedule(np.linspace(0.05, 0.4, k_max))
+        termination = TerminationRule.uniform(k_max)
+        s0 = np.random.default_rng(n).standard_normal(m.q)
+        options = RunOptions(s0=s0, **diagnostics)
+        expected = _per_path(m, schedule, termination, 7, 200, options)
+        for replicas in (1, m.q, 200):
+            trees = [SeedTree(7).child(r) for r in range(replicas)]
+            block = fiem_replicas(m, schedule, termination, trees, options)
+            assert len(block) == replicas
+            assert [_bits(o) for o in block] == expected[:replicas]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunks_inside_r_keep_every_bit(self, workers, monkeypatch):
+        # a memory cap of three replicas cuts R = 8 into three chunks
+        m = toy(seed=4, n=10)
+        monkeypatch.setattr(fiem.experiments, "_CHUNK_BYTES", 3 * m.n * m.q * 8)
+        cfg = config(m, k_max=35, replicas=8, seed=2, workers=workers,
+                     compute_e0=True, compute_e2=True)
+        assert [job[1:] for job in fiem.experiments._chunks(cfg)] == [(0, 2), (2, 5), (5, 8)]
+        table = run_replicated(cfg)
+        assert _table_bits(table) == _per_path(m, cfg.schedule, cfg.termination, 2, 8,
+                                               cfg.options)
+        monkeypatch.setattr(fiem.experiments, "_CHUNK_BYTES", 64 << 20)
+        assert table.aggregates == run_replicated(dataclasses.replace(cfg, workers=1)).aggregates
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("gamma, k_max, mixed", [(50.0, 200, False), (5.0, 273, True)])
+    def test_aborts_match_the_scalar_engine(self, workers, gamma, k_max, mixed):
+        # at gamma = 5 some replicas overflow at iteration 272 and the rest
+        # complete their 273 iterations; at 50 all overflow at iteration 93
+        m = fiem.generate_toy(1, 30, dims=(6, 4, 5))
+        cfg = config(m, k_max=k_max, replicas=40, seed=0, workers=workers)
+        cfg.schedule = StepSchedule.constant(gamma, k_max)
+        with np.errstate(all="ignore"):
+            table = run_replicated(cfg)
+            expected = _per_path(m, cfg.schedule, cfg.termination, 0, 40, cfg.options)
+        first = next((r, *e) for r, e in enumerate(expected) if len(e) == 2)
+        assert table.aborted["fiem"][0] == first
+        assert _table_bits(table) == expected
+        assert bool(table.runs["fiem"]) == mixed and table.aborted["fiem"]
+
+
+class _Counts:
+    """Calls of the functions the benchmark tracer counts, installed the way
+    it installs them."""
+
+    def __init__(self, monkeypatch):
+        self.run = self.stream = self.draw = 0
+        run, stream, draw = fiem.experiments.run, SeedTree.stream, fiem.algorithms.draw_batch
+
+        def counted_run(*args, **kwargs):
+            self.run += 1
+            return run(*args, **kwargs)
+
+        def counted_stream(tree, name):
+            self.stream += 1
+            return stream(tree, name)
+
+        def counted_draw(*args, **kwargs):
+            self.draw += 1
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(fiem.experiments, "run", counted_run)
+        monkeypatch.setattr(SeedTree, "stream", counted_stream)
+        monkeypatch.setattr(fiem.algorithms, "draw_batch", counted_draw)
+
+
+class TestReplicaAxisBudget:
+    """Counts that do not depend on the host: which configs take the
+    replica axis, and the calls each route makes."""
+
+    def test_fiem_alone_makes_no_run_call(self, monkeypatch):
+        m = toy(seed=5)
+        counts = _Counts(monkeypatch)
+        table = run_replicated(config(m, k_max=20, replicas=9, compute_e0=True, compute_e2=True))
+        assert table.completed == {"fiem": 9}
+        assert (counts.run, counts.stream, counts.draw) == (0, 3 * 9, 0)
+
+    def test_default_toy_config_keeps_one_run_per_path(self, monkeypatch):
+        # the argv of fiem toy: online-em, fiem and opt-fiem with E0 and theta
+        m = toy(seed=5, n=20)
+        counts = _Counts(monkeypatch)
+        cfg = config(m, algorithms=("online-em", "fiem", "opt-fiem"), k_max=40, replicas=2,
+                     compute_e0=True, theta_ref=m.theta_star)
+        run_replicated(cfg)
+        assert counts.run == 2 * 3
+        assert counts.stream == 2 * 3 * 3
+        assert counts.draw == 2 * (40 + 2 * 40 + 2 * 40)
+
+    @pytest.mark.parametrize("change", [
+        dict(algorithms=("fiem", "opt-fiem")), dict(algorithms=("iem",)),
+        dict(batch_size=3), dict(domain_policy="warn"), dict(theta_ref=np.zeros(3))],
+        ids=["with-opt-fiem", "iem", "b3", "domain-policy", "theta-ref"])
+    def test_uncovered_configs_run_per_path(self, monkeypatch, change):
+        m = toy(seed=5)
+        algorithms = change.pop("algorithms", ("fiem",))
+        counts = _Counts(monkeypatch)
+        run_replicated(config(m, algorithms=algorithms, k_max=10, replicas=3, **change))
+        assert counts.run == 3 * len(algorithms)
+
+    def test_models_without_the_axis_run_per_path(self, monkeypatch):
+        m = toy(seed=5)
+        monkeypatch.setattr(type(m), "replica_axis", False)
+        counts = _Counts(monkeypatch)
+        run_replicated(config(m, k_max=10, replicas=3))
+        assert counts.run == 3
