@@ -9,7 +9,8 @@ re-running a subcommand with identical flags writes byte-identical files.
 is the same at every thread count.
 
 Exit codes: 0 success, 1 check failure, 2 infeasible plan or bad input,
-3 run aborted (a domain violation or divergence in any replica).
+3 run aborted (a domain violation or divergence in any replica, or a
+``toy`` checkpoint summary that is not finite).
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from .experiments import (
     GMM_ALGORITHMS,
     ExperimentConfig,
     GmmExperimentConfig,
+    checkpoint_summary,
     estimate_e,
     run_replicated,
     table_report,
@@ -93,6 +95,17 @@ def _algorithm_list(choices):
     return parse
 
 
+def _positive_number(text: str) -> float:
+    """The type of a step-size flag: a positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not (value > 0.0 and isfinite(value)):
+        raise argparse.ArgumentTypeError(f"expects a positive finite number, got {text!r}")
+    return value
+
+
 def _path(text: str) -> str:
     """The type of a file flag: a non-empty path."""
     if not text:
@@ -102,7 +115,8 @@ def _path(text: str) -> str:
 
 def _whole_number(minimum: int):
     """The type of a size flag: a whole number of at least ``minimum``.  The
-    planners need n >= 2 examples; iterations, replicas and processes >= 1."""
+    planners need n >= 2 examples; iterations, replicas, processes and
+    mixture components >= 1."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -226,10 +240,17 @@ def cmd_toy(args, parser) -> int:
     table = run_replicated(exp)
     if _report_aborts(table.aborted):
         return EXIT_DOMAIN_ABORT
+    summary = checkpoint_summary(table, schedule)
+    for row in summary:
+        stats = [stat for stat in ("mean", "std", "q25", "q75") if not isfinite(row[stat])]
+        if stats:
+            print(f"aborted: {row['algorithm']} {row['metric']} at k={row['k']}: "
+                  f"non-finite {', '.join(stats)} over the replicas", file=sys.stderr)
+            return EXIT_DOMAIN_ABORT
 
     os.makedirs(args.out, exist_ok=True)
-    write_aggregates_csv(os.path.join(args.out, "aggregates.csv"), table)
-    write_diagnostics_csv(os.path.join(args.out, "diagnostics.csv"), table)
+    write_aggregates_csv(os.path.join(args.out, "aggregates.csv"), summary)
+    write_diagnostics_csv(os.path.join(args.out, "diagnostics.csv"), table, kmax)
     karimi = karimi_plan(inputs, constants.lipschitz_i)
     _json_dump(
         {
@@ -481,10 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--data", type=_path, help="header-free CSV, one observation per row")
     g.add_argument("--synthetic", type=_synthetic_spec, help="seed,n,g,p,separation")
     g.add_argument("--preprocess", type=int, help="PCA target dimension")
-    g.add_argument("--g", type=int, help="number of mixture components to fit")
+    g.add_argument("--g", type=_whole_number(1), help="number of mixture components to fit")
     g.add_argument("--algos", type=_algorithm_list(GMM_ALGORITHMS),
                    default="em,iem,online-em,h-fiem")
-    g.add_argument("--gamma", type=float, default=5e-3)
+    g.add_argument("--gamma", type=_positive_number, default=5e-3)
     g.add_argument("--batch", type=int, default=100)
     g.add_argument("--kswitch", type=int, default=6)
     g.add_argument("--epochs", type=int, default=100)

@@ -74,14 +74,10 @@ Aborts = dict[str, list[tuple[int, int, str]]]
 
 @dataclass
 class ResultTable:
-    """Aggregates per (algorithm, checkpoint, metric) plus the raw runs.
+    """The completed runs per algorithm, in replica order; ``aborted`` lists
+    every other run as (replica, iteration, condition)."""
 
-    Aggregates cover completed runs only; ``aborted`` lists every other run
-    as (replica, iteration, condition)."""
-
-    aggregates: list[dict]
     runs: dict[str, list[RunDiagnostics]]
-    checkpoints: list[int]
     aborted: Aborts
 
     @property
@@ -147,7 +143,7 @@ def _replica_job(args):
         alg, config.model, config.schedule, config.termination, child, config.options))
 
 
-# the memory table of one chunk of replicas on the replica axis stays below this
+# one chunk of replicas on the replica axis holds at most this many bytes
 _CHUNK_BYTES = 64 << 20
 
 
@@ -162,11 +158,14 @@ def _on_replica_axis(config: ExperimentConfig) -> bool:
 
 
 def _chunks(config: ExperimentConfig) -> list[tuple]:
-    """Contiguous replica ranges: one per worker, more when a range's memory
-    table would pass :data:`_CHUNK_BYTES`."""
-    replicas, model = config.replicas, config.model
-    by_memory = -(-replicas * model.n * model.q * 8 // _CHUNK_BYTES)
-    count = min(replicas, max(config.workers, by_memory))
+    """Contiguous replica ranges: one per worker, more when a range would
+    pass :data:`_CHUNK_BYTES`.  A replica holds its (n, q) memory table and
+    its (K,) rows: both index draws, ``step_sq`` and each diagnostic that
+    is switched on."""
+    replicas, model, options = config.replicas, config.model, config.options
+    rows = 3 + options.compute_h + options.compute_e2 + options.compute_e0
+    per_chunk = max(1, _CHUNK_BYTES // (8 * (model.n * model.q + rows * len(config.schedule))))
+    count = min(replicas, max(config.workers, -(-replicas // per_chunk)))
     bounds = [replicas * c // count for c in range(count + 1)]
     return [(config, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
@@ -185,39 +184,40 @@ def run_replicated(config: ExperimentConfig) -> ResultTable:
     together in contiguous chunks, bit for bit as one :func:`run` per
     replica; every other config runs one path per (replica, algorithm)."""
     if _on_replica_axis(config):
-        runs, aborted = _replicate(_chunk_job, config, _chunks(config))
-    else:
-        runs, aborted = _replicate(_replica_job, config)
+        return ResultTable(*_replicate(_chunk_job, config, _chunks(config)))
+    return ResultTable(*_replicate(_replica_job, config))
 
-    checkpoints = default_checkpoints(len(config.schedule))
-    aggregates = []
-    gammas = config.schedule.gammas
-    for alg in config.algorithms:
-        diags = runs[alg]
-        if not diags:
-            continue
+
+def _mean_std(values) -> tuple[float, float]:
+    """Mean and ddof-1 standard deviation of one column of per-replica
+    values; the deviation of a single replica is 0."""
+    x = np.asarray(values, dtype=float)
+    return float(x.mean()), float(x.std(ddof=1)) if x.size > 1 else 0.0
+
+
+def checkpoint_summary(table: ResultTable, schedule: StepSchedule) -> list[dict]:
+    """Mean, ddof-1 std and quartiles of the completed runs per (algorithm,
+    metric, checkpoint), the checkpoints :func:`default_checkpoints` of the
+    schedule's length.  ``step_sq_scaled`` is ``step_sq`` over the squared
+    step size of each iteration.  A statistic that overflows comes out
+    non-finite, without a numpy warning."""
+    checkpoints = default_checkpoints(len(schedule))
+    rows = []
+    for alg, diags in table.runs.items():
         metric_arrays = {m: [getattr(d, m) for d in diags] for m in _METRICS}
-        # derived: update magnitude scaled by the squared step size
-        metric_arrays["step_sq_scaled"] = [a / gammas**2 for a in metric_arrays["step_sq"]]
+        metric_arrays["step_sq_scaled"] = [a / schedule.gammas**2 for a in metric_arrays["step_sq"]]
         for metric, arrays in metric_arrays.items():
             if arrays[0] is None:
                 continue
             stacked = np.stack(arrays)  # (R, len)
             for k in checkpoints:
-                if k >= stacked.shape[1]:
-                    continue
                 col = stacked[:, k]
-                aggregates.append({
-                    "algorithm": alg,
-                    "k": int(k),
-                    "metric": metric,
-                    "mean": float(col.mean()),
-                    "std": float(col.std(ddof=1)) if col.size > 1 else 0.0,
-                    "q25": float(np.quantile(col, 0.25)),
-                    "q75": float(np.quantile(col, 0.75)),
-                })
-
-    return ResultTable(aggregates=aggregates, runs=runs, checkpoints=checkpoints, aborted=aborted)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    mean, std = _mean_std(col)
+                    q25, q75 = float(np.quantile(col, 0.25)), float(np.quantile(col, 0.75))
+                rows.append({"algorithm": alg, "k": k, "metric": metric, "mean": mean, "std": std,
+                             "q25": q25, "q75": q75})
+    return rows
 
 
 @dataclass
@@ -232,12 +232,6 @@ class EEstimates:
     se2: Optional[float] = None
 
 
-def _mean_se(x: Array) -> tuple[float, float]:
-    x = np.asarray(x, dtype=float)
-    se = float(x.std(ddof=1) / np.sqrt(x.size)) if x.size > 1 else 0.0
-    return float(x.mean()), se
-
-
 def estimate_e(diags: Sequence[RunDiagnostics], v_max: Optional[float] = None) -> EEstimates:
     """Estimates at the per-replica random termination index K.
 
@@ -249,17 +243,19 @@ def estimate_e(diags: Sequence[RunDiagnostics], v_max: Optional[float] = None) -
         raise ValueError("runs lack a termination index")
     if any(d.h_sq is None for d in diags):
         raise ValueError("runs lack the mean-field diagnostic")
-    e1_vals = np.array([d.h_sq[d.terminal_k] for d in diags])
-    e1, se1 = _mean_se(e1_vals)
-    out = EEstimates(e1=e1, se1=se1)
+
+    def at_terminal(metric, scale=1.0):
+        """Mean and standard error of ``metric`` at K over ``scale``."""
+        mean, std = _mean_std(np.array([getattr(d, metric)[d.terminal_k] for d in diags]) / scale)
+        return mean, float(std / np.sqrt(len(diags)))
+
+    out = EEstimates(*at_terminal("h_sq"))
     if diags[0].cv_gap_sq is not None:
-        e2, se2 = _mean_se(np.array([d.cv_gap_sq[d.terminal_k] for d in diags]))
-        out.e2, out.se2 = e2, se2
+        out.e2, out.se2 = at_terminal("cv_gap_sq")
     if diags[0].vdot_sq is not None:
         if v_max is None:
             raise ValueError("E0 needs v_max")
-        e0, se0 = _mean_se(np.array([d.vdot_sq[d.terminal_k] for d in diags]) / v_max**2)
-        out.e0, out.se0 = e0, se0
+        out.e0, out.se0 = at_terminal("vdot_sq", v_max**2)
     return out
 
 
@@ -300,7 +296,8 @@ def paired_margin(lhs_values: Array, rhs_values: Array) -> float:
     """Mean of (rhs - lhs) in units of its standard error; +inf when the
     margin has zero spread (deterministic comparisons)."""
     d = np.asarray(rhs_values, dtype=float) - np.asarray(lhs_values, dtype=float)
-    mean, se = _mean_se(d)
+    mean, std = _mean_std(d)
+    se = float(std / np.sqrt(d.size))
     if se == 0.0:
         return float("inf") if mean >= 0.0 else float("-inf")
     return mean / se
@@ -520,29 +517,28 @@ def table_report(config: GmmExperimentConfig) -> tuple[list[dict], dict[str, lis
             continue
         stacked = np.stack([p.loglik for p in paths[alg]])  # (R, table epochs)
         for e, col in zip(epochs, stacked.T):
-            rows.append({
-                "algorithm": alg,
-                "epoch": int(e),
-                "mean": float(col.mean()),
-                "std": float(col.std(ddof=1)) if col.size > 1 else 0.0,
-            })
+            mean, std = _mean_std(col)
+            rows.append({"algorithm": alg, "epoch": e, "mean": mean, "std": std})
     return rows, paths, aborted
 
 
 # -- CSV emission ------------------------------------------------------------
 
 
-def write_aggregates_csv(path, table: ResultTable) -> None:
+def write_aggregates_csv(path, rows: list[dict]) -> None:
+    """The rows of :func:`checkpoint_summary`."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["algorithm", "k", "metric", "mean", "std", "q25", "q75"])
-        for row in table.aggregates:
+        for row in rows:
             w.writerow([row["algorithm"], row["k"], row["metric"],
                         repr(row["mean"]), repr(row["std"]), repr(row["q25"]), repr(row["q75"])])
 
 
-def write_diagnostics_csv(path, table: ResultTable) -> None:
-    """Per-replica diagnostic values at the checkpoint grid."""
+def write_diagnostics_csv(path, table: ResultTable, k_max: int) -> None:
+    """Per-replica diagnostic values at the checkpoints of ``k_max``
+    iterations."""
+    checkpoints = default_checkpoints(k_max)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["algorithm", "replica", "k", "metric", "value"])
@@ -552,6 +548,5 @@ def write_diagnostics_csv(path, table: ResultTable) -> None:
                     arr = getattr(d, metric)
                     if arr is None:
                         continue
-                    for k in table.checkpoints:
-                        if k < len(arr):
-                            w.writerow([alg, r, k, metric, repr(float(arr[k]))])
+                    for k in checkpoints:
+                        w.writerow([alg, r, k, metric, repr(float(arr[k]))])

@@ -217,6 +217,19 @@ class TestToy:
         assert all("iteration" in l and "non-finite" in l for l in lines)
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_summary_exits_3_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # at gamma = 5 every replica completes, but h_sq reaches about 1e160,
+        # whose square overflows the standard deviation from k = 134 on
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g5.json").write_text(json.dumps({"gamma": 5}))
+        code = main(["toy", "--n", "30", "--kmax", "150", "--replicas", "8", "--threads", "1",
+                     "--plan", "g5.json"])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["aborted: online-em h_sq at k=134: non-finite std over the replicas"]
+        assert not (tmp_path / "toy-out").exists()
+
 
 class TestGmm:
     ARGS = ["gmm", "--synthetic", "3,200,3,3,3.0", "--g", "3",
@@ -407,6 +420,11 @@ NAMES_THE_FLAG = {
     "gmm-kswitch-past-last-epoch": ("kswitch=5 is outside 0..epochs=2",),
     "gmm-default-kswitch-past-epochs": ("kswitch=6 is outside 0..epochs=3",),
     "gmm-zero-batch": ("batch 0 is below 1",),
+    "gmm-zero-gamma": ("--gamma", "positive finite", "'0'"),
+    "gmm-negative-gamma": ("--gamma", "positive finite", "'-0.5'"),
+    "gmm-nan-gamma": ("--gamma", "positive finite", "'nan'"),
+    "gmm-zero-gamma-config": ("--gamma", "positive finite", "'0'"),
+    "gmm-zero-components": ("--g", "at least 1", "'0'"),
     "gmm-short-synthetic": ("--synthetic", "seed,n,g,p,separation", "'0,100'"),
     "gmm-non-numeric-synthetic": ("--synthetic", "seed,n,g,p,separation"),
     "toy-plan-wrong-length": ("--plan", "2 step sizes", "K_max is 20"),
@@ -493,6 +511,8 @@ NAMES_THE_FLAG = {
     GMM_SMALL + ["--batch", "10", "--algos", "online-em", "--epochs", "1", "--gamma", "0"],
     GMM_SMALL + ["--batch", "10", "--algos", "online-em", "--epochs", "1", "--gamma", "-0.5"],
     GMM_SMALL + ["--batch", "10", "--algos", "online-em", "--epochs", "1", "--gamma", "nan"],
+    GMM_SMALL + ["--batch", "10", "--algos", "online-em", "--epochs", "1",
+                 "--config", "zero-gamma.json"],
     GMM_SMALL + ["--batch", "10", "--algos", "em,online-em", "--epochs", "0"],
     GMM_SMALL + ["--batch", "10", "--algos", "online-em", "--epochs", "1", "--replicas", "0"],
     GMM_SMALL + ["--batch", "10", "--algos", "online-em", "--epochs", "1", "--replicas", "-2"],
@@ -550,7 +570,7 @@ NAMES_THE_FLAG = {
         "toy-unknown-algorithm",
         "plan-nonuniform-without-weights", "plan-missing-weights", "plan-auto-without-epsilon",
         "plan-nan-vmin", "plan-nan-weight", "gmm-zero-gamma", "gmm-negative-gamma",
-        "gmm-nan-gamma", "gmm-zero-epochs", "gmm-zero-replicas", "gmm-negative-replicas",
+        "gmm-nan-gamma", "gmm-zero-gamma-config", "gmm-zero-epochs", "gmm-zero-replicas", "gmm-negative-replicas",
         "toy-zero-threads", "gmm-negative-threads", "check-zero-threads",
         "check-zero-threads-config", "toy-repeated-algorithm", "gmm-repeated-algorithm",
         "toy-empty-algorithms", "gmm-empty-algorithms", "toy-repeated-algorithm-config",
@@ -582,6 +602,7 @@ def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, req
     (tmp_path / "repeated-algos.json").write_text(json.dumps({"algos": "online-em,fiem,online-em"}))
     (tmp_path / "plan-not-json.json").write_text(json.dumps({"plan": "not-json.json"}))
     (tmp_path / "half.txt").write_text("0.5\n0.5\n")
+    (tmp_path / "zero-gamma.json").write_text(json.dumps({"gamma": 0}))
     (tmp_path / "karimi-mu.json").write_text(json.dumps({"strategy": "karimi", "mu": 0.9}))
     (tmp_path / "karimi-lambda.json").write_text(json.dumps({"strategy": "karimi", "lambda": 0.3}))
     np.savetxt(tmp_path / "data.csv", np.arange(24.0).reshape(6, 4) % 5, delimiter=",")

@@ -12,6 +12,7 @@ from fiem.errors import RunAbortError
 from fiem.experiments import (
     ExperimentConfig,
     GmmExperimentConfig,
+    checkpoint_summary,
     default_checkpoints,
     estimate_e,
     paired_margin,
@@ -44,19 +45,21 @@ def config(model, algorithms=("fiem",), k_max=30, replicas=5, seed=0, workers=1,
 class TestRunReplicated:
     def test_single_replica_degenerates(self):
         m = toy()
-        table = run_replicated(config(m, replicas=1))
-        for row in table.aggregates:
+        cfg = config(m, replicas=1)
+        table = run_replicated(cfg)
+        summary = checkpoint_summary(table, cfg.schedule)
+        for row in summary:
             assert row["std"] == 0.0
         d = table.runs["fiem"][0]
-        rows_h = [r for r in table.aggregates if r["metric"] == "h_sq"]
+        rows_h = [r for r in summary if r["metric"] == "h_sq"]
         for row in rows_h:
             assert row["mean"] == d.h_sq[row["k"]]
 
     def test_reproducible_tables(self):
         m = toy(seed=1)
-        t1 = run_replicated(config(m, replicas=4, seed=3))
-        t2 = run_replicated(config(m, replicas=4, seed=3))
-        assert t1.aggregates == t2.aggregates
+        cfg = config(m, replicas=4, seed=3)
+        t1, t2 = run_replicated(cfg), run_replicated(cfg)
+        assert checkpoint_summary(t1, cfg.schedule) == checkpoint_summary(t2, cfg.schedule)
 
     def test_algorithms_share_streams_within_replica(self):
         m = toy(seed=2)
@@ -67,9 +70,10 @@ class TestRunReplicated:
 
     def test_parallel_equals_serial(self):
         m = toy(seed=3)
-        serial = run_replicated(config(m, replicas=6, workers=1))
+        cfg = config(m, replicas=6, workers=1)
+        serial = run_replicated(cfg)
         parallel = run_replicated(config(m, replicas=6, workers=2))
-        assert serial.aggregates == parallel.aggregates
+        assert checkpoint_summary(serial, cfg.schedule) == checkpoint_summary(parallel, cfg.schedule)
         for a, b in zip(serial.runs["fiem"], parallel.runs["fiem"]):
             assert np.array_equal(a.s_final, b.s_final)
 
@@ -91,8 +95,9 @@ class TestRunReplicated:
         ks = default_checkpoints(20000)
         assert ks[0] >= 0 and ks[-1] == 19999
         assert len(ks) == len(set(ks))
-        small = default_checkpoints(10)
-        assert all(0 <= k < 10 for k in small)
+        # the writers index every diagnostic array, of K or K + 1 entries, there
+        for k_max in (1, 10, 50, 1000):
+            assert all(0 <= k < k_max for k in default_checkpoints(k_max))
 
 
 class TestEstimates:
@@ -375,9 +380,10 @@ class TestAbortHandling:
 class TestScaledUpdateWindow:
     def test_scaled_metric_in_aggregates(self):
         m = toy(seed=15)
-        table = run_replicated(config(m, replicas=2))
-        scaled = [r for r in table.aggregates if r["metric"] == "step_sq_scaled"]
-        raw = [r for r in table.aggregates if r["metric"] == "step_sq"]
+        cfg = config(m, replicas=2)
+        summary = checkpoint_summary(run_replicated(cfg), cfg.schedule)
+        scaled = [r for r in summary if r["metric"] == "step_sq_scaled"]
+        raw = [r for r in summary if r["metric"] == "step_sq"]
         assert scaled and len(scaled) == len(raw)
         for s_row, r_row in zip(scaled, raw):
             assert s_row["mean"] == pytest.approx(r_row["mean"] / 0.1**2, rel=1e-12)
@@ -530,9 +536,10 @@ class TestReplicaAxis:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_chunks_inside_r_keep_every_bit(self, workers, monkeypatch):
-        # a memory cap of three replicas cuts R = 8 into three chunks
+        # a cap of three replicas' memory tables and six (K,) rows cuts R = 8
+        # into three chunks
         m = toy(seed=4, n=10)
-        monkeypatch.setattr(fiem.experiments, "_CHUNK_BYTES", 3 * m.n * m.q * 8)
+        monkeypatch.setattr(fiem.experiments, "_CHUNK_BYTES", 3 * (m.n * m.q + 6 * 35) * 8)
         cfg = config(m, k_max=35, replicas=8, seed=2, workers=workers,
                      compute_e0=True, compute_e2=True)
         assert [job[1:] for job in fiem.experiments._chunks(cfg)] == [(0, 2), (2, 5), (5, 8)]
@@ -540,7 +547,19 @@ class TestReplicaAxis:
         assert _table_bits(table) == _per_path(m, cfg.schedule, cfg.termination, 2, 8,
                                                cfg.options)
         monkeypatch.setattr(fiem.experiments, "_CHUNK_BYTES", 64 << 20)
-        assert table.aggregates == run_replicated(dataclasses.replace(cfg, workers=1)).aggregates
+        assert checkpoint_summary(table, cfg.schedule) == checkpoint_summary(
+            run_replicated(dataclasses.replace(cfg, workers=1)), cfg.schedule)
+
+    def test_chunks_count_the_per_iteration_rows(self):
+        # 1000 replicas of 2e4 iterations hold about 640 MB of index draws,
+        # step_sq and h_sq against a memory table of under 1 MB
+        cfg = config(toy(), k_max=20000, replicas=1000)
+        chunks = fiem.experiments._chunks(cfg)
+        per_replica = 8 * (cfg.model.n * cfg.model.q + 4 * 20000)
+        assert len(chunks) > 1
+        assert all((hi - lo) * per_replica < fiem.experiments._CHUNK_BYTES for _, lo, hi in chunks)
+        assert chunks[0][1] == 0 and chunks[-1][2] == 1000
+        assert all(prev[2] == nxt[1] for prev, nxt in zip(chunks, chunks[1:]))
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("gamma, k_max, mixed", [(50.0, 200, False), (5.0, 273, True)])
@@ -594,6 +613,19 @@ class TestReplicaAxisBudget:
         table = run_replicated(config(m, k_max=20, replicas=9, compute_e0=True, compute_e2=True))
         assert table.completed == {"fiem": 9}
         assert (counts.run, counts.stream, counts.draw) == (0, 3 * 9, 0)
+
+    def test_replicas_are_never_summarized(self, monkeypatch):
+        # only fiem toy reads checkpoint summaries; the certificates read
+        # per-replica values
+        def summary(*args):
+            raise AssertionError("summarized")
+
+        monkeypatch.setattr(fiem.experiments, "checkpoint_summary", summary)
+        m = toy(seed=5)
+        table = run_replicated(config(m, k_max=20, replicas=9, compute_e2=True))
+        assert table.completed == {"fiem": 9}
+        report = verify_theorem1(m, StepSchedule.constant(0.1, 20), np.zeros(m.q), 9, 0)
+        assert report.strategy == "theorem1"
 
     def test_default_toy_config_keeps_one_run_per_path(self, monkeypatch):
         # the argv of fiem toy: online-em, fiem and opt-fiem with E0 and theta

@@ -248,7 +248,7 @@ def test_settings_are_pinned():
                          "bound_constant", "bound_value", "violated_condition"],
         "RunDiagnostics": ["terminal_k", "s0", "s_final", "step_sq", "h_sq", "cv_gap_sq",
                            "vdot_sq", "lambdas", "theta_err", "violations"],
-        "ResultTable": ["aggregates", "runs", "checkpoints", "aborted"],
+        "ResultTable": ["runs", "aborted"],
         "BoundReport": ["strategy", "lhs", "rhs", "margin_sigmas", "vacuous"],
     }
     params = {fn.__name__: list(inspect.signature(fn).parameters) for fn in (
