@@ -23,6 +23,7 @@ from .rng import (
     STREAM_INDICES_J,
     STREAM_TERMINATION,
     as_seed_tree,
+    streams,
 )
 
 ALGORITHMS = ("em", "iem", "online-em", "fiem", "opt-fiem")
@@ -554,20 +555,20 @@ def fiem_replicas(
     ``options`` may not set ``theta_ref`` or ``domain_policy``.  Replica r
     samples its termination index and draws all its "indices-I" and
     "indices-J" indices up front from its own tree (``integers(0, n,
-    size=K)`` reads the values of K single draws).  Every product that BLAS
+    size=K)`` reads the values of K single draws); :func:`fiem.rng.streams`
+    keys each stream for all replicas at once.  Every product that BLAS
     rounds is a stacked matmul, which makes the one-state gemv or dot call
     per replica.
     """
     if len(termination) != len(schedule):
         raise ValueError("termination weights must have length K_max")
     k_max, n, replicas = len(schedule), model.n, len(trees)
-    terminal = []
+    terminal = [termination.sample(rng) for rng in streams(trees, STREAM_TERMINATION)]
     draws_i = np.empty((replicas, k_max), dtype=np.int64)
     draws_j = np.empty((replicas, k_max), dtype=np.int64)
-    for r, tree in enumerate(trees):
-        terminal.append(termination.sample(tree.stream(STREAM_TERMINATION)))
-        draws_i[r] = tree.stream(STREAM_INDICES_I).integers(0, n, size=k_max)
-        draws_j[r] = tree.stream(STREAM_INDICES_J).integers(0, n, size=k_max)
+    for draws, name in ((draws_i, STREAM_INDICES_I), (draws_j, STREAM_INDICES_J)):
+        for r, rng in enumerate(streams(trees, name)):
+            draws[r] = rng.integers(0, n, size=k_max)
 
     s0 = np.array(options.s0, dtype=float)
     model.admissible(s0)

@@ -114,9 +114,9 @@ def _path(text: str) -> str:
 
 
 def _whole_number(minimum: int):
-    """The type of a size flag: a whole number of at least ``minimum``.  The
-    planners need n >= 2 examples; iterations, replicas, processes and
-    mixture components >= 1."""
+    """The type of a size or seed flag: a whole number of at least
+    ``minimum``.  The planners need n >= 2 examples; iterations, replicas,
+    processes and mixture components >= 1; seeds >= 0."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -277,13 +277,18 @@ GMM_PRESETS = {None: {"g": 3, "preprocess": None}, "paper": {"g": 12, "preproces
 
 
 def _synthetic_spec(text: str) -> tuple[int, int, int, int, float]:
-    """The ``--synthetic`` value ``seed,n,g,p,separation`` as numbers."""
+    """The ``--synthetic`` value ``seed,n,g,p,separation`` as numbers: a seed
+    >= 0, n, g and p >= 1 and a finite separation."""
     try:
         gen_seed, n, g_true, p, sep = text.split(",")
-        return int(gen_seed), int(n), int(g_true), int(p), float(sep)
+        spec = int(gen_seed), int(n), int(g_true), int(p), float(sep)
     except ValueError:
+        spec = None
+    if spec is None or spec[0] < 0 or min(spec[1:4]) < 1 or not isfinite(spec[4]):
         raise argparse.ArgumentTypeError(
-            f"expects seed,n,g,p,separation, got {text!r}") from None
+            f"expects seed,n,g,p,separation with seed >= 0, n, g, p >= 1 and a finite "
+            f"separation, got {text!r}")
+    return spec
 
 
 def cmd_gmm(args, parser) -> int:
@@ -487,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     threads = os.cpu_count() or 1
     t = sub.add_parser("toy", help="replicated runs on the linear-Gaussian benchmark")
     t.add_argument("--config", type=_path)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=_whole_number(0), default=0)
     t.add_argument("--n", type=_whole_number(2))
     t.add_argument("--kmax", type=_whole_number(1))
     t.add_argument("--algos", type=_algorithm_list(ALGORITHMS), default="online-em,fiem,opt-fiem")
@@ -510,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--kswitch", type=int, default=6)
     g.add_argument("--epochs", type=int, default=100)
     g.add_argument("--replicas", type=int, default=1)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_whole_number(0), default=0)
     g.add_argument("--out", type=_path, default="gmm-out")
     g.add_argument("--preset", choices=["paper"])
     g.add_argument("--threads", type=_whole_number(1), default=threads)
@@ -519,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--config", type=_path)
     c.add_argument("--suite", choices=["theorem1", "prop2", "identities"], default="identities")
     c.add_argument("--scale", choices=["desk", "paper"], help="theorem1 only (default: desk)")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_whole_number(0), default=0)
     c.add_argument("--threads", type=_whole_number(1), default=threads)
     parser.commands = sub.choices
     return parser

@@ -9,10 +9,18 @@ draws overall: the oracle draws of Online EM come from the same "indices-J"
 stream positions as the second draws of FIEM.
 
 Child nodes (``tree.child(r)``) derive per-replica trees deterministically.
+
+:meth:`SeedTree.stream` keys one generator through ``np.random.SeedSequence``.
+:func:`streams` keys the same named stream of many trees at once: it runs
+SeedSequence's pool mixing on every tree's entropy words as vectorized uint32
+arithmetic and re-keys a single Philox generator per tree, so each generator
+it yields must be used up before the next one is taken.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
+from typing import Iterator
 
 import numpy as np
 
@@ -20,6 +28,13 @@ STREAM_INDICES_I = "indices-I"
 STREAM_INDICES_J = "indices-J"
 STREAM_TERMINATION = "termination"
 STREAM_DATA = "data"
+
+_MASK = 0xFFFFFFFF
+# SeedSequence's pool size and hash constants (numpy.random.bit_generator)
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
 def _name_key(name: str) -> tuple[int, int]:
@@ -51,6 +66,89 @@ class SeedTree:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SeedTree(seed={self.seed}, path={self.path})"
+
+
+def _words(value: int) -> tuple[int, ...]:
+    # little-endian uint32 words of a non-negative integer, at least one,
+    # as SeedSequence splits its entropy and spawn key
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK]
+    while value > _MASK:
+        value >>= 32
+        words.append(value & _MASK)
+    return tuple(words)
+
+
+@functools.lru_cache(maxsize=64)
+def _seed_words(seed: int) -> tuple[int, ...]:
+    # SeedSequence zero-pads the seed's words to the pool size under a spawn key
+    words = _words(seed)
+    return words + (0,) * (_POOL - len(words))
+
+
+def _hashmix(const: int, mult: int):
+    """SeedSequence's hash of successive uint32 words, on arrays of words:
+    the constant it mixes in steps by ``mult`` at every call."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+    return hashmix
+
+
+def _keys(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(...).generate_state(2, np.uint64)`` of each row of an
+    (R, w) uint32 array of assembled entropy, as an (R, 2) uint64 array."""
+    def mix(x, y):
+        value = x * _MIX_L - y * _MIX_R
+        return value ^ (value >> 16)
+
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    words = entropy.T
+    pool = [hashmix(word) for word in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    generate = _hashmix(_INIT_B, _MULT_B)
+    state = [generate(word).astype(np.uint64) for word in pool]
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)], axis=1)
+
+
+def streams(trees, name: str) -> Iterator[np.random.Generator]:
+    """``tree.stream(name)`` for each tree of ``trees`` in order, bit for
+    bit, with the keys of all trees of one entropy width computed together.
+    Every item is the same generator re-keyed: draw from it before taking
+    the next."""
+    name_key = _name_key(name)
+    rows = []
+    for tree in trees:
+        path = tree.path
+        if path and not (min(path) >= 0 and max(path) <= _MASK):
+            path = sum(map(_words, path), ())
+        rows.append(_seed_words(tree.seed) + path + name_key)
+    if not rows:
+        return
+    keys = np.empty((len(rows), 2), dtype=np.uint64)
+    for width in {len(row) for row in rows}:
+        members = [r for r, row in enumerate(rows) if len(row) == width]
+        keys[members] = _keys(np.array([rows[r] for r in members], dtype=np.uint32))
+    generator = np.random.Generator(np.random.Philox(key=keys[0]))
+    # a fresh Philox: counter 0 and an empty buffer, in the plain ints that
+    # the state setter reads fastest
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key in keys.tolist():
+        state["state"]["key"] = key
+        generator.bit_generator.state = state
+        yield generator
 
 
 def as_seed_tree(seed) -> SeedTree:

@@ -11,7 +11,8 @@ import fiem
 from fiem.algorithms import MemoryTable, StepSchedule, TerminationRule, draw_batch, row_mean
 from fiem.errors import MemoryStateError, RunAbortError
 from fiem.experiments import ExperimentConfig, run_replicated
-from fiem.rng import STREAM_INDICES_I, STREAM_INDICES_J, SeedTree
+from fiem.rng import (STREAM_DATA, STREAM_INDICES_I, STREAM_INDICES_J, STREAM_TERMINATION,
+                      SeedTree, _name_key, streams)
 
 
 def toy(seed=0, n=6, dims=(4, 3, 3)):
@@ -505,6 +506,67 @@ class TestIndexStreams:
         # Online EM draws b > 1 without replacement, a different stream use
         if b == 1:
             assert j_draws["online-em"] == j_draws["fiem"]
+
+
+def assert_same_streams(tree, children, name):
+    """streams() over tree.child(r) yields, for each r, a generator keyed as
+    SeedSequence keys it and drawing what a fresh tree.child(r).stream(name)
+    draws."""
+    trees = [tree.child(r) for r in children]
+    termination = TerminationRule(np.linspace(1.0, 2.0, 13) / np.linspace(1.0, 2.0, 13).sum())
+    count = 0
+    for r, child, rng in zip(children, trees, streams(trees, name)):
+        key = np.random.SeedSequence(tree.seed, spawn_key=tree.path + (r,) + _name_key(name))
+        fresh = child.stream(name)
+        assert rng.bit_generator.state["state"]["key"].tolist() == \
+            key.generate_state(2, np.uint64).tolist()
+        assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
+        assert rng.integers(0, 17, size=9).tolist() == fresh.integers(0, 17, size=9).tolist()
+        assert termination.sample(rng) == termination.sample(fresh)
+        assert rng.random() == fresh.random()
+        count += 1
+    assert count == len(trees)
+
+
+class TestBulkStreams:
+    """streams() keys many trees' streams at once, bit for bit SeedTree.stream."""
+
+    NAMES = (STREAM_INDICES_I, STREAM_INDICES_J, STREAM_TERMINATION, STREAM_DATA, "any name")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 5, 99999999999999999999999, 2**130])
+    def test_children_at_every_depth(self, seed):
+        for path in [(), (3,), (0, 11), (5, 2**32 - 1, 7)]:
+            for name in self.NAMES:
+                assert_same_streams(SeedTree(seed, path), [0, 1, 2, 9, 1000], name)
+
+    @pytest.mark.parametrize("children", [[2**32, 2**40 + 3], [0, 2**32, 1, 2**64 + 1, 5]],
+                             ids=["all-wide", "mixed-widths"])
+    def test_indices_past_one_word(self, children):
+        # an index >= 2**32 spans several SeedSequence words; rows of each
+        # width are keyed together, in the order of the trees
+        for path in [(), (2**33,)]:
+            assert_same_streams(SeedTree(4, path), children, STREAM_INDICES_J)
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**140),
+           path=st.lists(st.integers(0, 2**70), max_size=3),
+           children=st.lists(st.integers(0, 2**36), min_size=1, max_size=6),
+           name=st.text(max_size=12))
+    def test_any_tree(self, seed, path, children, name):
+        assert_same_streams(SeedTree(seed, tuple(path)), children, name)
+
+    def test_mixed_trees_and_none(self):
+        trees = [SeedTree(3, (1,)), SeedTree(2**70), SeedTree(3, (1, 2)), SeedTree(0, (2**35,))]
+        for tree, rng in zip(trees, streams(trees, STREAM_DATA)):
+            assert rng.integers(0, 2**40, size=5).tolist() == \
+                tree.stream(STREAM_DATA).integers(0, 2**40, size=5).tolist()
+        assert list(streams([], STREAM_DATA)) == []
+
+    def test_negative_seed_raises_like_seed_sequence(self):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            SeedTree(-1).stream(STREAM_DATA)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            next(streams([SeedTree(-1).child(0)], STREAM_DATA))
 
 
 class CountingMatrix(np.ndarray):

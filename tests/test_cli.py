@@ -478,6 +478,15 @@ NAMES_THE_FLAG = {
     "toy-zero-replicas": ("--replicas", "at least 1", "'0'"),
     "plan-n-1": ("--n", "at least 2", "'1'"),
     "plan-zero-kmax": ("--kmax", "at least 1", "'0'"),
+    "check-negative-seed": ("--seed", "at least 0", "'-1'"),
+    "toy-negative-seed": ("--seed", "at least 0", "'-3'"),
+    "toy-negative-seed-config": ("--seed", "at least 0", "'-4'"),
+    "gmm-negative-seed": ("--seed", "at least 0", "'-2'"),
+    "gmm-negative-synthetic-seed": ("--synthetic", "seed >= 0", "'-1,100,2,2,3.0'"),
+    "gmm-zero-synthetic-components": ("--synthetic", "g, p >= 1", "'0,100,0,2,3.0'"),
+    "gmm-zero-synthetic-dimension": ("--synthetic", "g, p >= 1", "'0,100,2,0,3.0'"),
+    "gmm-zero-synthetic-n": ("--synthetic", "n, g, p >= 1", "'0,0,2,2,3.0'"),
+    "gmm-nan-synthetic-separation": ("--synthetic", "finite separation", "'0,100,2,2,nan'"),
 }
 
 
@@ -561,6 +570,15 @@ NAMES_THE_FLAG = {
     ["toy", "--n", "10", "--kmax", "0", "--threads", "1"],
     ["plan", "--n", "1", "--kmax", "10"] + PLAN_FLAGS,
     ["plan", "--n", "100", "--kmax", "0"] + PLAN_FLAGS,
+    ["check", "--suite", "theorem1", "--seed", "-1"],
+    TOY_SMALL + ["--seed", "-3"],
+    TOY_SMALL + ["--config", "negative-seed.json"],
+    GMM_SMALL + ["--algos", "em", "--epochs", "1", "--seed", "-2"],
+    ["gmm", "--synthetic=-1,100,2,2,3.0", "--algos", "em", "--epochs", "1", "--threads", "1"],
+    ["gmm", "--synthetic", "0,100,0,2,3.0", "--algos", "em", "--epochs", "1", "--threads", "1"],
+    ["gmm", "--synthetic", "0,100,2,0,3.0", "--algos", "em", "--epochs", "1", "--threads", "1"],
+    ["gmm", "--synthetic", "0,0,2,2,3.0", "--algos", "em", "--epochs", "1", "--threads", "1"],
+    ["gmm", "--synthetic", "0,100,2,2,nan", "--algos", "em", "--epochs", "1", "--threads", "1"],
 ], ids=["gmm-batch-not-dividing-n", "gmm-short-synthetic", "gmm-non-numeric-synthetic",
         "gmm-kswitch-past-last-epoch", "gmm-default-kswitch-past-epochs", "gmm-zero-batch",
         "gmm-missing-data", "gmm-zero-components",
@@ -583,7 +601,9 @@ NAMES_THE_FLAG = {
         "plan-epsilon-outside-auto", "toy-plan-not-json-config", "plan-mu-under-karimi",
         "plan-mu-under-nonuniform", "plan-mu-under-karimi-config", "plan-lambda-under-karimi",
         "plan-lambda-under-karimi-config", "toy-zero-n", "toy-zero-kmax", "plan-n-1",
-        "plan-zero-kmax"])
+        "plan-zero-kmax", "check-negative-seed", "toy-negative-seed", "toy-negative-seed-config",
+        "gmm-negative-seed", "gmm-negative-synthetic-seed", "gmm-zero-synthetic-components",
+        "gmm-zero-synthetic-dimension", "gmm-zero-synthetic-n", "gmm-nan-synthetic-separation"])
 def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, request, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "not-json.json").write_text("{not json")
@@ -603,6 +623,7 @@ def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, req
     (tmp_path / "plan-not-json.json").write_text(json.dumps({"plan": "not-json.json"}))
     (tmp_path / "half.txt").write_text("0.5\n0.5\n")
     (tmp_path / "zero-gamma.json").write_text(json.dumps({"gamma": 0}))
+    (tmp_path / "negative-seed.json").write_text(json.dumps({"seed": -4}))
     (tmp_path / "karimi-mu.json").write_text(json.dumps({"strategy": "karimi", "mu": 0.9}))
     (tmp_path / "karimi-lambda.json").write_text(json.dumps({"strategy": "karimi", "lambda": 0.3}))
     np.savetxt(tmp_path / "data.csv", np.arange(24.0).reshape(6, 4) % 5, delimiter=",")

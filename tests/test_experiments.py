@@ -580,11 +580,13 @@ class TestReplicaAxis:
 
 class _Counts:
     """Calls of the functions the benchmark tracer counts, installed the way
-    it installs them."""
+    it installs them, and the SeedSequence and Philox constructions behind
+    the random streams."""
 
     def __init__(self, monkeypatch):
-        self.run = self.stream = self.draw = 0
+        self.run = self.stream = self.draw = self.seed_sequence = self.philox = 0
         run, stream, draw = fiem.experiments.run, SeedTree.stream, fiem.algorithms.draw_batch
+        seed_sequence, philox = np.random.SeedSequence, np.random.Philox
 
         def counted_run(*args, **kwargs):
             self.run += 1
@@ -598,7 +600,17 @@ class _Counts:
             self.draw += 1
             return draw(*args, **kwargs)
 
+        def counted_seed_sequence(*args, **kwargs):
+            self.seed_sequence += 1
+            return seed_sequence(*args, **kwargs)
+
+        def counted_philox(*args, **kwargs):
+            self.philox += 1
+            return philox(*args, **kwargs)
+
         monkeypatch.setattr(fiem.experiments, "run", counted_run)
+        monkeypatch.setattr(np.random, "SeedSequence", counted_seed_sequence)
+        monkeypatch.setattr(np.random, "Philox", counted_philox)
         monkeypatch.setattr(SeedTree, "stream", counted_stream)
         monkeypatch.setattr(fiem.algorithms, "draw_batch", counted_draw)
 
@@ -608,11 +620,16 @@ class TestReplicaAxisBudget:
     replica axis, and the calls each route makes."""
 
     def test_fiem_alone_makes_no_run_call(self, monkeypatch):
+        # one chunk keys its three streams in bulk: at most one generator
+        # per stream name, whatever the replica count
         m = toy(seed=5)
         counts = _Counts(monkeypatch)
-        table = run_replicated(config(m, k_max=20, replicas=9, compute_e0=True, compute_e2=True))
+        cfg = config(m, k_max=20, replicas=9, compute_e0=True, compute_e2=True)
+        assert len(fiem.experiments._chunks(cfg)) == 1
+        table = run_replicated(cfg)
         assert table.completed == {"fiem": 9}
-        assert (counts.run, counts.stream, counts.draw) == (0, 3 * 9, 0)
+        assert (counts.run, counts.stream, counts.draw) == (0, 0, 0)
+        assert counts.seed_sequence <= 3 and counts.philox <= 3
 
     def test_replicas_are_never_summarized(self, monkeypatch):
         # only fiem toy reads checkpoint summaries; the certificates read
