@@ -22,6 +22,7 @@ from .rng import (
     STREAM_INDICES_I,
     STREAM_INDICES_J,
     STREAM_TERMINATION,
+    SeedTree,
     as_seed_tree,
     streams,
 )
@@ -544,11 +545,12 @@ def fiem_replicas(
     model: FiniteSumModel,
     schedule: StepSchedule,
     termination: TerminationRule,
-    trees,
+    tree: SeedTree,
+    children: range,
     options: RunOptions,
 ) -> ReplicaBlock:
-    """FIEM at one example per draw on every seed tree of ``trees`` at once,
-    each replica bit for bit :func:`run` ("fiem", ..., tree, options).
+    """FIEM at one example per draw for every r of ``children`` at once,
+    replica r bit for bit :func:`run` ("fiem", ..., tree.child(r), options).
 
     The state is an (R, q) array and the memory an (R, n, q) array; the
     model must accept the replica axis (``model.replica_axis``), and
@@ -562,12 +564,12 @@ def fiem_replicas(
     """
     if len(termination) != len(schedule):
         raise ValueError("termination weights must have length K_max")
-    k_max, n, replicas = len(schedule), model.n, len(trees)
-    terminal = [termination.sample(rng) for rng in streams(trees, STREAM_TERMINATION)]
+    k_max, n, replicas = len(schedule), model.n, len(children)
+    terminal = [termination.sample(rng) for rng in streams(tree, children, STREAM_TERMINATION)]
     draws_i = np.empty((replicas, k_max), dtype=np.int64)
     draws_j = np.empty((replicas, k_max), dtype=np.int64)
     for draws, name in ((draws_i, STREAM_INDICES_I), (draws_j, STREAM_INDICES_J)):
-        for r, rng in enumerate(streams(trees, name)):
+        for r, rng in enumerate(streams(tree, children, name)):
             draws[r] = rng.integers(0, n, size=k_max)
 
     s0 = np.array(options.s0, dtype=float)

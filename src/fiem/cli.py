@@ -96,7 +96,8 @@ def _algorithm_list(choices):
 
 
 def _positive_number(text: str) -> float:
-    """The type of a step-size flag: a positive finite number."""
+    """The type of a step-size or planner-constant flag: a positive finite
+    number."""
     try:
         value = float(text)
     except ValueError:
@@ -114,9 +115,10 @@ def _path(text: str) -> str:
 
 
 def _whole_number(minimum: int):
-    """The type of a size or seed flag: a whole number of at least
-    ``minimum``.  The planners need n >= 2 examples; iterations, replicas,
-    processes and mixture components >= 1; seeds >= 0."""
+    """The type of a size, count or seed flag: a whole number of at least
+    ``minimum``.  The planners need n >= 2 examples; iterations, epochs,
+    batches, replicas, processes and mixture components >= 1; seeds, the
+    h-FIEM switch epoch and the PCA dimension >= 0."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -251,7 +253,7 @@ def cmd_toy(args, parser) -> int:
     os.makedirs(args.out, exist_ok=True)
     write_aggregates_csv(os.path.join(args.out, "aggregates.csv"), summary)
     write_diagnostics_csv(os.path.join(args.out, "diagnostics.csv"), table, kmax)
-    karimi = karimi_plan(inputs, constants.lipschitz_i)
+    karimi = karimi_plan(inputs)
     _json_dump(
         {
             "n": n,
@@ -477,9 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=_path, help="JSON config file whose keys are the long flags")
     p.add_argument("--n", type=_whole_number(2))
     p.add_argument("--kmax", type=_whole_number(1))
-    p.add_argument("--vmin", type=float)
-    p.add_argument("--L", type=float)
-    p.add_argument("--Lv", type=float)
+    p.add_argument("--vmin", type=_positive_number)
+    p.add_argument("--L", type=_positive_number)
+    p.add_argument("--Lv", type=_positive_number)
     p.add_argument("--mu", type=float, help="case1, case2 and auto (default 0.25)")
     p.add_argument("--lambda", dest="lambda_", type=float,
                    help="every strategy but karimi (default 0.5)")
@@ -506,15 +508,16 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--config", type=_path)
     g.add_argument("--data", type=_path, help="header-free CSV, one observation per row")
     g.add_argument("--synthetic", type=_synthetic_spec, help="seed,n,g,p,separation")
-    g.add_argument("--preprocess", type=int, help="PCA target dimension")
+    g.add_argument("--preprocess", type=_whole_number(0),
+                   help="PCA target dimension (0: the raw columns)")
     g.add_argument("--g", type=_whole_number(1), help="number of mixture components to fit")
     g.add_argument("--algos", type=_algorithm_list(GMM_ALGORITHMS),
                    default="em,iem,online-em,h-fiem")
     g.add_argument("--gamma", type=_positive_number, default=5e-3)
-    g.add_argument("--batch", type=int, default=100)
-    g.add_argument("--kswitch", type=int, default=6)
-    g.add_argument("--epochs", type=int, default=100)
-    g.add_argument("--replicas", type=int, default=1)
+    g.add_argument("--batch", type=_whole_number(1), default=100)
+    g.add_argument("--kswitch", type=_whole_number(0), default=6)
+    g.add_argument("--epochs", type=_whole_number(1), default=100)
+    g.add_argument("--replicas", type=_whole_number(1), default=1)
     g.add_argument("--seed", type=_whole_number(0), default=0)
     g.add_argument("--out", type=_path, default="gmm-out")
     g.add_argument("--preset", choices=["paper"])

@@ -172,9 +172,8 @@ def _chunks(config: ExperimentConfig) -> list[tuple]:
 
 def _chunk_job(args):
     config, lo, hi = args
-    tree = SeedTree(config.seed)
     return lo, {"fiem": fiem_replicas(config.model, config.schedule, config.termination,
-                                      [tree.child(r) for r in range(lo, hi)], config.options)}
+                                      SeedTree(config.seed), range(lo, hi), config.options)}
 
 
 def run_replicated(config: ExperimentConfig) -> ResultTable:
@@ -228,16 +227,13 @@ class EEstimates:
     se1: float
     e0: Optional[float] = None
     se0: Optional[float] = None
-    e2: Optional[float] = None
-    se2: Optional[float] = None
 
 
 def estimate_e(diags: Sequence[RunDiagnostics], v_max: Optional[float] = None) -> EEstimates:
     """Estimates at the per-replica random termination index K.
 
-    E1 averages ||h(S^K)||^2; E2 (when tracked) the control-variate gap at K;
-    E0 (when the runs tracked the scaled gradient and ``v_max`` is given)
-    averages ||grad V(S^K)||^2 / v_max^2.
+    E1 averages ||h(S^K)||^2; E0 (when the runs tracked the scaled gradient
+    and ``v_max`` is given) averages ||grad V(S^K)||^2 / v_max^2.
     """
     if any(d.terminal_k is None for d in diags):
         raise ValueError("runs lack a termination index")
@@ -250,8 +246,6 @@ def estimate_e(diags: Sequence[RunDiagnostics], v_max: Optional[float] = None) -
         return mean, float(std / np.sqrt(len(diags)))
 
     out = EEstimates(*at_terminal("h_sq"))
-    if diags[0].cv_gap_sq is not None:
-        out.e2, out.se2 = at_terminal("cv_gap_sq")
     if diags[0].vdot_sq is not None:
         if v_max is None:
             raise ValueError("E0 needs v_max")

@@ -276,9 +276,6 @@ class GmmModel(FiniteSumModel):
         out[self.g :] = (rho.T @ y).reshape(self.g * self.p) / self.n
         return out
 
-    def objective(self, theta: GmmParams) -> float:
-        return -gmm_loglik(theta, self.dataset)
-
     def initial_statistic(self, theta: GmmParams) -> Array:
         """S^0 = n^{-1} sum_i sbar_i(theta^0)."""
         return self.sbar(theta)

@@ -25,38 +25,21 @@ class ModelConstants:
     """Smoothness and curvature constants used by the step-size planners.
 
     ``v_min``/``v_max`` bracket the spectrum of the curvature matrix ``B(s)``,
-    ``lipschitz_i`` are the per-example Lipschitz constants of
-    ``s -> sbar_i(T(s))``, ``lipschitz_rms`` their quadratic mean, and
-    ``lipschitz_gradv`` is the Lipschitz constant of the objective gradient in
-    expectation space.
+    ``lipschitz_rms`` is the quadratic mean of the per-example Lipschitz
+    constants of ``s -> sbar_i(T(s))``, and ``lipschitz_gradv`` is the
+    Lipschitz constant of the objective gradient in expectation space.
     """
 
     v_min: float
     v_max: float
-    lipschitz_i: Array
     lipschitz_rms: float
     lipschitz_gradv: float
 
     def __post_init__(self):
-        li = np.asarray(self.lipschitz_i, dtype=float)
-        object.__setattr__(self, "lipschitz_i", li)
         if not (0.0 < self.v_min <= self.v_max):
             raise ConfigurationError("need 0 < v_min <= v_max")
-        if li.size == 0 or np.any(li <= 0.0):
-            raise ConfigurationError("per-example Lipschitz constants must be positive")
-        if self.lipschitz_gradv <= 0.0:
-            raise ConfigurationError("lipschitz_gradv must be positive")
-        msq = float(np.mean(li**2))
-        if abs(self.lipschitz_rms**2 - msq) > 1e-12 * max(msq, 1e-300):
-            raise ConfigurationError(
-                "lipschitz_rms^2 must equal the mean of the squared per-example constants"
-            )
-
-    @classmethod
-    def uniform(cls, v_min, v_max, lipschitz, lipschitz_gradv, n) -> "ModelConstants":
-        """All-equal per-example constants (the toy model's situation)."""
-        li = np.full(int(n), float(lipschitz))
-        return cls(float(v_min), float(v_max), li, float(lipschitz), float(lipschitz_gradv))
+        if not (self.lipschitz_rms > 0.0 and self.lipschitz_gradv > 0.0):
+            raise ConfigurationError("Lipschitz constants must be positive")
 
 
 class FiniteSumModel(ABC):

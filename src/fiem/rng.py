@@ -11,14 +11,14 @@ stream positions as the second draws of FIEM.
 Child nodes (``tree.child(r)``) derive per-replica trees deterministically.
 
 :meth:`SeedTree.stream` keys one generator through ``np.random.SeedSequence``.
-:func:`streams` keys the same named stream of many trees at once: it runs
-SeedSequence's pool mixing on every tree's entropy words as vectorized uint32
-arithmetic and re-keys a single Philox generator per tree, so each generator
-it yields must be used up before the next one is taken.
+:func:`streams` keys the same named stream of a range of one tree's children
+at once: it builds their entropy words as one (R, w) uint32 array, runs
+SeedSequence's pool mixing on it as vectorized uint32 arithmetic and re-keys
+a single Philox generator per child, so each generator it yields must be
+used up before the next one is taken.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 from typing import Iterator
 
@@ -80,13 +80,6 @@ def _words(value: int) -> tuple[int, ...]:
     return tuple(words)
 
 
-@functools.lru_cache(maxsize=64)
-def _seed_words(seed: int) -> tuple[int, ...]:
-    # SeedSequence zero-pads the seed's words to the pool size under a spawn key
-    words = _words(seed)
-    return words + (0,) * (_POOL - len(words))
-
-
 def _hashmix(const: int, mult: int):
     """SeedSequence's hash of successive uint32 words, on arrays of words:
     the constant it mixes in steps by ``mult`` at every call."""
@@ -122,24 +115,26 @@ def _keys(entropy: np.ndarray) -> np.ndarray:
                      state[2] | state[3] << np.uint64(32)], axis=1)
 
 
-def streams(trees, name: str) -> Iterator[np.random.Generator]:
-    """``tree.stream(name)`` for each tree of ``trees`` in order, bit for
-    bit, with the keys of all trees of one entropy width computed together.
-    Every item is the same generator re-keyed: draw from it before taking
-    the next."""
-    name_key = _name_key(name)
-    rows = []
-    for tree in trees:
-        path = tree.path
-        if path and not (min(path) >= 0 and max(path) <= _MASK):
-            path = sum(map(_words, path), ())
-        rows.append(_seed_words(tree.seed) + path + name_key)
-    if not rows:
-        return
-    keys = np.empty((len(rows), 2), dtype=np.uint64)
-    for width in {len(row) for row in rows}:
-        members = [r for r, row in enumerate(rows) if len(row) == width]
-        keys[members] = _keys(np.array([rows[r] for r in members], dtype=np.uint32))
+def streams(tree: SeedTree, children: range, name: str) -> Iterator[np.random.Generator]:
+    """``tree.child(r).stream(name)`` for each r of ``children`` in order,
+    bit for bit, with the keys of all children computed together.  Every
+    item is the same generator re-keyed: draw from it before taking the
+    next.  Each child index must fit one uint32 word."""
+    for r in (children[0], children[-1]) if children else ():
+        if not 0 <= r <= _MASK:
+            raise ValueError(f"child index {r} does not fit one 32-bit word")
+    # SeedSequence zero-pads the seed's words to the pool size under a spawn key
+    seed = _words(tree.seed)
+    head = seed + (0,) * (_POOL - len(seed)) + sum(map(_words, tree.path), ())
+    entropy = np.empty((len(children), len(head) + 3), dtype=np.uint32)
+    entropy[:, :len(head)] = head
+    entropy[:, len(head)] = np.arange(children.start, children.stop, children.step)
+    entropy[:, len(head) + 1:] = _name_key(name)
+    return _rekeyed(_keys(entropy)) if children else iter(())
+
+
+def _rekeyed(keys: np.ndarray) -> Iterator[np.random.Generator]:
+    """One Philox generator re-keyed with each row of ``keys`` in turn."""
     generator = np.random.Generator(np.random.Philox(key=keys[0]))
     # a fresh Philox: counter 0 and an empty buffer, in the plain ints that
     # the state setter reads fastest

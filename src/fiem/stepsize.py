@@ -285,13 +285,10 @@ def solve_case2(inputs: PlannerInputs) -> StepSizePlan:
                  feasible=feasible, condition="n^(1/3) K_max^(-2/3) <= lambda/C")
 
 
-def karimi_plan(inputs: PlannerInputs, per_example_l) -> StepSizePlan:
-    """Baseline constant step v_min n^(-2/3) / (max(6, 1+4 v_min) max(L_gradV, L_1..L_n))
-    and its bound."""
-    li = np.asarray(per_example_l, dtype=float)
-    if li.size == 0:
-        raise ValueError("per-example Lipschitz list must be non-empty")
-    big_l = max(inputs.l_gradv, float(li.max()))
+def karimi_plan(inputs: PlannerInputs) -> StepSizePlan:
+    """Baseline constant step v_min n^(-2/3) / (max(6, 1+4 v_min) max(L_gradV, L))
+    and its bound, with every per-example constant L_i equal to L = ``l_rms``."""
+    big_l = max(inputs.l_gradv, inputs.l_rms)
     kappa = max(6.0, 1.0 + 4.0 * inputs.v_min)
     gamma = inputs.v_min * inputs.n ** (-2.0 / 3.0) / (kappa * big_l)
     bconst = kappa**2 * big_l / inputs.v_min**2
@@ -439,7 +436,7 @@ def build_plan(strategy: str, inputs: PlannerInputs, weights=None,
     if strategy == "case2":
         return solve_case2(inputs)
     if strategy == "karimi":
-        return karimi_plan(inputs, [inputs.l_rms])
+        return karimi_plan(inputs)
     if strategy == "nonuniform":
         if weights is None:
             raise ValueError("nonuniform strategy requires termination weights")

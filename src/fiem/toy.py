@@ -108,7 +108,7 @@ class ToyModel(FiniteSumModel):
         # radius is an eigvalsh call
         vdot_mat = self.tmat @ self.gram @ self.tmat - self.tmat
         l_gradv = float(np.max(np.abs(np.linalg.eigvalsh(vdot_mat))))
-        self._constants = ModelConstants.uniform(v_min, v_max, lips, l_gradv, self.n)
+        self._constants = ModelConstants(v_min, v_max, lips, l_gradv)
 
     # -- model interface --------------------------------------------------
 
@@ -142,12 +142,6 @@ class ToyModel(FiniteSumModel):
 
     def constants(self) -> ModelConstants:
         return self._constants
-
-    # -- closed forms ------------------------------------------------------
-
-    def em_fixed_point(self) -> Array:
-        """s_star solving (I - Pi2) s_star = Pi1 Ybar."""
-        return np.linalg.solve(np.eye(self.q) - self.pi2, self.p1ybar)
 
 
 def generate_toy(seed, n: int, dims: tuple[int, int, int] = (15, 10, 20)) -> ToyModel:

@@ -1,4 +1,5 @@
-"""Finite-difference reference for the expectation-space gradient, for the tests only."""
+"""References for the tests only: the finite-difference expectation-space
+gradient and the toy model's EM fixed point."""
 import numpy as np
 
 from fiem.model import mean_field, objective_v
@@ -30,3 +31,8 @@ def gradv_identity_check(model, s) -> float:
     """
     g = grad_v_fd(model, s)
     return float(np.linalg.norm(g + model.bmat(s) @ mean_field(model, s)))
+
+
+def em_fixed_point(model):
+    """The toy model's s_star, solving (I - Pi2) s_star = Pi1 Ybar."""
+    return np.linalg.solve(np.eye(model.q) - model.pi2, model.p1ybar)

@@ -215,7 +215,7 @@ def test_stepsize_dominance_over_baseline():
     n_big = 10**6
     ins = PlannerInputs.from_constants(constants, n=n_big, k_max=n_big, mu=0.25, lam=0.5)
     ours = plan_case1(ins)
-    baseline = fiem.karimi_plan(ins, constants.lipschitz_i)
+    baseline = fiem.karimi_plan(ins)
     gamma_ok = ours.gamma > baseline.gamma
     bound_ok = ours.bound_constant < baseline.bound_constant
     report(

@@ -14,6 +14,8 @@ from fiem.experiments import ExperimentConfig, run_replicated
 from fiem.rng import (STREAM_DATA, STREAM_INDICES_I, STREAM_INDICES_J, STREAM_TERMINATION,
                       SeedTree, _name_key, streams)
 
+from model_reference import em_fixed_point
+
 
 def toy(seed=0, n=6, dims=(4, 3, 3)):
     return fiem.generate_toy(seed, n=n, dims=dims)
@@ -195,7 +197,7 @@ class TestBitwiseFastPaths:
 class TestSingleSteps:
     def test_em_step_fixed_point(self):
         m = toy(seed=2)
-        s_star = m.em_fixed_point()
+        s_star = em_fixed_point(m)
         assert np.linalg.norm(m.stat_mean(m.image(s_star)) - s_star) < 1e-10
 
     def test_online_gamma_zero_is_identity(self):
@@ -509,64 +511,66 @@ class TestIndexStreams:
 
 
 def assert_same_streams(tree, children, name):
-    """streams() over tree.child(r) yields, for each r, a generator keyed as
-    SeedSequence keys it and drawing what a fresh tree.child(r).stream(name)
-    draws."""
-    trees = [tree.child(r) for r in children]
+    """streams(tree, children, name) yields, for each r of the range
+    ``children``, a generator keyed as SeedSequence keys it and drawing what
+    a fresh tree.child(r).stream(name) draws."""
     termination = TerminationRule(np.linspace(1.0, 2.0, 13) / np.linspace(1.0, 2.0, 13).sum())
-    count = 0
-    for r, child, rng in zip(children, trees, streams(trees, name)):
+    for r, rng in zip(children, streams(tree, children, name), strict=True):
         key = np.random.SeedSequence(tree.seed, spawn_key=tree.path + (r,) + _name_key(name))
-        fresh = child.stream(name)
+        fresh = tree.child(r).stream(name)
         assert rng.bit_generator.state["state"]["key"].tolist() == \
             key.generate_state(2, np.uint64).tolist()
         assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
         assert rng.integers(0, 17, size=9).tolist() == fresh.integers(0, 17, size=9).tolist()
         assert termination.sample(rng) == termination.sample(fresh)
         assert rng.random() == fresh.random()
-        count += 1
-    assert count == len(trees)
 
 
 class TestBulkStreams:
-    """streams() keys many trees' streams at once, bit for bit SeedTree.stream."""
+    """streams() keys a range of one tree's children at once, bit for bit
+    SeedTree.stream."""
 
     NAMES = (STREAM_INDICES_I, STREAM_INDICES_J, STREAM_TERMINATION, STREAM_DATA, "any name")
+    # parent paths of depth 0 to 3, some entries past one word
+    PATHS = [(), (3,), (2**33,), (0, 11), (1, 2**64 + 1), (5, 2**32 - 1, 7), (2**40, 0, 2**32)]
+    RANGES = [range(0, 5), range(1, 1000, 333), range(2**32 - 7, 2**32, 2), range(9, 2, -3)]
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 5, 99999999999999999999999, 2**130])
     def test_children_at_every_depth(self, seed):
-        for path in [(), (3,), (0, 11), (5, 2**32 - 1, 7)]:
-            for name in self.NAMES:
-                assert_same_streams(SeedTree(seed, path), [0, 1, 2, 9, 1000], name)
+        for path in self.PATHS:
+            for children in self.RANGES:
+                for name in self.NAMES:
+                    assert_same_streams(SeedTree(seed, path), children, name)
 
-    @pytest.mark.parametrize("children", [[2**32, 2**40 + 3], [0, 2**32, 1, 2**64 + 1, 5]],
-                             ids=["all-wide", "mixed-widths"])
-    def test_indices_past_one_word(self, children):
-        # an index >= 2**32 spans several SeedSequence words; rows of each
-        # width are keyed together, in the order of the trees
+    @pytest.mark.parametrize("children, index", [
+        (range(2**32, 2**32 + 2), 2**32), (range(2**32 - 2, 2**32 + 1), 2**32),
+        (range(-1, 3), -1), (range(2**64 + 1, 5, -2**63), 2**64 + 1)],
+        ids=["all-wide", "mixed-widths", "negative", "wide-descending"])
+    def test_indices_past_one_word(self, children, index):
+        # a child index must fit the one uint32 word that the keys give it;
+        # no replica count reaches 2**32
         for path in [(), (2**33,)]:
-            assert_same_streams(SeedTree(4, path), children, STREAM_INDICES_J)
+            with pytest.raises(ValueError, match=f"child index {index} does not fit"):
+                streams(SeedTree(4, path), children, STREAM_INDICES_J)
 
     @settings(max_examples=40)
     @given(seed=st.integers(0, 2**140),
            path=st.lists(st.integers(0, 2**70), max_size=3),
-           children=st.lists(st.integers(0, 2**36), min_size=1, max_size=6),
+           start=st.integers(0, 2**32 - 1), count=st.integers(0, 6), step=st.integers(1, 3),
            name=st.text(max_size=12))
-    def test_any_tree(self, seed, path, children, name):
+    def test_any_tree(self, seed, path, start, count, step, name):
+        children = range(start, min(start + count * step, 2**32), step)
         assert_same_streams(SeedTree(seed, tuple(path)), children, name)
 
-    def test_mixed_trees_and_none(self):
-        trees = [SeedTree(3, (1,)), SeedTree(2**70), SeedTree(3, (1, 2)), SeedTree(0, (2**35,))]
-        for tree, rng in zip(trees, streams(trees, STREAM_DATA)):
-            assert rng.integers(0, 2**40, size=5).tolist() == \
-                tree.stream(STREAM_DATA).integers(0, 2**40, size=5).tolist()
-        assert list(streams([], STREAM_DATA)) == []
+    def test_empty_range(self):
+        for children in (range(0), range(5, 5), range(2**33, 2**33), range(3, 0)):
+            assert list(streams(SeedTree(3, (1,)), children, STREAM_DATA)) == []
 
     def test_negative_seed_raises_like_seed_sequence(self):
         with pytest.raises(ValueError, match="expected non-negative integer"):
             SeedTree(-1).stream(STREAM_DATA)
         with pytest.raises(ValueError, match="expected non-negative integer"):
-            next(streams([SeedTree(-1).child(0)], STREAM_DATA))
+            next(streams(SeedTree(-1), range(1), STREAM_DATA))
 
 
 class CountingMatrix(np.ndarray):

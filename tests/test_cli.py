@@ -419,7 +419,9 @@ NAMES_THE_FLAG = {
     "gmm-batch-not-dividing-n": ("batch 30 does not divide n=100 for online-em",),
     "gmm-kswitch-past-last-epoch": ("kswitch=5 is outside 0..epochs=2",),
     "gmm-default-kswitch-past-epochs": ("kswitch=6 is outside 0..epochs=3",),
-    "gmm-zero-batch": ("batch 0 is below 1",),
+    "gmm-zero-batch": ("--batch", "at least 1", "'0'"),
+    "gmm-zero-epochs": ("--epochs", "at least 1", "'0'"),
+    "gmm-negative-kswitch": ("--kswitch", "at least 0", "'-1'"),
     "gmm-zero-gamma": ("--gamma", "positive finite", "'0'"),
     "gmm-negative-gamma": ("--gamma", "positive finite", "'-0.5'"),
     "gmm-nan-gamma": ("--gamma", "positive finite", "'nan'"),
@@ -431,10 +433,12 @@ NAMES_THE_FLAG = {
     "toy-plan-negative-gamma": ("--plan", "negative.json", "gamma = -1 "),
     "toy-plan-nan-step": ("--plan", "nan-step.json", "gamma[1] = nan "),
     "toy-plan-zero-step": ("--plan", "zero-step.json", "gamma[19] = 0.0 "),
-    "plan-nan-vmin": ("v_min", "nan"),
+    "plan-nan-vmin": ("--vmin", "positive finite", "'nan'"),
+    "plan-nan-L": ("argument --L:", "positive finite", "'nan'"),
+    "plan-inf-Lv": ("argument --Lv:", "positive finite", "'inf'"),
     "plan-nan-weight": ("weights",),
-    "gmm-zero-replicas": ("replicas",),
-    "gmm-negative-replicas": ("replicas",),
+    "gmm-zero-replicas": ("--replicas", "at least 1", "'0'"),
+    "gmm-negative-replicas": ("--replicas", "at least 1", "'-2'"),
     "toy-zero-threads": ("--threads", "at least 1", "'0'"),
     "gmm-negative-threads": ("--threads", "at least 1", "'-3'"),
     "check-zero-threads": ("--threads", "at least 1", "'0'"),
@@ -445,7 +449,7 @@ NAMES_THE_FLAG = {
     "toy-empty-algorithms": ("--algos", "''"),
     "gmm-empty-algorithms": ("--algos", "','"),
     "toy-repeated-algorithm-config": ("--algos", "'online-em,fiem,online-em'"),
-    "gmm-negative-preprocess": ("p_target=-3", "at least 1"),
+    "gmm-negative-preprocess": ("--preprocess", "at least 0", "'-3'"),
     "gmm-synthetic-preprocess": ("--preprocess", "--synthetic"),
     "gmm-synthetic-preprocess-config": ("--preprocess", "--synthetic"),
     "gmm-nan-data": ("nan-data.csv", "row 4, column 2", "nan"),
@@ -579,6 +583,9 @@ NAMES_THE_FLAG = {
     ["gmm", "--synthetic", "0,100,2,0,3.0", "--algos", "em", "--epochs", "1", "--threads", "1"],
     ["gmm", "--synthetic", "0,0,2,2,3.0", "--algos", "em", "--epochs", "1", "--threads", "1"],
     ["gmm", "--synthetic", "0,100,2,2,nan", "--algos", "em", "--epochs", "1", "--threads", "1"],
+    GMM_SMALL + ["--batch", "10", "--algos", "h-fiem", "--epochs", "2", "--kswitch", "-1"],
+    ["plan", "--n", "1000", "--kmax", "100", "--vmin", "1", "--L", "nan", "--Lv", "1"],
+    ["plan", "--n", "1000", "--kmax", "100", "--vmin", "1", "--L", "1", "--Lv", "inf"],
 ], ids=["gmm-batch-not-dividing-n", "gmm-short-synthetic", "gmm-non-numeric-synthetic",
         "gmm-kswitch-past-last-epoch", "gmm-default-kswitch-past-epochs", "gmm-zero-batch",
         "gmm-missing-data", "gmm-zero-components",
@@ -603,7 +610,8 @@ NAMES_THE_FLAG = {
         "plan-lambda-under-karimi-config", "toy-zero-n", "toy-zero-kmax", "plan-n-1",
         "plan-zero-kmax", "check-negative-seed", "toy-negative-seed", "toy-negative-seed-config",
         "gmm-negative-seed", "gmm-negative-synthetic-seed", "gmm-zero-synthetic-components",
-        "gmm-zero-synthetic-dimension", "gmm-zero-synthetic-n", "gmm-nan-synthetic-separation"])
+        "gmm-zero-synthetic-dimension", "gmm-zero-synthetic-n", "gmm-nan-synthetic-separation",
+        "gmm-negative-kswitch", "plan-nan-L", "plan-inf-Lv"])
 def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, request, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "not-json.json").write_text("{not json")

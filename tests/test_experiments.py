@@ -131,14 +131,6 @@ class TestEstimates:
         est = estimate_e(table.runs["fiem"], v_max=m.constants().v_max)
         assert est.e0 <= est.e1 + 3.0 * est.se1
 
-    def test_e2_requires_tracking(self):
-        m = toy(seed=8)
-        table = run_replicated(config(m, replicas=2))
-        est = estimate_e(table.runs["fiem"])
-        assert est.e2 is None
-        table2 = run_replicated(config(m, replicas=2, compute_e2=True))
-        assert estimate_e(table2.runs["fiem"]).e2 is not None
-
     def test_e0_needs_vmax(self):
         m = toy(seed=9)
         table = run_replicated(config(m, replicas=2, compute_e0=True))
@@ -529,8 +521,8 @@ class TestReplicaAxis:
         options = RunOptions(s0=s0, **diagnostics)
         expected = _per_path(m, schedule, termination, 7, 200, options)
         for replicas in (1, m.q, 200):
-            trees = [SeedTree(7).child(r) for r in range(replicas)]
-            block = fiem_replicas(m, schedule, termination, trees, options)
+            block = fiem_replicas(m, schedule, termination, SeedTree(7), range(replicas),
+                                  options)
             assert len(block) == replicas
             assert [_bits(o) for o in block] == expected[:replicas]
 
@@ -584,8 +576,9 @@ class _Counts:
     the random streams."""
 
     def __init__(self, monkeypatch):
-        self.run = self.stream = self.draw = self.seed_sequence = self.philox = 0
-        run, stream, draw = fiem.experiments.run, SeedTree.stream, fiem.algorithms.draw_batch
+        self.run = self.stream = self.child = self.draw = self.seed_sequence = self.philox = 0
+        run, draw = fiem.experiments.run, fiem.algorithms.draw_batch
+        stream, child = SeedTree.stream, SeedTree.child
         seed_sequence, philox = np.random.SeedSequence, np.random.Philox
 
         def counted_run(*args, **kwargs):
@@ -595,6 +588,10 @@ class _Counts:
         def counted_stream(tree, name):
             self.stream += 1
             return stream(tree, name)
+
+        def counted_child(tree, index):
+            self.child += 1
+            return child(tree, index)
 
         def counted_draw(*args, **kwargs):
             self.draw += 1
@@ -612,6 +609,7 @@ class _Counts:
         monkeypatch.setattr(np.random, "SeedSequence", counted_seed_sequence)
         monkeypatch.setattr(np.random, "Philox", counted_philox)
         monkeypatch.setattr(SeedTree, "stream", counted_stream)
+        monkeypatch.setattr(SeedTree, "child", counted_child)
         monkeypatch.setattr(fiem.algorithms, "draw_batch", counted_draw)
 
 
@@ -620,15 +618,16 @@ class TestReplicaAxisBudget:
     replica axis, and the calls each route makes."""
 
     def test_fiem_alone_makes_no_run_call(self, monkeypatch):
-        # one chunk keys its three streams in bulk: at most one generator
-        # per stream name, whatever the replica count
+        # one chunk keys its three streams in bulk from the root tree and a
+        # range of child indices: at most one generator per stream name and
+        # no child tree, whatever the replica count
         m = toy(seed=5)
         counts = _Counts(monkeypatch)
         cfg = config(m, k_max=20, replicas=9, compute_e0=True, compute_e2=True)
         assert len(fiem.experiments._chunks(cfg)) == 1
         table = run_replicated(cfg)
         assert table.completed == {"fiem": 9}
-        assert (counts.run, counts.stream, counts.draw) == (0, 0, 0)
+        assert (counts.run, counts.stream, counts.child, counts.draw) == (0, 0, 0, 0)
         assert counts.seed_sequence <= 3 and counts.philox <= 3
 
     def test_replicas_are_never_summarized(self, monkeypatch):
@@ -652,6 +651,7 @@ class TestReplicaAxisBudget:
                      compute_e0=True, theta_ref=m.theta_star)
         run_replicated(cfg)
         assert counts.run == 2 * 3
+        assert counts.child == 2
         assert counts.stream == 2 * 3 * 3
         assert counts.draw == 2 * (40 + 2 * 40 + 2 * 40)
 

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from fiem.algorithms import ALGORITHMS, MEMORY_ALGORITHMS, StepSchedule, Termina
 from fiem.errors import ConfigurationError, DomainError, UnsupportedCapabilityError
 from fiem.model import FiniteSumModel, ModelConstants, check_statistic
 
-from model_reference import grad_v_fd, gradv_identity_check
+from model_reference import em_fixed_point, grad_v_fd, gradv_identity_check
 
 
 def toy(seed=0, n=5, dims=(4, 3, 3), **kw):
@@ -19,18 +20,14 @@ def toy(seed=0, n=5, dims=(4, 3, 3), **kw):
 
 
 class TestModelConstants:
-    def test_rms_must_match(self):
-        with pytest.raises(ConfigurationError):
-            ModelConstants(1.0, 2.0, np.array([1.0, 2.0]), 1.0, 1.0)
-
     def test_ordering_enforced(self):
         with pytest.raises(ConfigurationError):
-            ModelConstants(2.0, 1.0, np.array([1.0]), 1.0, 1.0)
+            ModelConstants(2.0, 1.0, 1.0, 1.0)
 
-    def test_uniform_builder(self):
-        c = ModelConstants.uniform(0.5, 2.0, 1.5, 3.0, n=4)
-        assert c.lipschitz_i.shape == (4,)
-        assert c.lipschitz_rms == 1.5
+    @pytest.mark.parametrize("l_rms, l_gradv", [(0.0, 1.0), (1.0, -1.0), (float("nan"), 1.0)])
+    def test_lipschitz_constants_must_be_positive(self, l_rms, l_gradv):
+        with pytest.raises(ConfigurationError, match="Lipschitz"):
+            ModelConstants(0.5, 2.0, l_rms, l_gradv)
 
 
 class TestSbar:
@@ -64,7 +61,7 @@ class TestSbar:
 class TestMeanField:
     def test_zero_at_fixed_point(self):
         m = toy(seed=1, n=6)
-        s_star = m.em_fixed_point()
+        s_star = em_fixed_point(m)
         assert np.linalg.norm(fiem.mean_field(m, s_star)) < 1e-10
 
     def test_affine_identity_on_toy(self):
@@ -103,7 +100,7 @@ class TestMeanField:
 class TestObjectiveV:
     def test_minimum_at_fixed_point(self):
         m = toy(seed=5, n=9)
-        s_star = m.em_fixed_point()
+        s_star = em_fixed_point(m)
         v_star = fiem.objective_v(m, s_star)
         assert abs(v_star - m.objective(m.theta_star)) < 1e-9
         rng = np.random.default_rng(2)
@@ -144,7 +141,7 @@ class TestGradientIdentity:
 
     def test_fixed_point_is_critical(self):
         m = toy(seed=8, n=6)
-        g = grad_v_fd(m, m.em_fixed_point())
+        g = grad_v_fd(m, em_fixed_point(m))
         assert np.linalg.norm(g) <= 1e-6
 
     def test_residual_invariant_under_regularization_change(self):
@@ -228,14 +225,15 @@ def test_public_surface_is_pinned():
 def test_settings_are_pinned():
     # every settable field and parameter here is a configuration tests must
     # cover; a new one shows up as a diff of this table
-    from fiem.algorithms import RunDiagnostics
-    from fiem.experiments import (BoundReport, ExperimentConfig, GmmExperimentConfig,
-                                  ResultTable, verify_theorem1)
+    from fiem.algorithms import RunDiagnostics, fiem_replicas
+    from fiem.experiments import (BoundReport, EEstimates, ExperimentConfig,
+                                  GmmExperimentConfig, ResultTable, verify_theorem1)
+    from fiem.rng import streams
     from fiem.stepsize import StepSizePlan, bound_case1, solve_c_case1
 
     fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in (
         fiem.RunOptions, ExperimentConfig, GmmExperimentConfig, fiem.PlannerInputs,
-        StepSizePlan, RunDiagnostics, ResultTable, BoundReport)}
+        StepSizePlan, RunDiagnostics, ResultTable, BoundReport, ModelConstants, EEstimates)}
     assert fields == {
         "RunOptions": ["s0", "batch_size", "compute_h", "compute_e2", "compute_e0",
                        "theta_ref", "forced_lambda", "domain_policy"],
@@ -250,14 +248,20 @@ def test_settings_are_pinned():
                            "vdot_sq", "lambdas", "theta_err", "violations"],
         "ResultTable": ["runs", "aborted"],
         "BoundReport": ["strategy", "lhs", "rhs", "margin_sigmas", "vacuous"],
+        "ModelConstants": ["v_min", "v_max", "lipschitz_rms", "lipschitz_gradv"],
+        "EEstimates": ["e1", "se1", "e0", "se0"],
     }
     params = {fn.__name__: list(inspect.signature(fn).parameters) for fn in (
-        fiem.generate_toy, verify_theorem1, solve_c_case1, bound_case1)}
+        fiem.generate_toy, verify_theorem1, solve_c_case1, bound_case1, fiem.karimi_plan,
+        streams, fiem_replicas)}
     assert params == {
         "generate_toy": ["seed", "n", "dims"],
         "verify_theorem1": ["model", "schedule", "s0", "replicas", "seed", "betas", "workers"],
         "solve_c_case1": ["inputs"],
         "bound_case1": ["inputs", "c"],
+        "karimi_plan": ["inputs"],
+        "streams": ["tree", "children", "name"],
+        "fiem_replicas": ["model", "schedule", "termination", "tree", "children", "options"],
     }
 
 
@@ -267,28 +271,36 @@ TEST_ONLY_NAMES = {
 }
 
 
-def _referenced_names(node) -> set[str]:
-    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-            if isinstance(n, (ast.Name, ast.Attribute))}
+def _references(node) -> Counter:
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
 
 
 def test_every_library_name_has_a_product_caller():
-    # a module-level function or class of src/fiem is used when another
-    # definition in a package module (re-exports in __init__ do not count)
-    # names it, or when the benchmark tracer wraps it by name
+    # a module-level function or class of src/fiem, or a non-dunder method
+    # or property of one of its classes, is used when a package module
+    # (re-exports in __init__ do not count) names it outside its own
+    # definition, or when the benchmark tracer wraps it by name
+    # ("Class.method" for a method)
     repo = Path(__file__).resolve().parents[1]
-    defined, used = set(), set()
+    defined, references = [], Counter()
     for path in sorted((repo / "src" / "fiem").glob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
-            own = {stmt.name} if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else set()
-            defined |= own
-            if path.name != "__init__.py":
-                used |= _referenced_names(stmt) - own
+        module = ast.parse(path.read_text())
+        if path.name != "__init__.py":
+            references += _references(module)
+        for stmt in module.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((stmt.name, stmt))
+            if isinstance(stmt, ast.ClassDef):
+                defined += [(f"{stmt.name}.{fn.name}", fn) for fn in stmt.body
+                            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__")]
     spans = ast.parse((repo / "perfbench" / "spans.py").read_text())
     targets = next(stmt.value for stmt in spans.body if isinstance(stmt, ast.Assign)
                    and [t.id for t in stmt.targets] == ["TARGETS"])
-    for entry in targets.elts:
-        used |= set(entry.elts[1].value.split("."))
-    unused = sorted(defined - used - set(TEST_ONLY_NAMES))
-    assert unused == [], f"no product caller: {unused}"
-    assert sorted(TEST_ONLY_NAMES) == sorted(defined - used)
+    traced = {entry.elts[1].value for entry in targets.elts}
+    traced |= {part for target in traced for part in target.split(".")}
+    unused = sorted(name for name, node in defined if name not in traced
+                    and references[node.name] == _references(node)[node.name])
+    stray = sorted(set(unused) - set(TEST_ONLY_NAMES))
+    assert stray == [], f"no product caller: {stray}"
+    assert sorted(TEST_ONLY_NAMES) == unused

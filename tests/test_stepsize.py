@@ -144,23 +144,20 @@ class TestCase2:
 class TestKarimi:
     def test_reference_value(self):
         ins = inputs(n=1000)
-        plan = karimi_plan(ins, [1.0] * 5)
+        plan = karimi_plan(ins)
         assert plan.gamma == pytest.approx(1.0 / 600.0, rel=1e-12)
         assert plan.bound_constant == pytest.approx(36.0, rel=1e-12)
 
     def test_branch_flip_at_large_vmin(self):
         ins = inputs(n=1000, v_min=2.0)  # 1 + 4 v_min = 9 > 6
-        plan = karimi_plan(ins, [1.0])
+        plan = karimi_plan(ins)
         assert plan.gamma == pytest.approx(2.0 / (9.0 * 1000 ** (2 / 3)), rel=1e-12)
 
-    def test_max_over_examples(self):
-        ins = inputs(n=1000)
-        slow = karimi_plan(ins, [1.0, 4.0, 0.5])
+    @pytest.mark.parametrize("l_rms, l_gradv", [(4.0, 1.0), (1.0, 4.0)])
+    def test_larger_lipschitz_constant_sets_the_step(self, l_rms, l_gradv):
+        slow = karimi_plan(inputs(n=1000, l_rms=l_rms, l_gradv=l_gradv))
         assert slow.gamma == pytest.approx(1.0 / (6.0 * 4.0 * 1000 ** (2 / 3)), rel=1e-12)
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            karimi_plan(inputs(), [])
+        assert slow.bound_constant == pytest.approx(36.0 * 4.0, rel=1e-12)
 
 
 class TestNonUniform:
