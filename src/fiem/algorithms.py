@@ -24,7 +24,8 @@ from .rng import (
     STREAM_TERMINATION,
     SeedTree,
     as_seed_tree,
-    streams,
+    index_draws,
+    raw_outputs,
 )
 
 ALGORITHMS = ("em", "iem", "online-em", "fiem", "opt-fiem")
@@ -76,6 +77,9 @@ class TerminationRule:
         if not abs(w.sum() - 1.0) <= 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
         self.weights = w
+        # the cumulative distribution as Generator.choice builds it
+        self.cdf = w.cumsum()
+        self.cdf /= self.cdf[-1]
 
     def __len__(self) -> int:
         return self.weights.size
@@ -84,8 +88,13 @@ class TerminationRule:
     def uniform(cls, k_max: int) -> "TerminationRule":
         return cls(np.full(int(k_max), 1.0 / int(k_max)))
 
+    def indices(self, u):
+        """The index that ``Generator.choice(K, p=weights)`` picks for each
+        uniform ``u`` in [0, 1), bit for bit."""
+        return self.cdf.searchsorted(u, side="right")
+
     def sample(self, rng: np.random.Generator) -> int:
-        return int(rng.choice(self.weights.size, p=self.weights))
+        return int(self.indices(rng.random()))
 
 
 class MemoryTable:
@@ -557,20 +566,21 @@ def fiem_replicas(
     ``options`` may not set ``theta_ref`` or ``domain_policy``.  Replica r
     samples its termination index and draws all its "indices-I" and
     "indices-J" indices up front from its own tree (``integers(0, n,
-    size=K)`` reads the values of K single draws); :func:`fiem.rng.streams`
-    keys each stream for all replicas at once.  Every product that BLAS
+    size=K)`` reads the values of K single draws); the draws of all
+    replicas are formed together from their raw Philox outputs
+    (:func:`fiem.rng.raw_outputs`, :func:`fiem.rng.index_draws`), bit for
+    bit the per-replica generator calls.  Every product that BLAS
     rounds is a stacked matmul, which makes the one-state gemv or dot call
     per replica.
     """
     if len(termination) != len(schedule):
         raise ValueError("termination weights must have length K_max")
     k_max, n, replicas = len(schedule), model.n, len(children)
-    terminal = [termination.sample(rng) for rng in streams(tree, children, STREAM_TERMINATION)]
-    draws_i = np.empty((replicas, k_max), dtype=np.int64)
-    draws_j = np.empty((replicas, k_max), dtype=np.int64)
-    for draws, name in ((draws_i, STREAM_INDICES_I), (draws_j, STREAM_INDICES_J)):
-        for r, rng in enumerate(streams(tree, children, name)):
-            draws[r] = rng.integers(0, n, size=k_max)
+    # Generator.random() is the top 53 bits of one raw output over 2**53
+    raw = raw_outputs(tree, children, STREAM_TERMINATION, 1)[:, 0]
+    terminal = termination.indices((raw >> 11) * 2.0**-53).tolist()
+    draws_i = index_draws(tree, children, STREAM_INDICES_I, n, k_max)
+    draws_j = index_draws(tree, children, STREAM_INDICES_J, n, k_max)
 
     s0 = np.array(options.s0, dtype=float)
     model.admissible(s0)

@@ -107,6 +107,18 @@ def _positive_number(text: str) -> float:
     return value
 
 
+def _open_unit(text: str) -> float:
+    """The type of a rate or accuracy flag: a number strictly between 0
+    and 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"expects a number in (0, 1), got {text!r}")
+    return value
+
+
 def _path(text: str) -> str:
     """The type of a file flag: a non-empty path."""
     if not text:
@@ -177,13 +189,22 @@ def cmd_plan(args, parser) -> int:
     for flag, dest, strategies in PLAN_FLAG_STRATEGIES:
         if getattr(args, dest) is not None and args.strategy not in strategies:
             parser.error(f"--{flag} applies only to --strategy {', '.join(strategies)}")
-    weights = None if args.weights is None else np.loadtxt(args.weights, ndmin=1)
+    for flag, strategy in (("weights", "nonuniform"), ("epsilon", "auto")):
+        if args.strategy == strategy and getattr(args, flag) is None:
+            parser.error(f"--strategy {strategy} requires --{flag}")
     # PlannerInputs holds the default mu and lambda of the flags left out
     rates = {key: value for key, value in (("mu", args.mu), ("lam", args.lambda_))
              if value is not None}
     inputs = PlannerInputs(n=args.n, k_max=args.kmax, v_min=args.vmin, l_rms=args.L,
                            l_gradv=args.Lv, **rates)
-    plan = build_plan(args.strategy, inputs, weights=weights, epsilon=args.epsilon)
+    try:
+        weights = None if args.weights is None else np.loadtxt(args.weights, ndmin=1)
+        plan = build_plan(args.strategy, inputs, weights=weights, epsilon=args.epsilon)
+    except (OSError, ValueError) as exc:
+        if args.weights is None:
+            raise
+        # only the nonuniform strategy reads a weights file
+        parser.error(f"--weights {args.weights}: {' '.join(str(exc).split())}")
     _json_dump(plan.to_dict(), args.out)
     if not plan.feasible:
         print(f"infeasible: {plan.violated_condition}", file=sys.stderr)
@@ -482,13 +503,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vmin", type=_positive_number)
     p.add_argument("--L", type=_positive_number)
     p.add_argument("--Lv", type=_positive_number)
-    p.add_argument("--mu", type=float, help="case1, case2 and auto (default 0.25)")
-    p.add_argument("--lambda", dest="lambda_", type=float,
+    p.add_argument("--mu", type=_open_unit, help="case1, case2 and auto (default 0.25)")
+    p.add_argument("--lambda", dest="lambda_", type=_open_unit,
                    help="every strategy but karimi (default 0.5)")
     p.add_argument("--strategy", choices=["case1", "case2", "nonuniform", "karimi", "auto"],
                    default="case1")
     p.add_argument("--weights", type=_path, help="file with termination weights (nonuniform)")
-    p.add_argument("--epsilon", type=float, help="target accuracy for auto strategy")
+    p.add_argument("--epsilon", type=_open_unit, help="target accuracy for auto strategy")
     p.add_argument("--out", type=_path)
 
     threads = os.cpu_count() or 1

@@ -11,16 +11,16 @@ stream positions as the second draws of FIEM.
 Child nodes (``tree.child(r)``) derive per-replica trees deterministically.
 
 :meth:`SeedTree.stream` keys one generator through ``np.random.SeedSequence``.
-:func:`streams` keys the same named stream of a range of one tree's children
-at once: it builds their entropy words as one (R, w) uint32 array, runs
-SeedSequence's pool mixing on it as vectorized uint32 arithmetic and re-keys
-a single Philox generator per child, so each generator it yields must be
-used up before the next one is taken.
+:func:`raw_outputs` reads the first 64-bit outputs of the same named stream
+of a range of one tree's children at once: it builds their entropy words as
+one (R, w) uint32 array, runs SeedSequence's pool mixing on it as vectorized
+uint32 arithmetic and re-keys one Philox per child.  :func:`index_draws`
+turns those outputs into ``integers(0, n, size)`` of each child's stream,
+bit for bit, with numpy's Lemire rejection written as array arithmetic.
 """
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator
 
 import numpy as np
 
@@ -115,11 +115,11 @@ def _keys(entropy: np.ndarray) -> np.ndarray:
                      state[2] | state[3] << np.uint64(32)], axis=1)
 
 
-def streams(tree: SeedTree, children: range, name: str) -> Iterator[np.random.Generator]:
-    """``tree.child(r).stream(name)`` for each r of ``children`` in order,
-    bit for bit, with the keys of all children computed together.  Every
-    item is the same generator re-keyed: draw from it before taking the
-    next.  Each child index must fit one uint32 word."""
+def raw_outputs(tree: SeedTree, children: range, name: str, count: int) -> np.ndarray:
+    """``tree.child(r).stream(name).bit_generator.random_raw(count)`` for each
+    r of ``children``, bit for bit, as the rows of an (R, count) uint64
+    array; the keys of all children are computed together.  Each child
+    index must fit one uint32 word."""
     for r in (children[0], children[-1]) if children else ():
         if not 0 <= r <= _MASK:
             raise ValueError(f"child index {r} does not fit one 32-bit word")
@@ -130,20 +130,47 @@ def streams(tree: SeedTree, children: range, name: str) -> Iterator[np.random.Ge
     entropy[:, :len(head)] = head
     entropy[:, len(head)] = np.arange(children.start, children.stop, children.step)
     entropy[:, len(head) + 1:] = _name_key(name)
-    return _rekeyed(_keys(entropy)) if children else iter(())
-
-
-def _rekeyed(keys: np.ndarray) -> Iterator[np.random.Generator]:
-    """One Philox generator re-keyed with each row of ``keys`` in turn."""
-    generator = np.random.Generator(np.random.Philox(key=keys[0]))
+    out = np.empty((len(children), count), dtype=np.uint64)
+    if not children:
+        return out
+    keys = _keys(entropy)
+    philox = np.random.Philox(key=keys[0])
     # a fresh Philox: counter 0 and an empty buffer, in the plain ints that
     # the state setter reads fastest
     state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
              "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for key in keys.tolist():
+    for row, key in zip(out, keys.tolist()):
         state["state"]["key"] = key
-        generator.bit_generator.state = state
-        yield generator
+        philox.state = state
+        row[:] = philox.random_raw(count)
+    return out
+
+
+def index_draws(tree: SeedTree, children: range, name: str, n: int, size: int) -> np.ndarray:
+    """``tree.child(r).stream(name).integers(0, n, size=size)`` for each r of
+    ``children``, bit for bit, as the rows of an (R, size) int64 array.
+
+    ``integers`` draws below 2**32 from 32-bit halves of the raw outputs,
+    low half first, as ``m = u32 * n`` with the value ``m >> 32`` (Lemire);
+    it rejects a half whose ``m mod 2**32`` falls below ``(2**32 - n) % n``
+    and draws the next.  Rows with a rejection, and every row when n passes
+    2**32, are drawn again through the child's own stream."""
+    draws = np.zeros((len(children), size), dtype=np.int64)
+    if n == 1:
+        return draws
+    redrawn = range(len(children))
+    if n <= 2**32:
+        m = draws.view(np.uint64)
+        raw = raw_outputs(tree, children, name, -(-size // 2))
+        m[:, 0::2] = raw & _MASK
+        m[:, 1::2] = raw[:, :size // 2] >> 32
+        m *= np.uint64(n)
+        threshold = (2**32 - n) % n
+        redrawn = np.flatnonzero(((m & _MASK) < threshold).any(axis=1)) if threshold else ()
+        m >>= 32
+    for r in redrawn:
+        draws[r] = tree.child(children[r]).stream(name).integers(0, n, size=size)
+    return draws
 
 
 def as_seed_tree(seed) -> SeedTree:

@@ -12,7 +12,7 @@ from fiem.algorithms import MemoryTable, StepSchedule, TerminationRule, draw_bat
 from fiem.errors import MemoryStateError, RunAbortError
 from fiem.experiments import ExperimentConfig, run_replicated
 from fiem.rng import (STREAM_DATA, STREAM_INDICES_I, STREAM_INDICES_J, STREAM_TERMINATION,
-                      SeedTree, _name_key, streams)
+                      SeedTree, index_draws, raw_outputs)
 
 from model_reference import em_fixed_point
 
@@ -462,7 +462,7 @@ class TestRun:
                      TerminationRule.uniform(5), 0, opts(m))
 
 
-def index_draws(algorithm, model, k_max, batch_size, seed):
+def run_draws(algorithm, model, k_max, batch_size, seed):
     """The batches one ``run`` draws, per index stream, in draw order."""
     names = {}
     draws = {STREAM_INDICES_I: [], STREAM_INDICES_J: []}
@@ -494,7 +494,7 @@ class TestIndexStreams:
         b = data.draw(st.integers(1, n), label="b")
         k_max = 8
         model = toy(seed=n, n=n)
-        draws = {alg: index_draws(alg, model, k_max, b, seed=n)
+        draws = {alg: run_draws(alg, model, k_max, b, seed=n)
                  for alg in ("iem", "fiem", "opt-fiem", "online-em")}
         i_draws = {alg: d[STREAM_INDICES_I] for alg, d in draws.items()}
         j_draws = {alg: d[STREAM_INDICES_J] for alg, d in draws.items()}
@@ -510,25 +510,20 @@ class TestIndexStreams:
             assert j_draws["online-em"] == j_draws["fiem"]
 
 
-def assert_same_streams(tree, children, name):
-    """streams(tree, children, name) yields, for each r of the range
-    ``children``, a generator keyed as SeedSequence keys it and drawing what
-    a fresh tree.child(r).stream(name) draws."""
-    termination = TerminationRule(np.linspace(1.0, 2.0, 13) / np.linspace(1.0, 2.0, 13).sum())
-    for r, rng in zip(children, streams(tree, children, name), strict=True):
-        key = np.random.SeedSequence(tree.seed, spawn_key=tree.path + (r,) + _name_key(name))
+def assert_same_streams(tree, children, name, count=9):
+    """raw_outputs(tree, children, name, count) holds, for each r of the
+    range ``children``, the first ``count`` raw outputs of a fresh
+    tree.child(r).stream(name)."""
+    raw = raw_outputs(tree, children, name, count)
+    assert raw.shape == (len(children), count) and raw.dtype == np.uint64
+    for r, row in zip(children, raw, strict=True):
         fresh = tree.child(r).stream(name)
-        assert rng.bit_generator.state["state"]["key"].tolist() == \
-            key.generate_state(2, np.uint64).tolist()
-        assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
-        assert rng.integers(0, 17, size=9).tolist() == fresh.integers(0, 17, size=9).tolist()
-        assert termination.sample(rng) == termination.sample(fresh)
-        assert rng.random() == fresh.random()
+        assert row.tolist() == fresh.bit_generator.random_raw(count).tolist()
 
 
 class TestBulkStreams:
-    """streams() keys a range of one tree's children at once, bit for bit
-    SeedTree.stream."""
+    """raw_outputs() reads a range of one tree's children at once, bit for
+    bit SeedTree.stream."""
 
     NAMES = (STREAM_INDICES_I, STREAM_INDICES_J, STREAM_TERMINATION, STREAM_DATA, "any name")
     # parent paths of depth 0 to 3, some entries past one word
@@ -551,26 +546,89 @@ class TestBulkStreams:
         # no replica count reaches 2**32
         for path in [(), (2**33,)]:
             with pytest.raises(ValueError, match=f"child index {index} does not fit"):
-                streams(SeedTree(4, path), children, STREAM_INDICES_J)
+                raw_outputs(SeedTree(4, path), children, STREAM_INDICES_J, 3)
+            with pytest.raises(ValueError, match=f"child index {index} does not fit"):
+                index_draws(SeedTree(4, path), children, STREAM_INDICES_J, 10, 3)
 
     @settings(max_examples=40)
     @given(seed=st.integers(0, 2**140),
            path=st.lists(st.integers(0, 2**70), max_size=3),
            start=st.integers(0, 2**32 - 1), count=st.integers(0, 6), step=st.integers(1, 3),
-           name=st.text(max_size=12))
-    def test_any_tree(self, seed, path, start, count, step, name):
+           name=st.text(max_size=12), outputs=st.integers(0, 9))
+    def test_any_tree(self, seed, path, start, count, step, name, outputs):
         children = range(start, min(start + count * step, 2**32), step)
-        assert_same_streams(SeedTree(seed, tuple(path)), children, name)
+        assert_same_streams(SeedTree(seed, tuple(path)), children, name, outputs)
 
     def test_empty_range(self):
         for children in (range(0), range(5, 5), range(2**33, 2**33), range(3, 0)):
-            assert list(streams(SeedTree(3, (1,)), children, STREAM_DATA)) == []
+            assert raw_outputs(SeedTree(3, (1,)), children, STREAM_DATA, 4).shape == (0, 4)
+            assert index_draws(SeedTree(3, (1,)), children, STREAM_DATA, 10, 4).shape == (0, 4)
 
     def test_negative_seed_raises_like_seed_sequence(self):
         with pytest.raises(ValueError, match="expected non-negative integer"):
             SeedTree(-1).stream(STREAM_DATA)
         with pytest.raises(ValueError, match="expected non-negative integer"):
-            next(streams(SeedTree(-1), range(1), STREAM_DATA))
+            raw_outputs(SeedTree(-1), range(1), STREAM_DATA, 1)
+
+
+# sizes of the index range: one, small, the size where Lemire rejects about
+# half the 32-bit draws, and the edges of numpy's 32-bit route
+INDEX_RANGES = [1, 2, 3, 10, 10**4, 2**31 + 1, 2**32, 2**32 + 1]
+
+
+class TestBulkDraws:
+    """index_draws() and TerminationRule.indices() on raw outputs give what
+    the per-child generator calls give, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**70), path=st.lists(st.integers(0, 2**40), max_size=2),
+           start=st.integers(0, 2**20), count=st.integers(0, 5),
+           n=st.sampled_from(INDEX_RANGES), size=st.sampled_from([1, 2, 50, 2000]),
+           weights_seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 0.9))
+    def test_rows_are_the_per_child_draws(self, seed, path, start, count, n, size,
+                                          weights_seed, zeros):
+        tree, children = SeedTree(seed, tuple(path)), range(start, start + count)
+        draws = index_draws(tree, children, STREAM_INDICES_I, n, size)
+        assert draws.shape == (count, size) and draws.dtype == np.int64
+        for r, row in zip(children, draws):
+            expected = tree.child(r).stream(STREAM_INDICES_I).integers(0, n, size=size)
+            assert row.tobytes() == expected.tobytes()
+        # termination weights with zero entries, the last one kept positive
+        rng = np.random.default_rng(weights_seed)
+        w = rng.random(size) * (rng.random(size) >= zeros)
+        w[-1] += 1.0
+        rule = TerminationRule(w / w.sum())
+        raw = raw_outputs(tree, children, STREAM_TERMINATION, 1)[:, 0]
+        picked = rule.indices((raw >> 11) * 2.0**-53)
+        for r, k in zip(children, picked, strict=True):
+            stream = tree.child(r).stream(STREAM_TERMINATION)
+            assert k == stream.choice(size, p=rule.weights)
+            assert rule.weights[k] > 0.0
+            assert rule.sample(tree.child(r).stream(STREAM_TERMINATION)) == k
+
+    @pytest.mark.parametrize("n, redrawn", [(10, 0), (2**31 + 1, 6), (2**32, 0), (2**32 + 1, 6)])
+    def test_rejected_rows_are_drawn_again(self, monkeypatch, n, redrawn):
+        # at n = 2**31 + 1 Lemire rejects about half of the 32-bit draws, so
+        # every row of 50 holds a rejection; past 2**32 numpy draws 64 bits
+        streams = []
+        stream = SeedTree.stream
+
+        def counted_stream(tree, name):
+            streams.append(tree.path)
+            return stream(tree, name)
+
+        monkeypatch.setattr(SeedTree, "stream", counted_stream)
+        tree = SeedTree(11, (2,))
+        draws = index_draws(tree, range(4, 10), STREAM_INDICES_J, n, 50)
+        assert len(streams) == redrawn
+        monkeypatch.undo()
+        for r, row in zip(range(4, 10), draws, strict=True):
+            assert row.tolist() == tree.child(r).stream(STREAM_INDICES_J).integers(
+                0, n, size=50).tolist()
+
+    def test_one_index_reads_no_output(self, monkeypatch):
+        monkeypatch.setattr(fiem.rng, "raw_outputs", None)
+        assert not index_draws(SeedTree(0), range(3), STREAM_INDICES_I, 1, 7).any()
 
 
 class CountingMatrix(np.ndarray):

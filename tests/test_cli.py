@@ -436,7 +436,18 @@ NAMES_THE_FLAG = {
     "plan-nan-vmin": ("--vmin", "positive finite", "'nan'"),
     "plan-nan-L": ("argument --L:", "positive finite", "'nan'"),
     "plan-inf-Lv": ("argument --Lv:", "positive finite", "'inf'"),
-    "plan-nan-weight": ("weights",),
+    "plan-nan-weight": ("--weights nan-weight.txt:", "positive"),
+    "plan-zero-weight": ("--weights zero-weight.txt:", "positive"),
+    "plan-short-weights": ("--weights half.txt:", "length k_max"),
+    "plan-weights-not-summing-to-1": ("--weights low-sum.txt:", "sum to 1"),
+    "plan-text-weight": ("--weights text-weight.txt:", "'abc'"),
+    "plan-missing-weights": ("--weights nope.txt:", "not found"),
+    "plan-nonuniform-without-weights": ("--strategy nonuniform", "requires --weights"),
+    "plan-auto-without-epsilon": ("--strategy auto", "requires --epsilon"),
+    "plan-zero-mu": ("argument --mu:", "(0, 1)", "'0'"),
+    "plan-nan-mu": ("argument --mu:", "(0, 1)", "'nan'"),
+    "plan-lambda-above-1": ("argument --lambda:", "(0, 1)", "'1.5'"),
+    "plan-negative-epsilon": ("argument --epsilon:", "(0, 1)", "'-1'"),
     "gmm-zero-replicas": ("--replicas", "at least 1", "'0'"),
     "gmm-negative-replicas": ("--replicas", "at least 1", "'-2'"),
     "toy-zero-threads": ("--threads", "at least 1", "'0'"),
@@ -586,6 +597,19 @@ NAMES_THE_FLAG = {
     GMM_SMALL + ["--batch", "10", "--algos", "h-fiem", "--epochs", "2", "--kswitch", "-1"],
     ["plan", "--n", "1000", "--kmax", "100", "--vmin", "1", "--L", "nan", "--Lv", "1"],
     ["plan", "--n", "1000", "--kmax", "100", "--vmin", "1", "--L", "1", "--Lv", "inf"],
+    ["plan", "--strategy", "nonuniform", "--weights", "zero-weight.txt", "--n", "100",
+     "--kmax", "2"] + PLAN_FLAGS,
+    ["plan", "--strategy", "nonuniform", "--weights", "half.txt", "--n", "100",
+     "--kmax", "3"] + PLAN_FLAGS,
+    ["plan", "--strategy", "nonuniform", "--weights", "low-sum.txt", "--n", "100",
+     "--kmax", "2"] + PLAN_FLAGS,
+    ["plan", "--strategy", "nonuniform", "--weights", "text-weight.txt", "--n", "100",
+     "--kmax", "2"] + PLAN_FLAGS,
+    ["plan", "--mu", "0", "--n", "100", "--kmax", "10"] + PLAN_FLAGS,
+    ["plan", "--mu", "nan", "--n", "100", "--kmax", "10"] + PLAN_FLAGS,
+    ["plan", "--lambda", "1.5", "--n", "100", "--kmax", "10"] + PLAN_FLAGS,
+    ["plan", "--strategy", "auto", "--epsilon", "-1", "--n", "100", "--kmax", "10"]
+    + PLAN_FLAGS,
 ], ids=["gmm-batch-not-dividing-n", "gmm-short-synthetic", "gmm-non-numeric-synthetic",
         "gmm-kswitch-past-last-epoch", "gmm-default-kswitch-past-epochs", "gmm-zero-batch",
         "gmm-missing-data", "gmm-zero-components",
@@ -611,7 +635,9 @@ NAMES_THE_FLAG = {
         "plan-zero-kmax", "check-negative-seed", "toy-negative-seed", "toy-negative-seed-config",
         "gmm-negative-seed", "gmm-negative-synthetic-seed", "gmm-zero-synthetic-components",
         "gmm-zero-synthetic-dimension", "gmm-zero-synthetic-n", "gmm-nan-synthetic-separation",
-        "gmm-negative-kswitch", "plan-nan-L", "plan-inf-Lv"])
+        "gmm-negative-kswitch", "plan-nan-L", "plan-inf-Lv", "plan-zero-weight",
+        "plan-short-weights", "plan-weights-not-summing-to-1", "plan-text-weight",
+        "plan-zero-mu", "plan-nan-mu", "plan-lambda-above-1", "plan-negative-epsilon"])
 def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, request, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "not-json.json").write_text("{not json")
@@ -630,6 +656,9 @@ def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, req
     (tmp_path / "repeated-algos.json").write_text(json.dumps({"algos": "online-em,fiem,online-em"}))
     (tmp_path / "plan-not-json.json").write_text(json.dumps({"plan": "not-json.json"}))
     (tmp_path / "half.txt").write_text("0.5\n0.5\n")
+    (tmp_path / "zero-weight.txt").write_text("1\n0\n")
+    (tmp_path / "low-sum.txt").write_text("0.5\n0.4\n")
+    (tmp_path / "text-weight.txt").write_text("0.5\nabc\n")
     (tmp_path / "zero-gamma.json").write_text(json.dumps({"gamma": 0}))
     (tmp_path / "negative-seed.json").write_text(json.dumps({"seed": -4}))
     (tmp_path / "karimi-mu.json").write_text(json.dumps({"strategy": "karimi", "mu": 0.9}))

@@ -572,14 +572,16 @@ class TestReplicaAxis:
 
 class _Counts:
     """Calls of the functions the benchmark tracer counts, installed the way
-    it installs them, and the SeedSequence and Philox constructions behind
-    the random streams."""
+    it installs them, the SeedSequence and Philox constructions behind the
+    random streams, and the generator calls that draw from them."""
 
     def __init__(self, monkeypatch):
-        self.run = self.stream = self.child = self.draw = self.seed_sequence = self.philox = 0
-        run, draw = fiem.experiments.run, fiem.algorithms.draw_batch
+        self.run = self.stream = self.child = self.draw = self.sample = 0
+        self.seed_sequence = self.philox = self.random_raw = self.choice = self.integers = 0
+        run, draw, sample = fiem.experiments.run, fiem.algorithms.draw_batch, TerminationRule.sample
         stream, child = SeedTree.stream, SeedTree.child
-        seed_sequence, philox = np.random.SeedSequence, np.random.Philox
+        seed_sequence = np.random.SeedSequence
+        counts = self
 
         def counted_run(*args, **kwargs):
             self.run += 1
@@ -597,19 +599,40 @@ class _Counts:
             self.draw += 1
             return draw(*args, **kwargs)
 
+        def counted_sample(rule, rng):
+            self.sample += 1
+            return sample(rule, rng)
+
         def counted_seed_sequence(*args, **kwargs):
             self.seed_sequence += 1
             return seed_sequence(*args, **kwargs)
 
-        def counted_philox(*args, **kwargs):
-            self.philox += 1
-            return philox(*args, **kwargs)
+        class Philox(np.random.Philox):
+            # named as numpy's: its state setter checks the class name
+            def __init__(self, *args, **kwargs):
+                counts.philox += 1
+                super().__init__(*args, **kwargs)
+
+            def random_raw(self, *args, **kwargs):
+                counts.random_raw += 1
+                return super().random_raw(*args, **kwargs)
+
+        class Generator(np.random.Generator):
+            def choice(self, *args, **kwargs):
+                counts.choice += 1
+                return super().choice(*args, **kwargs)
+
+            def integers(self, *args, **kwargs):
+                counts.integers += 1
+                return super().integers(*args, **kwargs)
 
         monkeypatch.setattr(fiem.experiments, "run", counted_run)
         monkeypatch.setattr(np.random, "SeedSequence", counted_seed_sequence)
-        monkeypatch.setattr(np.random, "Philox", counted_philox)
+        monkeypatch.setattr(np.random, "Philox", Philox)
+        monkeypatch.setattr(np.random, "Generator", Generator)
         monkeypatch.setattr(SeedTree, "stream", counted_stream)
         monkeypatch.setattr(SeedTree, "child", counted_child)
+        monkeypatch.setattr(TerminationRule, "sample", counted_sample)
         monkeypatch.setattr(fiem.algorithms, "draw_batch", counted_draw)
 
 
@@ -619,8 +642,9 @@ class TestReplicaAxisBudget:
 
     def test_fiem_alone_makes_no_run_call(self, monkeypatch):
         # one chunk keys its three streams in bulk from the root tree and a
-        # range of child indices: at most one generator per stream name and
-        # no child tree, whatever the replica count
+        # range of child indices: at most one bit generator per stream name
+        # and no child tree, whatever the replica count; it reads one block
+        # of raw outputs per replica and stream and makes no generator call
         m = toy(seed=5)
         counts = _Counts(monkeypatch)
         cfg = config(m, k_max=20, replicas=9, compute_e0=True, compute_e2=True)
@@ -629,6 +653,8 @@ class TestReplicaAxisBudget:
         assert table.completed == {"fiem": 9}
         assert (counts.run, counts.stream, counts.child, counts.draw) == (0, 0, 0, 0)
         assert counts.seed_sequence <= 3 and counts.philox <= 3
+        assert (counts.sample, counts.choice, counts.integers) == (0, 0, 0)
+        assert counts.random_raw == 3 * 9
 
     def test_replicas_are_never_summarized(self, monkeypatch):
         # only fiem toy reads checkpoint summaries; the certificates read

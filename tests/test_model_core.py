@@ -228,7 +228,7 @@ def test_settings_are_pinned():
     from fiem.algorithms import RunDiagnostics, fiem_replicas
     from fiem.experiments import (BoundReport, EEstimates, ExperimentConfig,
                                   GmmExperimentConfig, ResultTable, verify_theorem1)
-    from fiem.rng import streams
+    from fiem.rng import index_draws, raw_outputs
     from fiem.stepsize import StepSizePlan, bound_case1, solve_c_case1
 
     fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in (
@@ -253,14 +253,15 @@ def test_settings_are_pinned():
     }
     params = {fn.__name__: list(inspect.signature(fn).parameters) for fn in (
         fiem.generate_toy, verify_theorem1, solve_c_case1, bound_case1, fiem.karimi_plan,
-        streams, fiem_replicas)}
+        raw_outputs, index_draws, fiem_replicas)}
     assert params == {
         "generate_toy": ["seed", "n", "dims"],
         "verify_theorem1": ["model", "schedule", "s0", "replicas", "seed", "betas", "workers"],
         "solve_c_case1": ["inputs"],
         "bound_case1": ["inputs", "c"],
         "karimi_plan": ["inputs"],
-        "streams": ["tree", "children", "name"],
+        "raw_outputs": ["tree", "children", "name", "count"],
+        "index_draws": ["tree", "children", "name", "n", "size"],
         "fiem_replicas": ["model", "schedule", "termination", "tree", "children", "options"],
     }
 
