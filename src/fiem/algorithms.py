@@ -5,8 +5,9 @@ stochastic-approximation loop: it walks a list of (algorithm, iterations)
 phases on one state with per-iteration diagnostics under the shared-seed
 protocol (dedicated substreams for the memory-update draws "indices-I" and
 the oracle draws "indices-J").  :func:`run` is a single phase with a random
-termination index.  :func:`fiem_replicas` runs FIEM at one example per draw
-for many replicas at once, bit for bit as :func:`run` on each.
+termination index.  :func:`fiem_replicas` runs the same loop on an (R, q)
+stack of FIEM replicas at one example per draw, bit for bit as :func:`run`
+on each.
 """
 from __future__ import annotations
 
@@ -99,28 +100,34 @@ class TerminationRule:
 
 class MemoryTable:
     """Per-example store of the last EM images, with an incrementally
-    maintained running mean refreshed from the rows every n updates."""
+    maintained running mean refreshed from the rows every n updates.
+
+    The rows are (n, q) for one state or (R, n, q) for a stack of R
+    replicas, which write one index per replica at a time."""
 
     def __init__(self, rows: Array):
         rows = np.array(rows, dtype=float)
-        if rows.ndim != 2:
-            raise MemoryStateError("memory rows must form an n-by-q matrix")
+        if rows.ndim not in (2, 3):
+            raise MemoryStateError("memory rows must form an n-by-q matrix or a stack of them")
         self.rows = rows
-        self.mean = rows.mean(axis=0)
+        self.n = rows.shape[-2]
+        self.mean = rows.mean(axis=-2)
         self._updates = 0
         self._scratch = None
+        self._replicas = np.arange(rows.shape[0]) if rows.ndim == 3 else None
 
     @classmethod
-    def init(cls, model: FiniteSumModel, image) -> "MemoryTable":
+    def init(cls, model: FiniteSumModel, image, lead: tuple = ()) -> "MemoryTable":
         """Initialize every row at the current EM image, row i = sbar_i(T(s)),
-        from the state's image ``model.image(s)``."""
-        rows = np.empty((model.n, model.q))
+        from the state's image ``model.image(s)``; ``lead`` is the state's
+        leading shape, (R,) for a stack."""
+        rows = np.empty(lead + (model.n, model.q))
         model.stat_rows_into(image, rows)
         return cls(rows)
 
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
+    def _at(self, batch):
+        # the row of a one-index batch: batch[0], or batch[r, 0] of replica r
+        return batch[0] if self._replicas is None else (self._replicas, batch[:, 0])
 
     def write(self, model: FiniteSumModel, image, batch) -> None:
         """Replace the rows of ``batch`` (duplicates collapse) by sbar_i(T(s)),
@@ -129,11 +136,11 @@ class MemoryTable:
         A single index reads and assigns its row as a view; the sum of the
         changes over a one-row batch is that row's change, bit for bit."""
         batch = np.asarray(batch)
-        if batch.size == 1:
-            i = batch[0]
-            new = model.stat_rows(image, batch)[0]
-            delta = new - self.rows[i]
-            self.rows[i] = new
+        if batch.shape[-1] == 1:
+            at = self._at(batch)
+            new = model.stat_rows(image, batch)[..., 0, :]
+            delta = new - self.rows[at]
+            self.rows[at] = new
             written = 1
         else:
             uniq = np.unique(batch)
@@ -148,12 +155,12 @@ class MemoryTable:
 
     def refresh(self) -> None:
         """Recompute the mean from the rows, zeroing accumulated drift."""
-        self.mean = self.rows.mean(axis=0)
+        self.mean = self.rows.mean(axis=-2)
         self._updates = 0
 
     def scratch(self) -> tuple[Array, Array]:
-        """Two (n, q) work arrays owned by the table, allocated on first use,
-        so that full passes over the rows allocate nothing per iteration."""
+        """Two work arrays shaped as the rows, owned by the table and allocated
+        on first use, so that full passes over the rows allocate nothing."""
         if self._scratch is None:
             self._scratch = (np.empty_like(self.rows), np.empty_like(self.rows))
         return self._scratch
@@ -172,14 +179,38 @@ def draw_batch(rng: np.random.Generator, n: int, size: int, replace: bool) -> Ar
     return rng.choice(n, size=size, replace=False)
 
 
+def _batch(source, k: int, n: int, b: int, replace: bool) -> Array:
+    """Batch k of one index stream: drawn by :func:`draw_batch` from a
+    generator, or column k of a stack's (R, K) draws, one index per replica."""
+    if type(source) is np.ndarray:
+        return source[:, k:k + 1]
+    return draw_batch(source, n, b, replace)
+
+
 def row_mean(rows: Array) -> Array:
-    """``rows.mean(axis=0)`` bit for bit (the same sum, then division by the
+    """``rows.mean(axis=-2)`` bit for bit (the same sum, then division by the
     row count), without the wrapper overhead of ``ndarray.mean``.  A single
-    row is returned as the view ``rows[0]``, which dividing by 1 leaves
-    unchanged."""
-    if rows.shape[0] == 1:
-        return rows[0]
-    return np.add.reduce(rows, axis=0) / rows.shape[0]
+    row is returned as a view, which dividing by 1 leaves unchanged."""
+    if rows.shape[-2] == 1:
+        return rows[..., 0, :]
+    return np.add.reduce(rows, axis=-2) / rows.shape[-2]
+
+
+def _matvecs(mat: Array, vecs: Array) -> Array:
+    """``mat @ v`` for the state v or for every row v of a stack: the stacked
+    matmul calls the one-state gemv once per row (a gemm or einsum rounds
+    differently)."""
+    if vecs.ndim == 1:
+        return mat @ vecs
+    return np.matmul(mat, vecs[..., None])[..., 0]
+
+
+def _sq_norms(vecs: Array) -> Array:
+    """``v @ v`` for the state v or for every row v of a stack, through the
+    one-state dot."""
+    if vecs.ndim == 1:
+        return vecs @ vecs
+    return np.matmul(vecs[..., None, :], vecs[..., None])[..., 0, 0]
 
 
 # -- single steps ---------------------------------------------------------
@@ -219,10 +250,12 @@ def _cv_update(
     # plain oracle step bit-for-bit (the CV term is skipped, not multiplied),
     # and lam=1 adds the CV term unscaled, which 1.0 * x leaves unchanged.
     # A single oracle index reads its memory row as a view.
+    batch_j = np.asarray(batch_j)
     rows_j = model.stat_rows(image, batch_j)
     direction = row_mean(rows_j) - s
     if lam != 0.0:
-        mem_j = memory.rows[batch_j[0]] if len(batch_j) == 1 else row_mean(memory.rows[batch_j])
+        one = batch_j.shape[-1] == 1
+        mem_j = memory.rows[memory._at(batch_j)] if one else row_mean(memory.rows[batch_j])
         cv = memory.mean - mem_j
         direction = direction + (cv if lam == 1.0 else lam * cv)
     return s + gamma * direction
@@ -243,7 +276,6 @@ def fiem_step(
         raise ValueError("batches must be non-empty")
     if memory is None:
         raise MemoryStateError("FIEM requires an initialized memory table")
-    batch_j = np.asarray(batch_j)
     memory.write(model, image, batch_i)
     return _cv_update(model, s, image, memory, batch_j, gamma, 1.0), memory
 
@@ -288,7 +320,6 @@ def opt_fiem_step(
         raise ValueError("batches must be non-empty")
     if memory is None:
         raise MemoryStateError("opt-FIEM requires an initialized memory table")
-    batch_j = np.asarray(batch_j)
     memory.write(model, image, batch_i)
     lam = opt_fiem_lambda(model, image, memory) if forced_lambda is None else float(forced_lambda)
     return _cv_update(model, s, image, memory, batch_j, gamma, lam), memory, lam
@@ -313,10 +344,12 @@ class RunOptions:
 
 @dataclass
 class RunDiagnostics:
-    """Per-iteration records of one path.
+    """Per-iteration records of one path, or of a stack of R replicas.
 
     Arrays indexed by iteration k cover k = 0 .. K_max-1 at the pre-update
-    state; ``theta_err`` gets one extra entry for the final state.
+    state; ``theta_err`` gets one extra entry for the final state.  A
+    stack's states are (R, q) and its records (K_max, R) in column-major
+    order, so that replica r's records are the contiguous column ``[:, r]``.
     """
 
     terminal_k: Optional[int]
@@ -332,26 +365,27 @@ class RunDiagnostics:
 
     @property
     def k_max(self) -> int:
-        return self.step_sq.size
+        return len(self.step_sq)
 
 
-def _step(algorithm, model, s, image, memory, rng_i, rng_j, b, gamma, smean, forced_lambda):
-    """One update of ``algorithm`` from ``s``, whose image is ``image``;
+def _step(algorithm, model, s, image, memory, draws, k, b, gamma, smean, forced_lambda):
+    """Iteration k of ``algorithm`` from ``s``, whose image is ``image``;
     returns (new state, lambda or None).
 
-    Memory batches are drawn from ``rng_i`` before oracle batches from
-    ``rng_j``, so every algorithm reads the same stream positions.  The step
-    functions are looked up as module globals at call time (no dispatch
-    table), so a wrapper installed on this module sees every call."""
+    Memory batches are taken from ``draws[0]`` ("indices-I") before oracle
+    batches from ``draws[1]`` ("indices-J"), so every algorithm reads the
+    same stream positions.  The step functions are looked up as module
+    globals at call time (no dispatch table), so a wrapper installed on this
+    module sees every call."""
     n = model.n
     if algorithm == "em":
         return smean, None
     if algorithm == "online-em":
-        return online_em_step(model, s, image, draw_batch(rng_j, n, b, replace=False), gamma), None
-    batch_i = draw_batch(rng_i, n, b, replace=True)
+        return online_em_step(model, s, image, _batch(draws[1], k, n, b, False), gamma), None
+    batch_i = _batch(draws[0], k, n, b, True)
     if algorithm == "iem":
         return iem_step(model, s, image, memory, batch_i, gamma)[0], None
-    batch_j = draw_batch(rng_j, n, b, replace=True)
+    batch_j = _batch(draws[1], k, n, b, True)
     if algorithm == "fiem":
         return fiem_step(model, s, image, memory, batch_i, batch_j, gamma)[0], None
     s_new, _, lam = opt_fiem_step(model, s, image, memory, batch_i, batch_j, gamma,
@@ -393,21 +427,36 @@ def sa_path(
     k_max = sum(iters for _, iters in phases)
     if len(gammas) != k_max:
         raise ValueError(f"schedule length {len(gammas)} does not match the {k_max} iterations")
-
     tree = as_seed_tree(seed)
-    rng_i = tree.stream(STREAM_INDICES_I)
-    rng_j = tree.stream(STREAM_INDICES_J)
+    draws = (tree.stream(STREAM_INDICES_I), tree.stream(STREAM_INDICES_J))
+    return _path(model, phases, gammas, options, draws, on_phase_end)
 
+
+def _path(model, phases, gammas, options, draws, on_phase_end=None) -> RunDiagnostics:
+    """The loop of :func:`sa_path`, on the state ``options.s0`` when ``draws``
+    holds the two index generators, or on a stack of R copies of it when
+    ``draws`` holds each stream's (R, K) index draws.  A stack steps every
+    row with the operations of one state, records the diagnostics per
+    replica and keeps going past a replica whose update is not finite;
+    ``theta_ref``, ``domain_policy`` and opt-FIEM are one-state only."""
+    k_max = len(gammas)
     s0 = s = np.array(options.s0, dtype=float)
     model.admissible(s)
+    stacked = type(draws[0]) is np.ndarray
+    if stacked:
+        s0 = s = np.tile(s, (len(draws[0]), 1))
     memory = None
     b = int(options.batch_size)
     uses_memory = any(alg in MEMORY_ALGORITHMS and iters for alg, iters in phases)
 
-    h_sq = np.empty(k_max) if options.compute_h else None
-    cv_sq = np.full(k_max, np.nan) if (options.compute_e2 and uses_memory) else None
-    step_sq = np.empty(k_max)
-    vdot_sq = np.empty(k_max) if options.compute_e0 else None
+    def records():
+        # entry k is a scalar, or a column of one value per replica
+        return np.full((k_max,) + s.shape[:-1], np.nan, order="F")
+
+    h_sq = records() if options.compute_h else None
+    cv_sq = records() if (options.compute_e2 and uses_memory) else None
+    step_sq = records()
+    vdot_sq = records() if options.compute_e0 else None
     lambdas = np.full(k_max, np.nan) if any(alg == "opt-fiem" for alg, _ in phases) else None
     theta_err = np.empty(k_max + 1) if options.theta_ref is not None else None
     needs_mean = options.compute_h or cv_sq is not None or options.compute_e0
@@ -424,28 +473,26 @@ def sa_path(
             image = model.image(s)
             for algorithm, iters in phases:
                 if memory is None and iters and algorithm in MEMORY_ALGORITHMS:
-                    memory = MemoryTable.init(model, image)
+                    memory = MemoryTable.init(model, image, s.shape[:-1])
                 for _ in range(iters):
                     smean = model.stat_mean(image) if needs_mean or algorithm == "em" else None
+                    if h_sq is not None or vdot_sq is not None:
+                        h = smean - s
                     if h_sq is not None:
-                        hvec = smean - s
-                        h_sq[k] = hvec @ hvec
+                        h_sq[k] = _sq_norms(h)
                     if vdot_sq is not None:
-                        vdot = model.bmat(s) @ (smean - s)
-                        vdot_sq[k] = vdot @ vdot
+                        vdot_sq[k] = _sq_norms(_matvecs(model.bmat(s), h))
                     if theta_err is not None:
                         record_theta(k, s)
 
-                    s_new, lam = _step(algorithm, model, s, image, memory, rng_i, rng_j, b,
+                    s_new, lam = _step(algorithm, model, s, image, memory, draws, k, b,
                                        gammas[k], smean, options.forced_lambda)
 
                     if lam is not None:
                         lambdas[k] = lam
                     if cv_sq is not None and algorithm in MEMORY_ALGORITHMS:
-                        gap = memory.mean - smean
-                        cv_sq[k] = gap @ gap
-                    delta = s_new - s
-                    step_sq[k] = sq = delta @ delta
+                        cv_sq[k] = _sq_norms(memory.mean - smean)
+                    step_sq[k] = sq = _sq_norms(s_new - s)
                     if options.domain_policy is not None:
                         try:
                             model.admissible(s_new)
@@ -453,7 +500,7 @@ def sa_path(
                             if options.domain_policy == "abort":
                                 raise RunAbortError(k, str(exc)) from exc
                             violations += 1
-                    if not isfinite(sq):
+                    if not (stacked or isfinite(sq)):
                         raise RunAbortError(k, _DIVERGED)
                     s = s_new
                     k += 1
@@ -466,18 +513,9 @@ def sa_path(
     if theta_err is not None:
         record_theta(k_max, s)
 
-    return RunDiagnostics(
-        terminal_k=None,
-        s0=s0,
-        s_final=s,
-        step_sq=step_sq,
-        h_sq=h_sq,
-        cv_gap_sq=cv_sq,
-        vdot_sq=vdot_sq,
-        lambdas=lambdas,
-        theta_err=theta_err,
-        violations=violations,
-    )
+    return RunDiagnostics(terminal_k=None, s0=s0, s_final=s, step_sq=step_sq, h_sq=h_sq,
+                          cv_gap_sq=cv_sq, vdot_sq=vdot_sq, lambdas=lambdas,
+                          theta_err=theta_err, violations=violations)
 
 
 def run(
@@ -504,50 +542,34 @@ def run(
     return diag
 
 
-def _matvecs(mat: Array, vecs: Array) -> Array:
-    """``mat @ v`` for every row v of ``vecs``: the stacked matmul calls the
-    one-state gemv once per row (a gemm or einsum rounds differently)."""
-    return np.matmul(mat, vecs[..., None])[..., 0]
-
-
-def _sq_norms(vecs: Array) -> Array:
-    """``v @ v`` for every row v of ``vecs``, through the one-state dot."""
-    return np.matmul(vecs[..., None, :], vecs[..., None])[..., 0, 0]
-
-
 @dataclass
 class ReplicaBlock:
-    """Replicas run together by :func:`fiem_replicas`, one row per replica.
+    """Replicas run together by :func:`fiem_replicas`: their termination
+    indices and the :class:`RunDiagnostics` of their stack.
 
     Iterating yields, in replica order, the :class:`RunDiagnostics` of each
-    completed replica (its arrays are row views) or the (iteration,
-    condition) of its abort: the first iteration whose
+    completed replica (its arrays are views into the stack) or the
+    (iteration, condition) of its abort: the first iteration whose
     ``||S^{k+1} - S^k||^2`` is not finite.  A block pickles as its few
     arrays, so a pool worker sends back one message of arrays rather than
     one object per replica."""
 
     terminal_k: list
-    s0: Array
-    s_final: Array                   # (R, q)
-    step_sq: Array                   # (R, K_max), as are the diagnostics below
-    h_sq: Optional[Array]
-    cv_gap_sq: Optional[Array]
-    vdot_sq: Optional[Array]
+    stack: RunDiagnostics
 
     def __len__(self) -> int:
         return len(self.terminal_k)
 
     def __iter__(self):
-        finite = np.isfinite(self.step_sq)
-        first_bad = np.argmin(finite, axis=1)
+        d = self.stack
+        finite = np.isfinite(d.step_sq)
+        first_bad = np.argmin(finite, axis=0)
         for r, k in enumerate(first_bad):
-            if not finite[r, k]:
+            if not finite[k, r]:
                 yield int(k), _DIVERGED
                 continue
-            diagnostics = {name: None if rows is None else rows[r] for name, rows in (
-                ("h_sq", self.h_sq), ("cv_gap_sq", self.cv_gap_sq), ("vdot_sq", self.vdot_sq))}
-            yield RunDiagnostics(terminal_k=self.terminal_k[r], s0=self.s0.copy(),
-                                 s_final=self.s_final[r], step_sq=self.step_sq[r], **diagnostics)
+            yield RunDiagnostics(self.terminal_k[r], d.s0[r], d.s_final[r], d.step_sq[:, r], *(
+                None if rows is None else rows[:, r] for rows in (d.h_sq, d.cv_gap_sq, d.vdot_sq)))
 
 
 def fiem_replicas(
@@ -561,66 +583,23 @@ def fiem_replicas(
     """FIEM at one example per draw for every r of ``children`` at once,
     replica r bit for bit :func:`run` ("fiem", ..., tree.child(r), options).
 
-    The state is an (R, q) array and the memory an (R, n, q) array; the
-    model must accept the replica axis (``model.replica_axis``), and
-    ``options`` may not set ``theta_ref`` or ``domain_policy``.  Replica r
-    samples its termination index and draws all its "indices-I" and
-    "indices-J" indices up front from its own tree (``integers(0, n,
-    size=K)`` reads the values of K single draws); the draws of all
-    replicas are formed together from their raw Philox outputs
+    The loop of :func:`sa_path` runs on an (R, q) stack of states with an
+    (R, n, q) memory; the model must accept the replica axis
+    (``model.replica_axis``), and ``options`` may not set ``theta_ref`` or
+    ``domain_policy``.  Replica r samples its termination index and draws
+    all its "indices-I" and "indices-J" indices up front from its own tree
+    (``integers(0, n, size=K)`` reads the values of K single draws); the
+    draws of all replicas are formed together from their raw Philox outputs
     (:func:`fiem.rng.raw_outputs`, :func:`fiem.rng.index_draws`), bit for
-    bit the per-replica generator calls.  Every product that BLAS
-    rounds is a stacked matmul, which makes the one-state gemv or dot call
-    per replica.
+    bit the per-replica generator calls.  A replica whose update is not
+    finite is recorded as such and runs on with the others.
     """
     if len(termination) != len(schedule):
         raise ValueError("termination weights must have length K_max")
-    k_max, n, replicas = len(schedule), model.n, len(children)
+    k_max, n = len(schedule), model.n
     # Generator.random() is the top 53 bits of one raw output over 2**53
     raw = raw_outputs(tree, children, STREAM_TERMINATION, 1)[:, 0]
     terminal = termination.indices((raw >> 11) * 2.0**-53).tolist()
-    draws_i = index_draws(tree, children, STREAM_INDICES_I, n, k_max)
-    draws_j = index_draws(tree, children, STREAM_INDICES_J, n, k_max)
-
-    s0 = np.array(options.s0, dtype=float)
-    model.admissible(s0)
-    s = np.tile(s0, (replicas, 1))
-    h_sq = np.empty((replicas, k_max)) if options.compute_h else None
-    cv_sq = np.empty((replicas, k_max)) if options.compute_e2 else None
-    vdot_sq = np.empty((replicas, k_max)) if options.compute_e0 else None
-    step_sq = np.empty((replicas, k_max))
-    needs_mean = options.compute_h or options.compute_e2 or options.compute_e0
-    every = np.arange(replicas)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        image = model.image(s)
-        rows = np.empty((replicas, n, model.q))
-        model.stat_rows_into(image, rows)
-        mean = rows.mean(axis=1)
-        for k in range(k_max):
-            if needs_mean:
-                smean = model.stat_mean(image)
-            if h_sq is not None:
-                h_sq[:, k] = _sq_norms(smean - s)
-            if vdot_sq is not None:
-                vdot_sq[:, k] = _sq_norms(_matvecs(model.bmat(s), smean - s))
-            # memory write at I, refreshed from the rows every n writes
-            i, j = draws_i[:, k], draws_j[:, k]
-            new = model.stat_rows(image, i[:, None])[:, 0]
-            delta = new - rows[every, i]
-            rows[every, i] = new
-            mean = mean + delta / n
-            if (k + 1) % n == 0:
-                mean = rows.mean(axis=1)
-            # oracle at J with the unit-coefficient control variate
-            direction = model.stat_rows(image, j[:, None])[:, 0] - s
-            direction = direction + (mean - rows[every, j])
-            s_new = s + schedule.gammas[k] * direction
-            if cv_sq is not None:
-                cv_sq[:, k] = _sq_norms(mean - smean)
-            step_sq[:, k] = _sq_norms(s_new - s)
-            s = s_new
-            if k + 1 < k_max:
-                image = model.image(s)
-
-    return ReplicaBlock(terminal, s0, s, step_sq, h_sq, cv_sq, vdot_sq)
+    draws = (index_draws(tree, children, STREAM_INDICES_I, n, k_max),
+             index_draws(tree, children, STREAM_INDICES_J, n, k_max))
+    return ReplicaBlock(terminal, _path(model, [("fiem", k_max)], schedule.gammas, options, draws))

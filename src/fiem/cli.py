@@ -4,9 +4,9 @@ Subcommands: ``plan`` (step-size planning), ``toy`` (replicated runs on the
 linear-Gaussian benchmark), ``gmm`` (mixture fits with epoch tables), and
 ``check`` (verification suites).  All randomness flows from ``--seed``;
 re-running a subcommand with identical flags writes byte-identical files.
-``toy``, ``gmm`` and ``check`` run their replicas on ``--threads`` processes
-(default: one per CPU); replicas are reduced in replica order, so the output
-is the same at every thread count.
+``toy``, ``gmm`` and ``check`` run their replicas on up to ``--threads``
+processes (default: one per CPU); replicas are reduced in replica order, so
+the output is the same at every thread count.
 
 Exit codes: 0 success, 1 check failure, 2 infeasible plan or bad input,
 3 run aborted (a domain violation or divergence in any replica, or a

@@ -111,14 +111,14 @@ def _outcomes(algorithms, path) -> dict:
 
 def _replicate(job, config, jobs=None) -> tuple[dict, Aborts]:
     """Run ``job`` on each of ``jobs`` (by default ``(config, r)`` for every
-    replica r), serially or on ``config.workers`` processes.  A job covers a
-    contiguous range of replicas, the jobs in replica order, and returns its
-    first replica with the outcomes per algorithm, in replica order.  They
-    are split in that order (a fixed reduction order) into completed results
-    and aborts per algorithm."""
+    replica r), serially or on up to ``config.workers`` processes, never more
+    than there are jobs.  A job covers a contiguous range of replicas, the
+    jobs in replica order, and returns its first replica with the outcomes
+    per algorithm, in replica order.  They are split in that order (a fixed
+    reduction order) into completed results and aborts per algorithm."""
     if jobs is None:
         jobs = [(config, r) for r in range(config.replicas)]
-    algorithms, workers = config.algorithms, config.workers
+    algorithms, workers = config.algorithms, min(config.workers, len(jobs))
     if workers > 1:
         with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(job, jobs, chunksize=max(1, len(jobs) // (4 * workers))))

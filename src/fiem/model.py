@@ -64,7 +64,7 @@ class FiniteSumModel(ABC):
     is a matrix or a stack of them that ``np.matmul`` broadcasts over the
     replicas.  Row r of each result must hold the bits that the same call
     on replica r alone gives, and the oracles raise no :class:`DomainError`.
-    FIEM replicas then run together (:func:`fiem.algorithms.fiem_replicas`).
+    The one SA loop then steps R FIEM replicas as a stack (``fiem_replicas``).
     """
 
     n: int

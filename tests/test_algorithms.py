@@ -68,6 +68,25 @@ class TestMemoryTable:
         scale = max(1.0, np.abs(memory.rows).max())
         assert np.abs(memory.mean - memory.rows.mean(axis=0)).max() <= 1e-12 * scale
 
+    @settings(max_examples=40)
+    @given(replicas=st.sampled_from([1, 2, 7]), n=st.sampled_from([1, 2, 10]),
+           extra=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+    def test_a_stack_is_its_replicas_bit_for_bit(self, replicas, n, extra, seed):
+        # one index per replica and write, across at least two refreshes
+        m = toy(n=n)
+        rng = np.random.default_rng(seed)
+        images = rng.normal(size=(replicas, m.q))
+        stack = MemoryTable.init(m, images, (replicas,))
+        singles = [MemoryTable.init(m, image) for image in images]
+        for _ in range(2 * n + 1 + extra):
+            images = rng.normal(size=(replicas, m.q)) * 10.0 ** rng.uniform(-3, 3)
+            batch = rng.integers(0, n, size=(replicas, 1))
+            stack.write(m, images, batch)
+            for table, image, i in zip(singles, images, batch):
+                table.write(m, image, i)
+            assert stack.rows.tobytes() == np.stack([t.rows for t in singles]).tobytes()
+            assert stack.mean.tobytes() == np.stack([t.mean for t in singles]).tobytes()
+
     def test_duplicate_indices_collapse(self):
         m = toy(n=8)
         s = np.ones(m.q)

@@ -7,7 +7,7 @@ import pytest
 import fiem
 import fiem.algorithms
 import fiem.experiments
-from fiem.algorithms import RunOptions, StepSchedule, TerminationRule, fiem_replicas
+from fiem.algorithms import MemoryTable, RunOptions, StepSchedule, TerminationRule, fiem_replicas
 from fiem.errors import RunAbortError
 from fiem.experiments import (
     ExperimentConfig,
@@ -578,7 +578,9 @@ class _Counts:
     def __init__(self, monkeypatch):
         self.run = self.stream = self.child = self.draw = self.sample = 0
         self.seed_sequence = self.philox = self.random_raw = self.choice = self.integers = 0
+        self.fiem_step = self.memory_init = 0
         run, draw, sample = fiem.experiments.run, fiem.algorithms.draw_batch, TerminationRule.sample
+        step, init = fiem.algorithms.fiem_step, MemoryTable.init.__func__
         stream, child = SeedTree.stream, SeedTree.child
         seed_sequence = np.random.SeedSequence
         counts = self
@@ -602,6 +604,14 @@ class _Counts:
         def counted_sample(rule, rng):
             self.sample += 1
             return sample(rule, rng)
+
+        def counted_step(*args, **kwargs):
+            self.fiem_step += 1
+            return step(*args, **kwargs)
+
+        def counted_init(cls, *args, **kwargs):
+            self.memory_init += 1
+            return init(cls, *args, **kwargs)
 
         def counted_seed_sequence(*args, **kwargs):
             self.seed_sequence += 1
@@ -634,6 +644,57 @@ class _Counts:
         monkeypatch.setattr(SeedTree, "child", counted_child)
         monkeypatch.setattr(TerminationRule, "sample", counted_sample)
         monkeypatch.setattr(fiem.algorithms, "draw_batch", counted_draw)
+        monkeypatch.setattr(fiem.algorithms, "fiem_step", counted_step)
+        monkeypatch.setattr(MemoryTable, "init", classmethod(counted_init))
+
+
+class TestPoolSize:
+    """The replica pool opens no more processes than there are jobs, and a
+    single job runs in this process.  A recording stand-in replaces the
+    process pool, so no process is started."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        opened = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(fiem.experiments.futures, "ProcessPoolExecutor", Pool)
+        return opened
+
+    def test_one_mixture_replica_opens_no_pool(self, opened):
+        ds, _ = fiem.generate_gmm_synthetic(8, n=120, g=2, p=2, separation=2.0)
+        base = dict(model=fiem.GmmModel(ds, 2), algorithms=("em", "online-em"), gamma=5e-3,
+                    batch_size=30, epochs=15, replicas=1, seed=3, kswitch=0)
+        rows, paths, aborted = table_report(GmmExperimentConfig(workers=2, **base))
+        assert opened == []
+        serial_rows, serial_paths, serial_aborted = table_report(
+            GmmExperimentConfig(workers=1, **base))
+        assert (rows, aborted) == (serial_rows, serial_aborted)
+        assert [p.loglik.tobytes() for p in paths["online-em"]] == [
+            p.loglik.tobytes() for p in serial_paths["online-em"]]
+
+    @pytest.mark.parametrize("algorithms", [("fiem",), ("online-em", "fiem")],
+                             ids=["replica-axis", "per-path"])
+    def test_a_pool_has_at_most_one_worker_per_job(self, opened, algorithms):
+        m = toy()
+        table = run_replicated(config(m, algorithms=algorithms, replicas=2, workers=3))
+        assert opened == [2]
+        serial = run_replicated(config(m, algorithms=algorithms, replicas=2, workers=1))
+        assert table.aborted == serial.aborted
+        for alg in algorithms:
+            assert [_bits(d) for d in table.runs[alg]] == [_bits(d) for d in serial.runs[alg]]
 
 
 class TestReplicaAxisBudget:
@@ -655,6 +716,17 @@ class TestReplicaAxisBudget:
         assert counts.seed_sequence <= 3 and counts.philox <= 3
         assert (counts.sample, counts.choice, counts.integers) == (0, 0, 0)
         assert counts.random_raw == 3 * 9
+
+    @pytest.mark.parametrize("replicas", [1, 9])
+    def test_a_chunk_steps_once_per_iteration(self, monkeypatch, replicas):
+        # the stack runs the one loop: one step call per iteration for all
+        # its replicas and one memory table
+        m = toy(seed=5)
+        counts = _Counts(monkeypatch)
+        cfg = config(m, k_max=20, replicas=replicas, compute_e2=True)
+        assert len(fiem.experiments._chunks(cfg)) == 1
+        assert run_replicated(cfg).completed == {"fiem": replicas}
+        assert (counts.fiem_step, counts.memory_init) == (20, 1)
 
     def test_replicas_are_never_summarized(self, monkeypatch):
         # only fiem toy reads checkpoint summaries; the certificates read
@@ -680,6 +752,7 @@ class TestReplicaAxisBudget:
         assert counts.child == 2
         assert counts.stream == 2 * 3 * 3
         assert counts.draw == 2 * (40 + 2 * 40 + 2 * 40)
+        assert (counts.fiem_step, counts.memory_init) == (2 * 40, 2 * 2)
 
     @pytest.mark.parametrize("change", [
         dict(algorithms=("fiem", "opt-fiem")), dict(algorithms=("iem",)),
