@@ -103,10 +103,11 @@ class MemoryTable:
     maintained running mean refreshed from the rows every n updates.
 
     The rows are (n, q) for one state or (R, n, q) for a stack of R
-    replicas, which write one index per replica at a time."""
+    replicas, which write one index per replica at a time.  The table takes
+    ``rows`` without a copy when it is a float array, and writes it in place."""
 
     def __init__(self, rows: Array):
-        rows = np.array(rows, dtype=float)
+        rows = np.asarray(rows, dtype=float)
         if rows.ndim not in (2, 3):
             raise MemoryStateError("memory rows must form an n-by-q matrix or a stack of them")
         self.rows = rows
@@ -339,7 +340,7 @@ class RunOptions:
     compute_e0: bool = False        # ||B(S^k) h(S^k)||^2 (needs bmat)
     theta_ref: Optional[Array] = None  # track ||T(S^k) - theta_ref|| when set
     forced_lambda: Optional[float] = None  # opt-fiem only
-    domain_policy: Optional[str] = None    # None | "warn" | "abort"
+    domain_policy: Optional[str] = None    # None | "warn" (count) | "abort"; T(s) may abort anyway
 
 
 @dataclass
@@ -365,6 +366,7 @@ class RunDiagnostics:
 
     @property
     def k_max(self) -> int:
+        """Iterations recorded; the benchmark's example count (``perfbench/child.py``) reads it."""
         return len(self.step_sq)
 
 
@@ -556,9 +558,6 @@ class ReplicaBlock:
 
     terminal_k: list
     stack: RunDiagnostics
-
-    def __len__(self) -> int:
-        return len(self.terminal_k)
 
     def __iter__(self):
         d = self.stack

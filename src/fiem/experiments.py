@@ -65,6 +65,7 @@ class ExperimentConfig:
 
     @property
     def batch_size(self) -> int:
+        """Examples per draw; the benchmark's example count (``perfbench/child.py``) reads it."""
         return self.options.batch_size
 
 
@@ -158,14 +159,14 @@ def _on_replica_axis(config: ExperimentConfig) -> bool:
 
 
 def _chunks(config: ExperimentConfig) -> list[tuple]:
-    """Contiguous replica ranges: one per worker, more when a range would
-    pass :data:`_CHUNK_BYTES`.  A replica holds its (n, q) memory table and
-    its (K,) rows: both index draws, ``step_sq`` and each diagnostic that
-    is switched on."""
+    """Contiguous replica ranges, as few as keep each within
+    :data:`_CHUNK_BYTES`, whatever ``config.workers`` is.  A replica holds
+    its (n, q) memory table and its (K,) rows: both index draws,
+    ``step_sq`` and each diagnostic that is switched on."""
     replicas, model, options = config.replicas, config.model, config.options
     rows = 3 + options.compute_h + options.compute_e2 + options.compute_e0
     per_chunk = max(1, _CHUNK_BYTES // (8 * (model.n * model.q + rows * len(config.schedule))))
-    count = min(replicas, max(config.workers, -(-replicas // per_chunk)))
+    count = -(-replicas // per_chunk)
     bounds = [replicas * c // count for c in range(count + 1)]
     return [(config, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
@@ -226,7 +227,6 @@ class EEstimates:
     e1: float
     se1: float
     e0: Optional[float] = None
-    se0: Optional[float] = None
 
 
 def estimate_e(diags: Sequence[RunDiagnostics], v_max: Optional[float] = None) -> EEstimates:
@@ -249,7 +249,7 @@ def estimate_e(diags: Sequence[RunDiagnostics], v_max: Optional[float] = None) -
     if diags[0].vdot_sq is not None:
         if v_max is None:
             raise ValueError("E0 needs v_max")
-        out.e0, out.se0 = at_terminal("vdot_sq", v_max**2)
+        out.e0 = at_terminal("vdot_sq", v_max**2)[0]
     return out
 
 
@@ -430,9 +430,9 @@ def gmm_epoch_path(
     log-likelihood only at the table epochs (:data:`TABLE_EPOCHS`), each
     read from the image that the path evaluated for that state: T(s) is
     evaluated once per visited state, and the n-row density pass of a table
-    epoch also serves the next EM step or a memory init there.  iEM asserts
-    the domain proxies (a violation aborts the path); the other algorithms
-    count violations.
+    epoch also serves the next EM step or a memory init there.  iEM aborts
+    on a domain violation; the others count one, but the next T(s) aborts
+    on a negative mass (an empty component), so only mass drift is counted.
     """
     phases = _epoch_phases(algorithm, model.n, batch_size, epochs, kswitch)
     schedule = StepSchedule.constant(gamma, sum(iters for _, iters in phases))

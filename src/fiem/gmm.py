@@ -300,8 +300,9 @@ def gmm_onlineem_step(model: GmmModel, s: Array, batch, gamma: float):
 def gmm_fiem_step(model: GmmModel, s: Array, memory: MemoryTable, batch_i, batch_j, gamma: float):
     """Variance-reduced step; returns (state, memory, proxy violation count).
 
-    Negative masses are possible here in principle (the control variate is
-    signed); they are detected and counted, never clamped.
+    Negative masses are possible (the control variate is signed); one is
+    counted here, never clamped, and the next step's T(s) rejects it as an
+    empty component.
     """
     s_new, memory = fiem_step(model, s, model.image(s), memory, batch_i, batch_j, gamma)
     return s_new, memory, _count_violation(model, s_new)

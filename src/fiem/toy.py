@@ -66,7 +66,6 @@ class ToyModel(FiniteSumModel):
         self.y_obs = y_obs
         self.n = y_obs.shape[0]
         self.q = q_dim
-        self.dims = (y_dim, p_dim, q_dim)
 
         # latent-space and observation-space Gram matrices, solved via
         # Cholesky factorizations of the two SPD systems

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -86,6 +87,19 @@ class TestMemoryTable:
                 table.write(m, image, i)
             assert stack.rows.tobytes() == np.stack([t.rows for t in singles]).tobytes()
             assert stack.mean.tobytes() == np.stack([t.mean for t in singles]).tobytes()
+
+    def test_init_holds_its_rows_once(self):
+        # the table keeps the array init fills: a (100, 1000, q) stack of
+        # rows peaks at its own size, not twice it
+        m = fiem.generate_toy(0, 1000)
+        images = np.random.default_rng(0).normal(size=(100, m.q))
+        tracemalloc.start()
+        try:
+            memory = MemoryTable.init(m, images, (100,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * memory.rows.nbytes
 
     def test_duplicate_indices_collapse(self):
         m = toy(n=8)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fiem.cli
+import fiem.experiments
 from fiem.cli import main
 from fiem.errors import RunAbortError
 from fiem.experiments import BoundReport
@@ -343,7 +344,9 @@ class TestCheck:
         assert main(["check", "--suite", "theorem1"]) == 3
         assert "iteration 7: replica 2: diverged" in capsys.readouterr().err
 
-    def test_prop2_pooled_stdout_equals_serial(self, capsys):
+    def test_prop2_pooled_stdout_equals_serial(self, capsys, monkeypatch):
+        # a desk prop2 fits one 64 MB chunk; a 256 KB cap gives the pool jobs
+        monkeypatch.setattr(fiem.experiments, "_CHUNK_BYTES", 1 << 18)
         outs = []
         for threads in ("1", "2"):
             assert main(["check", "--suite", "prop2", "--threads", threads]) == 0

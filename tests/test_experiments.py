@@ -6,6 +6,7 @@ import pytest
 
 import fiem
 import fiem.algorithms
+import fiem.cli
 import fiem.experiments
 from fiem.algorithms import MemoryTable, RunOptions, StepSchedule, TerminationRule, fiem_replicas
 from fiem.errors import RunAbortError
@@ -68,7 +69,9 @@ class TestRunReplicated:
         for r in range(2):
             assert table.runs["fiem"][r].terminal_k == table.runs["opt-fiem"][r].terminal_k
 
-    def test_parallel_equals_serial(self):
+    def test_parallel_equals_serial(self, monkeypatch):
+        # one replica per chunk, so that the two workers share six jobs
+        monkeypatch.setattr(fiem.experiments, "_CHUNK_BYTES", 1)
         m = toy(seed=3)
         cfg = config(m, replicas=6, workers=1)
         serial = run_replicated(cfg)
@@ -523,7 +526,7 @@ class TestReplicaAxis:
         for replicas in (1, m.q, 200):
             block = fiem_replicas(m, schedule, termination, SeedTree(7), range(replicas),
                                   options)
-            assert len(block) == replicas
+            assert len(block.terminal_k) == replicas
             assert [_bits(o) for o in block] == expected[:replicas]
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -541,6 +544,16 @@ class TestReplicaAxis:
         monkeypatch.setattr(fiem.experiments, "_CHUNK_BYTES", 64 << 20)
         assert checkpoint_summary(table, cfg.schedule) == checkpoint_summary(
             run_replicated(dataclasses.replace(cfg, workers=1)), cfg.schedule)
+
+    @pytest.mark.parametrize("per_chunk, ranges", [(8, [(0, 8)]), (3, [(0, 2), (2, 5), (5, 8)])])
+    def test_chunks_follow_memory_alone(self, per_chunk, ranges, monkeypatch):
+        # the cap, in replicas' footprints, decides the ranges; the worker
+        # count decides only how many processes run them
+        m = toy(seed=4, n=10)
+        monkeypatch.setattr(fiem.experiments, "_CHUNK_BYTES", per_chunk * 8 * (m.n * m.q + 6 * 35))
+        for workers in (1, 2, 8):
+            cfg = config(m, k_max=35, replicas=8, workers=workers, compute_e0=True, compute_e2=True)
+            assert [job[1:] for job in fiem.experiments._chunks(cfg)] == ranges
 
     def test_chunks_count_the_per_iteration_rows(self):
         # 1000 replicas of 2e4 iterations hold about 640 MB of index draws,
@@ -687,7 +700,10 @@ class TestPoolSize:
 
     @pytest.mark.parametrize("algorithms", [("fiem",), ("online-em", "fiem")],
                              ids=["replica-axis", "per-path"])
-    def test_a_pool_has_at_most_one_worker_per_job(self, opened, algorithms):
+    def test_a_pool_has_at_most_one_worker_per_job(self, opened, algorithms, monkeypatch):
+        # a cap below one replica's footprint gives the axis one chunk per
+        # replica; the per-path route has one job per replica anyway
+        monkeypatch.setattr(fiem.experiments, "_CHUNK_BYTES", 1)
         m = toy()
         table = run_replicated(config(m, algorithms=algorithms, replicas=2, workers=3))
         assert opened == [2]
@@ -695,6 +711,11 @@ class TestPoolSize:
         assert table.aborted == serial.aborted
         for alg in algorithms:
             assert [_bits(d) for d in table.runs[alg]] == [_bits(d) for d in serial.runs[alg]]
+
+    @pytest.mark.parametrize("suite", ["theorem1", "prop2"])
+    def test_a_desk_check_fits_one_chunk_and_opens_no_pool(self, opened, suite, capsys):
+        assert fiem.cli.main(["check", "--suite", suite, "--threads", "2"]) == 0
+        assert opened == []
 
 
 class TestReplicaAxisBudget:

@@ -4,8 +4,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import fiem
-from fiem.algorithms import MemoryTable
-from fiem.errors import ConfigurationError, DomainError
+from fiem.algorithms import MemoryTable, RunOptions, sa_path
+from fiem.errors import ConfigurationError, DomainError, RunAbortError
 from fiem.gmm import (
     ROW_BLOCK,
     GmmDataset,
@@ -336,6 +336,20 @@ class TestMiniBatchSteps:
             violations += bad
             assert abs(s[:3].sum() - 1.0) <= 1e-8
         assert violations == 0
+
+    @pytest.mark.parametrize("policy, iteration, condition", [
+        ("warn", 1, "empty component: mass[1] = -3.465e-02 below 1e-12"),
+        ("abort", 0, "component mass 1 is negative: -3.465e-02 < -1e-10")], ids=["warn", "abort"])
+    def test_a_negative_mass_aborts_under_either_policy(self, policy, iteration, condition):
+        # "warn" counts the negative mass, then the next state's T(s) rejects
+        # it as an empty component, so the count never reaches a result
+        ds, _ = generate_gmm_synthetic(0, 600, 3, 2, 6.0)
+        model = GmmModel(ds, 3)
+        options = RunOptions(s0=model.initial_statistic(init_params(ds, 3, 1)),
+                             compute_h=False, domain_policy=policy)
+        with pytest.raises(RunAbortError) as info:
+            sa_path(model, [("online-em", 5)], np.full(5, 1.2), 3, options)
+        assert (info.value.iteration, info.value.condition) == (iteration, condition)
 
     def test_epoch_accounting(self):
         model, _ = synthetic(seed=12, n=200)
