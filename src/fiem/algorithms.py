@@ -12,13 +12,14 @@ on each.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import isfinite
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, MemoryStateError, RunAbortError
-from .model import FiniteSumModel
+from .model import FiniteSumModel, dots, matvecs
 from .rng import (
     STREAM_INDICES_I,
     STREAM_INDICES_J,
@@ -103,19 +104,22 @@ class MemoryTable:
     maintained running mean refreshed from the rows every n updates.
 
     The rows are (n, q) for one state or (R, n, q) for a stack of R
-    replicas, which write one index per replica at a time.  The table takes
-    ``rows`` without a copy when it is a float array, and writes it in place."""
+    replicas, which write one index per replica at a time through a flat
+    (R n, q) view.  The table takes ``rows`` without a copy when it is a
+    float array (C-contiguous for a stack), and writes it in place."""
 
     def __init__(self, rows: Array):
         rows = np.asarray(rows, dtype=float)
         if rows.ndim not in (2, 3):
             raise MemoryStateError("memory rows must form an n-by-q matrix or a stack of them")
-        self.rows = rows
+        # a stack's flat view aliases its rows only in C order
+        self.rows = rows = np.ascontiguousarray(rows) if rows.ndim == 3 else rows
         self.n = rows.shape[-2]
-        self.mean = rows.mean(axis=-2)
+        self._flat = rows.reshape(-1, rows.shape[-1])
+        self._offsets = np.arange(0, len(self._flat), self.n) if rows.ndim == 3 else None
+        self.mean = self._row_mean()
         self._updates = 0
         self._scratch = None
-        self._replicas = np.arange(rows.shape[0]) if rows.ndim == 3 else None
 
     @classmethod
     def init(cls, model: FiniteSumModel, image, lead: tuple = ()) -> "MemoryTable":
@@ -127,21 +131,25 @@ class MemoryTable:
         return cls(rows)
 
     def _at(self, batch):
-        # the row of a one-index batch: batch[0], or batch[r, 0] of replica r
-        return batch[0] if self._replicas is None else (self._replicas, batch[:, 0])
+        # the flat index and row of a one-index batch (batch[0], or batch[r, 0] of
+        # replica r); a stack gathers by take, fancy indexing's gather but cheaper
+        if self._offsets is None:
+            return batch[0], self.rows[batch[0]]
+        at = self._offsets + batch[:, 0]
+        return at, self._flat.take(at, axis=0)
 
     def write(self, model: FiniteSumModel, image, batch) -> None:
         """Replace the rows of ``batch`` (duplicates collapse) by sbar_i(T(s)),
         read from the state's image, and update the running mean incrementally.
 
-        A single index reads and assigns its row as a view; the sum of the
-        changes over a one-row batch is that row's change, bit for bit."""
+        A single index reads and writes its row directly, one per replica; the
+        sum of the changes over a one-row batch is that row's change, bit for bit."""
         batch = np.asarray(batch)
         if batch.shape[-1] == 1:
-            at = self._at(batch)
+            at, old = self._at(batch)
             new = model.stat_rows(image, batch)[..., 0, :]
-            delta = new - self.rows[at]
-            self.rows[at] = new
+            delta = new - old
+            self._flat[at] = new
             written = 1
         else:
             uniq = np.unique(batch)
@@ -154,9 +162,19 @@ class MemoryTable:
         if self._updates >= self.n:
             self.refresh()
 
+    def _row_mean(self) -> Array:
+        if self._offsets is None:
+            return self.rows.mean(axis=-2)
+        # rows.mean(axis=-2) bit for bit: that reduction adds the n rows in
+        # order onto +0.0, in inner loops only q long; (R, q) adds are cheaper
+        total = np.zeros((len(self._offsets), self.rows.shape[-1]))
+        for i in range(self.n):
+            total += self.rows[:, i]
+        return total / self.n
+
     def refresh(self) -> None:
         """Recompute the mean from the rows, zeroing accumulated drift."""
-        self.mean = self.rows.mean(axis=-2)
+        self.mean = self._row_mean()
         self._updates = 0
 
     def scratch(self) -> tuple[Array, Array]:
@@ -195,23 +213,6 @@ def row_mean(rows: Array) -> Array:
     if rows.shape[-2] == 1:
         return rows[..., 0, :]
     return np.add.reduce(rows, axis=-2) / rows.shape[-2]
-
-
-def _matvecs(mat: Array, vecs: Array) -> Array:
-    """``mat @ v`` for the state v or for every row v of a stack: the stacked
-    matmul calls the one-state gemv once per row (a gemm or einsum rounds
-    differently)."""
-    if vecs.ndim == 1:
-        return mat @ vecs
-    return np.matmul(mat, vecs[..., None])[..., 0]
-
-
-def _sq_norms(vecs: Array) -> Array:
-    """``v @ v`` for the state v or for every row v of a stack, through the
-    one-state dot."""
-    if vecs.ndim == 1:
-        return vecs @ vecs
-    return np.matmul(vecs[..., None, :], vecs[..., None])[..., 0, 0]
 
 
 # -- single steps ---------------------------------------------------------
@@ -256,7 +257,7 @@ def _cv_update(
     direction = row_mean(rows_j) - s
     if lam != 0.0:
         one = batch_j.shape[-1] == 1
-        mem_j = memory.rows[memory._at(batch_j)] if one else row_mean(memory.rows[batch_j])
+        mem_j = memory._at(batch_j)[1] if one else row_mean(memory.rows[batch_j])
         cv = memory.mean - mem_j
         direction = direction + (cv if lam == 1.0 else lam * cv)
     return s + gamma * direction
@@ -481,9 +482,10 @@ def _path(model, phases, gammas, options, draws, on_phase_end=None) -> RunDiagno
                     if h_sq is not None or vdot_sq is not None:
                         h = smean - s
                     if h_sq is not None:
-                        h_sq[k] = _sq_norms(h)
+                        h_sq[k] = dots(h, h)
                     if vdot_sq is not None:
-                        vdot_sq[k] = _sq_norms(_matvecs(model.bmat(s), h))
+                        bh = matvecs(model.bmat(s), h)
+                        vdot_sq[k] = dots(bh, bh)
                     if theta_err is not None:
                         record_theta(k, s)
 
@@ -493,8 +495,10 @@ def _path(model, phases, gammas, options, draws, on_phase_end=None) -> RunDiagno
                     if lam is not None:
                         lambdas[k] = lam
                     if cv_sq is not None and algorithm in MEMORY_ALGORITHMS:
-                        cv_sq[k] = _sq_norms(memory.mean - smean)
-                    step_sq[k] = sq = _sq_norms(s_new - s)
+                        gap = memory.mean - smean
+                        cv_sq[k] = dots(gap, gap)
+                    step = s_new - s
+                    step_sq[k] = sq = dots(step, step)
                     if options.domain_policy is not None:
                         try:
                             model.admissible(s_new)
@@ -524,7 +528,7 @@ def run(
     algorithm: str,
     model: FiniteSumModel,
     schedule: StepSchedule,
-    termination: TerminationRule,
+    termination: Optional[TerminationRule],
     seed,
     options: RunOptions,
 ) -> RunDiagnostics:
@@ -533,12 +537,12 @@ def run(
     A single :func:`sa_path` phase.  Two algorithms run with the same seed see
     identical index streams position by position, which is the protocol
     behind all same-seed comparisons.  The termination index is sampled from
-    its own substream before the run starts.
+    its own substream before the run starts, unless ``termination`` is None.
     """
-    if len(termination) != len(schedule):
+    if termination is not None and len(termination) != len(schedule):
         raise ValueError("termination weights must have length K_max")
     tree = as_seed_tree(seed)
-    terminal_k = termination.sample(tree.stream(STREAM_TERMINATION))
+    terminal_k = None if termination is None else termination.sample(tree.stream(STREAM_TERMINATION))
     diag = sa_path(model, [(algorithm, len(schedule))], schedule.gammas, tree, options)
     diag.terminal_k = terminal_k
     return diag
@@ -562,19 +566,17 @@ class ReplicaBlock:
     def __iter__(self):
         d = self.stack
         finite = np.isfinite(d.step_sq)
-        first_bad = np.argmin(finite, axis=0)
-        for r, k in enumerate(first_bad):
-            if not finite[k, r]:
-                yield int(k), _DIVERGED
-                continue
-            yield RunDiagnostics(self.terminal_k[r], d.s0[r], d.s_final[r], d.step_sq[:, r], *(
-                None if rows is None else rows[:, r] for rows in (d.h_sq, d.cv_gap_sq, d.vdot_sq)))
+        columns = zip(self.terminal_k, d.s0, d.s_final, *(
+            repeat(None) if rows is None else rows.T
+            for rows in (d.step_sq, d.h_sq, d.cv_gap_sq, d.vdot_sq)))
+        for k, done, fields in zip(finite.argmin(axis=0).tolist(), finite.all(axis=0).tolist(), columns):
+            yield RunDiagnostics(*fields) if done else (k, _DIVERGED)
 
 
 def fiem_replicas(
     model: FiniteSumModel,
     schedule: StepSchedule,
-    termination: TerminationRule,
+    termination: Optional[TerminationRule],
     tree: SeedTree,
     children: range,
     options: RunOptions,
@@ -585,20 +587,23 @@ def fiem_replicas(
     The loop of :func:`sa_path` runs on an (R, q) stack of states with an
     (R, n, q) memory; the model must accept the replica axis
     (``model.replica_axis``), and ``options`` may not set ``theta_ref`` or
-    ``domain_policy``.  Replica r samples its termination index and draws
-    all its "indices-I" and "indices-J" indices up front from its own tree
-    (``integers(0, n, size=K)`` reads the values of K single draws); the
-    draws of all replicas are formed together from their raw Philox outputs
+    ``domain_policy``.  Replica r samples its termination index (if
+    ``termination`` is not None) and draws all its "indices-I" and
+    "indices-J" indices up front from its own tree (``integers(0, n,
+    size=K)`` reads the values of K single draws); the draws of all
+    replicas are formed together from their raw Philox outputs
     (:func:`fiem.rng.raw_outputs`, :func:`fiem.rng.index_draws`), bit for
     bit the per-replica generator calls.  A replica whose update is not
     finite is recorded as such and runs on with the others.
     """
-    if len(termination) != len(schedule):
+    if termination is not None and len(termination) != len(schedule):
         raise ValueError("termination weights must have length K_max")
     k_max, n = len(schedule), model.n
-    # Generator.random() is the top 53 bits of one raw output over 2**53
-    raw = raw_outputs(tree, children, STREAM_TERMINATION, 1)[:, 0]
-    terminal = termination.indices((raw >> 11) * 2.0**-53).tolist()
+    terminal = [None] * len(children)
+    if termination is not None:
+        # Generator.random() is the top 53 bits of one raw output over 2**53
+        raw = raw_outputs(tree, children, STREAM_TERMINATION, 1)[:, 0]
+        terminal = termination.indices((raw >> 11) * 2.0**-53).tolist()
     draws = (index_draws(tree, children, STREAM_INDICES_I, n, k_max),
              index_draws(tree, children, STREAM_INDICES_J, n, k_max))
     return ReplicaBlock(terminal, _path(model, [("fiem", k_max)], schedule.gammas, options, draws))

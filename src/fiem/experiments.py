@@ -24,9 +24,9 @@ from .algorithms import (
     run,
     sa_path,
 )
-from .errors import RunAbortError
+from .errors import DomainError, RunAbortError
 from .gmm import GmmModel, init_params
-from .model import FiniteSumModel, objective_v
+from .model import FiniteSumModel, dots, objective_v
 from .rng import SeedTree
 from .stepsize import theorem1_coeffs
 
@@ -53,7 +53,7 @@ class ExperimentConfig:
     model: FiniteSumModel
     algorithms: Sequence[str]
     schedule: StepSchedule
-    termination: TerminationRule
+    termination: Optional[TerminationRule]  # None: the runs draw no termination index
     options: RunOptions
     replicas: int
     seed: int
@@ -299,9 +299,11 @@ def paired_margin(lhs_values: Array, rhs_values: Array) -> float:
 
 def _delta_v(model: FiniteSumModel, diags: Sequence[RunDiagnostics]) -> Array:
     """Per-replica DeltaV = V(S^0) - V(S^Kmax) of runs from one start, with
-    ``V(s) = F(T(s))``."""
-    v0 = objective_v(model, diags[0].s0)
-    return np.array([v0 - objective_v(model, d.s_final) for d in diags])
+    ``V(s) = F(T(s))``, on the stack of final states (the replica axis)."""
+    finals = np.array([d.s_final for d in diags])
+    for r in np.flatnonzero(~np.isfinite(finals).all(axis=1))[:1]:
+        raise DomainError(f"replica {r}: statistic has non-finite entries")
+    return objective_v(model, diags[0].s0) - model.objective(model.tmap(finals))
 
 
 def verify_bound(diags: Sequence[RunDiagnostics], model: FiniteSumModel,
@@ -335,18 +337,21 @@ def verify_theorem1(
     DeltaV is not positive: a diverging path then passes it.  Raises
     :class:`RunAbortError` (naming the first aborted replica) when any
     replica aborted, since the survivors alone would bias both sides.
+
+    The inequality weights every k, so the runs key no termination stream.
+    Both sums and V(S^Kmax) are taken on the replica stack, one replica's
+    BLAS calls per row.
     """
     constants = model.constants()
     coeffs = theorem1_coeffs(
         schedule, model.n, constants.lipschitz_rms, constants.v_min,
         constants.lipschitz_gradv, betas=betas,
     )
-    k_max = len(schedule)
     config = ExperimentConfig(
         model=model,
         algorithms=("fiem",),
         schedule=schedule,
-        termination=TerminationRule.uniform(k_max),
+        termination=None,
         options=RunOptions(s0=s0, compute_e2=True),
         replicas=replicas,
         seed=seed,
@@ -355,7 +360,8 @@ def verify_theorem1(
     table = run_replicated(config)
     table.raise_on_abort()
     diags = table.runs["fiem"]
-    lhs = np.array([coeffs.alphas @ d.h_sq + coeffs.deltas @ d.cv_gap_sq for d in diags])
+    lhs = (dots(coeffs.alphas, np.array([d.h_sq for d in diags]))
+           + dots(coeffs.deltas, np.array([d.cv_gap_sq for d in diags])))
     delta_v = _delta_v(model, diags)
     return BoundReport.paired("theorem1", lhs, delta_v, delta_v, coeffs.alphas)
 

@@ -62,9 +62,11 @@ class FiniteSumModel(ABC):
     pairs with replica r, and returns (R, b, q) rows, ``stat_rows_into``
     fills an (R, n, q) array, ``stat_mean`` returns (R, q) and ``bmat(S)``
     is a matrix or a stack of them that ``np.matmul`` broadcasts over the
-    replicas.  Row r of each result must hold the bits that the same call
-    on replica r alone gives, and the oracles raise no :class:`DomainError`.
-    The one SA loop then steps R FIEM replicas as a stack (``fiem_replicas``).
+    replicas; ``tmap(S)`` stacks the R parameters and ``objective`` of that
+    stack returns R values.  Row r of each result must hold the bits that
+    the same call on replica r alone gives, and the oracles raise no
+    :class:`DomainError`.  The one SA loop then steps R FIEM replicas as a
+    stack (``fiem_replicas``); bound checks take DeltaV on their final states.
     """
 
     n: int
@@ -110,6 +112,22 @@ class FiniteSumModel(ABC):
 
     def constants(self) -> ModelConstants:
         raise UnsupportedCapabilityError(f"{type(self).__name__} exposes no planner constants")
+
+
+def matvecs(mat: Array, vecs: Array) -> Array:
+    """``mat @ v`` for the state v or for every row v of a stack, through the
+    one-state gemv per row (a gemm or einsum rounds differently)."""
+    if vecs.ndim == 1:
+        return mat @ vecs
+    return np.matmul(mat, vecs[..., None])[..., 0]
+
+
+def dots(u: Array, v: Array) -> Array:
+    """``u @ v`` for two vectors or for every row pair of two broadcast
+    stacks, through the one-vector dot per pair (a gemv rounds differently)."""
+    if u.ndim == v.ndim == 1:
+        return u @ v
+    return np.matmul(u[..., None, :], v[..., None])[..., 0, 0]
 
 
 def check_statistic(model: FiniteSumModel, s: Array) -> Array:

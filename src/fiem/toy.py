@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import FiniteSumModel, ModelConstants, check_statistic
+from .model import FiniteSumModel, ModelConstants, check_statistic, dots, matvecs
 from .rng import STREAM_DATA, as_seed_tree
 
 Array = np.ndarray
@@ -38,7 +38,8 @@ def _ar1_matrix(rng: np.random.Generator, rows: int, cols: int, rho: float) -> A
 
 class ToyModel(FiniteSumModel):
     """Fully specified linear-Gaussian model; immutable after construction.
-    Its oracles, ``image`` and ``bmat`` accept a leading replica axis."""
+    Its oracles, ``image``, ``bmat``, ``tmap`` and ``objective`` accept a
+    leading replica axis."""
 
     replica_axis = True
 
@@ -112,16 +113,13 @@ class ToyModel(FiniteSumModel):
     # -- model interface --------------------------------------------------
 
     def tmap(self, s: Array) -> Array:
-        return self.tmat @ s
+        return matvecs(self.tmat, s)
 
     def admissible(self, s: Array) -> None:
         check_statistic(self, s)
 
     def image(self, s: Array) -> Array:
-        if s.ndim == 1:
-            return self.pi2 @ s
-        # one gemv per state, as above; a gemm (s @ pi2.T) rounds differently
-        return np.matmul(self.pi2, s[..., None])[..., 0]
+        return matvecs(self.pi2, s)
 
     def stat_rows(self, image: Array, indices) -> Array:
         # take is the same gather as fancy indexing at about half the fixed cost
@@ -133,8 +131,11 @@ class ToyModel(FiniteSumModel):
     def stat_mean(self, image: Array) -> Array:
         return self.p1ybar + image
 
-    def objective(self, theta: Array) -> float:
-        return 0.5 * float(theta @ self._obj_m @ theta) - float(self._obj_b @ theta) + self._obj_c
+    def objective(self, theta: Array):
+        # one gemv, theta' M, and two dots per parameter
+        quad = dots(np.matmul(theta[..., None, :], self._obj_m)[..., 0, :], theta)
+        value = 0.5 * quad - dots(self._obj_b, theta) + self._obj_c
+        return float(value) if theta.ndim == 1 else value
 
     def bmat(self, s: Array) -> Array:
         return self.tmat

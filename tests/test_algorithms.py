@@ -70,14 +70,17 @@ class TestMemoryTable:
         assert np.abs(memory.mean - memory.rows.mean(axis=0)).max() <= 1e-12 * scale
 
     @settings(max_examples=40)
-    @given(replicas=st.sampled_from([1, 2, 7]), n=st.sampled_from([1, 2, 10]),
-           extra=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
-    def test_a_stack_is_its_replicas_bit_for_bit(self, replicas, n, extra, seed):
-        # one index per replica and write, across at least two refreshes
+    @given(replicas=st.sampled_from([1, 2, 7]), n=st.sampled_from([1, 2, 10, 50]),
+           extra=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
+           order=st.sampled_from("CF"))
+    def test_a_stack_is_its_replicas_bit_for_bit(self, replicas, n, extra, seed, order):
+        # one index per replica and write, across at least two refreshes; a
+        # stack built from Fortran-ordered rows must still write the rows it
+        # holds, not a flat copy of them
         m = toy(n=n)
         rng = np.random.default_rng(seed)
         images = rng.normal(size=(replicas, m.q))
-        stack = MemoryTable.init(m, images, (replicas,))
+        stack = MemoryTable(np.asarray(MemoryTable.init(m, images, (replicas,)).rows, order=order))
         singles = [MemoryTable.init(m, image) for image in images]
         for _ in range(2 * n + 1 + extra):
             images = rng.normal(size=(replicas, m.q)) * 10.0 ** rng.uniform(-3, 3)
@@ -87,6 +90,18 @@ class TestMemoryTable:
                 table.write(m, image, i)
             assert stack.rows.tobytes() == np.stack([t.rows for t in singles]).tobytes()
             assert stack.mean.tobytes() == np.stack([t.mean for t in singles]).tobytes()
+
+    @pytest.mark.parametrize("shape", [(7, 1, 3), (3, 2, 5), (2000, 10, 3), (200, 50, 5),
+                                       (5, 1000, 20), (3, 10000, 20)])
+    def test_a_stack_mean_is_ndarray_mean(self, shape):
+        # signed zeros included: the reduction starts from +0.0
+        rng = np.random.default_rng(0)
+        rows = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+        rows[0] = -0.0
+        memory = MemoryTable(rows)
+        assert memory.mean.tobytes() == rows.mean(axis=-2).tobytes()
+        memory.refresh()
+        assert memory.mean.tobytes() == rows.mean(axis=-2).tobytes()
 
     def test_init_holds_its_rows_once(self):
         # the table keeps the array init fills: a (100, 1000, q) stack of

@@ -8,8 +8,9 @@ import fiem
 import fiem.algorithms
 import fiem.cli
 import fiem.experiments
-from fiem.algorithms import MemoryTable, RunOptions, StepSchedule, TerminationRule, fiem_replicas
-from fiem.errors import RunAbortError
+from fiem.algorithms import (MemoryTable, RunDiagnostics, RunOptions, StepSchedule, TerminationRule,
+                             fiem_replicas)
+from fiem.errors import DomainError, RunAbortError
 from fiem.experiments import (
     ExperimentConfig,
     GmmExperimentConfig,
@@ -22,6 +23,7 @@ from fiem.experiments import (
     verify_bound,
     verify_theorem1,
 )
+from fiem.model import dots
 from fiem.rng import SeedTree
 from fiem.stepsize import f_n, f_n_tilde
 
@@ -134,6 +136,24 @@ class TestEstimates:
         est = estimate_e(table.runs["fiem"], v_max=m.constants().v_max)
         assert est.e0 <= est.e1 + 3.0 * est.se1
 
+    @pytest.mark.parametrize("route", ["replica-axis", "per-path"])
+    def test_no_termination_rule_changes_no_record(self, route):
+        # the termination stream is keyed by name, so dropping it leaves the
+        # index streams and every record as they were; only K goes
+        m = toy(seed=4)
+        theta_ref = m.theta_star if route == "per-path" else None
+        ruled = config(m, k_max=25, replicas=6, compute_e0=True, compute_e2=True,
+                       theta_ref=theta_ref)
+        unruled = dataclasses.replace(ruled, termination=None)
+        assert fiem.experiments._on_replica_axis(unruled) == (route == "replica-axis")
+        with_k, without_k = run_replicated(ruled).runs["fiem"], run_replicated(unruled).runs["fiem"]
+        assert all(d.terminal_k is not None for d in with_k)
+        assert all(d.terminal_k is None for d in without_k)
+        assert [_bits(d) for d in without_k] == [
+            _bits(dataclasses.replace(d, terminal_k=None)) for d in with_k]
+        with pytest.raises(ValueError, match="runs lack a termination index"):
+            estimate_e(without_k)
+
     def test_e0_needs_vmax(self):
         m = toy(seed=9)
         table = run_replicated(config(m, replicas=2, compute_e0=True))
@@ -193,6 +213,32 @@ class TestTheorem1Verification:
             for w in (1, 2))
         for field in ("lhs", "rhs", "margin_sigmas"):
             assert getattr(serial, field).hex() == getattr(pooled, field).hex()
+
+    @pytest.mark.parametrize("dims", [(4, 3, 3), (6, 4, 5), (15, 10, 20)])
+    def test_stacked_sides_are_the_per_replica_forms(self, dims):
+        # V(S^Kmax) on the toy's replica axis and the weighted sums of the
+        # lhs through the stacked dot hold the bits of one state's gemv and dots
+        m = fiem.generate_toy(2, 10, dims=dims)
+        diags = run_replicated(config(m, k_max=40, replicas=64, compute_e2=True)).runs["fiem"]
+
+        def v(s):
+            theta = m.tmat @ s
+            return 0.5 * float(theta @ m._obj_m @ theta) - float(m._obj_b @ theta) + m._obj_c
+
+        expected = np.array([v(diags[0].s0) - v(d.s_final) for d in diags])
+        assert fiem.experiments._delta_v(m, diags).tobytes() == expected.tobytes()
+        alphas, deltas = np.random.default_rng(1).normal(size=(2, 40))
+        lhs = (dots(alphas, np.array([d.h_sq for d in diags]))
+               + dots(deltas, np.array([d.cv_gap_sq for d in diags])))
+        expected = np.array([alphas @ d.h_sq + deltas @ d.cv_gap_sq for d in diags])
+        assert lhs.tobytes() == expected.tobytes()
+
+    def test_a_non_finite_final_state_names_its_replica(self):
+        m = toy()
+        diags = [RunDiagnostics(None, np.zeros(m.q), np.full(m.q, value), np.zeros(1))
+                 for value in (1.0, 2.0, np.inf, np.nan)]
+        with pytest.raises(DomainError, match="replica 2: statistic has non-finite entries"):
+            fiem.experiments._delta_v(m, diags)
 
     def test_deterministic_single_example(self):
         m = toy(seed=12, n=1)
@@ -737,6 +783,16 @@ class TestReplicaAxisBudget:
         assert counts.seed_sequence <= 3 and counts.philox <= 3
         assert (counts.sample, counts.choice, counts.integers) == (0, 0, 0)
         assert counts.random_raw == 3 * 9
+
+    def test_theorem1_keys_no_termination_stream(self, monkeypatch):
+        # Theorem 1 weights every k, so its runs read the two index streams
+        # only: two blocks of raw outputs per replica, not the three of a
+        # config with a termination rule (above)
+        m = toy(seed=5)
+        counts = _Counts(monkeypatch)
+        verify_theorem1(m, StepSchedule.constant(0.1, 20), np.zeros(m.q), 9, 0)
+        assert counts.random_raw == 2 * 9
+        assert counts.philox <= 2 and counts.sample == 0
 
     @pytest.mark.parametrize("replicas", [1, 9])
     def test_a_chunk_steps_once_per_iteration(self, monkeypatch, replicas):
