@@ -31,6 +31,7 @@ from .rng import (
 )
 
 ALGORITHMS = ("em", "iem", "online-em", "fiem", "opt-fiem")
+REFRESH_BLOCK = 1024    # rows a one-state table rebuilds at a time for its mean
 MEMORY_ALGORITHMS = ("iem", "fiem", "opt-fiem")
 
 Array = np.ndarray
@@ -103,18 +104,24 @@ class MemoryTable:
     """Per-example store of the last EM images, with an incrementally
     maintained running mean refreshed from the rows every n updates.
 
-    The rows are (n, q) for one state or (R, n, q) for a stack of R
-    replicas, which write one index per replica at a time through a flat
-    (R n, q) view.  The table takes ``rows`` without a copy when it is a
-    float array (C-contiguous for a stack), and writes it in place."""
+    ``rows`` is the stored array of one code per example, (n, c) for one
+    state or (R, n, c) for a stack of R replicas, which write one index per
+    replica at a time through a flat (R n, c) view.  ``model.table_rows``
+    rebuilds rows from codes bit for bit; the toy's codes, a stack's and a
+    model-less table's are the rows, the mixture's its responsibilities
+    ((n, g), 11x less than its rows at gmm-fit, 21x at ``--preset paper``).
+    The table takes ``rows`` without a copy when it is a float array
+    (C-contiguous for a stack), and writes it in place."""
 
-    def __init__(self, rows: Array):
+    def __init__(self, rows: Array, model: Optional[FiniteSumModel] = None):
         rows = np.asarray(rows, dtype=float)
         if rows.ndim not in (2, 3):
             raise MemoryStateError("memory rows must form an n-by-q matrix or a stack of them")
         # a stack's flat view aliases its rows only in C order
         self.rows = rows = np.ascontiguousarray(rows) if rows.ndim == 3 else rows
+        self._rows = model.table_rows if model is not None else lambda codes, indices, out=None: codes
         self.n = rows.shape[-2]
+        self.q = rows.shape[-1] if model is None else model.q
         self._flat = rows.reshape(-1, rows.shape[-1])
         self._offsets = np.arange(0, len(self._flat), self.n) if rows.ndim == 3 else None
         self.mean = self._row_mean()
@@ -122,16 +129,13 @@ class MemoryTable:
         self._scratch = None
 
     @classmethod
-    def init(cls, model: FiniteSumModel, image, lead: tuple = ()) -> "MemoryTable":
+    def init(cls, model: FiniteSumModel, image) -> "MemoryTable":
         """Initialize every row at the current EM image, row i = sbar_i(T(s)),
-        from the state's image ``model.image(s)``; ``lead`` is the state's
-        leading shape, (R,) for a stack."""
-        rows = np.empty(lead + (model.n, model.q))
-        model.stat_rows_into(image, rows)
-        return cls(rows)
+        from the state's image ``model.image(s)``, or from a stack's."""
+        return cls(model.table_codes(image), model)
 
     def _at(self, batch):
-        # the flat index and row of a one-index batch (batch[0], or batch[r, 0] of
+        # the flat index and code of a one-index batch (batch[0], or batch[r, 0] of
         # replica r); a stack gathers by take, fancy indexing's gather but cheaper
         if self._offsets is None:
             return batch[0], self.rows[batch[0]]
@@ -147,14 +151,18 @@ class MemoryTable:
         batch = np.asarray(batch)
         if batch.shape[-1] == 1:
             at, old = self._at(batch)
-            new = model.stat_rows(image, batch)[..., 0, :]
-            delta = new - old
+            new = model.table_codes(image, batch)[..., 0, :]
+            new_rows, old_rows = self._rows((new, old), batch[..., 0])
+            delta = new_rows - old_rows
             self._flat[at] = new
             written = 1
+        elif self._offsets is not None:
+            raise ValueError(f"a stack writes one index per replica, not a batch of shape {batch.shape}")
         else:
             uniq = np.unique(batch)
-            new = model.stat_rows(image, uniq)
-            delta = np.add.reduce(new - self.rows[uniq], axis=0)
+            new = model.table_codes(image, uniq)
+            new_rows, old_rows = self._rows((new, self.rows[uniq]), uniq)
+            delta = np.add.reduce(new_rows - old_rows, axis=0)
             self.rows[uniq] = new
             written = uniq.size
         self.mean = self.mean + delta / self.n
@@ -163,13 +171,19 @@ class MemoryTable:
             self.refresh()
 
     def _row_mean(self) -> Array:
-        if self._offsets is None:
+        if self._offsets is None and self.rows.shape[-1] == self.q:  # codes that are rows
             return self.rows.mean(axis=-2)
-        # rows.mean(axis=-2) bit for bit: that reduction adds the n rows in
-        # order onto +0.0, in inner loops only q long; (R, q) adds are cheaper
-        total = np.zeros((len(self._offsets), self.rows.shape[-1]))
-        for i in range(self.n):
-            total += self.rows[:, i]
+        # rows.mean(axis=-2) bit for bit: at q >= 2 that reduction adds the n
+        # rows in order onto +0.0, in inner loops only q long; (R, q) adds are
+        # cheaper, and one state's codes are rebuilt into rows in blocks
+        total = np.zeros(self.rows.shape[:-2] + (self.q,))
+        if self._offsets is not None:
+            for i in range(self.n):
+                total += self.rows[:, i]
+            return total / self.n
+        for start in range(0, self.n, REFRESH_BLOCK):
+            at = slice(start, start + REFRESH_BLOCK)
+            total = np.add.reduce(np.concatenate((total[None], self._rows(self.rows[at], at))), axis=0)
         return total / self.n
 
     def refresh(self) -> None:
@@ -178,10 +192,11 @@ class MemoryTable:
         self._updates = 0
 
     def scratch(self) -> tuple[Array, Array]:
-        """Two work arrays shaped as the rows, owned by the table and allocated
-        on first use, so that full passes over the rows allocate nothing."""
+        """Two work arrays shaped as the rebuilt rows, owned by the table and
+        allocated on first use, so that full passes allocate nothing."""
         if self._scratch is None:
-            self._scratch = (np.empty_like(self.rows), np.empty_like(self.rows))
+            shape = self.rows.shape[:-1] + (self.q,)
+            self._scratch = (np.empty(shape), np.empty(shape))
         return self._scratch
 
 
@@ -257,7 +272,8 @@ def _cv_update(
     direction = row_mean(rows_j) - s
     if lam != 0.0:
         one = batch_j.shape[-1] == 1
-        mem_j = memory._at(batch_j)[1] if one else row_mean(memory.rows[batch_j])
+        mem_j = memory._rows(memory._at(batch_j)[1], batch_j[..., 0]) if one \
+            else row_mean(memory._rows(memory.rows[batch_j], batch_j))
         cv = memory.mean - mem_j
         direction = direction + (cv if lam == 1.0 else lam * cv)
     return s + gamma * direction
@@ -288,12 +304,12 @@ def opt_fiem_lambda(model: FiniteSumModel, image, memory: MemoryTable) -> float:
     lambda* = - mean_j <sbar_j(T(s)), Stilde - S_j> / mean_j ||Stilde - S_j||^2
     with the memory rows taken after the current I-update, or 1 (the FIEM
     coefficient) when the denominator is numerically zero.  The rows
-    sbar_j(T(s)) come from the state's image; both (n, q) operands are
-    written into the table's scratch arrays.
+    sbar_j(T(s)) come from the state's image; both (n, q) operands, and the
+    memory rows rebuilt from their codes, go into the table's scratch.
     """
     rows, diff = memory.scratch()
     model.stat_rows_into(image, rows)
-    np.subtract(memory.mean, memory.rows, out=diff)
+    np.subtract(memory.mean, memory._rows(memory.rows, slice(None), diff), out=diff)
     num = float(np.einsum("nq,nq->", rows, diff)) / model.n
     # stable form of mean_j ||S_j||^2 - ||Stilde||^2
     den = float(np.einsum("nq,nq->", diff, diff)) / model.n
@@ -476,7 +492,7 @@ def _path(model, phases, gammas, options, draws, on_phase_end=None) -> RunDiagno
             image = model.image(s)
             for algorithm, iters in phases:
                 if memory is None and iters and algorithm in MEMORY_ALGORITHMS:
-                    memory = MemoryTable.init(model, image, s.shape[:-1])
+                    memory = MemoryTable.init(model, image)
                 for _ in range(iters):
                     smean = model.stat_mean(image) if needs_mean or algorithm == "em" else None
                     if h_sq is not None or vdot_sq is not None:

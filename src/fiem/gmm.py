@@ -246,10 +246,10 @@ class GmmModel(FiniteSumModel):
 
     def _assemble(self, rho: Array, y_rows: Array, out: Array) -> None:
         # statistic rows [rho_i, rho_i1 y_i, ..., rho_ig y_i] written into
-        # out without forming the selection matrix or a (b, g, p) temporary
-        out[:, : self.g] = rho
-        np.multiply(rho[:, :, None], y_rows[:, None, :],
-                    out=out[:, self.g :].reshape(rho.shape[0], self.g, self.p))
+        # out without the selection matrix or a temporary; rho may lead y_rows
+        out[..., : self.g] = rho
+        np.multiply(rho[..., None], y_rows[..., None, :],
+                    out=out[..., self.g :].reshape(rho.shape + (self.p,)))
 
     def sbar_rows(self, theta: GmmParams, indices) -> Array:
         idx = np.asarray(indices)
@@ -267,6 +267,20 @@ class GmmModel(FiniteSumModel):
 
     def stat_rows_into(self, image: GmmImage, out: Array) -> None:
         self._assemble(image.posteriors(), self.dataset.observations, out)
+
+    def table_codes(self, image: GmmImage, indices=None) -> Array:
+        # the responsibilities rho_i, which with y_i set row i
+        if indices is None:
+            return image.posteriors()
+        return posterior_rows(image.theta, self.dataset.observations[indices])
+
+    def table_rows(self, codes, indices, out=None) -> Array:
+        # the product that formed each row, so the rebuilt bits are its bits
+        codes = np.asarray(codes)
+        if out is None:
+            out = np.empty(codes.shape[:-1] + (self.q,))
+        self._assemble(codes, self.dataset.observations[indices], out)
+        return out
 
     def stat_mean(self, image: GmmImage) -> Array:
         y = self.dataset.observations

@@ -49,7 +49,8 @@ class FiniteSumModel(ABC):
     depends on the statistic vectors they are given, and are safe to share
     across threads.  ``n`` is the example count and ``q`` the statistic
     dimension.  A model defines ``tmap``, ``admissible`` and ``stat_rows``;
-    the algorithms need nothing else.
+    the algorithms need nothing else.  A memory table stores the codes of
+    :meth:`table_codes`: the toy's rows, the mixture's responsibilities.
 
     The oracles ``stat_rows``, ``stat_rows_into`` and ``stat_mean`` take
     the image ``image(s)`` of a state rather than the state itself, so that
@@ -101,6 +102,22 @@ class FiniteSumModel(ABC):
         """Full EM image ``sbar(T(s))``, the mean of all n rows; costs one
         pass over the examples unless the model overrides it."""
         return self.stat_rows(image, np.arange(self.n)).mean(axis=0)
+
+    def table_codes(self, image, indices=None) -> Array:
+        """The memory table's codes of the examples ``indices`` (all n when
+        None), from which :meth:`table_rows` rebuilds each row sbar_i(T(s))
+        bit for bit; by default the rows themselves, stacked for a stack."""
+        if indices is not None:
+            return self.stat_rows(image, indices)
+        out = np.empty(np.shape(image)[:-1] + (self.n, self.q))
+        self.stat_rows_into(image, out)
+        return out
+
+    def table_rows(self, codes, indices, out=None) -> Array:
+        """The rows of the examples ``indices`` (an index array or a slice)
+        rebuilt from ``codes``, an array or a tuple of arrays of one shape,
+        into ``out`` when given; by default the codes, returned as they are."""
+        return codes
 
     # -- optional capabilities -------------------------------------------
 

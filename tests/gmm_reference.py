@@ -41,3 +41,38 @@ def sequential_log_weighted_densities(params, y_rows):
         return acc
 
     return _log_weighted_densities(params, y_rows, quad)
+
+
+class DenseTable:
+    """A one-state memory table that keeps the (n, q) statistic rows
+    themselves, refreshing its mean as ``rows.mean(axis=0)``: the reference
+    that the mixture's table of responsibilities must match bit for bit."""
+
+    def __init__(self, model, image):
+        self.n = model.n
+        self.rows = np.empty((model.n, model.q))
+        model.stat_rows_into(image, self.rows)
+        self.mean = self.rows.mean(axis=0)
+        self.updates = self.refreshes = 0
+
+    def write(self, model, image, batch):
+        uniq = np.unique(batch)
+        new = model.stat_rows(image, uniq)
+        delta = np.add.reduce(new - self.rows[uniq], axis=0)
+        self.rows[uniq] = new
+        self.mean = self.mean + delta / self.n
+        self.updates += uniq.size
+        if self.updates >= self.n:
+            self.mean = self.rows.mean(axis=0)
+            self.updates = 0
+            self.refreshes += 1
+
+    def optimal_lambda(self, model, image):
+        """opt-FIEM's exact coefficient over the dense rows."""
+        diff = self.mean - self.rows
+        rows = model.stat_rows(image, np.arange(model.n))
+        num = float(np.einsum("nq,nq->", rows, diff)) / model.n
+        den = float(np.einsum("nq,nq->", diff, diff)) / model.n
+        if den < 1e-14 * (1.0 + float(self.mean @ self.mean)):
+            return 1.0
+        return -num / den

@@ -80,7 +80,7 @@ class TestMemoryTable:
         m = toy(n=n)
         rng = np.random.default_rng(seed)
         images = rng.normal(size=(replicas, m.q))
-        stack = MemoryTable(np.asarray(MemoryTable.init(m, images, (replicas,)).rows, order=order))
+        stack = MemoryTable(np.asarray(MemoryTable.init(m, images).rows, order=order))
         singles = [MemoryTable.init(m, image) for image in images]
         for _ in range(2 * n + 1 + extra):
             images = rng.normal(size=(replicas, m.q)) * 10.0 ** rng.uniform(-3, 3)
@@ -110,11 +110,20 @@ class TestMemoryTable:
         images = np.random.default_rng(0).normal(size=(100, m.q))
         tracemalloc.start()
         try:
-            memory = MemoryTable.init(m, images, (100,))
+            memory = MemoryTable.init(m, images)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.1 * memory.rows.nbytes
+
+    def test_a_stack_rejects_a_batch_per_replica(self):
+        m = toy(n=10)
+        images = np.random.default_rng(0).normal(size=(3, m.q))
+        stack = MemoryTable.init(m, images)
+        before = stack.rows.copy()
+        with pytest.raises(ValueError, match=r"batch of shape \(3, 2\)"):
+            stack.write(m, images, np.zeros((3, 2), dtype=int))
+        assert stack.rows.tobytes() == before.tobytes()
 
     def test_duplicate_indices_collapse(self):
         m = toy(n=8)
@@ -148,7 +157,8 @@ class TestBitwiseFastPaths:
     @staticmethod
     def fresh_lambda(model, s, memory):
         rows = model.stat_rows(model.image(s), np.arange(model.n))
-        diff = memory.mean - memory.rows
+        # the mixture's table stores codes; its rows are rebuilt from them
+        diff = memory.mean - model.table_rows(memory.rows, np.arange(model.n))
         num = float(np.einsum("nq,nq->", rows, diff)) / model.n
         den = float(np.einsum("nq,nq->", diff, diff)) / model.n
         return -num / den
@@ -171,7 +181,8 @@ class TestBitwiseFastPaths:
             assert fiem.opt_fiem_lambda(m, m.image(s), memory) == self.fresh_lambda(m, s, memory)
             rows, diff = memory.scratch()
             assert rows.tobytes() == m.stat_rows(m.image(s), np.arange(m.n)).tobytes()
-            assert diff.tobytes() == (memory.mean - memory.rows).tobytes()
+            dense = m.table_rows(memory.rows, np.arange(m.n))
+            assert diff.tobytes() == (memory.mean - dense).tobytes()
             assert all(a is b for a, b in zip((rows, diff), memory.scratch()))
 
     @staticmethod

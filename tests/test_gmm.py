@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import fiem
-from fiem.algorithms import MemoryTable, RunOptions, sa_path
+from fiem.algorithms import MemoryTable, RunOptions, _cv_update, row_mean, sa_path
 from fiem.errors import ConfigurationError, DomainError, RunAbortError
 from fiem.gmm import (
     ROW_BLOCK,
@@ -25,6 +27,7 @@ from fiem.gmm import (
 )
 
 from gmm_reference import (
+    DenseTable,
     dense_selection_matrix,
     row_major_log_weighted_densities,
     sequential_log_weighted_densities,
@@ -302,6 +305,96 @@ class TestEvaluationCounts:
         assert len(tmaps) == path.iterations + 1
         assert sum(passes) == expected
         assert path.loglik.shape == (2,) and len(path.params) == 16
+
+
+class TestResponsibilityTable:
+    """The mixture's memory table stores the (n, g) responsibilities and
+    rebuilds its statistic rows from them, bit for bit as a dense (n, q)
+    table of the rows."""
+
+    @staticmethod
+    def em_states(model, count=8):
+        states = [model.initial_statistic(init_params(model.dataset, model.g, 3))]
+        while len(states) < count:
+            states.append(model.stat_mean(model.image(states[-1])))
+        return states
+
+    def test_matches_the_dense_table_bit_for_bit(self):
+        # writes of one index and of 100 with repeats, across several refreshes
+        model, _ = synthetic(seed=21, n=400)
+        states = self.em_states(model)
+        images = [model.image(s) for s in states]
+        table, dense = MemoryTable.init(model, images[0]), DenseTable(model, images[0])
+        assert table.rows.shape == (model.n, model.g)
+        rng = np.random.default_rng(4)
+        repeats = 0
+        for k in range(40):
+            s, image = states[k % len(states)], images[k % len(states)]
+            batch = rng.integers(0, model.n, size=1 if k % 2 else 100)
+            repeats += batch.size - np.unique(batch).size
+            table.write(model, image, batch)
+            dense.write(model, image, batch)
+            assert table.mean.tobytes() == dense.mean.tobytes()
+            rebuilt = model.table_rows(table.rows, np.arange(model.n))
+            assert rebuilt.tobytes() == dense.rows.tobytes()
+            for j in (batch[:1], rng.integers(0, model.n, size=100)):
+                oracle = row_mean(model.stat_rows(image, j))
+                want = s + 0.05 * ((oracle - s) + (dense.mean - row_mean(dense.rows[j])))
+                assert _cv_update(model, s, image, table, j, 0.05, 1.0).tobytes() == want.tobytes()
+        assert dense.refreshes >= 2 and repeats > 0
+
+    def test_holds_responsibilities_not_rows(self):
+        # init, writes and a refresh at the gmm-fit shape never form the
+        # (n, q) rows: half their bytes bounds the traced peak
+        n, p, g = 20_000, 10, 5
+        model, _ = synthetic(seed=0, n=n, g=g, p=p)
+        images = [model.image(s) for s in self.em_states(model, 3)]
+        images[0].log_densities     # the path's own density pass, which EM shares
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            table = MemoryTable.init(model, images[0])
+            for k in range(4):
+                table.write(model, images[1 + k % 2], rng.integers(0, n, size=100))
+            table.refresh()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.rows.nbytes == n * g * 8
+        assert peak < n * model.q * 8 / 2
+        # a refresh over many blocks still reads rows.mean(axis=0)
+        rebuilt = model.table_rows(table.rows, np.arange(n))
+        assert table.mean.tobytes() == rebuilt.mean(axis=0).tobytes()
+
+    def test_forced_coefficients_are_online_em_and_fiem(self):
+        # one example per draw: all four read the same index streams; 150
+        # memory writes cross two refreshes of the n = 60 table
+        model, _ = synthetic(seed=22, n=60)
+        s0 = self.em_states(model, 1)[0]
+        gammas = np.full(150, 0.01)
+
+        def path(algorithm, lam=None):
+            return sa_path(model, [(algorithm, 150)], gammas, 7, RunOptions(s0=s0, forced_lambda=lam))
+
+        for plain, forced in ((path("online-em"), path("opt-fiem", 0.0)),
+                              (path("fiem"), path("opt-fiem", 1.0))):
+            assert plain.s_final.tobytes() == forced.s_final.tobytes()
+            assert plain.h_sq.tobytes() == forced.h_sq.tobytes()
+
+    @pytest.mark.parametrize("b", [1, 10])
+    def test_exact_coefficient_is_the_dense_one(self, b):
+        model, _ = synthetic(seed=23, n=60)
+        images = [model.image(s) for s in self.em_states(model)]
+        table, dense = MemoryTable.init(model, images[0]), DenseTable(model, images[0])
+        rng = np.random.default_rng(b)
+        for k in range(3 * model.n // b + 2):
+            image = images[k % len(images)]
+            batch = rng.integers(0, model.n, size=b)
+            table.write(model, image, batch)
+            dense.write(model, image, batch)
+            lam = fiem.opt_fiem_lambda(model, image, table)
+            assert np.float64(lam).tobytes() == np.float64(dense.optimal_lambda(model, image)).tobytes()
+        assert dense.refreshes >= 2
 
 
 class TestMiniBatchSteps:
