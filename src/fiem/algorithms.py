@@ -104,24 +104,25 @@ class MemoryTable:
     """Per-example store of the last EM images, with an incrementally
     maintained running mean refreshed from the rows every n updates.
 
-    ``rows`` is the stored array of one code per example, (n, c) for one
-    state or (R, n, c) for a stack of R replicas, which write one index per
-    replica at a time through a flat (R n, c) view.  ``model.table_rows``
-    rebuilds rows from codes bit for bit; the toy's codes, a stack's and a
-    model-less table's are the rows, the mixture's its responsibilities
-    ((n, g), 11x less than its rows at gmm-fit, 21x at ``--preset paper``).
-    The table takes ``rows`` without a copy when it is a float array
-    (C-contiguous for a stack), and writes it in place."""
+    ``rows`` holds one code per example, (n, c) for one state or (R, n, c)
+    for a stack of R replicas, which write one index per replica at a time
+    through a flat (R n, c) view.  Every read goes through
+    ``model.table_rows``, which rebuilds rows from codes bit for bit: the
+    toy's codes are its rows, the mixture's its (n, g) responsibilities
+    (11x less at gmm-fit, 21x at ``--preset paper``).  ``rows`` is taken
+    without a copy when it is a float array (C-contiguous for a stack).  The
+    mean is ``rows.mean(axis=-2)`` bit for bit at q >= 2; at q = 1 (no model
+    here) numpy sums pairwise from n = 8 on, while the table adds in order."""
 
-    def __init__(self, rows: Array, model: Optional[FiniteSumModel] = None):
+    def __init__(self, rows: Array, model: FiniteSumModel):
         rows = np.asarray(rows, dtype=float)
         if rows.ndim not in (2, 3):
             raise MemoryStateError("memory rows must form an n-by-q matrix or a stack of them")
         # a stack's flat view aliases its rows only in C order
         self.rows = rows = np.ascontiguousarray(rows) if rows.ndim == 3 else rows
-        self._rows = model.table_rows if model is not None else lambda codes, indices, out=None: codes
+        self._rows = model.table_rows
         self.n = rows.shape[-2]
-        self.q = rows.shape[-1] if model is None else model.q
+        self.q = model.q
         self._flat = rows.reshape(-1, rows.shape[-1])
         self._offsets = np.arange(0, len(self._flat), self.n) if rows.ndim == 3 else None
         self.mean = self._row_mean()
@@ -171,11 +172,7 @@ class MemoryTable:
             self.refresh()
 
     def _row_mean(self) -> Array:
-        if self._offsets is None and self.rows.shape[-1] == self.q:  # codes that are rows
-            return self.rows.mean(axis=-2)
-        # rows.mean(axis=-2) bit for bit: at q >= 2 that reduction adds the n
-        # rows in order onto +0.0, in inner loops only q long; (R, q) adds are
-        # cheaper, and one state's codes are rebuilt into rows in blocks
+        # a stack's rows as (R, q) adds; one state's rebuilt in blocks onto the running sum
         total = np.zeros(self.rows.shape[:-2] + (self.q,))
         if self._offsets is not None:
             for i in range(self.n):
@@ -193,7 +190,7 @@ class MemoryTable:
 
     def scratch(self) -> tuple[Array, Array]:
         """Two work arrays shaped as the rebuilt rows, owned by the table and
-        allocated on first use, so that full passes allocate nothing."""
+        allocated on first use."""
         if self._scratch is None:
             shape = self.rows.shape[:-1] + (self.q,)
             self._scratch = (np.empty(shape), np.empty(shape))
@@ -304,12 +301,12 @@ def opt_fiem_lambda(model: FiniteSumModel, image, memory: MemoryTable) -> float:
     lambda* = - mean_j <sbar_j(T(s)), Stilde - S_j> / mean_j ||Stilde - S_j||^2
     with the memory rows taken after the current I-update, or 1 (the FIEM
     coefficient) when the denominator is numerically zero.  The rows
-    sbar_j(T(s)) come from the state's image; both (n, q) operands, and the
-    memory rows rebuilt from their codes, go into the table's scratch.
+    sbar_j(T(s)) come from the state's image; both (n, q) operands go into
+    the table's scratch, so only a table that rebuilds its rows allocates.
     """
     rows, diff = memory.scratch()
     model.stat_rows_into(image, rows)
-    np.subtract(memory.mean, memory._rows(memory.rows, slice(None), diff), out=diff)
+    np.subtract(memory.mean, memory._rows(memory.rows, slice(None)), out=diff)
     num = float(np.einsum("nq,nq->", rows, diff)) / model.n
     # stable form of mean_j ||S_j||^2 - ||Stilde||^2
     den = float(np.einsum("nq,nq->", diff, diff)) / model.n

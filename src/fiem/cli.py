@@ -84,63 +84,39 @@ def _config_tokens(path: str, subcommand: str, parser: argparse.ArgumentParser) 
     return [f"--{key}={value}" for key, value in doc.items()]
 
 
+def _flag_type(parse, ok, expects: str):
+    """An argparse type: the value ``parse(text)`` when it parses and
+    satisfies ``ok``; otherwise "expects <expects>, got '<text>'"."""
+    def flag_type(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expects {expects}, got {text!r}")
+    return flag_type
+
+
 def _algorithm_list(choices):
     """The ``--algos`` type: comma-separated names from ``choices``, none twice."""
-    def parse(text: str) -> list[str]:
-        names = [a.strip() for a in text.split(",")]
-        if not set(names) <= set(choices) or len(set(names)) < len(names):
-            raise argparse.ArgumentTypeError(f"expects distinct names from {','.join(choices)}, "
-                                             f"comma-separated, got {text!r}")
-        return names
-    return parse
-
-
-def _positive_number(text: str) -> float:
-    """The type of a step-size or planner-constant flag: a positive finite
-    number."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    if not (value > 0.0 and isfinite(value)):
-        raise argparse.ArgumentTypeError(f"expects a positive finite number, got {text!r}")
-    return value
-
-
-def _open_unit(text: str) -> float:
-    """The type of a rate or accuracy flag: a number strictly between 0
-    and 1."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"expects a number in (0, 1), got {text!r}")
-    return value
-
-
-def _path(text: str) -> str:
-    """The type of a file flag: a non-empty path."""
-    if not text:
-        raise argparse.ArgumentTypeError("expects a file path, got ''")
-    return text
+    return _flag_type(lambda text: [a.strip() for a in text.split(",")],
+                      lambda names: set(names) <= set(choices) and len(set(names)) == len(names),
+                      f"distinct names from {','.join(choices)}, comma-separated")
 
 
 def _whole_number(minimum: int):
-    """The type of a size, count or seed flag: a whole number of at least
-    ``minimum``.  The planners need n >= 2 examples; iterations, epochs,
-    batches, replicas, processes and mixture components >= 1; seeds, the
-    h-FIEM switch epoch and the PCA dimension >= 0."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = minimum - 1
-        if value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"expects a whole number of at least {minimum}, got {text!r}")
-        return value
-    return parse
+    """A size, count or seed: n >= 2 for the planners; iterations, epochs,
+    batches, replicas, processes, components >= 1; seeds, kswitch, PCA >= 0."""
+    return _flag_type(int, lambda value: value >= minimum,
+                      f"a whole number of at least {minimum}")
+
+
+# a step size or planner constant; a rate or accuracy; a file
+_positive_number = _flag_type(float, lambda value: value > 0.0 and isfinite(value),
+                              "a positive finite number")
+_open_unit = _flag_type(float, lambda value: 0.0 < value < 1.0, "a number in (0, 1)")
+_path = _flag_type(str, bool, "a file path")
 
 
 def _report_aborts(aborted) -> bool:
@@ -299,19 +275,15 @@ def cmd_toy(args, parser) -> int:
 GMM_PRESETS = {None: {"g": 3, "preprocess": None}, "paper": {"g": 12, "preprocess": 20}}
 
 
-def _synthetic_spec(text: str) -> tuple[int, int, int, int, float]:
-    """The ``--synthetic`` value ``seed,n,g,p,separation`` as numbers: a seed
-    >= 0, n, g and p >= 1 and a finite separation."""
-    try:
-        gen_seed, n, g_true, p, sep = text.split(",")
-        spec = int(gen_seed), int(n), int(g_true), int(p), float(sep)
-    except ValueError:
-        spec = None
-    if spec is None or spec[0] < 0 or min(spec[1:4]) < 1 or not isfinite(spec[4]):
-        raise argparse.ArgumentTypeError(
-            f"expects seed,n,g,p,separation with seed >= 0, n, g, p >= 1 and a finite "
-            f"separation, got {text!r}")
-    return spec
+def _synthetic_numbers(text: str) -> tuple[int, int, int, int, float]:
+    """The ``--synthetic`` value ``seed,n,g,p,separation`` as numbers."""
+    gen_seed, n, g_true, p, sep = text.split(",")
+    return int(gen_seed), int(n), int(g_true), int(p), float(sep)
+
+
+_synthetic_spec = _flag_type(
+    _synthetic_numbers, lambda spec: spec[0] >= 0 and min(spec[1:4]) >= 1 and isfinite(spec[4]),
+    "seed,n,g,p,separation with seed >= 0, n, g, p >= 1 and a finite separation")
 
 
 def cmd_gmm(args, parser) -> int:
@@ -322,6 +294,10 @@ def cmd_gmm(args, parser) -> int:
         dataset = load_csv_dataset(args.data)
         p_target = preset["preprocess"] if args.preprocess is None else args.preprocess
         if p_target:
+            kept = int(np.count_nonzero(dataset.observations.std(axis=0)))
+            if p_target > kept:
+                parser.error(f"--preprocess {p_target} exceeds the {kept} non-constant columns "
+                             f"of {args.data}")
             dataset = preprocess(dataset.observations, p_target)
     elif args.preprocess is not None:
         parser.error("--preprocess applies to --data only, not to --synthetic")

@@ -426,7 +426,7 @@ def gmm_epoch_path(
     kswitch: int = 0,
 ) -> GmmPath:
     """One path of a mixture fit from the statistic ``s0`` (S^0, usually
-    ``model.initial_statistic(theta0)``), bookkept in epochs of n examples,
+    ``model.sbar(theta0)``), bookkept in epochs of n examples,
     counted by :func:`_epoch_phases`.
 
     h-FIEM runs ``kswitch`` Online EM epochs then FIEM epochs, with the
@@ -495,7 +495,7 @@ class GmmExperimentConfig:
 def _gmm_replica_job(args):
     config, r = args
     child = SeedTree(config.seed).child(r)
-    s0 = config.model.initial_statistic(init_params(config.model.dataset, config.model.g, child))
+    s0 = config.model.sbar(init_params(config.model.dataset, config.model.g, child))
     return r, _outcomes(config.algorithms, lambda alg: gmm_epoch_path(
         config.model, alg, s0, config.gamma_for(alg),
         config.batch_size, config.epochs, child, kswitch=config.kswitch))

@@ -244,29 +244,24 @@ class GmmModel(FiniteSumModel):
     def image(self, s: Array) -> GmmImage:
         return GmmImage(self.tmap(s), self.dataset.observations)
 
-    def _assemble(self, rho: Array, y_rows: Array, out: Array) -> None:
-        # statistic rows [rho_i, rho_i1 y_i, ..., rho_ig y_i] written into
-        # out without the selection matrix or a temporary; rho may lead y_rows
+    def _assemble(self, rho: Array, y_rows: Array) -> Array:
+        # the rows [rho_i, rho_i1 y_i, ..., rho_ig y_i], no selection matrix; rho may lead y_rows
+        out = np.empty(rho.shape[:-1] + (self.q,))
         out[..., : self.g] = rho
         np.multiply(rho[..., None], y_rows[..., None, :],
                     out=out[..., self.g :].reshape(rho.shape + (self.p,)))
-
-    def sbar_rows(self, theta: GmmParams, indices) -> Array:
-        idx = np.asarray(indices)
-        y_rows = self.dataset.observations[idx]
-        out = np.empty((idx.size, self.q))
-        self._assemble(posterior_rows(theta, y_rows), y_rows, out)
         return out
 
+    def sbar_rows(self, theta: GmmParams, indices) -> Array:
+        y_rows = self.dataset.observations[np.asarray(indices)]
+        return self._assemble(posterior_rows(theta, y_rows), y_rows)
+
     def sbar(self, theta: GmmParams) -> Array:
-        """Full EM image sbar(theta); one pass over the examples."""
+        """Full EM image sbar(theta), a path's S^0; one pass over the examples."""
         return self.stat_mean(GmmImage(theta, self.dataset.observations))
 
     def stat_rows(self, image: GmmImage, indices) -> Array:
         return self.sbar_rows(image.theta, indices)
-
-    def stat_rows_into(self, image: GmmImage, out: Array) -> None:
-        self._assemble(image.posteriors(), self.dataset.observations, out)
 
     def table_codes(self, image: GmmImage, indices=None) -> Array:
         # the responsibilities rho_i, which with y_i set row i
@@ -274,13 +269,9 @@ class GmmModel(FiniteSumModel):
             return image.posteriors()
         return posterior_rows(image.theta, self.dataset.observations[indices])
 
-    def table_rows(self, codes, indices, out=None) -> Array:
+    def table_rows(self, codes, indices) -> Array:
         # the product that formed each row, so the rebuilt bits are its bits
-        codes = np.asarray(codes)
-        if out is None:
-            out = np.empty(codes.shape[:-1] + (self.q,))
-        self._assemble(codes, self.dataset.observations[indices], out)
-        return out
+        return self._assemble(np.asarray(codes), self.dataset.observations[indices])
 
     def stat_mean(self, image: GmmImage) -> Array:
         y = self.dataset.observations
@@ -289,10 +280,6 @@ class GmmModel(FiniteSumModel):
         out[: self.g] = rho.mean(axis=0)
         out[self.g :] = (rho.T @ y).reshape(self.g * self.p) / self.n
         return out
-
-    def initial_statistic(self, theta: GmmParams) -> Array:
-        """S^0 = n^{-1} sum_i sbar_i(theta^0)."""
-        return self.sbar(theta)
 
 
 # -- mini-batch steps (thin wrappers enforcing the domain proxies) ---------

@@ -95,7 +95,7 @@ class FiniteSumModel(ABC):
 
     def stat_rows_into(self, image, out: Array) -> None:
         """All n rows ``sbar_i(T(s))`` written into the (n, q) array ``out``;
-        models with a closed form override this to skip the temporary."""
+        the toy's closed form overrides this to skip the temporary."""
         out[...] = self.stat_rows(image, np.arange(self.n))
 
     def stat_mean(self, image) -> Array:
@@ -113,10 +113,10 @@ class FiniteSumModel(ABC):
         self.stat_rows_into(image, out)
         return out
 
-    def table_rows(self, codes, indices, out=None) -> Array:
+    def table_rows(self, codes, indices) -> Array:
         """The rows of the examples ``indices`` (an index array or a slice)
-        rebuilt from ``codes``, an array or a tuple of arrays of one shape,
-        into ``out`` when given; by default the codes, returned as they are."""
+        rebuilt from ``codes``, an array or a tuple of arrays of one shape;
+        by default the codes themselves.  Every read of a table goes here."""
         return codes
 
     # -- optional capabilities -------------------------------------------

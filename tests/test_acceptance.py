@@ -317,7 +317,7 @@ def test_gradient_identity():
 def test_gmm_criteria():
     ds, _ = fiem.generate_gmm_synthetic(0, n=2000, g=3, p=5, separation=3.0)
     model = fiem.GmmModel(ds, 3)
-    s0 = model.initial_statistic(fiem.init_params(ds, 3, 1))
+    s0 = model.sbar(fiem.init_params(ds, 3, 1))
 
     em = fiem.gmm_epoch_path(model, "em", s0, 1.0, 100, 100, seed=0)
     curve = [fiem.gmm_loglik(theta, ds) for theta in em.params]

@@ -1,6 +1,7 @@
 import hashlib
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -80,7 +81,7 @@ class TestMemoryTable:
         m = toy(n=n)
         rng = np.random.default_rng(seed)
         images = rng.normal(size=(replicas, m.q))
-        stack = MemoryTable(np.asarray(MemoryTable.init(m, images).rows, order=order))
+        stack = MemoryTable(np.asarray(MemoryTable.init(m, images).rows, order=order), m)
         singles = [MemoryTable.init(m, image) for image in images]
         for _ in range(2 * n + 1 + extra):
             images = rng.normal(size=(replicas, m.q)) * 10.0 ** rng.uniform(-3, 3)
@@ -92,13 +93,16 @@ class TestMemoryTable:
             assert stack.mean.tobytes() == np.stack([t.mean for t in singles]).tobytes()
 
     @pytest.mark.parametrize("shape", [(7, 1, 3), (3, 2, 5), (2000, 10, 3), (200, 50, 5),
-                                       (5, 1000, 20), (3, 10000, 20)])
+                                       (5, 1000, 20), (3, 10000, 20), (1, 3), (1023, 5),
+                                       (1024, 2), (1025, 20), (3000, 20)])
     def test_a_stack_mean_is_ndarray_mean(self, shape):
-        # signed zeros included: the reduction starts from +0.0
+        # a stack, or one state whose rows are read in blocks; signed zeros
+        # included: the reduction starts from +0.0
         rng = np.random.default_rng(0)
         rows = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
         rows[0] = -0.0
-        memory = MemoryTable(rows)
+        model = SimpleNamespace(q=shape[-1], table_rows=lambda codes, indices: codes)
+        memory = MemoryTable(rows, model)
         assert memory.mean.tobytes() == rows.mean(axis=-2).tobytes()
         memory.refresh()
         assert memory.mean.tobytes() == rows.mean(axis=-2).tobytes()
@@ -172,7 +176,7 @@ class TestBitwiseFastPaths:
         else:
             ds, _ = fiem.generate_gmm_synthetic(2, n=200, g=3, p=3, separation=3.0)
             m = fiem.GmmModel(ds, 3)
-            s0 = m.initial_statistic(fiem.init_params(ds, 3, 1))
+            s0 = m.sbar(fiem.init_params(ds, 3, 1))
             s1 = m.stat_mean(m.image(s0))
             states = [s1, m.stat_mean(m.image(s1))]
         memory = MemoryTable.init(m, m.image(s0))
@@ -192,7 +196,7 @@ class TestBitwiseFastPaths:
             return m, [np.random.default_rng(i).normal(size=m.q) for i in range(60)]
         ds, _ = fiem.generate_gmm_synthetic(2, n=60, g=3, p=3, separation=3.0)
         m = fiem.GmmModel(ds, 3)
-        states = [m.initial_statistic(fiem.init_params(ds, 3, 1))]
+        states = [m.sbar(fiem.init_params(ds, 3, 1))]
         for _ in range(7):
             states.append(m.stat_mean(m.image(states[-1])))
         return m, states
@@ -360,7 +364,7 @@ class TestOptimalLambda:
     def test_degenerate_variance_signal(self):
         m = toy(seed=11, n=5)
         s = np.zeros(m.q)
-        memory = MemoryTable(np.tile(np.ones(m.q), (m.n, 1)))
+        memory = MemoryTable(np.tile(np.ones(m.q), (m.n, 1)), m)
         # a constant memory has no variance: the coefficient falls back to 1
         assert fiem.opt_fiem_lambda(m, m.image(s), memory) == 1.0
 
@@ -368,7 +372,7 @@ class TestOptimalLambda:
         m = toy(seed=12, n=7)
         rng = np.random.default_rng(3)
         s = rng.normal(size=m.q)
-        memory = MemoryTable(m.stat_rows(m.image(s), np.arange(m.n)))
+        memory = MemoryTable(m.stat_rows(m.image(s), np.arange(m.n)), m)
         lam = fiem.opt_fiem_lambda(m, m.image(s), memory)
         assert abs(lam - 1.0) < 1e-10
 

@@ -505,6 +505,9 @@ NAMES_THE_FLAG = {
     "gmm-zero-synthetic-dimension": ("--synthetic", "g, p >= 1", "'0,100,2,0,3.0'"),
     "gmm-zero-synthetic-n": ("--synthetic", "n, g, p >= 1", "'0,0,2,2,3.0'"),
     "gmm-nan-synthetic-separation": ("--synthetic", "finite separation", "'0,100,2,2,nan'"),
+    "gmm-preprocess-past-columns": ("--preprocess 9", "4 non-constant columns of data.csv"),
+    "gmm-preprocess-past-non-constant-columns": ("--preprocess 4",
+                                                 "3 non-constant columns of constant-column.csv"),
 }
 
 
@@ -613,6 +616,10 @@ NAMES_THE_FLAG = {
     ["plan", "--lambda", "1.5", "--n", "100", "--kmax", "10"] + PLAN_FLAGS,
     ["plan", "--strategy", "auto", "--epsilon", "-1", "--n", "100", "--kmax", "10"]
     + PLAN_FLAGS,
+    ["gmm", "--data", "data.csv", "--preprocess", "9", "--algos", "em", "--epochs", "1",
+     "--threads", "1"],
+    ["gmm", "--data", "constant-column.csv", "--preprocess", "4", "--algos", "em",
+     "--epochs", "1", "--threads", "1"],
 ], ids=["gmm-batch-not-dividing-n", "gmm-short-synthetic", "gmm-non-numeric-synthetic",
         "gmm-kswitch-past-last-epoch", "gmm-default-kswitch-past-epochs", "gmm-zero-batch",
         "gmm-missing-data", "gmm-zero-components",
@@ -640,7 +647,8 @@ NAMES_THE_FLAG = {
         "gmm-zero-synthetic-dimension", "gmm-zero-synthetic-n", "gmm-nan-synthetic-separation",
         "gmm-negative-kswitch", "plan-nan-L", "plan-inf-Lv", "plan-zero-weight",
         "plan-short-weights", "plan-weights-not-summing-to-1", "plan-text-weight",
-        "plan-zero-mu", "plan-nan-mu", "plan-lambda-above-1", "plan-negative-epsilon"])
+        "plan-zero-mu", "plan-nan-mu", "plan-lambda-above-1", "plan-negative-epsilon",
+        "gmm-preprocess-past-columns", "gmm-preprocess-past-non-constant-columns"])
 def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, request, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "not-json.json").write_text("{not json")
@@ -667,6 +675,9 @@ def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, req
     (tmp_path / "karimi-mu.json").write_text(json.dumps({"strategy": "karimi", "mu": 0.9}))
     (tmp_path / "karimi-lambda.json").write_text(json.dumps({"strategy": "karimi", "lambda": 0.3}))
     np.savetxt(tmp_path / "data.csv", np.arange(24.0).reshape(6, 4) % 5, delimiter=",")
+    constant = np.arange(24.0).reshape(6, 4) % 5
+    constant[:, 2] = 1.5
+    np.savetxt(tmp_path / "constant-column.csv", constant, delimiter=",")
     (tmp_path / "synthetic-preprocess.json").write_text(
         json.dumps({"synthetic": "0,100,2,3,3.0", "preprocess": 2}))
     data = np.random.default_rng(0).standard_normal((100, 3))

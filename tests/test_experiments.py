@@ -372,7 +372,7 @@ class TestAbortHandling:
     def test_run_abort_carries_iteration_index(self):
         ds, _ = fiem.generate_gmm_synthetic(10, n=120, g=3, p=4, separation=3.0)
         model = fiem.GmmModel(ds, 3)
-        s0 = model.initial_statistic(fiem.init_params(ds, 3, 6))
+        s0 = model.sbar(fiem.init_params(ds, 3, 6))
         k_max = 400
         with pytest.raises(fiem.RunAbortError) as err:
             fiem.run(
@@ -386,7 +386,7 @@ class TestAbortHandling:
     def test_replica_aborts_are_recorded(self):
         ds, _ = fiem.generate_gmm_synthetic(10, n=120, g=3, p=4, separation=3.0)
         model = fiem.GmmModel(ds, 3)
-        s0 = model.initial_statistic(fiem.init_params(ds, 3, 6))
+        s0 = model.sbar(fiem.init_params(ds, 3, 6))
         k_max = 400
         cfg = ExperimentConfig(
             model=model, algorithms=("online-em",),
@@ -457,7 +457,7 @@ class TestGmmTable:
     def test_repeated_path_has_zero_spread(self):
         ds, _ = fiem.generate_gmm_synthetic(5, n=100, g=2, p=2, separation=2.0)
         model = fiem.GmmModel(ds, 2)
-        s0 = model.initial_statistic(fiem.init_params(ds, 2, 0))
+        s0 = model.sbar(fiem.init_params(ds, 2, 0))
         a = fiem.gmm_epoch_path(model, "online-em", s0, 5e-3, 25, 4, seed=11)
         b = fiem.gmm_epoch_path(model, "online-em", s0, 5e-3, 25, 4, seed=11)
         stacked = np.array([[fiem.gmm_loglik(theta, ds) for theta in path.params]
@@ -483,7 +483,7 @@ class TestHybridEpochPath:
     def setup_method(self):
         ds, _ = fiem.generate_gmm_synthetic(23, n=120, g=3, p=3, separation=3.0)
         self.model = fiem.GmmModel(ds, 3)
-        self.s0 = self.model.initial_statistic(fiem.init_params(ds, 3, 5))
+        self.s0 = self.model.sbar(fiem.init_params(ds, 3, 5))
 
     def path(self, algorithm, epochs, kswitch=0, batch_size=10):
         return fiem.gmm_epoch_path(self.model, algorithm, self.s0, 5e-2, batch_size,

@@ -178,7 +178,7 @@ class TestTmap:
         # regression: tmap once cached its result keyed on the identity of
         # ``s`` and returned the old parameter after an in-place update
         model, _ = synthetic(seed=5, n=60)
-        s = model.initial_statistic(init_params(model.dataset, 3, 1))
+        s = model.sbar(init_params(model.dataset, 3, 1))
         before = model.tmap(s).means.copy()
         s[3:] *= 0.5  # halved means keep the covariance positive definite
         after = model.tmap(s).means
@@ -187,7 +187,7 @@ class TestTmap:
 
     def test_empty_component_error(self):
         model, _ = synthetic(seed=5)
-        s = model.initial_statistic(init_params(model.dataset, 3, 1))
+        s = model.sbar(init_params(model.dataset, 3, 1))
         s = s.copy()
         s[0] = 1e-13
         with pytest.raises(DomainError, match="empty component"):
@@ -253,7 +253,7 @@ class TestEvaluationCounts:
     def test_one_tmap_per_state_and_shared_density_passes(self, monkeypatch, algorithm,
                                                           gamma, kswitch):
         model, _ = synthetic(seed=16, n=120)
-        s0 = model.initial_statistic(init_params(model.dataset, 3, 4))
+        s0 = model.sbar(init_params(model.dataset, 3, 4))
         epochs = 4
         tmaps, passes = [], []
 
@@ -288,7 +288,7 @@ class TestEvaluationCounts:
         # FIEM) or at the switch (h-FIEM); a table epoch's pass also serves
         # the EM step or memory init of the same state
         model, _ = synthetic(seed=16, n=120)
-        s0 = model.initial_statistic(init_params(model.dataset, 3, 4))
+        s0 = model.sbar(init_params(model.dataset, 3, 4))
         tmaps, passes = [], []
 
         def counting_tmap(s, sigma_star, g):
@@ -314,7 +314,7 @@ class TestResponsibilityTable:
 
     @staticmethod
     def em_states(model, count=8):
-        states = [model.initial_statistic(init_params(model.dataset, model.g, 3))]
+        states = [model.sbar(init_params(model.dataset, model.g, 3))]
         while len(states) < count:
             states.append(model.stat_mean(model.image(states[-1])))
         return states
@@ -401,14 +401,14 @@ class TestMiniBatchSteps:
     def test_full_batch_unit_step_iem_is_em_epoch(self):
         model, _ = synthetic(seed=9, n=60)
         theta0 = init_params(model.dataset, 3, 5)
-        s = model.initial_statistic(theta0)
+        s = model.sbar(theta0)
         memory = MemoryTable.init(model, model.image(s))
         out, _ = gmm_iem_step(model, s, memory, np.arange(model.n), 1.0)
         np.testing.assert_allclose(out, model.stat_mean(model.image(s)), atol=1e-12)
 
     def test_online_mass_preserved_along_path(self):
         model, _ = synthetic(seed=10, n=120)
-        s = model.initial_statistic(init_params(model.dataset, 3, 6))
+        s = model.sbar(init_params(model.dataset, 3, 6))
         rng = np.random.default_rng(1)
         for _ in range(200):
             batch = rng.choice(model.n, size=10, replace=False)
@@ -418,7 +418,7 @@ class TestMiniBatchSteps:
 
     def test_fiem_mass_preserved_and_monitored(self):
         model, _ = synthetic(seed=11, n=120)
-        s = model.initial_statistic(init_params(model.dataset, 3, 2))
+        s = model.sbar(init_params(model.dataset, 3, 2))
         memory = MemoryTable.init(model, model.image(s))
         rng = np.random.default_rng(2)
         violations = 0
@@ -438,7 +438,7 @@ class TestMiniBatchSteps:
         # it as an empty component, so the count never reaches a result
         ds, _ = generate_gmm_synthetic(0, 600, 3, 2, 6.0)
         model = GmmModel(ds, 3)
-        options = RunOptions(s0=model.initial_statistic(init_params(ds, 3, 1)),
+        options = RunOptions(s0=model.sbar(init_params(ds, 3, 1)),
                              compute_h=False, domain_policy=policy)
         with pytest.raises(RunAbortError) as info:
             sa_path(model, [("online-em", 5)], np.full(5, 1.2), 3, options)
@@ -446,7 +446,7 @@ class TestMiniBatchSteps:
 
     def test_epoch_accounting(self):
         model, _ = synthetic(seed=12, n=200)
-        s0 = model.initial_statistic(init_params(model.dataset, 3, 8))
+        s0 = model.sbar(init_params(model.dataset, 3, 8))
         em = fiem.gmm_epoch_path(model, "em", s0, 1.0, 50, 3, seed=0)
         assert em.iterations == 3 and em.examples_processed == 3 * 200
         iem = fiem.gmm_epoch_path(model, "iem", s0, 1.0, 50, 3, seed=0)
@@ -463,7 +463,7 @@ class TestMiniBatchSteps:
         # one epoch of the mixture path draws exactly the batches of run()
         # under the same seed (Online EM at b > 1 draws without replacement)
         model, _ = synthetic(seed=15, n=200)
-        s0 = model.initial_statistic(init_params(model.dataset, 3, 3))
+        s0 = model.sbar(init_params(model.dataset, 3, 3))
         path = fiem.gmm_epoch_path(model, algorithm, s0, gamma, batch, 1, seed=7)
         k_max = path.iterations
         diag = fiem.run(
@@ -478,7 +478,7 @@ class TestMiniBatchSteps:
 
     def test_em_monotone_loglik(self):
         model, _ = synthetic(seed=13, n=250)
-        path = fiem.gmm_epoch_path(model, "em", model.initial_statistic(
+        path = fiem.gmm_epoch_path(model, "em", model.sbar(
             init_params(model.dataset, 3, 9)), 1.0, 50, 40, seed=0)
         curve = [gmm_loglik(theta, model.dataset) for theta in path.params]
         assert len(curve) == 40 and np.all(np.diff(curve) >= -1e-9)
@@ -490,7 +490,7 @@ class TestMiniBatchSteps:
         model = GmmModel(ds, 3)
         hyb_spread, onl_spread = [], []
         for r in range(3):
-            s0 = model.initial_statistic(init_params(ds, 3, 100 + r))
+            s0 = model.sbar(init_params(ds, 3, 100 + r))
             hyb = fiem.gmm_epoch_path(model, "h-fiem", s0, 5e-3, 50, 100, seed=r, kswitch=6)
             onl = fiem.gmm_epoch_path(model, "online-em", s0, 5e-3, 50, 100, seed=r)
             window = slice(51, 101)  # well after the switch
@@ -578,7 +578,7 @@ class TestSynthetic:
             truth.means + 0.3 * rng.normal(size=truth.means.shape),
             truth.cov.copy(),
         )
-        s = model.initial_statistic(start)
+        s = model.sbar(start)
         for _ in range(50):
             s = model.stat_mean(model.image(s))
         fitted = model.tmap(s)
