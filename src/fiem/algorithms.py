@@ -31,7 +31,6 @@ from .rng import (
 )
 
 ALGORITHMS = ("em", "iem", "online-em", "fiem", "opt-fiem")
-REFRESH_BLOCK = 1024    # rows a one-state table rebuilds at a time for its mean
 MEMORY_ALGORITHMS = ("iem", "fiem", "opt-fiem")
 
 Array = np.ndarray
@@ -106,13 +105,13 @@ class MemoryTable:
 
     ``rows`` holds one code per example, (n, c) for one state or (R, n, c)
     for a stack of R replicas, which write one index per replica at a time
-    through a flat (R n, c) view.  Every read goes through
+    through a flat (R n, c) view.  A row read goes through
     ``model.table_rows``, which rebuilds rows from codes bit for bit: the
     toy's codes are its rows, the mixture's its (n, g) responsibilities
     (11x less at gmm-fit, 21x at ``--preset paper``).  ``rows`` is taken
     without a copy when it is a float array (C-contiguous for a stack).  The
-    mean is ``rows.mean(axis=-2)`` bit for bit at q >= 2; at q = 1 (no model
-    here) numpy sums pairwise from n = 8 on, while the table adds in order."""
+    mean is ``model.row_sums`` over n, the rebuilt rows' ``mean(axis=-2)``
+    bit for bit at q >= 2 (no model here has q = 1)."""
 
     def __init__(self, rows: Array, model: FiniteSumModel):
         rows = np.asarray(rows, dtype=float)
@@ -120,12 +119,11 @@ class MemoryTable:
             raise MemoryStateError("memory rows must form an n-by-q matrix or a stack of them")
         # a stack's flat view aliases its rows only in C order
         self.rows = rows = np.ascontiguousarray(rows) if rows.ndim == 3 else rows
-        self._rows = model.table_rows
+        self._rows, self._sums = model.table_rows, model.row_sums
         self.n = rows.shape[-2]
-        self.q = model.q
         self._flat = rows.reshape(-1, rows.shape[-1])
         self._offsets = np.arange(0, len(self._flat), self.n) if rows.ndim == 3 else None
-        self.mean = self._row_mean()
+        self.mean = self._sums(rows, slice(None)) / self.n
         self._updates = 0
         self._scratch = None
 
@@ -171,28 +169,16 @@ class MemoryTable:
         if self._updates >= self.n:
             self.refresh()
 
-    def _row_mean(self) -> Array:
-        # a stack's rows as (R, q) adds; one state's rebuilt in blocks onto the running sum
-        total = np.zeros(self.rows.shape[:-2] + (self.q,))
-        if self._offsets is not None:
-            for i in range(self.n):
-                total += self.rows[:, i]
-            return total / self.n
-        for start in range(0, self.n, REFRESH_BLOCK):
-            at = slice(start, start + REFRESH_BLOCK)
-            total = np.add.reduce(np.concatenate((total[None], self._rows(self.rows[at], at))), axis=0)
-        return total / self.n
-
     def refresh(self) -> None:
         """Recompute the mean from the rows, zeroing accumulated drift."""
-        self.mean = self._row_mean()
+        self.mean = self._sums(self.rows, slice(None)) / self.n
         self._updates = 0
 
     def scratch(self) -> tuple[Array, Array]:
         """Two work arrays shaped as the rebuilt rows, owned by the table and
         allocated on first use."""
         if self._scratch is None:
-            shape = self.rows.shape[:-1] + (self.q,)
+            shape = self.rows.shape[:-1] + self.mean.shape[-1:]
             self._scratch = (np.empty(shape), np.empty(shape))
         return self._scratch
 
@@ -263,14 +249,14 @@ def _cv_update(
     # SA update with a control variate scaled by lam; lam=0 reproduces the
     # plain oracle step bit-for-bit (the CV term is skipped, not multiplied),
     # and lam=1 adds the CV term unscaled, which 1.0 * x leaves unchanged.
-    # A single oracle index reads its memory row as a view.
+    # A single oracle index reads its memory row, a wider batch their row_sums.
     batch_j = np.asarray(batch_j)
     rows_j = model.stat_rows(image, batch_j)
     direction = row_mean(rows_j) - s
     if lam != 0.0:
-        one = batch_j.shape[-1] == 1
-        mem_j = memory._rows(memory._at(batch_j)[1], batch_j[..., 0]) if one \
-            else row_mean(memory._rows(memory.rows[batch_j], batch_j))
+        b = batch_j.shape[-1]
+        mem_j = memory._rows(memory._at(batch_j)[1], batch_j[..., 0]) if b == 1 \
+            else memory._sums(memory.rows[batch_j], batch_j) / b
         cv = memory.mean - mem_j
         direction = direction + (cv if lam == 1.0 else lam * cv)
     return s + gamma * direction

@@ -302,7 +302,10 @@ def cmd_gmm(args, parser) -> int:
     elif args.preprocess is not None:
         parser.error("--preprocess applies to --data only, not to --synthetic")
     else:
-        dataset, _truth = generate_gmm_synthetic(*args.synthetic)
+        try:
+            dataset, _truth = generate_gmm_synthetic(*args.synthetic)
+        except ValueError as exc:
+            parser.error(f"--synthetic {','.join(map(str, args.synthetic))}: {exc}")
 
     model = GmmModel(dataset, preset["g"] if args.g is None else args.g)
     exp = GmmExperimentConfig(

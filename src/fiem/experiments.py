@@ -385,7 +385,7 @@ def _epoch_phases(algorithm: str, n: int, batch_size: int, epochs: int, kswitch:
     FIEM iterations (two batches each), so n must be divisible by the examples
     of one iteration.  h-FIEM runs ``kswitch`` Online EM epochs, then FIEM
     epochs, and needs n divisible by 2b.  Each error message states the
-    values that do not fit.
+    values that do not fit and the flags that set them.
     """
     if algorithm not in GMM_ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -396,12 +396,12 @@ def _epoch_phases(algorithm: str, n: int, batch_size: int, epochs: int, kswitch:
         raise ValueError(f"epochs={epochs} is below 1")
     per_iteration = _EXAMPLES_PER_ITERATION[algorithm](n, b)
     if n % per_iteration:
-        examples = f"batch {b}" if per_iteration == b else f"2*batch={per_iteration}"
+        examples = f"--batch {b}" if per_iteration == b else f"2*batch={per_iteration} (--batch {b})"
         raise ValueError(f"{examples} does not divide n={n} for {algorithm}")
     if algorithm != "h-fiem":
         return [(algorithm, n // per_iteration)] * epochs
     if not (0 <= kswitch <= epochs):
-        raise ValueError(f"kswitch={kswitch} is outside 0..epochs={epochs}")
+        raise ValueError(f"--kswitch past --epochs: kswitch={kswitch} is outside 0..epochs={epochs}")
     return [("online-em", n // b)] * kswitch + [("fiem", n // (2 * b))] * (epochs - kswitch)
 
 

@@ -273,6 +273,13 @@ class GmmModel(FiniteSumModel):
         # the product that formed each row, so the rebuilt bits are its bits
         return self._assemble(np.asarray(codes), self.dataset.observations[indices])
 
+    def row_sums(self, codes, indices) -> Array:
+        # [sum_i rho_i, rho' Y] in the rebuilt rows' order; at g = 1 einsum adds in SIMD lanes
+        if self.g == 1:
+            return super().row_sums(codes, indices)
+        y_part = np.einsum("nl,np->lp", codes, self.dataset.observations[indices])
+        return np.concatenate((np.add.reduce(codes, axis=0), y_part.reshape(-1)))
+
     def stat_mean(self, image: GmmImage) -> Array:
         y = self.dataset.observations
         rho = image.posteriors()
@@ -362,7 +369,7 @@ def generate_gmm_synthetic(seed, n: int, g: int, p: int, separation: float):
     if g < 1 or p < 1:
         raise ValueError("need g >= 1 and p >= 1")
     if n < g:
-        raise ValueError("need at least one observation per component")
+        raise ValueError(f"need at least one observation per component, n={n} < g={g}")
     rng = as_seed_tree(seed).stream(STREAM_DATA)
     weights = 0.5 / g + 0.5 * rng.dirichlet(np.ones(g))
     dirs = rng.standard_normal((g, p))

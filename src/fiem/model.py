@@ -50,7 +50,8 @@ class FiniteSumModel(ABC):
     across threads.  ``n`` is the example count and ``q`` the statistic
     dimension.  A model defines ``tmap``, ``admissible`` and ``stat_rows``;
     the algorithms need nothing else.  A memory table stores the codes of
-    :meth:`table_codes`: the toy's rows, the mixture's responsibilities.
+    :meth:`table_codes` (the toy's rows, the mixture's responsibilities),
+    reads rows through :meth:`table_rows` and means through :meth:`row_sums`.
 
     The oracles ``stat_rows``, ``stat_rows_into`` and ``stat_mean`` take
     the image ``image(s)`` of a state rather than the state itself, so that
@@ -116,8 +117,13 @@ class FiniteSumModel(ABC):
     def table_rows(self, codes, indices) -> Array:
         """The rows of the examples ``indices`` (an index array or a slice)
         rebuilt from ``codes``, an array or a tuple of arrays of one shape;
-        by default the codes themselves.  Every read of a table goes here."""
+        by default the codes themselves.  Every read of a row goes here."""
         return codes
+
+    def row_sums(self, codes, indices) -> Array:
+        """Sum of the rows that ``codes`` of ``indices`` stand for, (q,) or (R, q), with the
+        bits of ``np.add.reduce(rows, axis=-2)``; by default an einsum, in order at q >= 2."""
+        return np.einsum("...nq->...q", self.table_rows(codes, indices))
 
     # -- optional capabilities -------------------------------------------
 

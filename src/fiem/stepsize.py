@@ -228,9 +228,19 @@ def case1_identity_gap(inputs: PlannerInputs, c: float) -> float:
     return abs(gamma - dual) / gamma
 
 
+def _squared(name: str, value: float) -> float:
+    """``value**2``; a square outside the positive finite floats makes the plan infeasible."""
+    try:
+        if 0.0 < value**2 < math.inf:
+            return value**2
+    except OverflowError:
+        pass
+    raise InfeasiblePlanError(f"{name}^2 is not a positive finite float at {name} = {value!r}")
+
+
 def _bound_constant(inputs: PlannerInputs, fn: float) -> float:
     # B = L_gradV f / (2 mu (1-mu) v_min^2), f = f_n (case1) or f~_n (case2)
-    return inputs.l_gradv * fn / (2.0 * inputs.mu * (1.0 - inputs.mu) * inputs.v_min**2)
+    return inputs.l_gradv * fn / (2.0 * inputs.mu * (1.0 - inputs.mu) * _squared("v_min", inputs.v_min))
 
 
 def bound_case1(inputs: PlannerInputs, c: float):
@@ -291,14 +301,14 @@ def karimi_plan(inputs: PlannerInputs) -> StepSizePlan:
     big_l = max(inputs.l_gradv, inputs.l_rms)
     kappa = max(6.0, 1.0 + 4.0 * inputs.v_min)
     gamma = inputs.v_min * inputs.n ** (-2.0 / 3.0) / (kappa * big_l)
-    bconst = kappa**2 * big_l / inputs.v_min**2
+    bconst = _squared("max(6, 1+4 v_min)", kappa) * big_l / _squared("v_min", inputs.v_min)
     return _plan("karimi", inputs, gamma, bconst, inputs.n ** (2.0 / 3.0) / inputs.k_max * bconst)
 
 
 def _quadratic_profile(inputs: PlannerInputs, fn: float):
     # F(x) = L_gradV / (2 L^2 n^(2/3)) * x * (2 v_min L / L_gradV - x f_n),
     # increasing on (0, x_star] with x_star = v_min L / (L_gradV f_n).
-    a = inputs.l_gradv / (2.0 * inputs.l_rms**2 * inputs.n ** (2.0 / 3.0))
+    a = inputs.l_gradv / (2.0 * _squared("L", inputs.l_rms) * inputs.n ** (2.0 / 3.0))
 
     def profile(x):
         return a * x * (2.0 * inputs.v_min * inputs.l_rms / inputs.l_gradv - x * fn)
@@ -337,7 +347,7 @@ def nonuniform_plan(inputs: PlannerInputs, weights) -> StepSizePlan:
     fn = f_n(c_max, inputs.lam, inputs.n)
 
     pmax = float(p.max())
-    scale = inputs.v_min**2 / (2.0 * inputs.l_gradv * fn * inputs.n ** (2.0 / 3.0))
+    scale = _squared("v_min", inputs.v_min) / (2.0 * inputs.l_gradv * fn * inputs.n ** (2.0 / 3.0))
     _, x_star = _quadratic_profile(inputs, fn)
     gammas = np.empty(inputs.k_max)
     inv_cache: dict[float, float] = {}
@@ -348,7 +358,7 @@ def nonuniform_plan(inputs: PlannerInputs, weights) -> StepSizePlan:
             inv_cache[ratio] = x_star if ratio == 1.0 else profile_inverse(inputs, fn, ratio * scale)
         gammas[k] = inv_cache[ratio] / (inputs.n ** (2.0 / 3.0) * inputs.l_rms)
 
-    bconst = 2.0 * inputs.l_gradv * fn / inputs.v_min**2
+    bconst = 2.0 * inputs.l_gradv * fn / _squared("v_min", inputs.v_min)
     return _plan("nonuniform", inputs, gammas, bconst, inputs.n ** (2.0 / 3.0) * pmax * bconst,
                  c_max, lam=inputs.lam, weights=p,
                  feasible=inputs.n > (c_max / inputs.lam) ** 3, condition="n > (C/lambda)^3")

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import tracemalloc
 import warnings
@@ -13,6 +14,7 @@ import fiem
 from fiem.algorithms import MemoryTable, StepSchedule, TerminationRule, draw_batch, row_mean
 from fiem.errors import MemoryStateError, RunAbortError
 from fiem.experiments import ExperimentConfig, run_replicated
+from fiem.model import FiniteSumModel
 from fiem.rng import (STREAM_DATA, STREAM_INDICES_I, STREAM_INDICES_J, STREAM_TERMINATION,
                       SeedTree, index_draws, raw_outputs)
 
@@ -96,12 +98,13 @@ class TestMemoryTable:
                                        (5, 1000, 20), (3, 10000, 20), (1, 3), (1023, 5),
                                        (1024, 2), (1025, 20), (3000, 20)])
     def test_a_stack_mean_is_ndarray_mean(self, shape):
-        # a stack, or one state whose rows are read in blocks; signed zeros
-        # included: the reduction starts from +0.0
+        # a stack, or one state, summed by the model's base hook; signed
+        # zeros included: the reduction starts from +0.0
         rng = np.random.default_rng(0)
         rows = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
         rows[0] = -0.0
         model = SimpleNamespace(q=shape[-1], table_rows=lambda codes, indices: codes)
+        model.row_sums = functools.partial(FiniteSumModel.row_sums, model)
         memory = MemoryTable(rows, model)
         assert memory.mean.tobytes() == rows.mean(axis=-2).tobytes()
         memory.refresh()

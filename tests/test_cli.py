@@ -419,9 +419,15 @@ TOY_SMALL = ["toy", "--n", "10", "--kmax", "20", "--replicas", "2", "--threads",
 
 # what the message of a bad flag value must say, beyond exit 2 and one line
 NAMES_THE_FLAG = {
-    "gmm-batch-not-dividing-n": ("batch 30 does not divide n=100 for online-em",),
-    "gmm-kswitch-past-last-epoch": ("kswitch=5 is outside 0..epochs=2",),
-    "gmm-default-kswitch-past-epochs": ("kswitch=6 is outside 0..epochs=3",),
+    "gmm-batch-not-dividing-n": ("--batch", "batch 30 does not divide n=100 for online-em"),
+    "gmm-double-batch-not-dividing-n": ("2*batch=14 (--batch 7) does not divide n=60 for fiem",),
+    "gmm-kswitch-past-last-epoch": ("--kswitch", "kswitch=5 is outside 0..epochs=2"),
+    "gmm-default-kswitch-past-epochs": ("--kswitch", "kswitch=6 is outside 0..epochs=3"),
+    "gmm-synthetic-fewer-examples-than-components": ("--synthetic 0,2,3,2,3.0",
+                                                     "at least one observation per component"),
+    "plan-case2-vmin-square-underflow": ("infeasible: v_min^2", "v_min = 1e-300"),
+    "plan-case1-vmin-square-overflow": ("infeasible: v_min^2", "v_min = 1e+300"),
+    "plan-karimi-vmin-square-underflow": ("infeasible: v_min^2", "v_min = 1e-300"),
     "gmm-zero-batch": ("--batch", "at least 1", "'0'"),
     "gmm-zero-epochs": ("--epochs", "at least 1", "'0'"),
     "gmm-negative-kswitch": ("--kswitch", "at least 0", "'-1'"),
@@ -620,6 +626,15 @@ NAMES_THE_FLAG = {
      "--threads", "1"],
     ["gmm", "--data", "constant-column.csv", "--preprocess", "4", "--algos", "em",
      "--epochs", "1", "--threads", "1"],
+    ["gmm", "--synthetic", "0,60,2,2,3.0", "--batch", "7", "--algos", "fiem", "--epochs", "1",
+     "--threads", "1"],
+    ["gmm", "--synthetic", "0,2,3,2,3.0", "--algos", "em", "--epochs", "1", "--threads", "1"],
+    ["plan", "--strategy", "case2", "--n", "10", "--kmax", "2", "--vmin", "1e-300",
+     "--L", "1e+300", "--Lv", "0.5"],
+    ["plan", "--strategy", "case1", "--n", "10", "--kmax", "2", "--vmin", "1e+300",
+     "--L", "0.5", "--Lv", "1e+300"],
+    ["plan", "--strategy", "karimi", "--n", "10", "--kmax", "2", "--vmin", "1e-300",
+     "--L", "1", "--Lv", "1"],
 ], ids=["gmm-batch-not-dividing-n", "gmm-short-synthetic", "gmm-non-numeric-synthetic",
         "gmm-kswitch-past-last-epoch", "gmm-default-kswitch-past-epochs", "gmm-zero-batch",
         "gmm-missing-data", "gmm-zero-components",
@@ -648,7 +663,10 @@ NAMES_THE_FLAG = {
         "gmm-negative-kswitch", "plan-nan-L", "plan-inf-Lv", "plan-zero-weight",
         "plan-short-weights", "plan-weights-not-summing-to-1", "plan-text-weight",
         "plan-zero-mu", "plan-nan-mu", "plan-lambda-above-1", "plan-negative-epsilon",
-        "gmm-preprocess-past-columns", "gmm-preprocess-past-non-constant-columns"])
+        "gmm-preprocess-past-columns", "gmm-preprocess-past-non-constant-columns",
+        "gmm-double-batch-not-dividing-n", "gmm-synthetic-fewer-examples-than-components",
+        "plan-case2-vmin-square-underflow", "plan-case1-vmin-square-overflow",
+        "plan-karimi-vmin-square-underflow"])
 def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, request, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "not-json.json").write_text("{not json")

@@ -345,7 +345,8 @@ class TestResponsibilityTable:
 
     def test_holds_responsibilities_not_rows(self):
         # init, writes and a refresh at the gmm-fit shape never form the
-        # (n, q) rows: half their bytes bounds the traced peak
+        # (n, q) rows: half their bytes bounds the traced peak, and an eighth
+        # of the table's own bytes bounds a refresh, a contraction of the codes
         n, p, g = 20_000, 10, 5
         model, _ = synthetic(seed=0, n=n, g=g, p=p)
         images = [model.image(s) for s in self.em_states(model, 3)]
@@ -362,9 +363,30 @@ class TestResponsibilityTable:
             tracemalloc.stop()
         assert table.rows.nbytes == n * g * 8
         assert peak < n * model.q * 8 / 2
-        # a refresh over many blocks still reads rows.mean(axis=0)
+        tracemalloc.start()
+        try:
+            table.refresh()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * g * 8 / 8
+        # a refresh through the contraction still reads rows.mean(axis=0)
         rebuilt = model.table_rows(table.rows, np.arange(n))
         assert table.mean.tobytes() == rebuilt.mean(axis=0).tobytes()
+
+    @pytest.mark.parametrize("n, g, p", [(200, 2, 2), (3001, 3, 5), (20_000, 5, 10),
+                                         (60_000, 12, 20), (5000, 4, 1), (500, 1, 3),
+                                         (500, 1, 1)])
+    def test_row_sums_add_the_rebuilt_rows(self, n, g, p):
+        # the hook's sums are np.add.reduce of the rows it never builds, at
+        # the full n and at a batch, for two states
+        model, _ = synthetic(seed=24, n=n, g=g, p=p)
+        rng = np.random.default_rng(n)
+        for s in self.em_states(model, 2):
+            codes = model.table_codes(model.image(s))
+            for at in [slice(None)] + [rng.integers(0, n, size=b) for b in (2, 3, 7, 100, 1000)]:
+                want = np.add.reduce(model.table_rows(codes[at], at), axis=0)
+                assert model.row_sums(codes[at], at).tobytes() == want.tobytes()
 
     def test_forced_coefficients_are_online_em_and_fiem(self):
         # one example per draw: all four read the same index streams; 150
