@@ -9,6 +9,7 @@ produce identical tables.
 from __future__ import annotations
 
 import csv
+import functools
 from concurrent import futures
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -110,24 +111,42 @@ def _outcomes(algorithms, path) -> dict:
     return out
 
 
-def _replicate(job, config, jobs=None) -> tuple[dict, Aborts]:
-    """Run ``job`` on each of ``jobs`` (by default ``(config, r)`` for every
-    replica r), serially or on up to ``config.workers`` processes, never more
-    than there are jobs.  A job covers a contiguous range of replicas, the
-    jobs in replica order, and returns its first replica with the outcomes
-    per algorithm, in replica order.  They are split in that order (a fixed
-    reduction order) into completed results and aborts per algorithm."""
-    if jobs is None:
-        jobs = [(config, r) for r in range(config.replicas)]
-    algorithms, workers = config.algorithms, min(config.workers, len(jobs))
+# a pool worker's experiment, bound once by the pool's initializer
+_worker_config = None
+
+
+def _bind(config) -> None:
+    global _worker_config
+    _worker_config = config
+
+
+def _in_worker(job, part):
+    return job(part, _worker_config)
+
+
+def _replicate(job, config, parts=None) -> tuple[dict, Aborts]:
+    """Run ``job(part, config)`` on each of ``parts`` (by default every
+    replica index), serially or on up to ``config.workers`` processes, never
+    more than there are parts.  Each pool worker receives ``config`` once,
+    through the pool's initializer, so what a job ships is its part alone: a
+    replica index, or a chunk's ``(lo, hi)`` bounds on the replica axis.  A
+    job covers a contiguous range of replicas, the parts in replica order,
+    and returns its first replica with the outcomes per algorithm, in
+    replica order.  They are split in that order (a fixed reduction order)
+    into completed results and aborts per algorithm."""
+    if parts is None:
+        parts = range(config.replicas)
+    algorithms, workers = config.algorithms, min(config.workers, len(parts))
     if workers > 1:
-        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(job, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
+        with futures.ProcessPoolExecutor(max_workers=workers, initializer=_bind,
+                                         initargs=(config,)) as pool:
+            results = list(pool.map(functools.partial(_in_worker, job), parts,
+                                    chunksize=max(1, len(parts) // (4 * workers))))
     else:
-        parts = list(map(job, jobs))
+        results = [job(part, config) for part in parts]
     done = {alg: [] for alg in algorithms}
     aborted = {alg: [] for alg in algorithms}
-    for first, outcomes in parts:
+    for first, outcomes in results:
         for alg in algorithms:
             for r, item in enumerate(outcomes[alg], first):
                 if isinstance(item, tuple):
@@ -137,8 +156,8 @@ def _replicate(job, config, jobs=None) -> tuple[dict, Aborts]:
     return done, aborted
 
 
-def _replica_job(args):
-    config, r = args
+def _replica_job(r: int, config: ExperimentConfig):
+    """Every algorithm's path of replica ``r``."""
     child = SeedTree(config.seed).child(r)
     return r, _outcomes(config.algorithms, lambda alg: run(
         alg, config.model, config.schedule, config.termination, child, config.options))
@@ -158,8 +177,8 @@ def _on_replica_axis(config: ExperimentConfig) -> bool:
             and config.model.replica_axis)
 
 
-def _chunks(config: ExperimentConfig) -> list[tuple]:
-    """Contiguous replica ranges, as few as keep each within
+def _chunks(config: ExperimentConfig) -> list[tuple[int, int]]:
+    """Contiguous replica ranges ``(lo, hi)``, as few as keep each within
     :data:`_CHUNK_BYTES`, whatever ``config.workers`` is.  A replica holds
     its (n, q) memory table and its (K,) rows: both index draws,
     ``step_sq`` and each diagnostic that is switched on."""
@@ -168,11 +187,12 @@ def _chunks(config: ExperimentConfig) -> list[tuple]:
     per_chunk = max(1, _CHUNK_BYTES // (8 * (model.n * model.q + rows * len(config.schedule))))
     count = -(-replicas // per_chunk)
     bounds = [replicas * c // count for c in range(count + 1)]
-    return [(config, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return list(zip(bounds, bounds[1:]))
 
 
-def _chunk_job(args):
-    config, lo, hi = args
+def _chunk_job(bounds: tuple[int, int], config: ExperimentConfig):
+    """The FIEM replicas ``lo..hi-1``, as one stack."""
+    lo, hi = bounds
     return lo, {"fiem": fiem_replicas(config.model, config.schedule, config.termination,
                                       SeedTree(config.seed), range(lo, hi), config.options)}
 
@@ -492,8 +512,8 @@ class GmmExperimentConfig:
         return IEM_GAMMA if algorithm == "iem" else self.gamma
 
 
-def _gmm_replica_job(args):
-    config, r = args
+def _gmm_replica_job(r: int, config: GmmExperimentConfig):
+    """Every algorithm's epoch path of replica ``r``."""
     child = SeedTree(config.seed).child(r)
     s0 = config.model.sbar(init_params(config.model.dataset, config.model.g, child))
     return r, _outcomes(config.algorithms, lambda alg: gmm_epoch_path(

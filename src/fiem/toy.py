@@ -16,6 +16,8 @@ linear solve.
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import ConfigurationError
@@ -39,7 +41,8 @@ def _ar1_matrix(rng: np.random.Generator, rows: int, cols: int, rho: float) -> A
 class ToyModel(FiniteSumModel):
     """Fully specified linear-Gaussian model; immutable after construction.
     Its oracles, ``image``, ``bmat``, ``tmap`` and ``objective`` accept a
-    leading replica axis."""
+    leading replica axis.  The objective's constant, an O(n) solve that only
+    ``objective`` reads, is formed on first use."""
 
     replica_axis = True
 
@@ -94,9 +97,7 @@ class ToyModel(FiniteSumModel):
         ax = a_mat @ x_mat
         self._obj_m = ax.T @ solve_y(ax) + self.upsilon * np.eye(q_dim)
         self._obj_b = ax.T @ solve_y(self.ybar)
-        w = solve_y(y_obs.T)                            # (y, n)
-        self._obj_c = 0.5 * float(np.einsum("in,in->", y_obs.T, w)) / self.n \
-            + float(np.log(np.diag(chol_y)).sum()) + 0.5 * y_dim * np.log(2.0 * np.pi)
+        self._chol_y = chol_y
 
         self.theta_star = np.linalg.solve(self._obj_m, self._obj_b)
 
@@ -109,6 +110,14 @@ class ToyModel(FiniteSumModel):
         vdot_mat = self.tmat @ self.gram @ self.tmat - self.tmat
         l_gradv = float(np.max(np.abs(np.linalg.eigvalsh(vdot_mat))))
         self._constants = ModelConstants(v_min, v_max, lips, l_gradv)
+
+    @cached_property
+    def _obj_c(self) -> float:
+        """The objective's constant, from a (y, n) solve over the observations."""
+        chol_y, y_obs = self._chol_y, self.y_obs
+        w = np.linalg.solve(chol_y.T, np.linalg.solve(chol_y, y_obs.T))  # (y, n)
+        return 0.5 * float(np.einsum("in,in->", y_obs.T, w)) / self.n \
+            + float(np.log(np.diag(chol_y)).sum()) + 0.5 * y_obs.shape[1] * np.log(2.0 * np.pi)
 
     # -- model interface --------------------------------------------------
 

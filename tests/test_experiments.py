@@ -1,4 +1,10 @@
 import dataclasses
+import functools
+import multiprocessing
+import pickle
+import weakref
+from concurrent import futures
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -583,7 +589,7 @@ class TestReplicaAxis:
         monkeypatch.setattr(fiem.experiments, "_CHUNK_BYTES", 3 * (m.n * m.q + 6 * 35) * 8)
         cfg = config(m, k_max=35, replicas=8, seed=2, workers=workers,
                      compute_e0=True, compute_e2=True)
-        assert [job[1:] for job in fiem.experiments._chunks(cfg)] == [(0, 2), (2, 5), (5, 8)]
+        assert fiem.experiments._chunks(cfg) == [(0, 2), (2, 5), (5, 8)]
         table = run_replicated(cfg)
         assert _table_bits(table) == _per_path(m, cfg.schedule, cfg.termination, 2, 8,
                                                cfg.options)
@@ -599,7 +605,7 @@ class TestReplicaAxis:
         monkeypatch.setattr(fiem.experiments, "_CHUNK_BYTES", per_chunk * 8 * (m.n * m.q + 6 * 35))
         for workers in (1, 2, 8):
             cfg = config(m, k_max=35, replicas=8, workers=workers, compute_e0=True, compute_e2=True)
-            assert [job[1:] for job in fiem.experiments._chunks(cfg)] == ranges
+            assert fiem.experiments._chunks(cfg) == ranges
 
     def test_chunks_count_the_per_iteration_rows(self):
         # 1000 replicas of 2e4 iterations hold about 640 MB of index draws,
@@ -608,9 +614,9 @@ class TestReplicaAxis:
         chunks = fiem.experiments._chunks(cfg)
         per_replica = 8 * (cfg.model.n * cfg.model.q + 4 * 20000)
         assert len(chunks) > 1
-        assert all((hi - lo) * per_replica < fiem.experiments._CHUNK_BYTES for _, lo, hi in chunks)
-        assert chunks[0][1] == 0 and chunks[-1][2] == 1000
-        assert all(prev[2] == nxt[1] for prev, nxt in zip(chunks, chunks[1:]))
+        assert all((hi - lo) * per_replica < fiem.experiments._CHUNK_BYTES for lo, hi in chunks)
+        assert chunks[0][0] == 0 and chunks[-1][1] == 1000
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(chunks, chunks[1:]))
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("gamma, k_max, mixed", [(50.0, 200, False), (5.0, 273, True)])
@@ -708,17 +714,24 @@ class _Counts:
 
 
 class TestPoolSize:
-    """The replica pool opens no more processes than there are jobs, and a
-    single job runs in this process.  A recording stand-in replaces the
-    process pool, so no process is started."""
+    """The replica pool opens no more processes than there are jobs, a
+    single job runs in this process, and each worker receives the
+    experiment once, through the pool's initializer.  A recording stand-in
+    replaces the process pool, so no process is started."""
 
     @pytest.fixture
-    def opened(self, monkeypatch):
-        opened = []
+    def pool(self, monkeypatch):
+        # the stand-in's initializer binds the experiment in this process;
+        # the binding is put back at teardown
+        monkeypatch.setattr(fiem.experiments, "_worker_config", None, raising=False)
+        record = SimpleNamespace(opened=[], initargs=[], payloads=[])
 
         class Pool:
-            def __init__(self, max_workers):
-                opened.append(max_workers)
+            def __init__(self, max_workers, initializer=None, initargs=()):
+                record.opened.append(max_workers)
+                record.initargs.append(initargs)
+                if initializer is not None:
+                    initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -727,10 +740,16 @@ class TestPoolSize:
                 return False
 
             def map(self, fn, jobs, chunksize=1):
+                jobs = list(jobs)
+                record.payloads.extend(len(pickle.dumps(job)) for job in jobs)
                 return map(fn, jobs)
 
         monkeypatch.setattr(fiem.experiments.futures, "ProcessPoolExecutor", Pool)
-        return opened
+        return record
+
+    @pytest.fixture
+    def opened(self, pool):
+        return pool.opened
 
     def test_one_mixture_replica_opens_no_pool(self, opened):
         ds, _ = fiem.generate_gmm_synthetic(8, n=120, g=2, p=2, separation=2.0)
@@ -762,6 +781,80 @@ class TestPoolSize:
     def test_a_desk_check_fits_one_chunk_and_opens_no_pool(self, opened, suite, capsys):
         assert fiem.cli.main(["check", "--suite", suite, "--threads", "2"]) == 0
         assert opened == []
+
+    @pytest.mark.parametrize("route", ["per-path", "replica-axis", "mixture"])
+    def test_a_job_ships_its_part_not_the_experiment(self, pool, route, monkeypatch):
+        # at n = 1e4 the experiment pickles to megabytes; a job carries a
+        # replica index or a chunk's bounds, and the workers receive the
+        # experiment through the initializer
+        if route == "mixture":
+            ds, _ = fiem.generate_gmm_synthetic(8, n=10_000, g=2, p=2, separation=2.0)
+            cfg = GmmExperimentConfig(model=fiem.GmmModel(ds, 2), algorithms=("em",), gamma=5e-3,
+                                      batch_size=100, epochs=1, replicas=3, seed=3, workers=2)
+            table_report(cfg)
+        else:
+            # a cap below one replica's footprint cuts the axis into chunks
+            monkeypatch.setattr(fiem.experiments, "_CHUNK_BYTES", 1)
+            algorithms = ("fiem",) if route == "replica-axis" else ("online-em", "fiem")
+            cfg = config(toy(n=10_000), algorithms=algorithms, k_max=5, replicas=3, workers=2)
+            run_replicated(cfg)
+        assert len(pool.payloads) == 3 and max(pool.payloads) < 64
+        assert pool.opened == [2]
+        assert len(pool.initargs) == 1 and pool.initargs[0][0] is cfg
+
+
+class TestWorkerBinding:
+    """The experiment reaches the pool's workers through its initializer,
+    under any start method, and this process keeps no reference to it."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_reference_outlives_the_call(self, workers):
+        m = toy()
+        ref = weakref.ref(m)
+        table = run_replicated(config(m, algorithms=("online-em", "fiem"), replicas=2,
+                                      workers=workers))
+        assert table.completed == {"online-em": 2, "fiem": 2}
+        del m, table
+        assert ref() is None
+
+    def test_no_reference_outlives_a_raising_job(self, monkeypatch):
+        def fails(*args):
+            raise ValueError("job failed")
+
+        monkeypatch.setattr(fiem.experiments, "run", fails)
+        m = toy()
+        ref = weakref.ref(m)
+        with pytest.raises(ValueError, match="job failed"):
+            run_replicated(config(m, algorithms=("online-em", "fiem"), replicas=2))
+        del m
+        assert ref() is None
+
+    def test_spawned_workers_equal_the_serial_run(self, monkeypatch):
+        # a spawned worker inherits nothing from this process: its
+        # experiment comes from the initializer alone
+        spawn = functools.partial(futures.ProcessPoolExecutor,
+                                  mp_context=multiprocessing.get_context("spawn"))
+        monkeypatch.setattr(fiem.experiments.futures, "ProcessPoolExecutor", spawn)
+        m = toy()
+        cfg = config(m, algorithms=("online-em", "fiem"), replicas=2, workers=2)
+        pooled, serial = run_replicated(cfg), run_replicated(dataclasses.replace(cfg, workers=1))
+        assert pooled.aborted == serial.aborted
+        for alg in cfg.algorithms:
+            assert [_bits(d) for d in pooled.runs[alg]] == [_bits(d) for d in serial.runs[alg]]
+
+        ds, _ = fiem.generate_gmm_synthetic(8, n=120, g=2, p=2, separation=2.0)
+        gmm_cfg = GmmExperimentConfig(model=fiem.GmmModel(ds, 2), algorithms=("em", "online-em"),
+                                      gamma=5e-3, batch_size=30, epochs=15, replicas=2, seed=3,
+                                      kswitch=0, workers=2)
+        rows, paths, aborted = table_report(gmm_cfg)
+        serial_rows, serial_paths, serial_aborted = table_report(
+            dataclasses.replace(gmm_cfg, workers=1))
+        assert (rows, aborted) == (serial_rows, serial_aborted)
+        for alg in gmm_cfg.algorithms:
+            assert [p.loglik.tobytes() for p in paths[alg]] == [
+                p.loglik.tobytes() for p in serial_paths[alg]]
+            assert [p.weights.tobytes() for p in paths[alg]] == [
+                p.weights.tobytes() for p in serial_paths[alg]]
 
 
 class TestReplicaAxisBudget:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -163,3 +165,45 @@ class TestNoStaleState:
         s += 1.0
         np.testing.assert_array_equal(m.stat_mean(m.image(s)), m.p1ybar + m.pi2 @ s)
         np.testing.assert_array_equal(m.stat_rows(m.image(s), np.arange(3)), m.p1y[:3] + m.pi2 @ s)
+
+
+def _eager_constant(m):
+    """The objective's constant as the constructor once formed it eagerly."""
+    y_dim = m.a_mat.shape[0]
+    chol_y = np.linalg.cholesky(np.eye(y_dim) + m.a_mat @ m.a_mat.T)
+    w = np.linalg.solve(chol_y.T, np.linalg.solve(chol_y, m.y_obs.T))
+    return 0.5 * float(np.einsum("in,in->", m.y_obs.T, w)) / m.n \
+        + float(np.log(np.diag(chol_y)).sum()) + 0.5 * y_dim * np.log(2.0 * np.pi)
+
+
+class TestLazyObjectiveConstant:
+    """The (y, n) solve behind the objective's constant waits for the first
+    ``objective`` call, which ``fiem toy`` never makes."""
+
+    def test_construction_forms_no_constant(self):
+        assert "_obj_c" not in vars(fiem.generate_toy(0, 10_000))
+
+    @pytest.mark.parametrize("n, dims", [(1, (4, 3, 3)), (10, (4, 3, 3)), (100, (15, 10, 20)),
+                                         (10_000, (15, 10, 20))])
+    def test_objective_keeps_the_eager_bits(self, n, dims):
+        lazy, eager = fiem.generate_toy(0, n, dims=dims), fiem.generate_toy(0, n, dims=dims)
+        eager.__dict__["_obj_c"] = _eager_constant(eager)
+        thetas = [lazy.theta_star, np.random.default_rng(n).standard_normal(lazy.q)]
+        for theta in thetas:
+            assert lazy.objective(theta).hex() == eager.objective(theta).hex()
+        assert lazy._obj_c.hex() == eager._obj_c.hex()
+        assert lazy._obj_c is lazy._obj_c
+
+    def test_generation_holds_no_observation_sized_transient(self):
+        # below n (2y + p + q) doubles: the observations, their projected
+        # rows and the latent draws, with no (y, n) solve on top; a first
+        # call at n = 1 leaves the one-time imports out of the count
+        n, (y_dim, p_dim, q_dim) = 10_000, (15, 10, 20)
+        fiem.generate_toy(0, 1)
+        tracemalloc.start()
+        try:
+            fiem.generate_toy(0, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * (2 * y_dim + p_dim + q_dim) * 8
