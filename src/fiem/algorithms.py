@@ -417,8 +417,8 @@ def sa_path(
     phase-end call; it is dropped with the state, and the final state's image
     is evaluated only for ``on_phase_end``.  The diagnostics switched on in
     ``options`` are recorded at the pre-update state of every iteration;
-    ``cv_gap_sq`` and ``lambdas`` read NaN in phases without a control
-    variate.  Raises :class:`RunAbortError` on a domain violation (under the
+    ``cv_gap_sq`` reads NaN in phases without a memory table, ``lambdas``
+    in phases other than opt-FIEM.  Raises :class:`RunAbortError` on a domain violation (under the
     "abort" policy or inside the model) and at the first iteration whose
     update ``||S^{k+1} - S^k||^2`` is not finite; a diverged path runs no
     further.

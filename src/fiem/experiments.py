@@ -224,14 +224,12 @@ def checkpoint_summary(table: ResultTable, schedule: StepSchedule) -> list[dict]
     checkpoints = default_checkpoints(len(schedule))
     rows = []
     for alg, diags in table.runs.items():
-        metric_arrays = {m: [getattr(d, m) for d in diags] for m in _METRICS}
-        metric_arrays["step_sq_scaled"] = [a / schedule.gammas**2 for a in metric_arrays["step_sq"]]
-        for metric, arrays in metric_arrays.items():
-            if arrays[0] is None:
-                continue
-            stacked = np.stack(arrays)  # (R, len)
-            for k in checkpoints:
-                col = stacked[:, k]
+        # the checkpoint columns of each recorded metric, (R, checkpoints)
+        columns = {m: np.array([getattr(d, m)[checkpoints] for d in diags])
+                   for m in _METRICS if getattr(diags[0], m) is not None}
+        columns["step_sq_scaled"] = columns["step_sq"] / schedule.gammas[checkpoints]**2
+        for metric, stacked in columns.items():
+            for k, col in zip(checkpoints, stacked.T):
                 with np.errstate(over="ignore", invalid="ignore"):
                     mean, std = _mean_std(col)
                     q25, q75 = float(np.quantile(col, 0.25)), float(np.quantile(col, 0.75))
@@ -396,9 +394,11 @@ GMM_ALGORITHMS = tuple(_EXAMPLES_PER_ITERATION)
 IEM_GAMMA = 1.0
 # the epochs at which the paper's table reports the log-likelihood
 TABLE_EPOCHS = (1, 15, 25, 50, 100)
+# the paper's h-FIEM: Online EM epochs before the switch to FIEM
+KSWITCH = 6
 
 
-def _epoch_phases(algorithm: str, n: int, batch_size: int, epochs: int, kswitch: int = 0):
+def _epoch_phases(algorithm: str, n: int, batch_size: int, epochs: int, kswitch: int):
     """One ``(algorithm, iterations)`` phase per epoch of n examples.
 
     An epoch is one EM iteration, n/b iEM or Online EM iterations, or n/(2b)
@@ -443,7 +443,7 @@ def gmm_epoch_path(
     batch_size: int,
     epochs: int,
     seed,
-    kswitch: int = 0,
+    kswitch: int = KSWITCH,
 ) -> GmmPath:
     """One path of a mixture fit from the statistic ``s0`` (S^0, usually
     ``model.sbar(theta0)``), bookkept in epochs of n examples,
@@ -498,7 +498,7 @@ class GmmExperimentConfig:
     epochs: int
     replicas: int
     seed: int
-    kswitch: int = 6
+    kswitch: int = KSWITCH
     workers: int = 1
 
     def __post_init__(self):

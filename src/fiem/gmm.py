@@ -26,7 +26,7 @@ import numpy as np
 
 from .algorithms import MemoryTable, fiem_step, iem_step, online_em_step
 from .errors import ConfigurationError, DomainError
-from .model import FiniteSumModel, check_statistic
+from .model import FiniteSumModel, check_statistic, chol_solve
 from .rng import STREAM_DATA, as_seed_tree
 
 Array = np.ndarray
@@ -74,9 +74,7 @@ class GmmParams:
 
     @cached_property
     def _precision(self) -> Array:
-        ident = np.eye(self.p)
-        l = self._chol
-        return np.linalg.solve(l.T, np.linalg.solve(l, ident))
+        return chol_solve(self._chol, np.eye(self.p))
 
     @cached_property
     def _log_det(self) -> float:
@@ -341,9 +339,7 @@ def preprocess(raw: Array, p_target: int) -> GmmDataset:
     keep = std > 0.0
     kept = raw[:, keep]
     if p_target > kept.shape[1]:
-        raise ValueError(
-            f"p_target={p_target} exceeds the {kept.shape[1]} non-constant features"
-        )
+        raise ValueError(f"{p_target} exceeds the {kept.shape[1]} non-constant columns")
     z = (kept - kept.mean(axis=0)) / kept.std(axis=0)
     cov = z.T @ z / z.shape[0]
     eigvals, eigvecs = np.linalg.eigh(cov)
@@ -392,10 +388,9 @@ def init_params(dataset: GmmDataset, g: int, seed) -> GmmParams:
     y = dataset.observations
     n = dataset.n
     centers = [y[int(rng.integers(n))]]
+    d2 = np.full(n, np.inf)  # each example's squared distance to its nearest center
     for _ in range(1, g):
-        d2 = np.min(
-            [np.sum((y - c) ** 2, axis=1) for c in centers], axis=0
-        )
+        d2 = np.minimum(d2, np.sum((y - centers[-1]) ** 2, axis=1))
         total = d2.sum()
         probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
         centers.append(y[int(rng.choice(n, p=probs))])

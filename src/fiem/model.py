@@ -153,6 +153,11 @@ def dots(u: Array, v: Array) -> Array:
     return np.matmul(u[..., None, :], v[..., None])[..., 0, 0]
 
 
+def chol_solve(chol: Array, m: Array) -> Array:
+    """``A^{-1} m`` from the lower Cholesky factor ``chol`` of A, as two solves."""
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, m))
+
+
 def check_statistic(model: FiniteSumModel, s: Array) -> Array:
     """Validate shape and finiteness of a statistic vector."""
     s = np.asarray(s, dtype=float)

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import FiniteSumModel, ModelConstants, check_statistic, dots, matvecs
+from .model import FiniteSumModel, ModelConstants, check_statistic, chol_solve, dots, matvecs
 from .rng import STREAM_DATA, as_seed_tree
 
 Array = np.ndarray
@@ -75,15 +75,13 @@ class ToyModel(FiniteSumModel):
         # Cholesky factorizations of the two SPD systems
         ata = np.eye(p_dim) + a_mat.T @ a_mat          # I_p + A'A
         chol_p = np.linalg.cholesky(ata)
-        solve_p = lambda m: np.linalg.solve(chol_p.T, np.linalg.solve(chol_p, m))
-        self.pi1 = x_mat.T @ solve_p(a_mat.T)           # q x y
-        self.gram = x_mat.T @ solve_p(x_mat)            # X'(I+A'A)^{-1}X, q x q symmetric
+        self.pi1 = x_mat.T @ chol_solve(chol_p, a_mat.T)  # q x y
+        self.gram = x_mat.T @ chol_solve(chol_p, x_mat)  # X'(I+A'A)^{-1}X, q x q symmetric
 
         xtx = x_mat.T @ x_mat
         reg = self.upsilon * np.eye(q_dim) + xtx
         chol_q = np.linalg.cholesky(reg)
-        solve_q = lambda m: np.linalg.solve(chol_q.T, np.linalg.solve(chol_q, m))
-        self.tmat = solve_q(np.eye(q_dim))              # (upsilon I + X'X)^{-1}
+        self.tmat = chol_solve(chol_q, np.eye(q_dim))  # (upsilon I + X'X)^{-1}
         self.pi2 = self.gram @ self.tmat                # q x q
 
         self.p1y = y_obs @ self.pi1.T                   # row i = Pi1 Y_i
@@ -93,10 +91,9 @@ class ToyModel(FiniteSumModel):
         # objective F(theta) = 0.5 theta' M theta - b' theta + c
         aat = np.eye(y_dim) + a_mat @ a_mat.T
         chol_y = np.linalg.cholesky(aat)
-        solve_y = lambda m: np.linalg.solve(chol_y.T, np.linalg.solve(chol_y, m))
         ax = a_mat @ x_mat
-        self._obj_m = ax.T @ solve_y(ax) + self.upsilon * np.eye(q_dim)
-        self._obj_b = ax.T @ solve_y(self.ybar)
+        self._obj_m = ax.T @ chol_solve(chol_y, ax) + self.upsilon * np.eye(q_dim)
+        self._obj_b = ax.T @ chol_solve(chol_y, self.ybar)
         self._chol_y = chol_y
 
         self.theta_star = np.linalg.solve(self._obj_m, self._obj_b)
@@ -115,7 +112,7 @@ class ToyModel(FiniteSumModel):
     def _obj_c(self) -> float:
         """The objective's constant, from a (y, n) solve over the observations."""
         chol_y, y_obs = self._chol_y, self.y_obs
-        w = np.linalg.solve(chol_y.T, np.linalg.solve(chol_y, y_obs.T))  # (y, n)
+        w = chol_solve(chol_y, y_obs.T)  # (y, n)
         return 0.5 * float(np.einsum("in,in->", y_obs.T, w)) / self.n \
             + float(np.log(np.diag(chol_y)).sum()) + 0.5 * y_obs.shape[1] * np.log(2.0 * np.pi)
 

@@ -1,5 +1,8 @@
-"""Reference forms of the mixture statistic and densities, for the tests only."""
+"""Reference forms of the mixture statistic, densities and seeding, for the tests only."""
 import numpy as np
+
+from fiem.gmm import GmmParams
+from fiem.rng import as_seed_tree
 
 
 def dense_selection_matrix(y, g: int):
@@ -76,3 +79,23 @@ class DenseTable:
         if den < 1e-14 * (1.0 + float(self.mean @ self.mean)):
             return 1.0
         return -num / den
+
+
+def all_centers_init_params(dataset, g: int, seed) -> GmmParams:
+    """``gmm.init_params`` with each kmeans++ round taking the minimum of the
+    squared distances to every earlier center anew, g(g-1)/2 passes in all."""
+    rng = as_seed_tree(seed).stream("init")
+    y = dataset.observations
+    n = dataset.n
+    centers = [y[int(rng.integers(n))]]
+    for _ in range(1, g):
+        d2 = np.min([np.sum((y - c) ** 2, axis=1) for c in centers], axis=0)
+        total = d2.sum()
+        probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
+        centers.append(y[int(rng.choice(n, p=probs))])
+    means = np.array(centers)
+    pooled = np.cov(y, rowvar=False, ddof=0)
+    pooled = 0.5 * (pooled + pooled.T) + 1e-6 * np.eye(dataset.p)
+    scale = np.sqrt(np.mean(np.diag(pooled)))
+    means = means + 0.05 * scale * rng.standard_normal(means.shape)
+    return GmmParams(np.full(g, 1.0 / g), means, pooled)

@@ -511,6 +511,15 @@ class TestRun:
         assert d.lambdas is not None and d.lambdas.shape == (15,)
         assert np.all(np.isfinite(d.lambdas))
 
+    def test_cv_gap_reads_nan_only_in_phases_without_a_memory_table(self):
+        # iEM keeps a memory table but no control variate: its gaps are recorded
+        m = toy(seed=23, n=6)
+        d = fiem.algorithms.sa_path(m, [("online-em", 4), ("iem", 4), ("fiem", 4)],
+                                    np.full(12, 0.1), 5, opts(m, compute_e2=True))
+        assert np.isnan(d.cv_gap_sq).tolist() == [True] * 4 + [False] * 8
+        assert np.all(np.isfinite(d.cv_gap_sq[4:]))
+        assert d.lambdas is None
+
     def test_record_counts(self):
         m = toy(seed=22, n=5)
         k_max = 12

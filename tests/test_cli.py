@@ -9,6 +9,8 @@ import pytest
 
 import fiem.cli
 import fiem.experiments
+import fiem.stepsize
+from fiem.algorithms import TerminationRule
 from fiem.cli import main
 from fiem.errors import RunAbortError
 from fiem.experiments import BoundReport
@@ -237,6 +239,21 @@ class TestGmm:
             "--algos", "em,iem,online-em,h-fiem", "--batch", "25",
             "--epochs", "8", "--kswitch", "2", "--replicas", "2", "--seed", "9"]
 
+    def test_a_preprocess_failure_past_the_column_check_is_not_put_on_the_flag(
+            self, tmp_path, monkeypatch, capsys):
+        # only the target past the non-constant columns names --preprocess
+        monkeypatch.chdir(tmp_path)
+        np.savetxt("d.csv", np.random.default_rng(0).normal(size=(20, 3)), delimiter=",")
+
+        def eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert exit_code(["gmm", "--data", "d.csv", "--preprocess", "2", "--algos", "em",
+                          "--epochs", "1", "--threads", "1", "--out", "out"]) == 2
+        assert capsys.readouterr().err == "fiem gmm: error: LinAlgError: Eigenvalues did not converge\n"
+        assert not (tmp_path / "out").exists()
+
     def test_outputs_and_invariants(self, tmp_path):
         out = tmp_path / "run"
         assert main(self.ARGS + ["--out", str(out)]) == 0
@@ -325,11 +342,38 @@ class TestGmm:
         assert not (tmp_path / "run").exists()
 
 
+class TestTerminationDraws:
+    @pytest.mark.parametrize("argv,drawn", [
+        (["toy", "--n", "10", "--kmax", "20", "--replicas", "2"], False),
+        (["toy", "--n", "10", "--kmax", "20", "--replicas", "2", "--algos", "fiem"], False),
+        (["check", "--suite", "identities"], False),
+        (["check", "--suite", "prop2"], True),
+    ], ids=["toy", "toy-replica-axis", "check-identities", "check-prop2"])
+    def test_only_commands_that_read_k_draw_it(self, tmp_path, monkeypatch, argv, drawn):
+        # prop2's E estimates read K; the toy's outputs and the identities do not
+        calls = []
+        for name in ("sample", "indices"):
+            real = getattr(TerminationRule, name)
+            monkeypatch.setattr(TerminationRule, name, lambda self, u, real=real, name=name:
+                                calls.append(name) or real(self, u))
+        out = ["--out", str(tmp_path / "out")] if argv[0] == "toy" else []
+        assert main(argv + ["--threads", "1"] + out) == 0
+        assert bool(calls) == drawn
+
+
 class TestCheck:
     def test_identities_suite_passes(self, capsys):
         assert main(["check", "--suite", "identities"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines and all(line.startswith("[PASS]") for line in lines)
+
+    def test_identity_gap_gates_at_the_printed_tolerance(self, monkeypatch, capsys):
+        # the line names 1e-12 relative, so a gap of 1e-11 fails it
+        monkeypatch.setattr(fiem.stepsize, "case1_identity_gap", lambda inputs, c: 1e-11)
+        assert main(["check", "--suite", "identities"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "[FAIL] case1 defining equation (1e-12 relative) (identity gap 1.00e-11)"
+        assert all(line.startswith("[PASS]") for line in lines[1:])
 
     def test_prop2_suite_passes(self, capsys):
         assert main(["check", "--suite", "prop2"]) == 0

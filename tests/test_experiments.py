@@ -1,7 +1,9 @@
 import dataclasses
 import functools
+import inspect
 import multiprocessing
 import pickle
+import tracemalloc
 import weakref
 from concurrent import futures
 from types import SimpleNamespace
@@ -20,6 +22,7 @@ from fiem.errors import DomainError, RunAbortError
 from fiem.experiments import (
     ExperimentConfig,
     GmmExperimentConfig,
+    ResultTable,
     checkpoint_summary,
     default_checkpoints,
     estimate_e,
@@ -109,6 +112,78 @@ class TestRunReplicated:
         # the writers index every diagnostic array, of K or K + 1 entries, there
         for k_max in (1, 10, 50, 1000):
             assert all(0 <= k < k_max for k in default_checkpoints(k_max))
+
+
+def full_record_summary(table, schedule):
+    """``checkpoint_summary`` as it stacked every replica's whole (K,) record
+    of each metric and scaled all K entries of ``step_sq``."""
+    checkpoints = default_checkpoints(len(schedule))
+    rows = []
+    for alg, diags in table.runs.items():
+        metric_arrays = {m: [getattr(d, m) for d in diags] for m in fiem.experiments._METRICS}
+        metric_arrays["step_sq_scaled"] = [a / schedule.gammas**2 for a in metric_arrays["step_sq"]]
+        for metric, arrays in metric_arrays.items():
+            if arrays[0] is None:
+                continue
+            stacked = np.stack(arrays)
+            for k in checkpoints:
+                col = stacked[:, k]
+                mean, std = float(col.mean()), float(col.std(ddof=1)) if col.size > 1 else 0.0
+                rows.append({"algorithm": alg, "k": k, "metric": metric, "mean": mean, "std": std,
+                             "q25": float(np.quantile(col, 0.25)),
+                             "q75": float(np.quantile(col, 0.75))})
+    return rows
+
+
+def shared_record_table(replicas, k_max, seed=0):
+    """Records of the toy's three algorithms, with ``cv_gap_sq`` on FIEM;
+    replica r's records are views at offset r into one block per algorithm,
+    so that the table holds O(R + K) values, not O(R K)."""
+    rng = np.random.default_rng(seed)
+    runs = {}
+    for alg in ("online-em", "fiem", "opt-fiem"):
+        block = rng.random((6, replicas + k_max + 1))
+        runs[alg] = [RunDiagnostics(
+            None, np.zeros(3), np.zeros(3), step_sq=block[0, r:r + k_max],
+            h_sq=block[1, r:r + k_max], vdot_sq=block[2, r:r + k_max],
+            theta_err=block[3, r:r + k_max + 1],
+            cv_gap_sq=block[4, r:r + k_max] if alg == "fiem" else None,
+            lambdas=block[5, r:r + k_max] if alg == "opt-fiem" else None)
+            for r in range(replicas)]
+    return ResultTable(runs, {alg: [] for alg in runs})
+
+
+def summary_peak(replicas, k_max) -> int:
+    """Traced allocation peak of one :func:`checkpoint_summary`, in bytes."""
+    table, schedule = shared_record_table(replicas, k_max), StepSchedule.constant(0.3, k_max)
+    checkpoint_summary(shared_record_table(2, 10), StepSchedule.constant(0.3, 10))  # imports
+    tracemalloc.start()
+    try:
+        checkpoint_summary(table, schedule)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCheckpointSummary:
+    def test_rows_equal_the_full_record_form(self):
+        table, schedule = shared_record_table(7, 400), StepSchedule.constant(0.3, 400)
+        assert checkpoint_summary(table, schedule) == full_record_summary(table, schedule)
+
+    def test_rows_of_real_runs_equal_the_full_record_form(self):
+        m = toy(seed=5, n=12)
+        cfg = config(m, algorithms=("online-em", "fiem", "opt-fiem"), k_max=60, replicas=4,
+                     compute_e2=True, compute_e0=True, theta_ref=m.theta_star)
+        table = run_replicated(cfg)
+        assert checkpoint_summary(table, cfg.schedule) == full_record_summary(table, cfg.schedule)
+
+    def test_peak_does_not_grow_with_the_record_length(self):
+        # stacking whole records grows the peak tenfold from K = 2e3 to 2e4
+        assert summary_peak(20, 20_000) < 2 * summary_peak(20, 2_000)
+
+    def test_peak_at_two_hundred_replicas_of_twenty_thousand_iterations(self):
+        # whole records of three algorithms traced about 93 MiB here
+        assert summary_peak(200, 20_000) < 4 << 20
 
 
 class TestEstimates:
@@ -512,6 +587,21 @@ class TestHybridEpochPath:
 
     def test_full_switch_is_pure_online(self):
         self.assert_same_path(self.path("h-fiem", 3, kswitch=3), self.path("online-em", 3))
+
+    def test_default_switch_is_the_papers_everywhere(self):
+        # the CLI, the config and a library call all switch after 6 epochs
+        from fiem.cli import build_parser
+
+        default = inspect.signature(fiem.gmm_epoch_path).parameters["kswitch"].default
+        field = {f.name: f.default for f in dataclasses.fields(GmmExperimentConfig)}["kswitch"]
+        flag = build_parser().commands["gmm"].get_default("kswitch")
+        assert default == field == flag == fiem.experiments.KSWITCH == 6
+        path = functools.partial(fiem.gmm_epoch_path, self.model, "h-fiem", self.s0, 5e-2, 10,
+                                 seed=5)
+        self.assert_same_path(path(8), path(8, kswitch=6))
+        with pytest.raises(ValueError, match=r"--kswitch past --epochs: kswitch=6 is outside "
+                                             r"0\.\.epochs=4"):
+            path(4)
 
     def test_epoch_divisibility_enforced(self):
         # 40 divides n = 120 but two batches of 40 do not

@@ -28,6 +28,7 @@ from fiem.gmm import (
 
 from gmm_reference import (
     DenseTable,
+    all_centers_init_params,
     dense_selection_matrix,
     row_major_log_weighted_densities,
     sequential_log_weighted_densities,
@@ -573,6 +574,23 @@ class TestPreprocess:
             preprocess(raw, 2)
         with pytest.raises(ConfigurationError, match="row 6, column 2"):
             GmmDataset(raw)
+
+
+class TestInitParams:
+    @pytest.mark.parametrize("seed,n,g,p", [(0, 300, 1, 3), (1, 500, 2, 4), (2, 2000, 5, 10),
+                                            (3, 6000, 12, 20)])
+    def test_equals_the_minimum_over_every_earlier_center(self, seed, n, g, p):
+        dataset, _ = generate_gmm_synthetic(seed, n, min(g, 5), p, 3.0)
+        got, want = init_params(dataset, g, seed), all_centers_init_params(dataset, g, seed)
+        for field in ("weights", "means", "cov"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+    def test_coincident_points_fall_back_to_uniform_draws(self):
+        # three distinct points: from the fourth center on, every distance is 0
+        dataset = GmmDataset(np.repeat(np.arange(9.0).reshape(3, 3), 4, axis=0))
+        for seed in range(5):
+            got, want = init_params(dataset, 6, seed), all_centers_init_params(dataset, 6, seed)
+            assert got.means.tobytes() == want.means.tobytes()
 
 
 class TestSynthetic:
