@@ -4,10 +4,11 @@ Single steps are exposed as standalone functions.  :func:`sa_path` is the one
 stochastic-approximation loop: it walks a list of (algorithm, iterations)
 phases on one state with per-iteration diagnostics under the shared-seed
 protocol (dedicated substreams for the memory-update draws "indices-I" and
-the oracle draws "indices-J").  :func:`run` is a single phase with a random
-termination index.  :func:`fiem_replicas` runs the same loop on an (R, q)
-stack of FIEM replicas at one example per draw, bit for bit as :func:`run`
-on each.
+the oracle draws "indices-J").  :func:`run` is a single phase.
+:func:`fiem_replicas` runs the same loop on an (R, q) stack of FIEM replicas
+at one example per draw, bit for bit as :func:`run` on each.  The engines
+produce paths only; the index K at which an estimate reads a path is drawn
+where it is read (``fiem.experiments.terminal_indices``).
 """
 from __future__ import annotations
 
@@ -20,15 +21,7 @@ import numpy as np
 
 from .errors import DomainError, MemoryStateError, RunAbortError
 from .model import FiniteSumModel, dots, matvecs
-from .rng import (
-    STREAM_INDICES_I,
-    STREAM_INDICES_J,
-    STREAM_TERMINATION,
-    SeedTree,
-    as_seed_tree,
-    index_draws,
-    raw_outputs,
-)
+from .rng import STREAM_INDICES_I, STREAM_INDICES_J, SeedTree, as_seed_tree, index_draws
 
 ALGORITHMS = ("em", "iem", "online-em", "fiem", "opt-fiem")
 MEMORY_ALGORITHMS = ("iem", "fiem", "opt-fiem")
@@ -64,8 +57,8 @@ class StepSchedule:
 class TerminationRule:
     """Distribution of the random termination index K on {0, ..., K_max-1}.
 
-    K is drawn before the run, independently of the path, from the
-    "termination" substream of the run seed.
+    K is drawn independently of the path, from the "termination" substream
+    of the replica's seed tree (:func:`fiem.experiments.terminal_indices`).
     """
 
     weights: Array
@@ -79,9 +72,6 @@ class TerminationRule:
         if not abs(w.sum() - 1.0) <= 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
         self.weights = w
-        # the cumulative distribution as Generator.choice builds it
-        self.cdf = w.cumsum()
-        self.cdf /= self.cdf[-1]
 
     def __len__(self) -> int:
         return self.weights.size
@@ -90,13 +80,9 @@ class TerminationRule:
     def uniform(cls, k_max: int) -> "TerminationRule":
         return cls(np.full(int(k_max), 1.0 / int(k_max)))
 
-    def indices(self, u):
-        """The index that ``Generator.choice(K, p=weights)`` picks for each
-        uniform ``u`` in [0, 1), bit for bit."""
-        return self.cdf.searchsorted(u, side="right")
-
     def sample(self, rng: np.random.Generator) -> int:
-        return int(self.indices(rng.random()))
+        """K from one uniform of ``rng``, as ``choice(K_max, p=weights)``."""
+        return int(rng.choice(self.weights.size, p=self.weights))
 
 
 class MemoryTable:
@@ -353,7 +339,6 @@ class RunDiagnostics:
     order, so that replica r's records are the contiguous column ``[:, r]``.
     """
 
-    terminal_k: Optional[int]
     s0: Array
     s_final: Array
     step_sq: Array
@@ -518,39 +503,26 @@ def _path(model, phases, gammas, options, draws, on_phase_end=None) -> RunDiagno
     if theta_err is not None:
         record_theta(k_max, s)
 
-    return RunDiagnostics(terminal_k=None, s0=s0, s_final=s, step_sq=step_sq, h_sq=h_sq,
+    return RunDiagnostics(s0=s0, s_final=s, step_sq=step_sq, h_sq=h_sq,
                           cv_gap_sq=cv_sq, vdot_sq=vdot_sq, lambdas=lambdas,
                           theta_err=theta_err, violations=violations)
 
 
-def run(
-    algorithm: str,
-    model: FiniteSumModel,
-    schedule: StepSchedule,
-    termination: Optional[TerminationRule],
-    seed,
-    options: RunOptions,
-) -> RunDiagnostics:
+def run(algorithm: str, model: FiniteSumModel, schedule: StepSchedule, seed,
+        options: RunOptions) -> RunDiagnostics:
     """Execute K_max iterations of the chosen algorithm and record diagnostics.
 
     A single :func:`sa_path` phase.  Two algorithms run with the same seed see
     identical index streams position by position, which is the protocol
-    behind all same-seed comparisons.  The termination index is sampled from
-    its own substream before the run starts, unless ``termination`` is None.
+    behind all same-seed comparisons.
     """
-    if termination is not None and len(termination) != len(schedule):
-        raise ValueError("termination weights must have length K_max")
-    tree = as_seed_tree(seed)
-    terminal_k = None if termination is None else termination.sample(tree.stream(STREAM_TERMINATION))
-    diag = sa_path(model, [(algorithm, len(schedule))], schedule.gammas, tree, options)
-    diag.terminal_k = terminal_k
-    return diag
+    return sa_path(model, [(algorithm, len(schedule))], schedule.gammas, seed, options)
 
 
 @dataclass
 class ReplicaBlock:
-    """Replicas run together by :func:`fiem_replicas`: their termination
-    indices and the :class:`RunDiagnostics` of their stack.
+    """The :class:`RunDiagnostics` of a stack of replicas run together by
+    :func:`fiem_replicas`.
 
     Iterating yields, in replica order, the :class:`RunDiagnostics` of each
     completed replica (its arrays are views into the stack) or the
@@ -559,13 +531,12 @@ class ReplicaBlock:
     arrays, so a pool worker sends back one message of arrays rather than
     one object per replica."""
 
-    terminal_k: list
     stack: RunDiagnostics
 
     def __iter__(self):
         d = self.stack
         finite = np.isfinite(d.step_sq)
-        columns = zip(self.terminal_k, d.s0, d.s_final, *(
+        columns = zip(d.s0, d.s_final, *(
             repeat(None) if rows is None else rows.T
             for rows in (d.step_sq, d.h_sq, d.cv_gap_sq, d.vdot_sq)))
         for k, done, fields in zip(finite.argmin(axis=0).tolist(), finite.all(axis=0).tolist(), columns):
@@ -575,7 +546,6 @@ class ReplicaBlock:
 def fiem_replicas(
     model: FiniteSumModel,
     schedule: StepSchedule,
-    termination: Optional[TerminationRule],
     tree: SeedTree,
     children: range,
     options: RunOptions,
@@ -586,23 +556,14 @@ def fiem_replicas(
     The loop of :func:`sa_path` runs on an (R, q) stack of states with an
     (R, n, q) memory; the model must accept the replica axis
     (``model.replica_axis``), and ``options`` may not set ``theta_ref`` or
-    ``domain_policy``.  Replica r samples its termination index (if
-    ``termination`` is not None) and draws all its "indices-I" and
-    "indices-J" indices up front from its own tree (``integers(0, n,
-    size=K)`` reads the values of K single draws); the draws of all
-    replicas are formed together from their raw Philox outputs
-    (:func:`fiem.rng.raw_outputs`, :func:`fiem.rng.index_draws`), bit for
-    bit the per-replica generator calls.  A replica whose update is not
-    finite is recorded as such and runs on with the others.
+    ``domain_policy``.  Replica r draws all its "indices-I" and "indices-J"
+    indices up front from its own tree (``integers(0, n, size=K)`` reads the
+    values of K single draws); the draws of all replicas are formed together
+    from their raw Philox outputs (:func:`fiem.rng.index_draws`), bit for bit
+    the per-replica generator calls.  A replica whose update is not finite
+    is recorded as such and runs on with the others.
     """
-    if termination is not None and len(termination) != len(schedule):
-        raise ValueError("termination weights must have length K_max")
     k_max, n = len(schedule), model.n
-    terminal = [None] * len(children)
-    if termination is not None:
-        # Generator.random() is the top 53 bits of one raw output over 2**53
-        raw = raw_outputs(tree, children, STREAM_TERMINATION, 1)[:, 0]
-        terminal = termination.indices((raw >> 11) * 2.0**-53).tolist()
     draws = (index_draws(tree, children, STREAM_INDICES_I, n, k_max),
              index_draws(tree, children, STREAM_INDICES_J, n, k_max))
-    return ReplicaBlock(terminal, _path(model, [("fiem", k_max)], schedule.gammas, options, draws))
+    return ReplicaBlock(_path(model, [("fiem", k_max)], schedule.gammas, options, draws))

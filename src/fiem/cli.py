@@ -231,7 +231,6 @@ def cmd_toy(args, parser) -> int:
         model=model,
         algorithms=args.algos,
         schedule=schedule,
-        termination=None,  # no output reads the termination index
         options=RunOptions(s0=np.zeros(model.q), compute_e0=True, theta_ref=model.theta_star),
         replicas=replicas,
         seed=args.seed,
@@ -291,6 +290,8 @@ def cmd_gmm(args, parser) -> int:
     if (args.data is None) == (args.synthetic is None):
         parser.error("provide exactly one of --data and --synthetic")
     preset = GMM_PRESETS[args.preset]
+    source = f"--data {args.data}" if args.data is not None else \
+        f"--synthetic {','.join(map(str, args.synthetic))}"
     if args.data is not None:
         dataset = load_csv_dataset(args.data)
         p_target = preset["preprocess"] if args.preprocess is None else args.preprocess
@@ -307,9 +308,12 @@ def cmd_gmm(args, parser) -> int:
         try:
             dataset, _truth = generate_gmm_synthetic(*args.synthetic)
         except ValueError as exc:
-            parser.error(f"--synthetic {','.join(map(str, args.synthetic))}: {exc}")
+            parser.error(f"{source}: {exc}")
 
-    model = GmmModel(dataset, preset["g"] if args.g is None else args.g)
+    try:
+        model = GmmModel(dataset, preset["g"] if args.g is None else args.g)
+    except ConfigurationError as exc:
+        parser.error(f"{source}: {exc}")
     exp = GmmExperimentConfig(
         model=model,
         algorithms=args.algos,
@@ -394,10 +398,10 @@ def _check_identities(seed: int) -> list[tuple[str, bool, str]]:
 
     sched = StepSchedule.constant(plan_case1(PlannerInputs.from_constants(
         constants, n=model.n, k_max=40)).gamma, 40)
-    s0 = np.zeros(model.q)  # the runs compare final states: no termination index, no h
+    s0 = np.zeros(model.q)  # the runs compare final states: no h
     for twin, lam, label in (("online-em", 0.0, "Online EM"), ("fiem", 1.0, "FIEM")):
-        d_twin = run(twin, model, sched, None, seed, RunOptions(s0=s0, compute_h=False))
-        d_opt = run("opt-fiem", model, sched, None, seed,
+        d_twin = run(twin, model, sched, seed, RunOptions(s0=s0, compute_h=False))
+        d_opt = run("opt-fiem", model, sched, seed,
                     RunOptions(s0=s0, compute_h=False, forced_lambda=lam))
         results.append((f"opt-FIEM lambda={lam:g} is {label} bitwise",
                         np.array_equal(d_twin.s_final, d_opt.s_final), ""))
@@ -435,13 +439,11 @@ def _check_prop2(seed: int, workers: int) -> list[tuple[str, bool, str]]:
     schedule = plan_case1(PlannerInputs.from_constants(constants, n=model.n, k_max=k_max)).schedule
     exp = ExperimentConfig(
         model=model, algorithms=("fiem",), schedule=schedule,
-        termination=TerminationRule.uniform(k_max),
         options=RunOptions(s0=np.zeros(model.q), compute_e0=True),
         replicas=200, seed=seed, workers=workers,
     )
-    table = run_replicated(exp)
-    table.raise_on_abort()
-    est = estimate_e(table.runs["fiem"], v_max=constants.v_max)
+    est = estimate_e(run_replicated(exp), "fiem", TerminationRule.uniform(k_max), seed,
+                     v_max=constants.v_max)
     ok_mc = est.e0 <= est.e1 + 3.0 * est.se1
     return [
         ("curvature inequality pointwise (1000 states)", ok_pointwise, f"worst excess {worst:.2e}"),

@@ -28,7 +28,7 @@ from .algorithms import (
 from .errors import DomainError, RunAbortError
 from .gmm import GmmModel, init_params
 from .model import FiniteSumModel, dots, objective_v
-from .rng import SeedTree
+from .rng import STREAM_TERMINATION, SeedTree
 from .stepsize import theorem1_coeffs
 
 Array = np.ndarray
@@ -54,7 +54,6 @@ class ExperimentConfig:
     model: FiniteSumModel
     algorithms: Sequence[str]
     schedule: StepSchedule
-    termination: Optional[TerminationRule]  # None: the runs draw no termination index
     options: RunOptions
     replicas: int
     seed: int
@@ -160,7 +159,7 @@ def _replica_job(r: int, config: ExperimentConfig):
     """Every algorithm's path of replica ``r``."""
     child = SeedTree(config.seed).child(r)
     return r, _outcomes(config.algorithms, lambda alg: run(
-        alg, config.model, config.schedule, config.termination, child, config.options))
+        alg, config.model, config.schedule, child, config.options))
 
 
 # one chunk of replicas on the replica axis holds at most this many bytes
@@ -193,8 +192,8 @@ def _chunks(config: ExperimentConfig) -> list[tuple[int, int]]:
 def _chunk_job(bounds: tuple[int, int], config: ExperimentConfig):
     """The FIEM replicas ``lo..hi-1``, as one stack."""
     lo, hi = bounds
-    return lo, {"fiem": fiem_replicas(config.model, config.schedule, config.termination,
-                                      SeedTree(config.seed), range(lo, hi), config.options)}
+    return lo, {"fiem": fiem_replicas(config.model, config.schedule, SeedTree(config.seed),
+                                      range(lo, hi), config.options)}
 
 
 def run_replicated(config: ExperimentConfig) -> ResultTable:
@@ -247,27 +246,49 @@ class EEstimates:
     e0: Optional[float] = None
 
 
-def estimate_e(diags: Sequence[RunDiagnostics], v_max: Optional[float] = None) -> EEstimates:
-    """Estimates at the per-replica random termination index K.
+def terminal_indices(termination: TerminationRule, seed: int, replicas: int) -> list[int]:
+    """The termination index K of each replica r < ``replicas``, drawn by
+    ``termination`` from the "termination" stream of ``SeedTree(seed).child(r)``,
+    independently of the path the replica ran."""
+    tree = SeedTree(seed)
+    return [termination.sample(tree.child(r).stream(STREAM_TERMINATION)) for r in range(replicas)]
+
+
+def _at_terminal(table: ResultTable, algorithm: str, termination: TerminationRule, seed: int):
+    """The runs of ``algorithm`` in ``table`` (replicas 0..R-1 of ``seed``)
+    and each one's K by :func:`terminal_indices`.  Raises
+    :class:`RunAbortError` when a replica aborted, since a K then pairs with
+    another replica's run and the survivors alone bias the estimate, and
+    ``ValueError`` when the rule does not cover the runs' K_max iterations."""
+    table.raise_on_abort()
+    diags = table.runs[algorithm]
+    if len(termination) != diags[0].k_max:
+        raise ValueError("termination weights must have length K_max")
+    return diags, terminal_indices(termination, seed, len(diags))
+
+
+def estimate_e(table: ResultTable, algorithm: str, termination: TerminationRule, seed: int,
+               v_max: Optional[float] = None) -> EEstimates:
+    """Estimates at the per-replica random termination index K, drawn by
+    ``termination`` for the runs of ``algorithm`` (see :func:`_at_terminal`).
 
     E1 averages ||h(S^K)||^2; E0 (when the runs tracked the scaled gradient
     and ``v_max`` is given) averages ||grad V(S^K)||^2 / v_max^2.
     """
-    if any(d.terminal_k is None for d in diags):
-        raise ValueError("runs lack a termination index")
+    diags, ks = _at_terminal(table, algorithm, termination, seed)
     if any(d.h_sq is None for d in diags):
         raise ValueError("runs lack the mean-field diagnostic")
 
-    def at_terminal(metric, scale=1.0):
+    def at_k(metric, scale=1.0):
         """Mean and standard error of ``metric`` at K over ``scale``."""
-        mean, std = _mean_std(np.array([getattr(d, metric)[d.terminal_k] for d in diags]) / scale)
+        mean, std = _mean_std(np.array([getattr(d, metric)[k] for d, k in zip(diags, ks)]) / scale)
         return mean, float(std / np.sqrt(len(diags)))
 
-    out = EEstimates(*at_terminal("h_sq"))
+    out = EEstimates(*at_k("h_sq"))
     if diags[0].vdot_sq is not None:
         if v_max is None:
             raise ValueError("E0 needs v_max")
-        out.e0 = at_terminal("vdot_sq", v_max**2)[0]
+        out.e0 = at_k("vdot_sq", v_max**2)[0]
     return out
 
 
@@ -324,15 +345,18 @@ def _delta_v(model: FiniteSumModel, diags: Sequence[RunDiagnostics]) -> Array:
     return objective_v(model, diags[0].s0) - model.objective(model.tmap(finals))
 
 
-def verify_bound(diags: Sequence[RunDiagnostics], model: FiniteSumModel,
-                 coefficient: float, strategy: str) -> BoundReport:
-    """Check E1_hat <= coefficient * DeltaV_hat with a per-replica paired margin.
+def verify_bound(table: ResultTable, termination: TerminationRule, seed: int,
+                 model: FiniteSumModel, coefficient: float, strategy: str) -> BoundReport:
+    """Check E1_hat <= coefficient * DeltaV_hat on the FIEM runs of ``table``
+    with a per-replica paired margin, K drawn by ``termination`` (see
+    :func:`_at_terminal`).
 
     ``coefficient`` is the bound without its DeltaV factor (for the constant
     step strategies, n^a K_max^-b times the bound constant); DeltaV is
     estimated from the same runs by :func:`_delta_v`, and the check is vacuous
     when its mean is not positive."""
-    lhs = np.array([d.h_sq[d.terminal_k] for d in diags])
+    diags, ks = _at_terminal(table, "fiem", termination, seed)
+    lhs = np.array([d.h_sq[k] for d, k in zip(diags, ks)])
     delta_v = _delta_v(model, diags)
     return BoundReport.paired(strategy, lhs, coefficient * delta_v, delta_v)
 
@@ -356,7 +380,6 @@ def verify_theorem1(
     :class:`RunAbortError` (naming the first aborted replica) when any
     replica aborted, since the survivors alone would bias both sides.
 
-    The inequality weights every k, so the runs key no termination stream.
     Both sums and V(S^Kmax) are taken on the replica stack, one replica's
     BLAS calls per row.
     """
@@ -369,7 +392,6 @@ def verify_theorem1(
         model=model,
         algorithms=("fiem",),
         schedule=schedule,
-        termination=None,
         options=RunOptions(s0=s0, compute_e2=True),
         replicas=replicas,
         seed=seed,
@@ -515,7 +537,10 @@ class GmmExperimentConfig:
 def _gmm_replica_job(r: int, config: GmmExperimentConfig):
     """Every algorithm's epoch path of replica ``r``."""
     child = SeedTree(config.seed).child(r)
-    s0 = config.model.sbar(init_params(config.model.dataset, config.model.g, child))
+    try:
+        s0 = config.model.sbar(init_params(config.model.dataset, config.model.g, child))
+    except DomainError as exc:  # no path can start: every algorithm aborts at iteration 0
+        return r, {alg: [(0, str(exc))] for alg in config.algorithms}
     return r, _outcomes(config.algorithms, lambda alg: gmm_epoch_path(
         config.model, alg, s0, config.gamma_for(alg),
         config.batch_size, config.epochs, child, kswitch=config.kswitch))

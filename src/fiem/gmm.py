@@ -34,7 +34,6 @@ Array = np.ndarray
 MASS_FLOOR = -1e-10          # proxy: component masses may not dip below this
 MASS_TOTAL_TOL = 1e-8        # proxy: total mass stays at one
 EMPTY_COMPONENT_FLOOR = 1e-12
-COV_EIG_FLOOR = -1e-10       # rounding-level indefiniteness is tolerated
 ROW_BLOCK = 2048             # rows per density einsum; bounds its (g, p, rows) block
 
 
@@ -70,7 +69,7 @@ class GmmParams:
         try:
             return np.linalg.cholesky(self.cov)
         except np.linalg.LinAlgError as exc:
-            raise DomainError("covariance is not positive definite") from exc
+            raise DomainError("covariance is indefinite or singular: no Cholesky factor") from exc
 
     @cached_property
     def _precision(self) -> Array:
@@ -106,9 +105,10 @@ class GmmDataset:
 
     @cached_property
     def sigma_star(self) -> Array:
-        """Sigma_star = n^{-1} sum_i y_i y_i'."""
+        """Sigma_star = n^{-1} sum_i y_i y_i'; not finite when a sum overflows."""
         y = self.observations
-        return y.T @ y / y.shape[0]
+        with np.errstate(over="ignore"):
+            return y.T @ y / y.shape[0]
 
     @property
     def n(self) -> int:
@@ -197,8 +197,8 @@ class GmmImage:
 
 def gmm_tmap(s: Array, sigma_star: Array, g: int) -> GmmParams:
     """Maximization map; raises :class:`DomainError` on an empty component or
-    a genuinely indefinite covariance (rounding-level indefiniteness is
-    symmetrized and accepted, never clamped)."""
+    a covariance (symmetrized, never clamped) without a Cholesky factor, the
+    factor that every density under the returned parameter reuses."""
     p = sigma_star.shape[0]
     s1 = s[:g]
     if np.min(s1) < EMPTY_COMPONENT_FLOOR:
@@ -207,11 +207,9 @@ def gmm_tmap(s: Array, sigma_star: Array, g: int) -> GmmParams:
     weights = s1 / s1.sum()
     means = s[g:].reshape(g, p) / s1[:, None]
     cov = sigma_star - (means.T * s1) @ means
-    cov = 0.5 * (cov + cov.T)
-    min_eig = float(np.linalg.eigvalsh(cov)[0])
-    if min_eig <= COV_EIG_FLOOR:
-        raise DomainError(f"covariance update indefinite: min eigenvalue {min_eig:.3e}")
-    return GmmParams(weights, means, cov)
+    params = GmmParams(weights, means, 0.5 * (cov + cov.T))
+    params._chol  # factored here, once: every density under T(s) reuses it
+    return params
 
 
 class GmmModel(FiniteSumModel):
@@ -220,6 +218,8 @@ class GmmModel(FiniteSumModel):
     def __init__(self, dataset: GmmDataset, g: int):
         if g < 1:
             raise ConfigurationError("need at least one component")
+        if not np.isfinite(dataset.sigma_star).all():
+            raise ConfigurationError("the second moment of the observations overflows")
         self.dataset = dataset
         self.g = int(g)
         self.n = dataset.n
@@ -383,15 +383,19 @@ def generate_gmm_synthetic(seed, n: int, g: int, p: int, separation: float):
 
 def init_params(dataset: GmmDataset, g: int, seed) -> GmmParams:
     """Perturbed kmeans++-style seeding from data points plus the pooled
-    covariance; substitutes for external randomized-initialization schemes."""
+    covariance; substitutes for external randomized-initialization schemes.
+    Raises :class:`DomainError` when the seeding's squared distances overflow."""
     rng = as_seed_tree(seed).stream("init")
     y = dataset.observations
     n = dataset.n
     centers = [y[int(rng.integers(n))]]
     d2 = np.full(n, np.inf)  # each example's squared distance to its nearest center
     for _ in range(1, g):
-        d2 = np.minimum(d2, np.sum((y - centers[-1]) ** 2, axis=1))
-        total = d2.sum()
+        with np.errstate(over="ignore"):
+            d2 = np.minimum(d2, np.sum((y - centers[-1]) ** 2, axis=1))
+            total = d2.sum()
+        if not np.isfinite(total):
+            raise DomainError("the squared distances of the kmeans++ seeding overflow")
         probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
         centers.append(y[int(rng.choice(n, p=probs))])
     means = np.array(centers)

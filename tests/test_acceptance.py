@@ -19,6 +19,7 @@ from fiem.experiments import (
     ExperimentConfig,
     paired_margin,
     run_replicated,
+    terminal_indices,
     verify_bound,
 )
 from fiem.gmm import posterior_rows
@@ -59,7 +60,6 @@ def theorem1_runs():
         model=model,
         algorithms=("fiem",),
         schedule=plan.schedule,
-        termination=TerminationRule.uniform(k_max),
         options=RunOptions(s0=np.zeros(model.q), compute_e2=True, compute_e0=True),
         replicas=10_000,
         seed=0,
@@ -80,7 +80,6 @@ def prop4_runs():
         model=model,
         algorithms=("fiem",),
         schedule=plan.schedule,
-        termination=TerminationRule.uniform(k_max),
         options=RunOptions(s0=np.zeros(model.q), compute_e0=True),
         replicas=500,
         seed=0,
@@ -117,7 +116,7 @@ def test_theorem1_inequality_desk_scale(theorem1_runs):
 def test_prop4_bound(prop4_runs):
     model, plan, table, elapsed = prop4_runs
     coeff = model.n ** (2.0 / 3.0) / plan.k_max * plan.bound_constant
-    rep = verify_bound(table.runs["fiem"], model, coeff, "case1")
+    rep = verify_bound(table, plan.termination, 0, model, coeff, "case1")
     ok = rep.holds and elapsed < 300.0
     report(
         "n^(2/3) strategy bound (n=100, K=20n, R=500)",
@@ -145,8 +144,9 @@ def test_prop2_scaled_gradient_dominated(theorem1_runs, prop4_runs):
     for model, _, table, _ in (theorem1_runs, prop4_runs):
         v_max = model.constants().v_max
         diags = table.runs["fiem"]
-        e0_r = np.array([d.vdot_sq[d.terminal_k] for d in diags]) / v_max**2
-        e1_r = np.array([d.h_sq[d.terminal_k] for d in diags])
+        ks = terminal_indices(TerminationRule.uniform(diags[0].k_max), 0, len(diags))
+        e0_r = np.array([d.vdot_sq[k] for d, k in zip(diags, ks)]) / v_max**2
+        e1_r = np.array([d.h_sq[k] for d, k in zip(diags, ks)])
         margins.append(paired_margin(e0_r, e1_r))
     mc_ok = all(m >= -3.0 for m in margins)
     report(
@@ -231,13 +231,12 @@ def test_algorithm_identities():
     model = fiem.generate_toy(1, n=6, dims=(4, 3, 3))
     k_max = 60
     sched = StepSchedule.constant(0.1, k_max)
-    term = TerminationRule.uniform(k_max)
     mk = lambda **kw: fiem.RunOptions(s0=np.zeros(model.q), **kw)
 
-    onl = fiem.run("online-em", model, sched, term, 5, mk())
-    l0 = fiem.run("opt-fiem", model, sched, term, 5, mk(forced_lambda=0.0))
-    fm = fiem.run("fiem", model, sched, term, 5, mk())
-    l1 = fiem.run("opt-fiem", model, sched, term, 5, mk(forced_lambda=1.0))
+    onl = fiem.run("online-em", model, sched, 5, mk())
+    l0 = fiem.run("opt-fiem", model, sched, 5, mk(forced_lambda=0.0))
+    fm = fiem.run("fiem", model, sched, 5, mk())
+    l1 = fiem.run("opt-fiem", model, sched, 5, mk(forced_lambda=1.0))
     bitwise_ok = (np.array_equal(onl.s_final, l0.s_final)
                   and np.array_equal(onl.h_sq, l0.h_sq)
                   and np.array_equal(fm.s_final, l1.s_final)
@@ -245,8 +244,8 @@ def test_algorithm_identities():
 
     single = fiem.generate_toy(2, n=1, dims=(4, 3, 3))
     gamma = 0.3
-    d = fiem.run("fiem", single, StepSchedule.constant(gamma, 30),
-                 TerminationRule.uniform(30), 0, fiem.RunOptions(s0=np.zeros(single.q)))
+    d = fiem.run("fiem", single, StepSchedule.constant(gamma, 30), 0,
+                 fiem.RunOptions(s0=np.zeros(single.q)))
     s = np.zeros(single.q)
     for _ in range(30):
         s = s + gamma * (single.stat_mean(single.image(s)) - s)
@@ -287,7 +286,6 @@ def test_optimal_coefficient_tends_to_one():
         model=model,
         algorithms=("opt-fiem",),
         schedule=plan.schedule,
-        termination=TerminationRule.uniform(k_max),
         options=RunOptions(s0=np.zeros(model.q)),
         replicas=100,
         seed=0,

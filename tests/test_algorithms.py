@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import fiem
 from fiem.algorithms import MemoryTable, StepSchedule, TerminationRule, draw_batch, row_mean
 from fiem.errors import MemoryStateError, RunAbortError
-from fiem.experiments import ExperimentConfig, run_replicated
+from fiem.experiments import ExperimentConfig, run_replicated, terminal_indices
 from fiem.model import FiniteSumModel
 from fiem.rng import (STREAM_DATA, STREAM_INDICES_I, STREAM_INDICES_J, STREAM_TERMINATION,
                       SeedTree, index_draws, raw_outputs)
@@ -442,33 +442,29 @@ class TestRun:
     def test_em_is_seed_invariant(self):
         m = toy(seed=16, n=5)
         sched = StepSchedule.constant(0.5, 20)
-        term = TerminationRule.uniform(20)
-        d1 = fiem.run("em", m, sched, term, 1, opts(m))
-        d2 = fiem.run("em", m, sched, term, 999, opts(m))
+        d1 = fiem.run("em", m, sched, 1, opts(m))
+        d2 = fiem.run("em", m, sched, 999, opts(m))
         assert np.array_equal(d1.h_sq, d2.h_sq)
         assert np.array_equal(d1.s_final, d2.s_final)
 
     def test_same_seed_same_path(self):
         m = toy(seed=17, n=9)
         sched = StepSchedule.constant(0.1, 50)
-        term = TerminationRule.uniform(50)
         runs = [
-            fiem.run("fiem", m, sched, term, 4, opts(m, compute_e2=True))
+            fiem.run("fiem", m, sched, 4, opts(m, compute_e2=True))
             for _ in range(2)
         ]
         assert np.array_equal(runs[0].h_sq, runs[1].h_sq)
         assert np.array_equal(runs[0].cv_gap_sq, runs[1].cv_gap_sq)
         assert np.array_equal(runs[0].step_sq, runs[1].step_sq)
-        assert runs[0].terminal_k == runs[1].terminal_k
 
     def test_forced_lambda_paths_bitwise(self):
         m = toy(seed=18, n=7)
         sched = StepSchedule.constant(0.15, 60)
-        term = TerminationRule.uniform(60)
-        onl = fiem.run("online-em", m, sched, term, 11, opts(m))
-        l0 = fiem.run("opt-fiem", m, sched, term, 11, opts(m, forced_lambda=0.0))
-        fm = fiem.run("fiem", m, sched, term, 11, opts(m))
-        l1 = fiem.run("opt-fiem", m, sched, term, 11, opts(m, forced_lambda=1.0))
+        onl = fiem.run("online-em", m, sched, 11, opts(m))
+        l0 = fiem.run("opt-fiem", m, sched, 11, opts(m, forced_lambda=0.0))
+        fm = fiem.run("fiem", m, sched, 11, opts(m))
+        l1 = fiem.run("opt-fiem", m, sched, 11, opts(m, forced_lambda=1.0))
         assert np.array_equal(onl.s_final, l0.s_final)
         assert np.array_equal(onl.h_sq, l0.h_sq)
         assert np.array_equal(fm.s_final, l1.s_final)
@@ -479,7 +475,7 @@ class TestRun:
         k_max = 40
         gamma = 0.25
         sched = StepSchedule.constant(gamma, k_max)
-        d = fiem.run("fiem", m, sched, TerminationRule.uniform(k_max), 0, opts(m))
+        d = fiem.run("fiem", m, sched, 0, opts(m))
         s = np.zeros(m.q)
         for _ in range(k_max):
             s = s + gamma * (m.stat_mean(m.image(s)) - s)
@@ -491,8 +487,7 @@ class TestRun:
         k_max = 25
         gamma = 0.2
         seed = 21
-        d = fiem.run("fiem", m, StepSchedule.constant(gamma, k_max),
-                     TerminationRule.uniform(k_max), seed, opts(m))
+        d = fiem.run("fiem", m, StepSchedule.constant(gamma, k_max), seed, opts(m))
         tree = fiem.SeedTree(seed)
         rng_i = tree.stream("indices-I")
         rng_j = tree.stream("indices-J")
@@ -506,8 +501,7 @@ class TestRun:
 
     def test_lambda_recorded_for_opt_fiem(self):
         m = toy(seed=21, n=6)
-        d = fiem.run("opt-fiem", m, StepSchedule.constant(0.1, 15),
-                     TerminationRule.uniform(15), 3, opts(m))
+        d = fiem.run("opt-fiem", m, StepSchedule.constant(0.1, 15), 3, opts(m))
         assert d.lambdas is not None and d.lambdas.shape == (15,)
         assert np.all(np.isfinite(d.lambdas))
 
@@ -523,8 +517,7 @@ class TestRun:
     def test_record_counts(self):
         m = toy(seed=22, n=5)
         k_max = 12
-        d = fiem.run("fiem", m, StepSchedule.constant(0.1, k_max),
-                     TerminationRule.uniform(k_max), 0,
+        d = fiem.run("fiem", m, StepSchedule.constant(0.1, k_max), 0,
                      opts(m, compute_e2=True, compute_e0=True))
         assert d.h_sq.shape == (k_max,)
         assert d.cv_gap_sq.shape == (k_max,)
@@ -533,8 +526,7 @@ class TestRun:
     def test_unknown_algorithm_rejected(self):
         m = toy()
         with pytest.raises(ValueError):
-            fiem.run("sgd", m, StepSchedule.constant(0.1, 5),
-                     TerminationRule.uniform(5), 0, opts(m))
+            fiem.run("sgd", m, StepSchedule.constant(0.1, 5), 0, opts(m))
 
 
 def run_draws(algorithm, model, k_max, batch_size, seed):
@@ -555,8 +547,8 @@ def run_draws(algorithm, model, k_max, batch_size, seed):
 
     with mock.patch.object(SeedTree, "stream", named_stream), \
             mock.patch.object(fiem.algorithms, "draw_batch", spy):
-        fiem.run(algorithm, model, StepSchedule.constant(0.1, k_max),
-                 TerminationRule.uniform(k_max), seed, opts(model, batch_size=batch_size))
+        fiem.run(algorithm, model, StepSchedule.constant(0.1, k_max), seed,
+                 opts(model, batch_size=batch_size))
     return draws
 
 
@@ -652,34 +644,20 @@ INDEX_RANGES = [1, 2, 3, 10, 10**4, 2**31 + 1, 2**32, 2**32 + 1]
 
 
 class TestBulkDraws:
-    """index_draws() and TerminationRule.indices() on raw outputs give what
-    the per-child generator calls give, bit for bit."""
+    """index_draws() on raw outputs gives what the per-child generator calls
+    give, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**70), path=st.lists(st.integers(0, 2**40), max_size=2),
            start=st.integers(0, 2**20), count=st.integers(0, 5),
-           n=st.sampled_from(INDEX_RANGES), size=st.sampled_from([1, 2, 50, 2000]),
-           weights_seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 0.9))
-    def test_rows_are_the_per_child_draws(self, seed, path, start, count, n, size,
-                                          weights_seed, zeros):
+           n=st.sampled_from(INDEX_RANGES), size=st.sampled_from([1, 2, 50, 2000]))
+    def test_rows_are_the_per_child_draws(self, seed, path, start, count, n, size):
         tree, children = SeedTree(seed, tuple(path)), range(start, start + count)
         draws = index_draws(tree, children, STREAM_INDICES_I, n, size)
         assert draws.shape == (count, size) and draws.dtype == np.int64
         for r, row in zip(children, draws):
             expected = tree.child(r).stream(STREAM_INDICES_I).integers(0, n, size=size)
             assert row.tobytes() == expected.tobytes()
-        # termination weights with zero entries, the last one kept positive
-        rng = np.random.default_rng(weights_seed)
-        w = rng.random(size) * (rng.random(size) >= zeros)
-        w[-1] += 1.0
-        rule = TerminationRule(w / w.sum())
-        raw = raw_outputs(tree, children, STREAM_TERMINATION, 1)[:, 0]
-        picked = rule.indices((raw >> 11) * 2.0**-53)
-        for r, k in zip(children, picked, strict=True):
-            stream = tree.child(r).stream(STREAM_TERMINATION)
-            assert k == stream.choice(size, p=rule.weights)
-            assert rule.weights[k] > 0.0
-            assert rule.sample(tree.child(r).stream(STREAM_TERMINATION)) == k
 
     @pytest.mark.parametrize("n, redrawn", [(10, 0), (2**31 + 1, 6), (2**32, 0), (2**32 + 1, 6)])
     def test_rejected_rows_are_drawn_again(self, monkeypatch, n, redrawn):
@@ -724,12 +702,10 @@ class TestEvaluationCounts:
         m = toy(seed=22, n=9)
         k_max = 30
         sched = StepSchedule.constant(0.2, k_max)
-        plain = fiem.run(algorithm, m, sched, TerminationRule.uniform(k_max), 4,
-                         opts(m, compute_e2=True))
+        plain = fiem.run(algorithm, m, sched, 4, opts(m, compute_e2=True))
         m.pi2 = m.pi2.view(CountingMatrix)
         CountingMatrix.products = 0
-        counted = fiem.run(algorithm, m, sched, TerminationRule.uniform(k_max), 4,
-                           opts(m, compute_e2=True))
+        counted = fiem.run(algorithm, m, sched, 4, opts(m, compute_e2=True))
         assert CountingMatrix.products == k_max
         assert counted.s_final.tobytes() == plain.s_final.tobytes()
         assert counted.h_sq.tobytes() == plain.h_sq.tobytes()
@@ -758,8 +734,7 @@ class TestErrorPaths:
         model = Leaky()
         k_max = 10
         diag = fiem.run(
-            "online-em", model, StepSchedule.constant(0.5, k_max),
-            TerminationRule.uniform(k_max), 0,
+            "online-em", model, StepSchedule.constant(0.5, k_max), 0,
             fiem.RunOptions(s0=np.ones(1), compute_h=False, domain_policy="warn"),
         )
         assert diag.violations > 0
@@ -768,8 +743,7 @@ class TestErrorPaths:
 
         with pytest.raises(RunAbortError):
             fiem.run(
-                "online-em", model, StepSchedule.constant(0.5, k_max),
-                TerminationRule.uniform(k_max), 0,
+                "online-em", model, StepSchedule.constant(0.5, k_max), 0,
                 fiem.RunOptions(s0=np.ones(1), compute_h=False, domain_policy="abort"),
             )
 
@@ -777,13 +751,11 @@ class TestErrorPaths:
         m = toy(seed=1, n=20)
         k_max = 200
         with pytest.raises(RunAbortError) as err, np.errstate(all="ignore"):
-            fiem.run("fiem", m, StepSchedule.constant(50.0, k_max),
-                     TerminationRule.uniform(k_max), 0, opts(m))
+            fiem.run("fiem", m, StepSchedule.constant(50.0, k_max), 0, opts(m))
         k = err.value.iteration
         assert 0 < k < k_max and "non-finite" in err.value.condition
         # the same path cut just before that iteration is still finite
-        diag = fiem.run("fiem", m, StepSchedule.constant(50.0, k),
-                        TerminationRule.uniform(k), 0, opts(m))
+        diag = fiem.run("fiem", m, StepSchedule.constant(50.0, k), 0, opts(m))
         assert np.all(np.isfinite(diag.step_sq)) and np.all(np.isfinite(diag.s_final))
 
     @pytest.mark.parametrize("algorithm", ["online-em", "fiem"])
@@ -793,8 +765,7 @@ class TestErrorPaths:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RunAbortError):
-                fiem.run(algorithm, m, StepSchedule.constant(50.0, 200),
-                         TerminationRule.uniform(200), 0, opts(m))
+                fiem.run(algorithm, m, StepSchedule.constant(50.0, 200), 0, opts(m))
 
     def test_divergence_stops_the_path_at_the_aborting_iteration(self):
         class Counting(fiem.ToyModel):
@@ -808,12 +779,10 @@ class TestErrorPaths:
         m.__class__ = Counting
         k_max = 200
         with pytest.raises(RunAbortError) as err, np.errstate(all="ignore"):
-            fiem.run("fiem", m, StepSchedule.constant(50.0, k_max),
-                     TerminationRule.uniform(k_max), 0, opts(m))
+            fiem.run("fiem", m, StepSchedule.constant(50.0, k_max), 0, opts(m))
         k, aborted_calls = err.value.iteration, Counting.calls
         Counting.calls = 0
-        fiem.run("fiem", m, StepSchedule.constant(50.0, k),
-                 TerminationRule.uniform(k), 0, opts(m))
+        fiem.run("fiem", m, StepSchedule.constant(50.0, k), 0, opts(m))
         # iteration k adds one memory write and one oracle batch, nothing after
         assert aborted_calls == Counting.calls + 2
 
@@ -829,15 +798,16 @@ class TestErrorPaths:
 _PINNED_FIELDS = ("s_final", "h_sq", "cv_gap_sq", "step_sq", "vdot_sq", "lambdas", "theta_err")
 
 
-def diagnostics_digest(runs):
-    """sha256 over every recorded array and the termination index of each run,
-    in the given order; a missing diagnostic hashes as a fixed marker."""
+def diagnostics_digest(runs, ks):
+    """sha256 over every recorded array of each run and its termination index
+    in ``ks``, in the given order; a missing diagnostic hashes as a fixed
+    marker."""
     digest = hashlib.sha256()
-    for diag in runs:
+    for diag, k in zip(runs, ks, strict=True):
         for field in _PINNED_FIELDS:
             value = getattr(diag, field)
             digest.update(b"-" if value is None else np.ascontiguousarray(value).tobytes())
-        digest.update(str(diag.terminal_k).encode())
+        digest.update(str(k).encode())
     return digest.hexdigest()
 
 
@@ -859,11 +829,11 @@ class TestFullPrecisionPins:
         schedule = case1_schedule(model, 50)
         table = run_replicated(ExperimentConfig(
             model=model, algorithms=("fiem",), schedule=schedule,
-            termination=TerminationRule.uniform(50),
             options=fiem.RunOptions(s0=np.zeros(model.q), compute_e2=True),
             replicas=200, seed=0))
         assert len(table.runs["fiem"]) == 200
-        assert diagnostics_digest(table.runs["fiem"]) == (
+        ks = terminal_indices(TerminationRule.uniform(50), 0, 200)
+        assert diagnostics_digest(table.runs["fiem"], ks) == (
             "997e4e4200e0fd892fdbefb68b228b91d01d782a173151b28e33bd23c004777b")
 
     @pytest.mark.parametrize("b, expected", [
@@ -876,10 +846,11 @@ class TestFullPrecisionPins:
         algorithms = ("online-em", "iem", "fiem", "opt-fiem")
         table = run_replicated(ExperimentConfig(
             model=model, algorithms=algorithms, schedule=schedule,
-            termination=TerminationRule.uniform(50),
             options=fiem.RunOptions(s0=np.zeros(model.q), batch_size=b, compute_e0=True,
                                     compute_e2=True, theta_ref=model.theta_star),
             replicas=4, seed=1))
         runs = [d for alg in algorithms for d in table.runs[alg]]
         assert len(runs) == 16
-        assert diagnostics_digest(runs) == expected
+        # every algorithm of a replica reads the replica's K
+        ks = terminal_indices(TerminationRule.uniform(50), 1, 4) * len(algorithms)
+        assert diagnostics_digest(runs, ks) == expected

@@ -341,24 +341,53 @@ class TestGmm:
             "aborted: online-em replica 0", "aborted: online-em replica 1"]
         assert not (tmp_path / "run").exists()
 
+    NO_FACTOR = "covariance is indefinite or singular: no Cholesky factor"
+
+    @pytest.mark.parametrize("data, flags, condition", [
+        ("collinear.csv", ["--threads", "1"], NO_FACTOR),
+        ("collinear.csv", ["--threads", "2", "--replicas", "2"], NO_FACTOR),
+        (None, ["--synthetic", "0,10,2,2,1e100", "--threads", "1"], NO_FACTOR),
+        ("far-apart.csv", ["--threads", "1"],
+         "the squared distances of the kmeans++ seeding overflow"),
+    ], ids=["collinear", "collinear-pool", "synthetic-1e100", "seeding-overflow"])
+    def test_a_start_without_a_path_aborts_every_algorithm(self, tmp_path, capsys, data, flags,
+                                                          condition):
+        # S^0 = sbar(theta0) cannot be formed: every algorithm of the replica
+        # aborts at iteration 0 (x and 2x leave the pooled covariance rank
+        # deficient far below its rounding; two points 1.8e154 apart have a
+        # finite second moment but an overflowing squared distance)
+        x = np.random.default_rng(0).normal(0.0, 1e6, 40)
+        z = np.random.default_rng(1).standard_normal(40)
+        np.savetxt(tmp_path / "collinear.csv", np.column_stack([x, 2 * x, z]), delimiter=",")
+        np.savetxt(tmp_path / "far-apart.csv", np.array([[9e153], [-9e153]]), delimiter=",")
+        source = [] if data is None else ["--data", str(tmp_path / data)]
+        code = main(["gmm", *source, "--g", "2", "--batch", "1", "--epochs", "1",
+                     "--kswitch", "0", "--out", str(tmp_path / "run"), *flags])
+        assert code == 3
+        replicas = 2 if "--replicas" in flags else 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"aborted: {alg} replica {r} iteration 0: {condition}"
+            for alg in ("em", "iem", "online-em", "h-fiem") for r in range(replicas)]
+        assert not (tmp_path / "run").exists()
+
 
 class TestTerminationDraws:
-    @pytest.mark.parametrize("argv,drawn", [
-        (["toy", "--n", "10", "--kmax", "20", "--replicas", "2"], False),
-        (["toy", "--n", "10", "--kmax", "20", "--replicas", "2", "--algos", "fiem"], False),
-        (["check", "--suite", "identities"], False),
-        (["check", "--suite", "prop2"], True),
+    @pytest.mark.parametrize("argv,draws", [
+        (["toy", "--n", "10", "--kmax", "20", "--replicas", "2"], 0),
+        (["toy", "--n", "10", "--kmax", "20", "--replicas", "2", "--algos", "fiem"], 0),
+        (["check", "--suite", "identities"], 0),
+        (["check", "--suite", "prop2"], 200),
     ], ids=["toy", "toy-replica-axis", "check-identities", "check-prop2"])
-    def test_only_commands_that_read_k_draw_it(self, tmp_path, monkeypatch, argv, drawn):
-        # prop2's E estimates read K; the toy's outputs and the identities do not
-        calls = []
-        for name in ("sample", "indices"):
-            real = getattr(TerminationRule, name)
-            monkeypatch.setattr(TerminationRule, name, lambda self, u, real=real, name=name:
-                                calls.append(name) or real(self, u))
+    def test_only_commands_that_read_k_draw_it(self, tmp_path, monkeypatch, argv, draws):
+        # prop2's E estimates read K, one TerminationRule.sample per replica
+        # on its own stream; the toy's outputs and the identities do not
+        streams = []
+        sample = TerminationRule.sample
+        monkeypatch.setattr(TerminationRule, "sample",
+                            lambda self, rng: streams.append(rng) or sample(self, rng))
         out = ["--out", str(tmp_path / "out")] if argv[0] == "toy" else []
         assert main(argv + ["--threads", "1"] + out) == 0
-        assert bool(calls) == drawn
+        assert len(streams) == draws == len(set(map(id, streams)))
 
 
 class TestCheck:
@@ -558,6 +587,10 @@ NAMES_THE_FLAG = {
     "gmm-preprocess-past-columns": ("--preprocess 9", "4 non-constant columns of data.csv"),
     "gmm-preprocess-past-non-constant-columns": ("--preprocess 4",
                                                  "3 non-constant columns of constant-column.csv"),
+    "gmm-synthetic-second-moment-overflow": ("--synthetic 0,10,2,2,1e+160",
+                                             "second moment of the observations overflows"),
+    "gmm-data-second-moment-overflow": ("--data huge-data.csv",
+                                        "second moment of the observations overflows"),
 }
 
 
@@ -679,6 +712,8 @@ NAMES_THE_FLAG = {
      "--L", "0.5", "--Lv", "1e+300"],
     ["plan", "--strategy", "karimi", "--n", "10", "--kmax", "2", "--vmin", "1e-300",
      "--L", "1", "--Lv", "1"],
+    ["gmm", "--synthetic", "0,10,2,2,1e160", "--algos", "em", "--epochs", "1", "--threads", "1"],
+    ["gmm", "--data", "huge-data.csv", "--algos", "em", "--epochs", "1", "--threads", "1"],
 ], ids=["gmm-batch-not-dividing-n", "gmm-short-synthetic", "gmm-non-numeric-synthetic",
         "gmm-kswitch-past-last-epoch", "gmm-default-kswitch-past-epochs", "gmm-zero-batch",
         "gmm-missing-data", "gmm-zero-components",
@@ -710,7 +745,8 @@ NAMES_THE_FLAG = {
         "gmm-preprocess-past-columns", "gmm-preprocess-past-non-constant-columns",
         "gmm-double-batch-not-dividing-n", "gmm-synthetic-fewer-examples-than-components",
         "plan-case2-vmin-square-underflow", "plan-case1-vmin-square-overflow",
-        "plan-karimi-vmin-square-underflow"])
+        "plan-karimi-vmin-square-underflow", "gmm-synthetic-second-moment-overflow",
+        "gmm-data-second-moment-overflow"])
 def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, request, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "not-json.json").write_text("{not json")
@@ -747,6 +783,8 @@ def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, req
     np.savetxt(tmp_path / "nan-data.csv", data, delimiter=",")
     data[3, 1], data[99, 2] = 0.0, np.inf
     np.savetxt(tmp_path / "inf-data.csv", data, delimiter=",")
+    data[99, 2] = 0.0
+    np.savetxt(tmp_path / "huge-data.csv", 1e160 * data, delimiter=",")
     # flag values that do not fit together are rejected before any path runs
     paths = []
     monkeypatch.setattr(fiem.experiments, "gmm_epoch_path", lambda *a, **k: paths.append(a))

@@ -29,11 +29,12 @@ from fiem.experiments import (
     paired_margin,
     run_replicated,
     table_report,
+    terminal_indices,
     verify_bound,
     verify_theorem1,
 )
 from fiem.model import dots
-from fiem.rng import SeedTree
+from fiem.rng import STREAM_TERMINATION, SeedTree
 from fiem.stepsize import f_n, f_n_tilde
 
 
@@ -46,7 +47,6 @@ def config(model, algorithms=("fiem",), k_max=30, replicas=5, seed=0, workers=1,
         model=model,
         algorithms=algorithms,
         schedule=StepSchedule.constant(0.1, k_max),
-        termination=TerminationRule.uniform(k_max),
         options=RunOptions(s0=np.zeros(model.q), **options),
         replicas=replicas,
         seed=seed,
@@ -75,10 +75,12 @@ class TestRunReplicated:
 
     def test_algorithms_share_streams_within_replica(self):
         m = toy(seed=2)
-        table = run_replicated(config(m, algorithms=("fiem", "opt-fiem"), replicas=2))
-        # same termination stream -> same terminal index inside a replica
-        for r in range(2):
-            assert table.runs["fiem"][r].terminal_k == table.runs["opt-fiem"][r].terminal_k
+        table = run_replicated(config(m, algorithms=("online-em", "opt-fiem"), replicas=2,
+                                      forced_lambda=0.0))
+        # same index streams -> opt-FIEM at lambda = 0 is Online EM inside a replica
+        for online, opt in zip(table.runs["online-em"], table.runs["opt-fiem"], strict=True):
+            assert online.s_final.tobytes() == opt.s_final.tobytes()
+            assert online.step_sq.tobytes() == opt.step_sq.tobytes()
 
     def test_parallel_equals_serial(self, monkeypatch):
         # one replica per chunk, so that the two workers share six jobs
@@ -144,7 +146,7 @@ def shared_record_table(replicas, k_max, seed=0):
     for alg in ("online-em", "fiem", "opt-fiem"):
         block = rng.random((6, replicas + k_max + 1))
         runs[alg] = [RunDiagnostics(
-            None, np.zeros(3), np.zeros(3), step_sq=block[0, r:r + k_max],
+            np.zeros(3), np.zeros(3), step_sq=block[0, r:r + k_max],
             h_sq=block[1, r:r + k_max], vdot_sq=block[2, r:r + k_max],
             theta_err=block[3, r:r + k_max + 1],
             cv_gap_sq=block[4, r:r + k_max] if alg == "fiem" else None,
@@ -190,12 +192,14 @@ class TestEstimates:
     def test_deterministic_em_estimate(self):
         m = toy(seed=5)
         table = run_replicated(config(m, algorithms=("em",), replicas=3, seed=9))
-        est = estimate_e(table.runs["em"])
+        rule = TerminationRule.uniform(30)
+        est = estimate_e(table, "em", rule, 9)
         # each replica contributes ||h(s^K)||^2 at its own K on the same path
         d = table.runs["em"][0]
-        expected = np.mean([r.h_sq[r.terminal_k] for r in table.runs["em"]])
+        ks = terminal_indices(rule, 9, 3)
+        expected = np.mean([r.h_sq[k] for r, k in zip(table.runs["em"], ks)])
         assert est.e1 == expected
-        assert d.h_sq[d.terminal_k] == table.runs["em"][0].h_sq[d.terminal_k]
+        assert d.h_sq[ks[0]] == table.runs["em"][0].h_sq[ks[0]]
 
     def test_point_mass_beats_uniform_on_monotone_path(self):
         m = toy(seed=6)
@@ -205,41 +209,61 @@ class TestEstimates:
                     options=RunOptions(s0=np.zeros(m.q)), replicas=20, seed=1)
         last = np.zeros(k_max)
         last[-1] = 1.0
-        uni = run_replicated(ExperimentConfig(termination=TerminationRule.uniform(k_max), **base))
-        point = run_replicated(ExperimentConfig(termination=TerminationRule(last), **base))
-        e_uni = estimate_e(uni.runs["em"])
-        e_point = estimate_e(point.runs["em"])
+        table = run_replicated(ExperimentConfig(**base))
+        e_uni = estimate_e(table, "em", TerminationRule.uniform(k_max), 1)
+        e_point = estimate_e(table, "em", TerminationRule(last), 1)
         assert e_point.e1 <= e_uni.e1
 
     def test_e0_below_e1(self):
         m = toy(seed=7, n=12)
         table = run_replicated(config(m, replicas=30, compute_e0=True, seed=2))
-        est = estimate_e(table.runs["fiem"], v_max=m.constants().v_max)
+        est = estimate_e(table, "fiem", TerminationRule.uniform(30), 2, v_max=m.constants().v_max)
         assert est.e0 <= est.e1 + 3.0 * est.se1
-
-    @pytest.mark.parametrize("route", ["replica-axis", "per-path"])
-    def test_no_termination_rule_changes_no_record(self, route):
-        # the termination stream is keyed by name, so dropping it leaves the
-        # index streams and every record as they were; only K goes
-        m = toy(seed=4)
-        theta_ref = m.theta_star if route == "per-path" else None
-        ruled = config(m, k_max=25, replicas=6, compute_e0=True, compute_e2=True,
-                       theta_ref=theta_ref)
-        unruled = dataclasses.replace(ruled, termination=None)
-        assert fiem.experiments._on_replica_axis(unruled) == (route == "replica-axis")
-        with_k, without_k = run_replicated(ruled).runs["fiem"], run_replicated(unruled).runs["fiem"]
-        assert all(d.terminal_k is not None for d in with_k)
-        assert all(d.terminal_k is None for d in without_k)
-        assert [_bits(d) for d in without_k] == [
-            _bits(dataclasses.replace(d, terminal_k=None)) for d in with_k]
-        with pytest.raises(ValueError, match="runs lack a termination index"):
-            estimate_e(without_k)
 
     def test_e0_needs_vmax(self):
         m = toy(seed=9)
         table = run_replicated(config(m, replicas=2, compute_e0=True))
         with pytest.raises(ValueError):
-            estimate_e(table.runs["fiem"])
+            estimate_e(table, "fiem", TerminationRule.uniform(30), 0)
+
+    def test_rule_must_cover_k_max(self):
+        m = toy(seed=9)
+        table = run_replicated(config(m, replicas=2))
+        with pytest.raises(ValueError, match="termination weights must have length K_max"):
+            estimate_e(table, "fiem", TerminationRule.uniform(29), 0)
+        with pytest.raises(ValueError, match="termination weights must have length K_max"):
+            verify_bound(table, TerminationRule.uniform(31), 0, m, 1.0, "case1")
+
+    def test_an_aborted_replica_pairs_no_index(self):
+        # K of replica r pairs with run r; with replica 0 aborted, run 0 is
+        # replica 1's, so the estimators raise instead
+        m = toy(seed=9)
+        table = run_replicated(config(m, replicas=3))
+        table = ResultTable({"fiem": table.runs["fiem"][1:]}, {"fiem": [(0, 4, "diverged")]})
+        with pytest.raises(RunAbortError, match="replica 0: diverged"):
+            estimate_e(table, "fiem", TerminationRule.uniform(30), 0)
+        with pytest.raises(RunAbortError, match="replica 0: diverged"):
+            verify_bound(table, TerminationRule.uniform(30), 0, m, 1.0, "case1")
+
+
+class TestTerminalIndices:
+    @pytest.mark.parametrize("zeros", [0.0, 0.5, 0.9], ids=["uniform", "half-zero", "mostly-zero"])
+    @pytest.mark.parametrize("size", [1, 2, 50, 2000])
+    def test_each_replica_draws_choice_on_its_own_stream(self, size, zeros):
+        rule = TerminationRule.uniform(size)
+        if zeros:
+            # weights with zero entries, the last one kept positive
+            rng = np.random.default_rng(size)
+            w = rng.random(size) * (rng.random(size) >= zeros)
+            w[-1] += 1.0
+            rule = TerminationRule(w / w.sum())
+        for seed in (0, 7, 2**40):
+            ks = terminal_indices(rule, seed, 6)
+            assert len(ks) == 6
+            for r, k in enumerate(ks):
+                stream = SeedTree(seed).child(r).stream(STREAM_TERMINATION)
+                assert k == stream.choice(size, p=rule.weights)
+                assert rule.weights[k] > 0.0
 
 
 class TestTheorem1Verification:
@@ -316,7 +340,7 @@ class TestTheorem1Verification:
 
     def test_a_non_finite_final_state_names_its_replica(self):
         m = toy()
-        diags = [RunDiagnostics(None, np.zeros(m.q), np.full(m.q, value), np.zeros(1))
+        diags = [RunDiagnostics(np.zeros(m.q), np.full(m.q, value), np.zeros(1))
                  for value in (1.0, 2.0, np.inf, np.nan)]
         with pytest.raises(DomainError, match="replica 2: statistic has non-finite entries"):
             fiem.experiments._delta_v(m, diags)
@@ -344,18 +368,16 @@ class TestBoundVerification:
         plan = fiem.plan_case1(ins)
         cfg = ExperimentConfig(
             model=m, algorithms=("fiem",), schedule=plan.schedule,
-            termination=TerminationRule.uniform(k_max),
             options=RunOptions(s0=np.zeros(m.q), compute_e2=True), replicas=60, seed=5)
         table = run_replicated(cfg)
         diags = table.runs["fiem"]
         coeff = m.n ** (2.0 / 3.0) / k_max * plan.bound_constant
-        report = verify_bound(diags, m, coeff, "case1")
+        report = verify_bound(table, TerminationRule.uniform(k_max), 5, m, coeff, "case1")
         assert report.holds
         fn = f_n(plan.c, ins.lam, ins.n)
         e2_weight = ins.mu / ((1.0 - ins.mu) * fn * ins.n ** (2.0 / 3.0))
-        lhs = np.array([
-            d.h_sq[d.terminal_k] + e2_weight * d.cv_gap_sq[d.terminal_k] for d in diags
-        ])
+        ks = terminal_indices(TerminationRule.uniform(k_max), 5, len(diags))
+        lhs = np.array([d.h_sq[k] + e2_weight * d.cv_gap_sq[k] for d, k in zip(diags, ks)])
         v0 = m.objective(m.tmap(np.zeros(m.q)))
         rhs = coeff * np.array([v0 - m.objective(m.tmap(d.s_final)) for d in diags])
         assert paired_margin(lhs, rhs) >= -3.0
@@ -368,18 +390,16 @@ class TestBoundVerification:
         assert plan.feasible
         cfg = ExperimentConfig(
             model=m, algorithms=("fiem",), schedule=plan.schedule,
-            termination=TerminationRule.uniform(k_max),
             options=RunOptions(s0=np.zeros(m.q), compute_e2=True), replicas=100, seed=0)
         table = run_replicated(cfg)
         diags = table.runs["fiem"]
         coeff = m.n ** (1.0 / 3.0) / k_max ** (2.0 / 3.0) * plan.bound_constant
-        report = verify_bound(diags, m, coeff, "case2")
+        report = verify_bound(table, TerminationRule.uniform(k_max), 0, m, coeff, "case2")
         assert report.holds
         fn = f_n_tilde(plan.c, ins.lam, ins.n, k_max)
         e2_weight = ins.mu / ((1.0 - ins.mu) * fn * (ins.n * k_max) ** (1.0 / 3.0))
-        lhs = np.array([
-            d.h_sq[d.terminal_k] + e2_weight * d.cv_gap_sq[d.terminal_k] for d in diags
-        ])
+        ks = terminal_indices(TerminationRule.uniform(k_max), 0, len(diags))
+        lhs = np.array([d.h_sq[k] + e2_weight * d.cv_gap_sq[k] for d, k in zip(diags, ks)])
         v0 = m.objective(m.tmap(np.zeros(m.q)))
         rhs = coeff * np.array([v0 - m.objective(m.tmap(d.s_final)) for d in diags])
         assert paired_margin(lhs, rhs) >= -3.0
@@ -396,11 +416,10 @@ class TestBoundVerification:
         assert plan.feasible
         cfg = ExperimentConfig(
             model=m, algorithms=("fiem",), schedule=plan.schedule,
-            termination=plan.termination, options=RunOptions(s0=np.zeros(m.q)),
-            replicas=100, seed=1)
+            options=RunOptions(s0=np.zeros(m.q)), replicas=100, seed=1)
         table = run_replicated(cfg)
         coeff = m.n ** (2.0 / 3.0) * float(w.max()) * plan.bound_constant
-        report = verify_bound(table.runs["fiem"], m, coeff, "nonuniform")
+        report = verify_bound(table, plan.termination, 1, m, coeff, "nonuniform")
         assert report.holds
 
     def test_theorem1_with_custom_betas(self):
@@ -421,9 +440,9 @@ class TestBoundVerification:
         m = toy(seed=13, n=20, dims=(5, 4, 4))
         table = run_replicated(config(m, k_max=20, replicas=4))
         # every path ends where it started: DeltaV = 0 certifies nothing
-        diags = [dataclasses.replace(d, terminal_k=d.k_max - 1, s_final=d.s0)
-                 for d in table.runs["fiem"]]
-        report = verify_bound(diags, m, 1.0, "case1")
+        diags = [dataclasses.replace(d, s_final=d.s0) for d in table.runs["fiem"]]
+        last = TerminationRule(np.eye(20)[-1])
+        report = verify_bound(ResultTable({"fiem": diags}, {"fiem": []}), last, 0, m, 1.0, "case1")
         assert report.vacuous == "mean deltaV=0.000e+00 <= 0"
         assert not report.holds
 
@@ -438,7 +457,6 @@ class TestRatioCurves:
             fiem.PlannerInputs.from_constants(m.constants(), n=m.n, k_max=k_max))
         cfg = ExperimentConfig(
             model=m, algorithms=("opt-fiem", "fiem"), schedule=plan.schedule,
-            termination=TerminationRule.uniform(k_max),
             options=RunOptions(s0=np.zeros(m.q), theta_ref=m.theta_star), replicas=40, seed=0)
         table = run_replicated(cfg)
         err = {
@@ -457,8 +475,7 @@ class TestAbortHandling:
         k_max = 400
         with pytest.raises(fiem.RunAbortError) as err:
             fiem.run(
-                "online-em", model, StepSchedule.constant(5e-2, k_max),
-                TerminationRule.uniform(k_max), 1,
+                "online-em", model, StepSchedule.constant(5e-2, k_max), 1,
                 fiem.RunOptions(s0=s0, batch_size=10, compute_h=False),
             )
         assert 0 <= err.value.iteration < k_max
@@ -472,7 +489,6 @@ class TestAbortHandling:
         cfg = ExperimentConfig(
             model=model, algorithms=("online-em",),
             schedule=StepSchedule.constant(5e-2, k_max),
-            termination=TerminationRule.uniform(k_max),
             options=RunOptions(s0=s0, batch_size=10), replicas=4, seed=1)
         # the aggressive step leaves the admissible region on at least one path
         table = run_replicated(cfg)
@@ -613,7 +629,7 @@ class TestHybridEpochPath:
 # -- FIEM replicas on one (R, q) state ---------------------------------------
 
 _DIAG_FIELDS = ("s0", "s_final", "step_sq", "h_sq", "cv_gap_sq", "vdot_sq", "lambdas",
-                "theta_err", "terminal_k", "violations")
+                "theta_err", "violations")
 
 
 def _bits(outcome):
@@ -624,14 +640,13 @@ def _bits(outcome):
                  for v in (getattr(outcome, f) for f in _DIAG_FIELDS))
 
 
-def _per_path(model, schedule, termination, seed, replicas, options):
+def _per_path(model, schedule, seed, replicas, options):
     """One :func:`fiem.run` per replica on ``SeedTree(seed).child(r)``; an
     abort kept as (iteration, condition)."""
     out = []
     for r in range(replicas):
         try:
-            out.append(fiem.run("fiem", model, schedule, termination,
-                                SeedTree(seed).child(r), options))
+            out.append(fiem.run("fiem", model, schedule, SeedTree(seed).child(r), options))
         except RunAbortError as exc:
             out.append((exc.iteration, exc.condition))
     return [_bits(o) for o in out]
@@ -661,14 +676,11 @@ class TestReplicaAxis:
         m = fiem.generate_toy(3, n, dims=dims)
         k_max = 4 * n + 3
         schedule = StepSchedule(np.linspace(0.05, 0.4, k_max))
-        termination = TerminationRule.uniform(k_max)
         s0 = np.random.default_rng(n).standard_normal(m.q)
         options = RunOptions(s0=s0, **diagnostics)
-        expected = _per_path(m, schedule, termination, 7, 200, options)
+        expected = _per_path(m, schedule, 7, 200, options)
         for replicas in (1, m.q, 200):
-            block = fiem_replicas(m, schedule, termination, SeedTree(7), range(replicas),
-                                  options)
-            assert len(block.terminal_k) == replicas
+            block = fiem_replicas(m, schedule, SeedTree(7), range(replicas), options)
             assert [_bits(o) for o in block] == expected[:replicas]
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -681,8 +693,7 @@ class TestReplicaAxis:
                      compute_e0=True, compute_e2=True)
         assert fiem.experiments._chunks(cfg) == [(0, 2), (2, 5), (5, 8)]
         table = run_replicated(cfg)
-        assert _table_bits(table) == _per_path(m, cfg.schedule, cfg.termination, 2, 8,
-                                               cfg.options)
+        assert _table_bits(table) == _per_path(m, cfg.schedule, 2, 8, cfg.options)
         monkeypatch.setattr(fiem.experiments, "_CHUNK_BYTES", 64 << 20)
         assert checkpoint_summary(table, cfg.schedule) == checkpoint_summary(
             run_replicated(dataclasses.replace(cfg, workers=1)), cfg.schedule)
@@ -718,7 +729,7 @@ class TestReplicaAxis:
         cfg.schedule = StepSchedule.constant(gamma, k_max)
         with np.errstate(all="ignore"):
             table = run_replicated(cfg)
-            expected = _per_path(m, cfg.schedule, cfg.termination, 0, 40, cfg.options)
+            expected = _per_path(m, cfg.schedule, 0, 40, cfg.options)
         first = next((r, *e) for r, e in enumerate(expected) if len(e) == 2)
         assert table.aborted["fiem"][0] == first
         assert _table_bits(table) == expected
@@ -952,10 +963,11 @@ class TestReplicaAxisBudget:
     replica axis, and the calls each route makes."""
 
     def test_fiem_alone_makes_no_run_call(self, monkeypatch):
-        # one chunk keys its three streams in bulk from the root tree and a
-        # range of child indices: at most one bit generator per stream name
+        # one chunk keys its two index streams in bulk from the root tree and
+        # a range of child indices: at most one bit generator per stream name
         # and no child tree, whatever the replica count; it reads one block
-        # of raw outputs per replica and stream and makes no generator call
+        # of raw outputs per replica and stream, makes no generator call and
+        # draws no termination index
         m = toy(seed=5)
         counts = _Counts(monkeypatch)
         cfg = config(m, k_max=20, replicas=9, compute_e0=True, compute_e2=True)
@@ -963,19 +975,9 @@ class TestReplicaAxisBudget:
         table = run_replicated(cfg)
         assert table.completed == {"fiem": 9}
         assert (counts.run, counts.stream, counts.child, counts.draw) == (0, 0, 0, 0)
-        assert counts.seed_sequence <= 3 and counts.philox <= 3
+        assert counts.seed_sequence <= 2 and counts.philox <= 2
         assert (counts.sample, counts.choice, counts.integers) == (0, 0, 0)
-        assert counts.random_raw == 3 * 9
-
-    def test_theorem1_keys_no_termination_stream(self, monkeypatch):
-        # Theorem 1 weights every k, so its runs read the two index streams
-        # only: two blocks of raw outputs per replica, not the three of a
-        # config with a termination rule (above)
-        m = toy(seed=5)
-        counts = _Counts(monkeypatch)
-        verify_theorem1(m, StepSchedule.constant(0.1, 20), np.zeros(m.q), 9, 0)
         assert counts.random_raw == 2 * 9
-        assert counts.philox <= 2 and counts.sample == 0
 
     @pytest.mark.parametrize("replicas", [1, 9])
     def test_a_chunk_steps_once_per_iteration(self, monkeypatch, replicas):
@@ -1010,7 +1012,7 @@ class TestReplicaAxisBudget:
         run_replicated(cfg)
         assert counts.run == 2 * 3
         assert counts.child == 2
-        assert counts.stream == 2 * 3 * 3
+        assert counts.stream == 2 * 3 * 2
         assert counts.draw == 2 * (40 + 2 * 40 + 2 * 40)
         assert (counts.fiem_step, counts.memory_init) == (2 * 40, 2 * 2)
 

@@ -29,9 +29,8 @@ def setting():
 def final_h_sq(setting, algorithm):
     """Mean over the seeds of ||h||^2 at the last recorded iteration."""
     model, schedule = setting
-    termination = fiem.TerminationRule.uniform(K_MAX)
     return float(np.mean([
-        fiem.run(algorithm, model, schedule, termination, seed,
+        fiem.run(algorithm, model, schedule, seed,
                  fiem.RunOptions(s0=np.zeros(model.q))).h_sq[-1]
         for seed in SEEDS]))
 

@@ -201,6 +201,13 @@ class TestTmap:
         with pytest.raises(DomainError, match="indefinite"):
             gmm_tmap(s, ds.sigma_star, 2)
 
+    def test_singular_covariance_error(self):
+        # every row at one point: Sigma_star - mu mu' is exactly 0, which has
+        # no Cholesky factor, so no density could be evaluated under it
+        ds = GmmDataset(np.tile([1.0, 2.0], (4, 1)))
+        with pytest.raises(DomainError, match="indefinite"):
+            gmm_tmap(np.array([1.0, 1.0, 2.0]), ds.sigma_star, 1)
+
 
 class TestLoglik:
     def test_point_at_mean_identity_cov(self):
@@ -306,6 +313,19 @@ class TestEvaluationCounts:
         assert len(tmaps) == path.iterations + 1
         assert sum(passes) == expected
         assert path.loglik.shape == (2,) and len(path.params) == 16
+
+    @pytest.mark.parametrize("algorithm", ["em", "online-em", "h-fiem"])
+    def test_each_visited_covariance_is_factored_once(self, monkeypatch, algorithm):
+        # T(s) checks its covariance by the Cholesky factor that every
+        # density under it reuses; no eigenvalue pass
+        model, _ = synthetic(seed=16, n=120)
+        s0 = model.sbar(init_params(model.dataset, 3, 4))
+        factored = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(1) or cholesky(a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        path = fiem.gmm_epoch_path(model, algorithm, s0, 5e-2, 10, 3, seed=2, kswitch=1)
+        assert len(factored) == path.iterations + 1
 
 
 class TestResponsibilityTable:
@@ -490,8 +510,7 @@ class TestMiniBatchSteps:
         path = fiem.gmm_epoch_path(model, algorithm, s0, gamma, batch, 1, seed=7)
         k_max = path.iterations
         diag = fiem.run(
-            algorithm, model, fiem.StepSchedule.constant(gamma, k_max),
-            fiem.TerminationRule.uniform(k_max), 7,
+            algorithm, model, fiem.StepSchedule.constant(gamma, k_max), 7,
             fiem.RunOptions(s0=s0, batch_size=batch, compute_h=False),
         )
         final = model.tmap(diag.s_final)

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 import fiem
-from fiem.algorithms import (ALGORITHMS, MEMORY_ALGORITHMS, MemoryTable, StepSchedule,
-                             TerminationRule)
+from fiem.algorithms import ALGORITHMS, MEMORY_ALGORITHMS, MemoryTable, StepSchedule
 from fiem.errors import ConfigurationError, DomainError, UnsupportedCapabilityError
 from fiem.model import FiniteSumModel, ModelConstants, check_statistic
 
@@ -197,7 +196,7 @@ class TestContract:
         m = toy(seed=9, n=12)
         k_max = 30
         sched = StepSchedule.constant(0.4, k_max)
-        diags = [fiem.run(algorithm, model, sched, TerminationRule.uniform(k_max), 3,
+        diags = [fiem.run(algorithm, model, sched, 3,
                           fiem.RunOptions(s0=np.zeros(m.q), compute_e2=True))
                  for model in (Affine(m), m)]
         generic, closed = diags
@@ -239,14 +238,14 @@ def test_settings_are_pinned():
     assert fields == {
         "RunOptions": ["s0", "batch_size", "compute_h", "compute_e2", "compute_e0",
                        "theta_ref", "forced_lambda", "domain_policy"],
-        "ExperimentConfig": ["model", "algorithms", "schedule", "termination", "options",
+        "ExperimentConfig": ["model", "algorithms", "schedule", "options",
                              "replicas", "seed", "workers"],
         "GmmExperimentConfig": ["model", "algorithms", "gamma", "batch_size", "epochs",
                                 "replicas", "seed", "kswitch", "workers"],
         "PlannerInputs": ["n", "k_max", "v_min", "l_rms", "l_gradv", "mu", "lam"],
         "StepSizePlan": ["strategy", "n", "mu", "lam", "c", "schedule", "termination",
                          "bound_constant", "bound_value", "violated_condition"],
-        "RunDiagnostics": ["terminal_k", "s0", "s_final", "step_sq", "h_sq", "cv_gap_sq",
+        "RunDiagnostics": ["s0", "s_final", "step_sq", "h_sq", "cv_gap_sq",
                            "vdot_sq", "lambdas", "theta_err", "violations"],
         "ResultTable": ["runs", "aborted"],
         "BoundReport": ["strategy", "lhs", "rhs", "margin_sigmas", "vacuous"],
@@ -264,7 +263,7 @@ def test_settings_are_pinned():
         "karimi_plan": ["inputs"],
         "raw_outputs": ["tree", "children", "name", "count"],
         "index_draws": ["tree", "children", "name", "n", "size"],
-        "fiem_replicas": ["model", "schedule", "termination", "tree", "children", "options"],
+        "fiem_replicas": ["model", "schedule", "tree", "children", "options"],
     }
 
 
