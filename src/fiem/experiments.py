@@ -231,7 +231,7 @@ def checkpoint_summary(table: ResultTable, schedule: StepSchedule) -> list[dict]
             for k, col in zip(checkpoints, stacked.T):
                 with np.errstate(over="ignore", invalid="ignore"):
                     mean, std = _mean_std(col)
-                    q25, q75 = float(np.quantile(col, 0.25)), float(np.quantile(col, 0.75))
+                    q25, q75 = map(float, np.quantile(col, (0.25, 0.75)))
                 rows.append({"algorithm": alg, "k": k, "metric": metric, "mean": mean, "std": std,
                              "q25": q25, "q75": q75})
     return rows

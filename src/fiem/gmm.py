@@ -327,7 +327,8 @@ def _count_violation(model: GmmModel, s: Array) -> int:
 
 def preprocess(raw: Array, p_target: int) -> GmmDataset:
     """Drop constant features, center and standardize the rest, then project
-    onto the top ``p_target`` principal components of the feature covariance."""
+    onto the top ``p_target`` principal components of the feature covariance.
+    Raises :class:`ConfigurationError` when the spread of a column overflows."""
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2:
         raise ValueError("raw data must be an n-by-d matrix")
@@ -335,7 +336,11 @@ def preprocess(raw: Array, p_target: int) -> GmmDataset:
         raise ValueError(f"p_target={p_target} must be at least 1")
     if not np.all(np.isfinite(raw)):
         raise ValueError("raw data has non-finite entries")
-    std = raw.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = raw.std(axis=0)
+    overflowing = np.flatnonzero(~np.isfinite(std))
+    if overflowing.size:
+        raise ConfigurationError(f"the spread of column {overflowing[0] + 1} overflows")
     keep = std > 0.0
     kept = raw[:, keep]
     if p_target > kept.shape[1]:

@@ -392,7 +392,7 @@ def theorem1_coeffs(
     v_min: float,
     l_gradv: float,
     betas=None,
-    lam: float = 0.5,
+    lam: float = PlannerInputs.lam,
 ) -> Theorem1Coefficients:
     """Exact evaluation of the master-inequality coefficients.
 

@@ -5,34 +5,38 @@ criteria carry their stated single-core runtime budgets; the mixture-data
 criterion at the bottom needs an externally supplied dataset and is skipped
 without one.
 """
-import json
 import os
 import time
 
 import numpy as np
 import pytest
 
-import fiem
-from fiem.algorithms import MemoryTable, RunOptions, StepSchedule, TerminationRule
+from fiem.algorithms import (MemoryTable, RunOptions, StepSchedule, TerminationRule,
+                             opt_fiem_lambda, run)
 from fiem.cli import main as cli_main
 from fiem.experiments import (
     ExperimentConfig,
+    gmm_epoch_path,
     paired_margin,
     run_replicated,
     terminal_indices,
     verify_bound,
 )
-from fiem.gmm import posterior_rows
+from fiem.gmm import (GmmModel, generate_gmm_synthetic, gmm_loglik, init_params, posterior_rows,
+                      preprocess)
+from fiem.model import mean_field
 from fiem.stepsize import (
     PlannerInputs,
     c_plus_closed_form,
     f_n,
+    karimi_plan,
     nonuniform_plan,
     plan_case1,
     solve_c_case1,
     solve_c_lambda_eq_c,
     theorem1_coeffs,
 )
+from fiem.toy import generate_toy
 
 from gmm_reference import dense_selection_matrix
 from model_reference import grad_v_fd, gradv_identity_check
@@ -52,7 +56,7 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 def theorem1_runs():
     """n=10, q=3, K_max=50, case1 schedule, R=1e4 replicas."""
     t0 = time.time()
-    model = fiem.generate_toy(0, n=10, dims=(4, 3, 3))
+    model = generate_toy(0, n=10, dims=(4, 3, 3))
     k_max = 50
     plan = plan_case1(PlannerInputs.from_constants(
         model.constants(), n=model.n, k_max=k_max, mu=0.25, lam=0.5))
@@ -72,7 +76,7 @@ def theorem1_runs():
 def prop4_runs():
     """n=100 paper dims, gamma from case1(mu=0.25, lambda=0.5), K_max=20n, R=500."""
     t0 = time.time()
-    model = fiem.generate_toy(0, n=100)
+    model = generate_toy(0, n=100)
     k_max = 20 * model.n
     plan = plan_case1(PlannerInputs.from_constants(
         model.constants(), n=model.n, k_max=k_max, mu=0.25, lam=0.5))
@@ -135,7 +139,7 @@ def test_prop2_scaled_gradient_dominated(theorem1_runs, prop4_runs):
     v_min = model_small.constants().v_min
     for _ in range(1000):
         s = rng.normal(scale=4.0, size=model_small.q)
-        h = fiem.mean_field(model_small, s)
+        h = mean_field(model_small, s)
         inner = float(h @ (model_small.bmat(s) @ h))  # -<h, grad V> for this model
         worst = max(worst, v_min * float(h @ h) - inner)
     pointwise_ok = worst <= 1e-10
@@ -210,12 +214,12 @@ def test_planner_identities():
 
 
 def test_stepsize_dominance_over_baseline():
-    model = fiem.generate_toy(0, n=50)  # constants depend only on A, X, upsilon
+    model = generate_toy(0, n=50)  # constants depend only on A, X, upsilon
     constants = model.constants()
     n_big = 10**6
     ins = PlannerInputs.from_constants(constants, n=n_big, k_max=n_big, mu=0.25, lam=0.5)
     ours = plan_case1(ins)
-    baseline = fiem.karimi_plan(ins)
+    baseline = karimi_plan(ins)
     gamma_ok = ours.gamma > baseline.gamma
     bound_ok = ours.bound_constant < baseline.bound_constant
     report(
@@ -228,24 +232,24 @@ def test_stepsize_dominance_over_baseline():
 
 
 def test_algorithm_identities():
-    model = fiem.generate_toy(1, n=6, dims=(4, 3, 3))
+    model = generate_toy(1, n=6, dims=(4, 3, 3))
     k_max = 60
     sched = StepSchedule.constant(0.1, k_max)
-    mk = lambda **kw: fiem.RunOptions(s0=np.zeros(model.q), **kw)
+    mk = lambda **kw: RunOptions(s0=np.zeros(model.q), **kw)
 
-    onl = fiem.run("online-em", model, sched, 5, mk())
-    l0 = fiem.run("opt-fiem", model, sched, 5, mk(forced_lambda=0.0))
-    fm = fiem.run("fiem", model, sched, 5, mk())
-    l1 = fiem.run("opt-fiem", model, sched, 5, mk(forced_lambda=1.0))
+    onl = run("online-em", model, sched, 5, mk())
+    l0 = run("opt-fiem", model, sched, 5, mk(forced_lambda=0.0))
+    fm = run("fiem", model, sched, 5, mk())
+    l1 = run("opt-fiem", model, sched, 5, mk(forced_lambda=1.0))
     bitwise_ok = (np.array_equal(onl.s_final, l0.s_final)
                   and np.array_equal(onl.h_sq, l0.h_sq)
                   and np.array_equal(fm.s_final, l1.s_final)
                   and np.array_equal(fm.h_sq, l1.h_sq))
 
-    single = fiem.generate_toy(2, n=1, dims=(4, 3, 3))
+    single = generate_toy(2, n=1, dims=(4, 3, 3))
     gamma = 0.3
-    d = fiem.run("fiem", single, StepSchedule.constant(gamma, 30), 0,
-                 fiem.RunOptions(s0=np.zeros(single.q)))
+    d = run("fiem", single, StepSchedule.constant(gamma, 30), 0,
+            RunOptions(s0=np.zeros(single.q)))
     s = np.zeros(single.q)
     for _ in range(30):
         s = s + gamma * (single.stat_mean(single.image(s)) - s)
@@ -255,12 +259,12 @@ def test_algorithm_identities():
     vertex_ok = True
     rng = np.random.default_rng(3)
     for seed in range(5):
-        m = fiem.generate_toy(seed, n=6, dims=(4, 3, 3))
+        m = generate_toy(seed, n=6, dims=(4, 3, 3))
         s = rng.normal(size=m.q)
         memory = MemoryTable.init(m, m.image(rng.normal(size=m.q)))
         memory.write(m, m.image(s), np.array([seed % m.n]))
         memory.refresh()
-        lam = fiem.opt_fiem_lambda(m, m.image(s), memory)
+        lam = opt_fiem_lambda(m, m.image(s), memory)
         rows = m.stat_rows(m.image(s), np.arange(m.n))
         u = rows - rows.mean(axis=0)
         v = memory.mean - memory.rows
@@ -278,7 +282,7 @@ def test_algorithm_identities():
 
 
 def test_optimal_coefficient_tends_to_one():
-    model = fiem.generate_toy(0, n=100)
+    model = generate_toy(0, n=100)
     k_max = 20 * model.n
     plan = plan_case1(PlannerInputs.from_constants(
         model.constants(), n=model.n, k_max=k_max, mu=0.25, lam=0.5))
@@ -299,7 +303,7 @@ def test_optimal_coefficient_tends_to_one():
 
 
 def test_gradient_identity():
-    model = fiem.generate_toy(3, n=20, dims=(6, 4, 5))
+    model = generate_toy(3, n=20, dims=(6, 4, 5))
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(100):
@@ -313,17 +317,17 @@ def test_gradient_identity():
 
 
 def test_gmm_criteria():
-    ds, _ = fiem.generate_gmm_synthetic(0, n=2000, g=3, p=5, separation=3.0)
-    model = fiem.GmmModel(ds, 3)
-    s0 = model.sbar(fiem.init_params(ds, 3, 1))
+    ds, _ = generate_gmm_synthetic(0, n=2000, g=3, p=5, separation=3.0)
+    model = GmmModel(ds, 3)
+    s0 = model.sbar(init_params(ds, 3, 1))
 
-    em = fiem.gmm_epoch_path(model, "em", s0, 1.0, 100, 100, seed=0)
-    curve = [fiem.gmm_loglik(theta, ds) for theta in em.params]
+    em = gmm_epoch_path(model, "em", s0, 1.0, 100, 100, seed=0)
+    curve = [gmm_loglik(theta, ds) for theta in em.params]
     monotone_ok = len(curve) == 100 and bool(np.all(np.diff(curve) >= -1e-9))
 
-    small, _ = fiem.generate_gmm_synthetic(1, n=20, g=3, p=5, separation=2.0)
-    small_model = fiem.GmmModel(small, 3)
-    theta_small = fiem.init_params(small, 3, 2)
+    small, _ = generate_gmm_synthetic(1, n=20, g=3, p=5, separation=2.0)
+    small_model = GmmModel(small, 3)
+    theta_small = init_params(small, 3, 2)
     rows = small_model.sbar_rows(theta_small, np.arange(20))
     kron_err = 0.0
     for i in range(20):
@@ -333,9 +337,9 @@ def test_gmm_criteria():
     kron_ok = kron_err <= 1e-12
 
     batch = 100
-    iem = fiem.gmm_epoch_path(model, "iem", s0, 0.8, batch, 20, seed=3)
-    onl = fiem.gmm_epoch_path(model, "online-em", s0, 5e-3, batch, 20, seed=3)
-    fm = fiem.gmm_epoch_path(model, "fiem", s0, 5e-3, batch, 20, seed=3)
+    iem = gmm_epoch_path(model, "iem", s0, 0.8, batch, 20, seed=3)
+    onl = gmm_epoch_path(model, "online-em", s0, 5e-3, batch, 20, seed=3)
+    fm = gmm_epoch_path(model, "fiem", s0, 5e-3, batch, 20, seed=3)
     proxy_ok = iem.violations == 0 and onl.violations == 0 and fm.violations == 0
 
     ok = monotone_ok and kron_ok and proxy_ok
@@ -389,10 +393,10 @@ MNIST_ENV = "FIEM_MNIST_CSV"
 def test_mnist_initial_loglik(tmp_path):
     """Conditional: requires the externally supplied 60000x784 raw-pixel CSV."""
     raw = np.loadtxt(os.environ[MNIST_ENV], delimiter=",", ndmin=2)
-    ds = fiem.preprocess(raw, 20)
-    model = fiem.GmmModel(ds, 12)
-    theta0 = fiem.init_params(ds, 12, 0)
-    ll0 = fiem.gmm_loglik(theta0, ds)
+    ds = preprocess(raw, 20)
+    model = GmmModel(ds, 12)
+    theta0 = init_params(ds, 12, 0)
+    ll0 = gmm_loglik(theta0, ds)
     ok = abs(ll0 - (-58.31)) <= 0.01
     report("initial normalized log-likelihood on the reference dataset", ok,
            f"got {ll0:.4f}")

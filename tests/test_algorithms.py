@@ -10,23 +10,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fiem
-from fiem.algorithms import MemoryTable, StepSchedule, TerminationRule, draw_batch, row_mean
+import fiem.algorithms
+import fiem.rng
+from fiem.algorithms import (MemoryTable, RunOptions, StepSchedule, TerminationRule, draw_batch,
+                             fiem_step, iem_step, online_em_step, opt_fiem_lambda, opt_fiem_step,
+                             row_mean, run)
 from fiem.errors import MemoryStateError, RunAbortError
 from fiem.experiments import ExperimentConfig, run_replicated, terminal_indices
-from fiem.model import FiniteSumModel
+from fiem.gmm import GmmModel, generate_gmm_synthetic, init_params
+from fiem.model import FiniteSumModel, mean_field
 from fiem.rng import (STREAM_DATA, STREAM_INDICES_I, STREAM_INDICES_J, STREAM_TERMINATION,
                       SeedTree, index_draws, raw_outputs)
+from fiem.stepsize import PlannerInputs, plan_case1
+from fiem.toy import ToyModel, generate_toy
 
 from model_reference import em_fixed_point
 
 
 def toy(seed=0, n=6, dims=(4, 3, 3)):
-    return fiem.generate_toy(seed, n=n, dims=dims)
+    return generate_toy(seed, n=n, dims=dims)
 
 
 def opts(model, **kw):
-    return fiem.RunOptions(s0=np.zeros(model.q), **kw)
+    return RunOptions(s0=np.zeros(model.q), **kw)
 
 
 class TestSchedulesAndTermination:
@@ -113,7 +119,7 @@ class TestMemoryTable:
     def test_init_holds_its_rows_once(self):
         # the table keeps the array init fills: a (100, 1000, q) stack of
         # rows peaks at its own size, not twice it
-        m = fiem.generate_toy(0, 1000)
+        m = generate_toy(0, 1000)
         images = np.random.default_rng(0).normal(size=(100, m.q))
         tracemalloc.start()
         try:
@@ -177,15 +183,15 @@ class TestBitwiseFastPaths:
             s0 = np.zeros(m.q)
             states = [np.random.default_rng(i).normal(size=m.q) for i in range(2)]
         else:
-            ds, _ = fiem.generate_gmm_synthetic(2, n=200, g=3, p=3, separation=3.0)
-            m = fiem.GmmModel(ds, 3)
-            s0 = m.sbar(fiem.init_params(ds, 3, 1))
+            ds, _ = generate_gmm_synthetic(2, n=200, g=3, p=3, separation=3.0)
+            m = GmmModel(ds, 3)
+            s0 = m.sbar(init_params(ds, 3, 1))
             s1 = m.stat_mean(m.image(s0))
             states = [s1, m.stat_mean(m.image(s1))]
         memory = MemoryTable.init(m, m.image(s0))
         for i, s in enumerate(states):
             memory.write(m, m.image(s), np.array([i, 5 + i]))
-            assert fiem.opt_fiem_lambda(m, m.image(s), memory) == self.fresh_lambda(m, s, memory)
+            assert opt_fiem_lambda(m, m.image(s), memory) == self.fresh_lambda(m, s, memory)
             rows, diff = memory.scratch()
             assert rows.tobytes() == m.stat_rows(m.image(s), np.arange(m.n)).tobytes()
             dense = m.table_rows(memory.rows, np.arange(m.n))
@@ -197,9 +203,9 @@ class TestBitwiseFastPaths:
         if kind == "toy":
             m = toy(seed=3, n=40)
             return m, [np.random.default_rng(i).normal(size=m.q) for i in range(60)]
-        ds, _ = fiem.generate_gmm_synthetic(2, n=60, g=3, p=3, separation=3.0)
-        m = fiem.GmmModel(ds, 3)
-        states = [m.sbar(fiem.init_params(ds, 3, 1))]
+        ds, _ = generate_gmm_synthetic(2, n=60, g=3, p=3, separation=3.0)
+        m = GmmModel(ds, 3)
+        states = [m.sbar(init_params(ds, 3, 1))]
         for _ in range(7):
             states.append(m.stat_mean(m.image(states[-1])))
         return m, states
@@ -269,27 +275,27 @@ class TestSingleSteps:
     def test_online_gamma_zero_is_identity(self):
         m = toy(seed=3)
         s = np.arange(m.q, dtype=float) + 1.0
-        assert np.array_equal(fiem.online_em_step(m, s, m.image(s), np.array([2]), 0.0), s)
+        assert np.array_equal(online_em_step(m, s, m.image(s), np.array([2]), 0.0), s)
 
     def test_online_full_batch_unit_step_is_em(self):
         m = toy(seed=4)
         s = np.ones(m.q)
         full = np.arange(m.n)
         np.testing.assert_allclose(
-            fiem.online_em_step(m, s, m.image(s), full, 1.0), m.stat_mean(m.image(s)), atol=1e-13
+            online_em_step(m, s, m.image(s), full, 1.0), m.stat_mean(m.image(s)), atol=1e-13
         )
 
     def test_online_empty_batch_rejected(self):
         m = toy()
         s = np.zeros(m.q)
         with pytest.raises(ValueError):
-            fiem.online_em_step(m, s, m.image(s), np.array([], dtype=int), 0.5)
+            online_em_step(m, s, m.image(s), np.array([], dtype=int), 0.5)
 
     def test_iem_full_batch_unit_step_is_em(self):
         m = toy(seed=5)
         s = np.ones(m.q)
         memory = MemoryTable.init(m, m.image(np.zeros(m.q)))
-        out, _ = fiem.iem_step(m, s, m.image(s), memory, np.arange(m.n), 1.0)
+        out, _ = iem_step(m, s, m.image(s), memory, np.arange(m.n), 1.0)
         np.testing.assert_allclose(out, m.stat_mean(m.image(s)), atol=1e-13)
 
     def test_iem_gamma_zero_updates_memory_only(self):
@@ -297,7 +303,7 @@ class TestSingleSteps:
         s = np.ones(m.q)
         memory = MemoryTable.init(m, m.image(np.zeros(m.q)))
         before = memory.rows[1].copy()
-        out, memory = fiem.iem_step(m, s, m.image(s), memory, np.array([1]), 0.0)
+        out, memory = iem_step(m, s, m.image(s), memory, np.array([1]), 0.0)
         assert np.array_equal(out, s)
         assert not np.array_equal(memory.rows[1], before)
 
@@ -306,20 +312,20 @@ class TestSingleSteps:
         s = np.full(m.q, 0.5)
         memory = MemoryTable.init(m, m.image(np.zeros(m.q)))
         for i in range(m.n):
-            _, memory = fiem.iem_step(m, s, m.image(s), memory, np.array([i]), 1.0)
+            _, memory = iem_step(m, s, m.image(s), memory, np.array([i]), 1.0)
         np.testing.assert_allclose(memory.mean, m.stat_mean(m.image(s)), atol=1e-12)
 
     def test_iem_requires_memory(self):
         m = toy()
         s = np.zeros(m.q)
         with pytest.raises(MemoryStateError):
-            fiem.iem_step(m, s, m.image(s), None, np.array([0]), 0.5)
+            iem_step(m, s, m.image(s), None, np.array([0]), 0.5)
 
     def test_fiem_gamma_zero_is_identity(self):
         m = toy(seed=8)
         s = np.ones(m.q)
         memory = MemoryTable.init(m, m.image(s))
-        out, _ = fiem.fiem_step(m, s, m.image(s), memory, np.array([0]), np.array([1]), 0.0)
+        out, _ = fiem_step(m, s, m.image(s), memory, np.array([0]), np.array([1]), 0.0)
         assert np.array_equal(out, s)
 
     def test_fiem_n1_control_variate_cancels(self):
@@ -327,8 +333,8 @@ class TestSingleSteps:
         s = np.zeros(m.q)
         memory = MemoryTable.init(m, m.image(s))
         gamma = 0.3
-        out, _ = fiem.fiem_step(m, s, m.image(s), memory, np.array([0]), np.array([0]), gamma)
-        expected = s + gamma * fiem.mean_field(m, s)
+        out, _ = fiem_step(m, s, m.image(s), memory, np.array([0]), np.array([0]), gamma)
+        expected = s + gamma * mean_field(m, s)
         assert np.linalg.norm(out - expected) <= 1e-14
 
     def test_fiem_update_direction_unbiased(self):
@@ -345,7 +351,7 @@ class TestSingleSteps:
                 m.stat_rows(m.image(s), np.array([j]))[0] - s + memory.mean - memory.rows[j]
             )
         np.testing.assert_allclose(
-            np.mean(directions, axis=0), fiem.mean_field(m, s), rtol=1e-12, atol=1e-13
+            np.mean(directions, axis=0), mean_field(m, s), rtol=1e-12, atol=1e-13
         )
 
 
@@ -369,14 +375,14 @@ class TestOptimalLambda:
         s = np.zeros(m.q)
         memory = MemoryTable(np.tile(np.ones(m.q), (m.n, 1)), m)
         # a constant memory has no variance: the coefficient falls back to 1
-        assert fiem.opt_fiem_lambda(m, m.image(s), memory) == 1.0
+        assert opt_fiem_lambda(m, m.image(s), memory) == 1.0
 
     def test_perfectly_tracking_memory_gives_one(self):
         m = toy(seed=12, n=7)
         rng = np.random.default_rng(3)
         s = rng.normal(size=m.q)
         memory = MemoryTable(m.stat_rows(m.image(s), np.arange(m.n)), m)
-        lam = fiem.opt_fiem_lambda(m, m.image(s), memory)
+        lam = opt_fiem_lambda(m, m.image(s), memory)
         assert abs(lam - 1.0) < 1e-10
 
     def test_vertex_of_enumerated_quadratic(self):
@@ -387,7 +393,7 @@ class TestOptimalLambda:
             memory = MemoryTable.init(m, m.image(rng.normal(size=m.q)))
             memory.write(m, m.image(s), np.array([seed % m.n]))
             memory.refresh()
-            lam = fiem.opt_fiem_lambda(m, m.image(s), memory)
+            lam = opt_fiem_lambda(m, m.image(s), memory)
             a, b, _ = enumerate_lambda_quadratic(m, s, memory)
             assert abs(lam - (-b / a)) < 1e-10
 
@@ -397,7 +403,7 @@ class TestOptimalLambda:
         s = rng.normal(size=m.q)
         memory = MemoryTable.init(m, m.image(rng.normal(size=m.q)))
         memory.refresh()
-        lam = fiem.opt_fiem_lambda(m, m.image(s), memory)
+        lam = opt_fiem_lambda(m, m.image(s), memory)
         a, b, c = enumerate_lambda_quadratic(m, s, memory)
         var = lambda l: a * l * l + 2.0 * b * l + c
         for other in (0.0, 1.0, lam - 0.1, lam + 0.1):
@@ -412,7 +418,7 @@ class TestOptimalLambda:
         memory = MemoryTable.init(m, m.image(rng.normal(size=m.q)))
         memory.write(m, m.image(s), np.array([1]))
         memory.refresh()
-        lam = fiem.opt_fiem_lambda(m, m.image(s), memory)
+        lam = opt_fiem_lambda(m, m.image(s), memory)
         a, b, c = enumerate_lambda_quadratic(m, s, memory)
         var_opt = a * lam * lam + 2.0 * b * lam + c
         corr_sq = b * b / (a * c)
@@ -427,14 +433,14 @@ class TestOptimalLambda:
 
         image = m.image(s)
         mem1 = MemoryTable.init(m, image)
-        out_online = fiem.online_em_step(m, s, image, bj, gamma)
-        out_l0, _, lam0 = fiem.opt_fiem_step(m, s, image, mem1, bi, bj, gamma, forced_lambda=0.0)
+        out_online = online_em_step(m, s, image, bj, gamma)
+        out_l0, _, lam0 = opt_fiem_step(m, s, image, mem1, bi, bj, gamma, forced_lambda=0.0)
         assert lam0 == 0.0 and np.array_equal(out_online, out_l0)
 
         mem2 = MemoryTable.init(m, image)
         mem3 = MemoryTable.init(m, image)
-        out_fiem, _ = fiem.fiem_step(m, s, image, mem2, bi, bj, gamma)
-        out_l1, _, lam1 = fiem.opt_fiem_step(m, s, image, mem3, bi, bj, gamma, forced_lambda=1.0)
+        out_fiem, _ = fiem_step(m, s, image, mem2, bi, bj, gamma)
+        out_l1, _, lam1 = opt_fiem_step(m, s, image, mem3, bi, bj, gamma, forced_lambda=1.0)
         assert lam1 == 1.0 and np.array_equal(out_fiem, out_l1)
 
 
@@ -442,8 +448,8 @@ class TestRun:
     def test_em_is_seed_invariant(self):
         m = toy(seed=16, n=5)
         sched = StepSchedule.constant(0.5, 20)
-        d1 = fiem.run("em", m, sched, 1, opts(m))
-        d2 = fiem.run("em", m, sched, 999, opts(m))
+        d1 = run("em", m, sched, 1, opts(m))
+        d2 = run("em", m, sched, 999, opts(m))
         assert np.array_equal(d1.h_sq, d2.h_sq)
         assert np.array_equal(d1.s_final, d2.s_final)
 
@@ -451,7 +457,7 @@ class TestRun:
         m = toy(seed=17, n=9)
         sched = StepSchedule.constant(0.1, 50)
         runs = [
-            fiem.run("fiem", m, sched, 4, opts(m, compute_e2=True))
+            run("fiem", m, sched, 4, opts(m, compute_e2=True))
             for _ in range(2)
         ]
         assert np.array_equal(runs[0].h_sq, runs[1].h_sq)
@@ -461,10 +467,10 @@ class TestRun:
     def test_forced_lambda_paths_bitwise(self):
         m = toy(seed=18, n=7)
         sched = StepSchedule.constant(0.15, 60)
-        onl = fiem.run("online-em", m, sched, 11, opts(m))
-        l0 = fiem.run("opt-fiem", m, sched, 11, opts(m, forced_lambda=0.0))
-        fm = fiem.run("fiem", m, sched, 11, opts(m))
-        l1 = fiem.run("opt-fiem", m, sched, 11, opts(m, forced_lambda=1.0))
+        onl = run("online-em", m, sched, 11, opts(m))
+        l0 = run("opt-fiem", m, sched, 11, opts(m, forced_lambda=0.0))
+        fm = run("fiem", m, sched, 11, opts(m))
+        l1 = run("opt-fiem", m, sched, 11, opts(m, forced_lambda=1.0))
         assert np.array_equal(onl.s_final, l0.s_final)
         assert np.array_equal(onl.h_sq, l0.h_sq)
         assert np.array_equal(fm.s_final, l1.s_final)
@@ -475,7 +481,7 @@ class TestRun:
         k_max = 40
         gamma = 0.25
         sched = StepSchedule.constant(gamma, k_max)
-        d = fiem.run("fiem", m, sched, 0, opts(m))
+        d = run("fiem", m, sched, 0, opts(m))
         s = np.zeros(m.q)
         for _ in range(k_max):
             s = s + gamma * (m.stat_mean(m.image(s)) - s)
@@ -487,8 +493,8 @@ class TestRun:
         k_max = 25
         gamma = 0.2
         seed = 21
-        d = fiem.run("fiem", m, StepSchedule.constant(gamma, k_max), seed, opts(m))
-        tree = fiem.SeedTree(seed)
+        d = run("fiem", m, StepSchedule.constant(gamma, k_max), seed, opts(m))
+        tree = SeedTree(seed)
         rng_i = tree.stream("indices-I")
         rng_j = tree.stream("indices-J")
         s = np.zeros(m.q)
@@ -496,12 +502,12 @@ class TestRun:
         for _ in range(k_max):
             bi = draw_batch(rng_i, m.n, 1, replace=True)
             bj = draw_batch(rng_j, m.n, 1, replace=True)
-            s, memory = fiem.fiem_step(m, s, m.image(s), memory, bi, bj, gamma)
+            s, memory = fiem_step(m, s, m.image(s), memory, bi, bj, gamma)
         assert np.array_equal(d.s_final, s)
 
     def test_lambda_recorded_for_opt_fiem(self):
         m = toy(seed=21, n=6)
-        d = fiem.run("opt-fiem", m, StepSchedule.constant(0.1, 15), 3, opts(m))
+        d = run("opt-fiem", m, StepSchedule.constant(0.1, 15), 3, opts(m))
         assert d.lambdas is not None and d.lambdas.shape == (15,)
         assert np.all(np.isfinite(d.lambdas))
 
@@ -517,8 +523,8 @@ class TestRun:
     def test_record_counts(self):
         m = toy(seed=22, n=5)
         k_max = 12
-        d = fiem.run("fiem", m, StepSchedule.constant(0.1, k_max), 0,
-                     opts(m, compute_e2=True, compute_e0=True))
+        d = run("fiem", m, StepSchedule.constant(0.1, k_max), 0,
+                opts(m, compute_e2=True, compute_e0=True))
         assert d.h_sq.shape == (k_max,)
         assert d.cv_gap_sq.shape == (k_max,)
         assert d.step_sq.shape == (k_max,)
@@ -526,7 +532,7 @@ class TestRun:
     def test_unknown_algorithm_rejected(self):
         m = toy()
         with pytest.raises(ValueError):
-            fiem.run("sgd", m, StepSchedule.constant(0.1, 5), 0, opts(m))
+            run("sgd", m, StepSchedule.constant(0.1, 5), 0, opts(m))
 
 
 def run_draws(algorithm, model, k_max, batch_size, seed):
@@ -547,8 +553,8 @@ def run_draws(algorithm, model, k_max, batch_size, seed):
 
     with mock.patch.object(SeedTree, "stream", named_stream), \
             mock.patch.object(fiem.algorithms, "draw_batch", spy):
-        fiem.run(algorithm, model, StepSchedule.constant(0.1, k_max), seed,
-                 opts(model, batch_size=batch_size))
+        run(algorithm, model, StepSchedule.constant(0.1, k_max), seed,
+            opts(model, batch_size=batch_size))
     return draws
 
 
@@ -702,10 +708,10 @@ class TestEvaluationCounts:
         m = toy(seed=22, n=9)
         k_max = 30
         sched = StepSchedule.constant(0.2, k_max)
-        plain = fiem.run(algorithm, m, sched, 4, opts(m, compute_e2=True))
+        plain = run(algorithm, m, sched, 4, opts(m, compute_e2=True))
         m.pi2 = m.pi2.view(CountingMatrix)
         CountingMatrix.products = 0
-        counted = fiem.run(algorithm, m, sched, 4, opts(m, compute_e2=True))
+        counted = run(algorithm, m, sched, 4, opts(m, compute_e2=True))
         assert CountingMatrix.products == k_max
         assert counted.s_final.tobytes() == plain.s_final.tobytes()
         assert counted.h_sq.tobytes() == plain.h_sq.tobytes()
@@ -733,29 +739,29 @@ class TestErrorPaths:
 
         model = Leaky()
         k_max = 10
-        diag = fiem.run(
+        diag = run(
             "online-em", model, StepSchedule.constant(0.5, k_max), 0,
-            fiem.RunOptions(s0=np.ones(1), compute_h=False, domain_policy="warn"),
+            RunOptions(s0=np.ones(1), compute_h=False, domain_policy="warn"),
         )
         assert diag.violations > 0
 
         from fiem.errors import RunAbortError
 
         with pytest.raises(RunAbortError):
-            fiem.run(
+            run(
                 "online-em", model, StepSchedule.constant(0.5, k_max), 0,
-                fiem.RunOptions(s0=np.ones(1), compute_h=False, domain_policy="abort"),
+                RunOptions(s0=np.ones(1), compute_h=False, domain_policy="abort"),
             )
 
     def test_divergence_aborts_at_the_first_non_finite_update(self):
         m = toy(seed=1, n=20)
         k_max = 200
         with pytest.raises(RunAbortError) as err, np.errstate(all="ignore"):
-            fiem.run("fiem", m, StepSchedule.constant(50.0, k_max), 0, opts(m))
+            run("fiem", m, StepSchedule.constant(50.0, k_max), 0, opts(m))
         k = err.value.iteration
         assert 0 < k < k_max and "non-finite" in err.value.condition
         # the same path cut just before that iteration is still finite
-        diag = fiem.run("fiem", m, StepSchedule.constant(50.0, k), 0, opts(m))
+        diag = run("fiem", m, StepSchedule.constant(50.0, k), 0, opts(m))
         assert np.all(np.isfinite(diag.step_sq)) and np.all(np.isfinite(diag.s_final))
 
     @pytest.mark.parametrize("algorithm", ["online-em", "fiem"])
@@ -765,10 +771,10 @@ class TestErrorPaths:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RunAbortError):
-                fiem.run(algorithm, m, StepSchedule.constant(50.0, 200), 0, opts(m))
+                run(algorithm, m, StepSchedule.constant(50.0, 200), 0, opts(m))
 
     def test_divergence_stops_the_path_at_the_aborting_iteration(self):
-        class Counting(fiem.ToyModel):
+        class Counting(ToyModel):
             calls = 0
 
             def stat_rows(self, image, indices):
@@ -779,10 +785,10 @@ class TestErrorPaths:
         m.__class__ = Counting
         k_max = 200
         with pytest.raises(RunAbortError) as err, np.errstate(all="ignore"):
-            fiem.run("fiem", m, StepSchedule.constant(50.0, k_max), 0, opts(m))
+            run("fiem", m, StepSchedule.constant(50.0, k_max), 0, opts(m))
         k, aborted_calls = err.value.iteration, Counting.calls
         Counting.calls = 0
-        fiem.run("fiem", m, StepSchedule.constant(50.0, k), 0, opts(m))
+        run("fiem", m, StepSchedule.constant(50.0, k), 0, opts(m))
         # iteration k adds one memory write and one oracle batch, nothing after
         assert aborted_calls == Counting.calls + 2
 
@@ -812,8 +818,8 @@ def diagnostics_digest(runs, ks):
 
 
 def case1_schedule(model, k_max):
-    inputs = fiem.PlannerInputs.from_constants(model.constants(), n=model.n, k_max=k_max)
-    return fiem.plan_case1(inputs).schedule
+    inputs = PlannerInputs.from_constants(model.constants(), n=model.n, k_max=k_max)
+    return plan_case1(inputs).schedule
 
 
 class TestFullPrecisionPins:
@@ -825,11 +831,11 @@ class TestFullPrecisionPins:
     model arrays and the diagnostic dot products)."""
 
     def test_theorem1_desk_replicas(self):
-        model = fiem.generate_toy(0, 10, dims=(4, 3, 3))
+        model = generate_toy(0, 10, dims=(4, 3, 3))
         schedule = case1_schedule(model, 50)
         table = run_replicated(ExperimentConfig(
             model=model, algorithms=("fiem",), schedule=schedule,
-            options=fiem.RunOptions(s0=np.zeros(model.q), compute_e2=True),
+            options=RunOptions(s0=np.zeros(model.q), compute_e2=True),
             replicas=200, seed=0))
         assert len(table.runs["fiem"]) == 200
         ks = terminal_indices(TerminationRule.uniform(50), 0, 200)
@@ -841,13 +847,13 @@ class TestFullPrecisionPins:
         (3, "08937bfd42fde008a1fe96bd033c6f6520fd5ce1a305c34942df8aacd8fe1732"),
     ])
     def test_every_algorithm_at_b(self, b, expected):
-        model = fiem.generate_toy(0, 30, dims=(6, 4, 5))
+        model = generate_toy(0, 30, dims=(6, 4, 5))
         schedule = case1_schedule(model, 50)
         algorithms = ("online-em", "iem", "fiem", "opt-fiem")
         table = run_replicated(ExperimentConfig(
             model=model, algorithms=algorithms, schedule=schedule,
-            options=fiem.RunOptions(s0=np.zeros(model.q), batch_size=b, compute_e0=True,
-                                    compute_e2=True, theta_ref=model.theta_star),
+            options=RunOptions(s0=np.zeros(model.q), batch_size=b, compute_e0=True,
+                               compute_e2=True, theta_ref=model.theta_star),
             replicas=4, seed=1))
         runs = [d for alg in algorithms for d in table.runs[alg]]
         assert len(runs) == 16

@@ -591,6 +591,7 @@ NAMES_THE_FLAG = {
                                              "second moment of the observations overflows"),
     "gmm-data-second-moment-overflow": ("--data huge-data.csv",
                                         "second moment of the observations overflows"),
+    "gmm-data-spread-overflow": ("--data big-column.csv", "spread of column 2 overflows"),
 }
 
 
@@ -714,6 +715,8 @@ NAMES_THE_FLAG = {
      "--L", "1", "--Lv", "1"],
     ["gmm", "--synthetic", "0,10,2,2,1e160", "--algos", "em", "--epochs", "1", "--threads", "1"],
     ["gmm", "--data", "huge-data.csv", "--algos", "em", "--epochs", "1", "--threads", "1"],
+    ["gmm", "--data", "big-column.csv", "--preprocess", "2", "--g", "2", "--batch", "1",
+     "--epochs", "1", "--kswitch", "0", "--threads", "1"],
 ], ids=["gmm-batch-not-dividing-n", "gmm-short-synthetic", "gmm-non-numeric-synthetic",
         "gmm-kswitch-past-last-epoch", "gmm-default-kswitch-past-epochs", "gmm-zero-batch",
         "gmm-missing-data", "gmm-zero-components",
@@ -746,7 +749,7 @@ NAMES_THE_FLAG = {
         "gmm-double-batch-not-dividing-n", "gmm-synthetic-fewer-examples-than-components",
         "plan-case2-vmin-square-underflow", "plan-case1-vmin-square-overflow",
         "plan-karimi-vmin-square-underflow", "gmm-synthetic-second-moment-overflow",
-        "gmm-data-second-moment-overflow"])
+        "gmm-data-second-moment-overflow", "gmm-data-spread-overflow"])
 def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, request, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "not-json.json").write_text("{not json")
@@ -785,6 +788,8 @@ def test_bad_flag_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, req
     np.savetxt(tmp_path / "inf-data.csv", data, delimiter=",")
     data[99, 2] = 0.0
     np.savetxt(tmp_path / "huge-data.csv", 1e160 * data, delimiter=",")
+    data[:, 1] = 1e300 * (1.0 + 1e-3 * data[:, 1])  # its deviations square past the float range
+    np.savetxt(tmp_path / "big-column.csv", data, delimiter=",")
     # flag values that do not fit together are rejected before any path runs
     paths = []
     monkeypatch.setattr(fiem.experiments, "gmm_epoch_path", lambda *a, **k: paths.append(a))

@@ -7,17 +7,15 @@ import tracemalloc
 import weakref
 from concurrent import futures
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
 
-import fiem
 import fiem.algorithms
 import fiem.cli
 import fiem.experiments
 from fiem.algorithms import (MemoryTable, RunDiagnostics, RunOptions, StepSchedule, TerminationRule,
-                             fiem_replicas)
+                             fiem_replicas, run)
 from fiem.errors import DomainError, RunAbortError
 from fiem.experiments import (
     ExperimentConfig,
@@ -26,6 +24,7 @@ from fiem.experiments import (
     checkpoint_summary,
     default_checkpoints,
     estimate_e,
+    gmm_epoch_path,
     paired_margin,
     run_replicated,
     table_report,
@@ -33,13 +32,15 @@ from fiem.experiments import (
     verify_bound,
     verify_theorem1,
 )
+from fiem.gmm import GmmModel, generate_gmm_synthetic, gmm_loglik, init_params
 from fiem.model import dots
 from fiem.rng import STREAM_TERMINATION, SeedTree
-from fiem.stepsize import f_n, f_n_tilde
+from fiem.stepsize import PlannerInputs, f_n, f_n_tilde, nonuniform_plan, plan_case1, solve_case2
+from fiem.toy import generate_toy
 
 
 def toy(seed=0, n=8, dims=(4, 3, 3)):
-    return fiem.generate_toy(seed, n=n, dims=dims)
+    return generate_toy(seed, n=n, dims=dims)
 
 
 def config(model, algorithms=("fiem",), k_max=30, replicas=5, seed=0, workers=1, **options):
@@ -269,8 +270,8 @@ class TestTerminalIndices:
 class TestTheorem1Verification:
     def test_holds_at_moderate_step(self):
         m = toy(seed=10, n=6)
-        plan = fiem.plan_case1(
-            fiem.PlannerInputs.from_constants(m.constants(), n=m.n, k_max=30))
+        plan = plan_case1(
+            PlannerInputs.from_constants(m.constants(), n=m.n, k_max=30))
         report = verify_theorem1(m, plan.schedule, np.zeros(m.q), replicas=200, seed=0)
         assert report.holds
         assert report.lhs <= report.rhs + 3.0 * abs(report.rhs - report.lhs)
@@ -292,8 +293,8 @@ class TestTheorem1Verification:
         # alpha_k negative: the lhs drops below DeltaV without certifying
         # anything, so the check must not pass
         m = toy(seed=0, n=10)
-        plan = fiem.plan_case1(
-            fiem.PlannerInputs.from_constants(m.constants(), n=m.n, k_max=50))
+        plan = plan_case1(
+            PlannerInputs.from_constants(m.constants(), n=m.n, k_max=50))
         planned = verify_theorem1(m, plan.schedule, np.zeros(m.q), replicas=200, seed=0)
         assert planned.vacuous is None and planned.holds
         report = verify_theorem1(m, StepSchedule(factor * plan.schedule.gammas),
@@ -304,15 +305,15 @@ class TestTheorem1Verification:
 
     def test_aborted_replica_is_an_error(self):
         m = toy(seed=10, n=6)
-        with pytest.raises(fiem.RunAbortError) as err, np.errstate(all="ignore"):
+        with pytest.raises(RunAbortError) as err, np.errstate(all="ignore"):
             verify_theorem1(m, StepSchedule.constant(50.0, 200), np.zeros(m.q),
                             replicas=3, seed=0)
         assert "replica 0" in err.value.condition
 
     def test_pooled_replicas_equal_serial_bits(self):
         m = toy(seed=10, n=6)
-        plan = fiem.plan_case1(
-            fiem.PlannerInputs.from_constants(m.constants(), n=m.n, k_max=30))
+        plan = plan_case1(
+            PlannerInputs.from_constants(m.constants(), n=m.n, k_max=30))
         serial, pooled = (
             verify_theorem1(m, plan.schedule, np.zeros(m.q), replicas=40, seed=0, workers=w)
             for w in (1, 2))
@@ -323,7 +324,7 @@ class TestTheorem1Verification:
     def test_stacked_sides_are_the_per_replica_forms(self, dims):
         # V(S^Kmax) on the toy's replica axis and the weighted sums of the
         # lhs through the stacked dot hold the bits of one state's gemv and dots
-        m = fiem.generate_toy(2, 10, dims=dims)
+        m = generate_toy(2, 10, dims=dims)
         diags = run_replicated(config(m, k_max=40, replicas=64, compute_e2=True)).runs["fiem"]
 
         def v(s):
@@ -364,8 +365,8 @@ class TestBoundVerification:
         # mu / ((1-mu) f_n n^(2/3))
         m = toy(seed=13, n=20, dims=(5, 4, 4))
         k_max = 200
-        ins = fiem.PlannerInputs.from_constants(m.constants(), n=m.n, k_max=k_max)
-        plan = fiem.plan_case1(ins)
+        ins = PlannerInputs.from_constants(m.constants(), n=m.n, k_max=k_max)
+        plan = plan_case1(ins)
         cfg = ExperimentConfig(
             model=m, algorithms=("fiem",), schedule=plan.schedule,
             options=RunOptions(s0=np.zeros(m.q), compute_e2=True), replicas=60, seed=5)
@@ -385,8 +386,8 @@ class TestBoundVerification:
     def test_case2_bound_on_small_run(self):
         m = toy(seed=13, n=20, dims=(5, 4, 4))
         k_max = 300
-        ins = fiem.PlannerInputs.from_constants(m.constants(), n=m.n, k_max=k_max)
-        plan = fiem.solve_case2(ins)
+        ins = PlannerInputs.from_constants(m.constants(), n=m.n, k_max=k_max)
+        plan = solve_case2(ins)
         assert plan.feasible
         cfg = ExperimentConfig(
             model=m, algorithms=("fiem",), schedule=plan.schedule,
@@ -411,8 +412,8 @@ class TestBoundVerification:
         k_max = 300
         w = np.linspace(1.0, 3.0, k_max)
         w /= w.sum()
-        plan = fiem.nonuniform_plan(
-            fiem.PlannerInputs.from_constants(m.constants(), n=m.n, k_max=k_max), w)
+        plan = nonuniform_plan(
+            PlannerInputs.from_constants(m.constants(), n=m.n, k_max=k_max), w)
         assert plan.feasible
         cfg = ExperimentConfig(
             model=m, algorithms=("fiem",), schedule=plan.schedule,
@@ -427,8 +428,8 @@ class TestBoundVerification:
         # h-weights negative and the inequality must still hold
         m = toy(seed=13, n=20, dims=(5, 4, 4))
         k_max = 300
-        plan = fiem.plan_case1(
-            fiem.PlannerInputs.from_constants(m.constants(), n=m.n, k_max=k_max))
+        plan = plan_case1(
+            PlannerInputs.from_constants(m.constants(), n=m.n, k_max=k_max))
         report = verify_theorem1(m, plan.schedule, np.zeros(m.q), replicas=100,
                                  seed=2, betas=np.full(k_max, 0.1))
         assert report.margin_sigmas >= -3.0 or report.lhs <= report.rhs
@@ -453,8 +454,8 @@ class TestRatioCurves:
         # variance-reduced paths become statistically indistinguishable
         m = toy(seed=14, n=50, dims=(6, 4, 5))
         k_max = 10 * m.n
-        plan = fiem.plan_case1(
-            fiem.PlannerInputs.from_constants(m.constants(), n=m.n, k_max=k_max))
+        plan = plan_case1(
+            PlannerInputs.from_constants(m.constants(), n=m.n, k_max=k_max))
         cfg = ExperimentConfig(
             model=m, algorithms=("opt-fiem", "fiem"), schedule=plan.schedule,
             options=RunOptions(s0=np.zeros(m.q), theta_ref=m.theta_star), replicas=40, seed=0)
@@ -469,22 +470,22 @@ class TestRatioCurves:
 
 class TestAbortHandling:
     def test_run_abort_carries_iteration_index(self):
-        ds, _ = fiem.generate_gmm_synthetic(10, n=120, g=3, p=4, separation=3.0)
-        model = fiem.GmmModel(ds, 3)
-        s0 = model.sbar(fiem.init_params(ds, 3, 6))
+        ds, _ = generate_gmm_synthetic(10, n=120, g=3, p=4, separation=3.0)
+        model = GmmModel(ds, 3)
+        s0 = model.sbar(init_params(ds, 3, 6))
         k_max = 400
-        with pytest.raises(fiem.RunAbortError) as err:
-            fiem.run(
+        with pytest.raises(RunAbortError) as err:
+            run(
                 "online-em", model, StepSchedule.constant(5e-2, k_max), 1,
-                fiem.RunOptions(s0=s0, batch_size=10, compute_h=False),
+                RunOptions(s0=s0, batch_size=10, compute_h=False),
             )
         assert 0 <= err.value.iteration < k_max
         assert "indefinite" in err.value.condition or "empty" in err.value.condition
 
     def test_replica_aborts_are_recorded(self):
-        ds, _ = fiem.generate_gmm_synthetic(10, n=120, g=3, p=4, separation=3.0)
-        model = fiem.GmmModel(ds, 3)
-        s0 = model.sbar(fiem.init_params(ds, 3, 6))
+        ds, _ = generate_gmm_synthetic(10, n=120, g=3, p=4, separation=3.0)
+        model = GmmModel(ds, 3)
+        s0 = model.sbar(init_params(ds, 3, 6))
         k_max = 400
         cfg = ExperimentConfig(
             model=model, algorithms=("online-em",),
@@ -501,9 +502,9 @@ class TestAbortHandling:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_table_report_aborts_are_recorded(self, workers):
         # a unit-scale step with tiny batches leaves the admissible region
-        ds, _ = fiem.generate_gmm_synthetic(10, n=120, g=3, p=4, separation=3.0)
+        ds, _ = generate_gmm_synthetic(10, n=120, g=3, p=4, separation=3.0)
         cfg = GmmExperimentConfig(
-            model=fiem.GmmModel(ds, 3), algorithms=("em", "online-em"), gamma=0.9,
+            model=GmmModel(ds, 3), algorithms=("em", "online-em"), gamma=0.9,
             batch_size=2, epochs=20, replicas=2, seed=1, kswitch=0, workers=workers)
         rows, paths, aborted = table_report(cfg)
         assert len(paths["em"]) == 2 and not aborted["em"]
@@ -529,8 +530,8 @@ class TestScaledUpdateWindow:
 
 class TestGmmTable:
     def test_table_rows_and_determinism(self):
-        ds, _ = fiem.generate_gmm_synthetic(4, n=200, g=3, p=3, separation=3.0)
-        model = fiem.GmmModel(ds, 3)
+        ds, _ = generate_gmm_synthetic(4, n=200, g=3, p=3, separation=3.0)
+        model = GmmModel(ds, 3)
         # 25 epochs reach the table rows 1, 15 and 25
         cfg = GmmExperimentConfig(
             model=model, algorithms=("em", "online-em"), gamma=5e-3, batch_size=50,
@@ -543,8 +544,8 @@ class TestGmmTable:
         assert {r["algorithm"] for r in rows1} == {"em", "online-em"}
 
     def test_parallel_table_equals_serial(self):
-        ds, _ = fiem.generate_gmm_synthetic(8, n=120, g=2, p=2, separation=2.0)
-        model = fiem.GmmModel(ds, 2)
+        ds, _ = generate_gmm_synthetic(8, n=120, g=2, p=2, separation=2.0)
+        model = GmmModel(ds, 2)
         base = dict(model=model, algorithms=("em", "online-em"), gamma=5e-3,
                     batch_size=30, epochs=15, replicas=4, seed=3, kswitch=0)
         serial = table_report(GmmExperimentConfig(workers=1, **base))[0]
@@ -552,12 +553,12 @@ class TestGmmTable:
         assert serial == parallel
 
     def test_repeated_path_has_zero_spread(self):
-        ds, _ = fiem.generate_gmm_synthetic(5, n=100, g=2, p=2, separation=2.0)
-        model = fiem.GmmModel(ds, 2)
-        s0 = model.sbar(fiem.init_params(ds, 2, 0))
-        a = fiem.gmm_epoch_path(model, "online-em", s0, 5e-3, 25, 4, seed=11)
-        b = fiem.gmm_epoch_path(model, "online-em", s0, 5e-3, 25, 4, seed=11)
-        stacked = np.array([[fiem.gmm_loglik(theta, ds) for theta in path.params]
+        ds, _ = generate_gmm_synthetic(5, n=100, g=2, p=2, separation=2.0)
+        model = GmmModel(ds, 2)
+        s0 = model.sbar(init_params(ds, 2, 0))
+        a = gmm_epoch_path(model, "online-em", s0, 5e-3, 25, 4, seed=11)
+        b = gmm_epoch_path(model, "online-em", s0, 5e-3, 25, 4, seed=11)
+        stacked = np.array([[gmm_loglik(theta, ds) for theta in path.params]
                             for path in (a, b)])
         assert stacked.shape == (2, 4)
         assert np.all(stacked.std(axis=0) == 0.0)
@@ -565,8 +566,8 @@ class TestGmmTable:
     def test_incremental_methods_lead_after_first_epoch(self):
         # needs many parameter updates inside the first epoch, as in the
         # reference setup (n/b iterations against one full EM pass)
-        ds, _ = fiem.generate_gmm_synthetic(6, n=600, g=3, p=3, separation=3.0)
-        model = fiem.GmmModel(ds, 3)
+        ds, _ = generate_gmm_synthetic(6, n=600, g=3, p=3, separation=3.0)
+        model = GmmModel(ds, 3)
         cfg = GmmExperimentConfig(
             model=model, algorithms=("em", "iem", "online-em"), gamma=5e-3,
             batch_size=1, epochs=1, replicas=3, seed=2, kswitch=0)
@@ -578,13 +579,13 @@ class TestGmmTable:
 
 class TestHybridEpochPath:
     def setup_method(self):
-        ds, _ = fiem.generate_gmm_synthetic(23, n=120, g=3, p=3, separation=3.0)
-        self.model = fiem.GmmModel(ds, 3)
-        self.s0 = self.model.sbar(fiem.init_params(ds, 3, 5))
+        ds, _ = generate_gmm_synthetic(23, n=120, g=3, p=3, separation=3.0)
+        self.model = GmmModel(ds, 3)
+        self.s0 = self.model.sbar(init_params(ds, 3, 5))
 
     def path(self, algorithm, epochs, kswitch=0, batch_size=10):
-        return fiem.gmm_epoch_path(self.model, algorithm, self.s0, 5e-2, batch_size,
-                                   epochs, seed=5, kswitch=kswitch)
+        return gmm_epoch_path(self.model, algorithm, self.s0, 5e-2, batch_size,
+                              epochs, seed=5, kswitch=kswitch)
 
     def assert_same_path(self, a, b):
         assert np.array_equal(a.loglik, b.loglik)
@@ -593,7 +594,7 @@ class TestHybridEpochPath:
         for pa, pb in zip(a.params, b.params):
             for field in ("weights", "means", "cov"):
                 assert np.array_equal(getattr(pa, field), getattr(pb, field))
-        curves = [[fiem.gmm_loglik(theta, self.model.dataset) for theta in path.params]
+        curves = [[gmm_loglik(theta, self.model.dataset) for theta in path.params]
                   for path in (a, b)]
         assert np.array_equal(*curves)
         assert (a.iterations, a.examples_processed) == (b.iterations, b.examples_processed)
@@ -608,11 +609,11 @@ class TestHybridEpochPath:
         # the CLI, the config and a library call all switch after 6 epochs
         from fiem.cli import build_parser
 
-        default = inspect.signature(fiem.gmm_epoch_path).parameters["kswitch"].default
+        default = inspect.signature(gmm_epoch_path).parameters["kswitch"].default
         field = {f.name: f.default for f in dataclasses.fields(GmmExperimentConfig)}["kswitch"]
         flag = build_parser().commands["gmm"].get_default("kswitch")
         assert default == field == flag == fiem.experiments.KSWITCH == 6
-        path = functools.partial(fiem.gmm_epoch_path, self.model, "h-fiem", self.s0, 5e-2, 10,
+        path = functools.partial(gmm_epoch_path, self.model, "h-fiem", self.s0, 5e-2, 10,
                                  seed=5)
         self.assert_same_path(path(8), path(8, kswitch=6))
         with pytest.raises(ValueError, match=r"--kswitch past --epochs: kswitch=6 is outside "
@@ -641,12 +642,12 @@ def _bits(outcome):
 
 
 def _per_path(model, schedule, seed, replicas, options):
-    """One :func:`fiem.run` per replica on ``SeedTree(seed).child(r)``; an
+    """One :func:`fiem.algorithms.run` per replica on ``SeedTree(seed).child(r)``; an
     abort kept as (iteration, condition)."""
     out = []
     for r in range(replicas):
         try:
-            out.append(fiem.run("fiem", model, schedule, SeedTree(seed).child(r), options))
+            out.append(run("fiem", model, schedule, SeedTree(seed).child(r), options))
         except RunAbortError as exc:
             out.append((exc.iteration, exc.condition))
     return [_bits(o) for o in out]
@@ -673,7 +674,7 @@ class TestReplicaAxis:
     def test_engine_is_run_bit_for_bit(self, dims, n, diagnostics):
         # K crosses four memory refreshes; R == q catches a pi2 @ S that
         # silently forms the wrong product
-        m = fiem.generate_toy(3, n, dims=dims)
+        m = generate_toy(3, n, dims=dims)
         k_max = 4 * n + 3
         schedule = StepSchedule(np.linspace(0.05, 0.4, k_max))
         s0 = np.random.default_rng(n).standard_normal(m.q)
@@ -724,7 +725,7 @@ class TestReplicaAxis:
     def test_aborts_match_the_scalar_engine(self, workers, gamma, k_max, mixed):
         # at gamma = 5 some replicas overflow at iteration 272 and the rest
         # complete their 273 iterations; at 50 all overflow at iteration 93
-        m = fiem.generate_toy(1, 30, dims=(6, 4, 5))
+        m = generate_toy(1, 30, dims=(6, 4, 5))
         cfg = config(m, k_max=k_max, replicas=40, seed=0, workers=workers)
         cfg.schedule = StepSchedule.constant(gamma, k_max)
         with np.errstate(all="ignore"):
@@ -853,8 +854,8 @@ class TestPoolSize:
         return pool.opened
 
     def test_one_mixture_replica_opens_no_pool(self, opened):
-        ds, _ = fiem.generate_gmm_synthetic(8, n=120, g=2, p=2, separation=2.0)
-        base = dict(model=fiem.GmmModel(ds, 2), algorithms=("em", "online-em"), gamma=5e-3,
+        ds, _ = generate_gmm_synthetic(8, n=120, g=2, p=2, separation=2.0)
+        base = dict(model=GmmModel(ds, 2), algorithms=("em", "online-em"), gamma=5e-3,
                     batch_size=30, epochs=15, replicas=1, seed=3, kswitch=0)
         rows, paths, aborted = table_report(GmmExperimentConfig(workers=2, **base))
         assert opened == []
@@ -889,8 +890,8 @@ class TestPoolSize:
         # replica index or a chunk's bounds, and the workers receive the
         # experiment through the initializer
         if route == "mixture":
-            ds, _ = fiem.generate_gmm_synthetic(8, n=10_000, g=2, p=2, separation=2.0)
-            cfg = GmmExperimentConfig(model=fiem.GmmModel(ds, 2), algorithms=("em",), gamma=5e-3,
+            ds, _ = generate_gmm_synthetic(8, n=10_000, g=2, p=2, separation=2.0)
+            cfg = GmmExperimentConfig(model=GmmModel(ds, 2), algorithms=("em",), gamma=5e-3,
                                       batch_size=100, epochs=1, replicas=3, seed=3, workers=2)
             table_report(cfg)
         else:
@@ -943,8 +944,8 @@ class TestWorkerBinding:
         for alg in cfg.algorithms:
             assert [_bits(d) for d in pooled.runs[alg]] == [_bits(d) for d in serial.runs[alg]]
 
-        ds, _ = fiem.generate_gmm_synthetic(8, n=120, g=2, p=2, separation=2.0)
-        gmm_cfg = GmmExperimentConfig(model=fiem.GmmModel(ds, 2), algorithms=("em", "online-em"),
+        ds, _ = generate_gmm_synthetic(8, n=120, g=2, p=2, separation=2.0)
+        gmm_cfg = GmmExperimentConfig(model=GmmModel(ds, 2), algorithms=("em", "online-em"),
                                       gamma=5e-3, batch_size=30, epochs=15, replicas=2, seed=3,
                                       kswitch=0, workers=2)
         rows, paths, aborted = table_report(gmm_cfg)

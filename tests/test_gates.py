@@ -10,8 +10,10 @@ move and no gate can tell FIEM from Online EM.
 import numpy as np
 import pytest
 
-import fiem
 import fiem.algorithms
+from fiem.algorithms import RunOptions, StepSchedule, run
+from fiem.stepsize import PlannerInputs, plan_case1
+from fiem.toy import generate_toy
 
 N, K_MAX, STEP_MULTIPLE, SEEDS = 100, 2000, 100.0, range(10)
 # FIEM's final ||h||^2 must sit this far below Online EM's
@@ -20,18 +22,18 @@ REDUCTION = 1e-3
 
 @pytest.fixture(scope="module")
 def setting():
-    model = fiem.generate_toy(0, N)
-    inputs = fiem.PlannerInputs.from_constants(model.constants(), n=N, k_max=K_MAX)
-    gammas = STEP_MULTIPLE * fiem.plan_case1(inputs).schedule.gammas
-    return model, fiem.StepSchedule(gammas)
+    model = generate_toy(0, N)
+    inputs = PlannerInputs.from_constants(model.constants(), n=N, k_max=K_MAX)
+    gammas = STEP_MULTIPLE * plan_case1(inputs).schedule.gammas
+    return model, StepSchedule(gammas)
 
 
 def final_h_sq(setting, algorithm):
     """Mean over the seeds of ||h||^2 at the last recorded iteration."""
     model, schedule = setting
     return float(np.mean([
-        fiem.run(algorithm, model, schedule, seed,
-                 fiem.RunOptions(s0=np.zeros(model.q))).h_sq[-1]
+        run(algorithm, model, schedule, seed,
+            RunOptions(s0=np.zeros(model.q))).h_sq[-1]
         for seed in SEEDS]))
 
 

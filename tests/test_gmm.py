@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-import fiem
-from fiem.algorithms import MemoryTable, RunOptions, _cv_update, row_mean, sa_path
+import fiem.gmm
+from fiem.algorithms import (MemoryTable, RunOptions, StepSchedule, _cv_update, opt_fiem_lambda,
+                             row_mean, run, sa_path)
 from fiem.errors import ConfigurationError, DomainError, RunAbortError
+from fiem.experiments import gmm_epoch_path
 from fiem.gmm import (
     ROW_BLOCK,
     GmmDataset,
@@ -275,8 +277,8 @@ class TestEvaluationCounts:
 
         monkeypatch.setattr(fiem.gmm, "gmm_tmap", counting_tmap)
         monkeypatch.setattr(fiem.gmm, "log_weighted_densities", counting_densities)
-        path = fiem.gmm_epoch_path(model, algorithm, s0, gamma, 10, epochs, seed=2,
-                                   kswitch=kswitch)
+        path = gmm_epoch_path(model, algorithm, s0, gamma, 10, epochs, seed=2,
+                              kswitch=kswitch)
         # S^0 .. S^K, each once: the epoch ends and the final parameter
         # read the images the path evaluated
         assert len(tmaps) == path.iterations + 1
@@ -309,7 +311,7 @@ class TestEvaluationCounts:
 
         monkeypatch.setattr(fiem.gmm, "gmm_tmap", counting_tmap)
         monkeypatch.setattr(fiem.gmm, "log_weighted_densities", counting_densities)
-        path = fiem.gmm_epoch_path(model, algorithm, s0, gamma, 10, 16, seed=2, kswitch=kswitch)
+        path = gmm_epoch_path(model, algorithm, s0, gamma, 10, 16, seed=2, kswitch=kswitch)
         assert len(tmaps) == path.iterations + 1
         assert sum(passes) == expected
         assert path.loglik.shape == (2,) and len(path.params) == 16
@@ -324,7 +326,7 @@ class TestEvaluationCounts:
         cholesky = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(1) or cholesky(a))
         monkeypatch.setattr(np.linalg, "eigvalsh", None)
-        path = fiem.gmm_epoch_path(model, algorithm, s0, 5e-2, 10, 3, seed=2, kswitch=1)
+        path = gmm_epoch_path(model, algorithm, s0, 5e-2, 10, 3, seed=2, kswitch=1)
         assert len(factored) == path.iterations + 1
 
 
@@ -435,7 +437,7 @@ class TestResponsibilityTable:
             batch = rng.integers(0, model.n, size=b)
             table.write(model, image, batch)
             dense.write(model, image, batch)
-            lam = fiem.opt_fiem_lambda(model, image, table)
+            lam = opt_fiem_lambda(model, image, table)
             assert np.float64(lam).tobytes() == np.float64(dense.optimal_lambda(model, image)).tobytes()
         assert dense.refreshes >= 2
 
@@ -490,15 +492,15 @@ class TestMiniBatchSteps:
     def test_epoch_accounting(self):
         model, _ = synthetic(seed=12, n=200)
         s0 = model.sbar(init_params(model.dataset, 3, 8))
-        em = fiem.gmm_epoch_path(model, "em", s0, 1.0, 50, 3, seed=0)
+        em = gmm_epoch_path(model, "em", s0, 1.0, 50, 3, seed=0)
         assert em.iterations == 3 and em.examples_processed == 3 * 200
-        iem = fiem.gmm_epoch_path(model, "iem", s0, 1.0, 50, 3, seed=0)
+        iem = gmm_epoch_path(model, "iem", s0, 1.0, 50, 3, seed=0)
         assert iem.iterations == 3 * 4 and iem.examples_processed == 3 * 200
-        onl = fiem.gmm_epoch_path(model, "online-em", s0, 5e-2, 50, 3, seed=0)
+        onl = gmm_epoch_path(model, "online-em", s0, 5e-2, 50, 3, seed=0)
         assert onl.iterations == 3 * 4 and onl.examples_processed == 3 * 200
-        fm = fiem.gmm_epoch_path(model, "fiem", s0, 5e-2, 50, 3, seed=0)
+        fm = gmm_epoch_path(model, "fiem", s0, 5e-2, 50, 3, seed=0)
         assert fm.iterations == 3 * 2 and fm.examples_processed == 3 * 200
-        hyb = fiem.gmm_epoch_path(model, "h-fiem", s0, 5e-2, 50, 4, seed=0, kswitch=1)
+        hyb = gmm_epoch_path(model, "h-fiem", s0, 5e-2, 50, 4, seed=0, kswitch=1)
         assert hyb.iterations == 4 + 3 * 2 and hyb.examples_processed == 4 * 200
 
     @pytest.mark.parametrize("algorithm,gamma,batch", [("online-em", 5e-2, 20), ("fiem", 5e-2, 10)])
@@ -507,11 +509,11 @@ class TestMiniBatchSteps:
         # under the same seed (Online EM at b > 1 draws without replacement)
         model, _ = synthetic(seed=15, n=200)
         s0 = model.sbar(init_params(model.dataset, 3, 3))
-        path = fiem.gmm_epoch_path(model, algorithm, s0, gamma, batch, 1, seed=7)
+        path = gmm_epoch_path(model, algorithm, s0, gamma, batch, 1, seed=7)
         k_max = path.iterations
-        diag = fiem.run(
-            algorithm, model, fiem.StepSchedule.constant(gamma, k_max), 7,
-            fiem.RunOptions(s0=s0, batch_size=batch, compute_h=False),
+        diag = run(
+            algorithm, model, StepSchedule.constant(gamma, k_max), 7,
+            RunOptions(s0=s0, batch_size=batch, compute_h=False),
         )
         final = model.tmap(diag.s_final)
         np.testing.assert_array_equal(path.params[-1].weights, final.weights)
@@ -520,7 +522,7 @@ class TestMiniBatchSteps:
 
     def test_em_monotone_loglik(self):
         model, _ = synthetic(seed=13, n=250)
-        path = fiem.gmm_epoch_path(model, "em", model.sbar(
+        path = gmm_epoch_path(model, "em", model.sbar(
             init_params(model.dataset, 3, 9)), 1.0, 50, 40, seed=0)
         curve = [gmm_loglik(theta, model.dataset) for theta in path.params]
         assert len(curve) == 40 and np.all(np.diff(curve) >= -1e-9)
@@ -533,8 +535,8 @@ class TestMiniBatchSteps:
         hyb_spread, onl_spread = [], []
         for r in range(3):
             s0 = model.sbar(init_params(ds, 3, 100 + r))
-            hyb = fiem.gmm_epoch_path(model, "h-fiem", s0, 5e-3, 50, 100, seed=r, kswitch=6)
-            onl = fiem.gmm_epoch_path(model, "online-em", s0, 5e-3, 50, 100, seed=r)
+            hyb = gmm_epoch_path(model, "h-fiem", s0, 5e-3, 50, 100, seed=r, kswitch=6)
+            onl = gmm_epoch_path(model, "online-em", s0, 5e-3, 50, 100, seed=r)
             window = slice(51, 101)  # well after the switch
             hyb_spread.append(hyb.weights[window].std(axis=0).mean())
             onl_spread.append(onl.weights[window].std(axis=0).mean())
@@ -583,6 +585,14 @@ class TestPreprocess:
     def test_target_dimension_checked(self):
         with pytest.raises(ValueError):
             preprocess(np.ones((10, 3)), 4)  # all-constant features all dropped
+
+    @pytest.mark.parametrize("scale, spread", [(1e300, 1e-3), (1e160, 1.0)])
+    def test_overflowing_spread_rejected(self, scale, spread):
+        # the squared deviations overflow: no warning, no column standardized to zeros
+        raw = np.random.default_rng(8).normal(size=(50, 3))
+        raw[:, 2] = scale * (1.0 + spread * raw[:, 2])
+        with pytest.raises(ConfigurationError, match="^the spread of column 3 overflows$"):
+            preprocess(raw, 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_rejected(self, bad):

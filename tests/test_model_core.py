@@ -1,6 +1,8 @@
 import ast
 import dataclasses
 import inspect
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -9,15 +11,19 @@ import numpy as np
 import pytest
 
 import fiem
-from fiem.algorithms import ALGORITHMS, MEMORY_ALGORITHMS, MemoryTable, StepSchedule
+from fiem.algorithms import (ALGORITHMS, MEMORY_ALGORITHMS, MemoryTable, RunOptions, StepSchedule,
+                             run)
 from fiem.errors import ConfigurationError, DomainError, UnsupportedCapabilityError
-from fiem.model import FiniteSumModel, ModelConstants, check_statistic
+from fiem.gmm import GmmDataset, GmmModel, GmmParams, generate_gmm_synthetic
+from fiem.model import FiniteSumModel, ModelConstants, check_statistic, mean_field, objective_v
+from fiem.stepsize import PlannerInputs, karimi_plan
+from fiem.toy import ToyModel, generate_toy
 
 from model_reference import em_fixed_point, grad_v_fd, gradv_identity_check
 
 
 def toy(seed=0, n=5, dims=(4, 3, 3), **kw):
-    return fiem.generate_toy(seed, n=n, dims=dims, **kw)
+    return generate_toy(seed, n=n, dims=dims, **kw)
 
 
 class TestModelConstants:
@@ -52,9 +58,9 @@ class TestSbar:
 
     def test_gmm_symmetric_components(self):
         y = np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]])
-        ds = fiem.GmmDataset(y)
-        m = fiem.GmmModel(ds, 2)
-        theta = fiem.GmmParams(np.array([0.5, 0.5]), np.zeros((2, 2)), np.eye(2))
+        ds = GmmDataset(y)
+        m = GmmModel(ds, 2)
+        theta = GmmParams(np.array([0.5, 0.5]), np.zeros((2, 2)), np.eye(2))
         s = m.sbar(theta)
         np.testing.assert_allclose(s[:2], [0.5, 0.5], atol=1e-14)
 
@@ -63,23 +69,23 @@ class TestMeanField:
     def test_zero_at_fixed_point(self):
         m = toy(seed=1, n=6)
         s_star = em_fixed_point(m)
-        assert np.linalg.norm(fiem.mean_field(m, s_star)) < 1e-10
+        assert np.linalg.norm(mean_field(m, s_star)) < 1e-10
 
     def test_affine_identity_on_toy(self):
         m = toy(seed=2, n=7)
         rng = np.random.default_rng(0)
         for _ in range(20):
             s = rng.normal(size=m.q)
-            h = fiem.mean_field(m, s)
+            h = mean_field(m, s)
             np.testing.assert_allclose(h, m.stat_mean(m.image(s)) - s, rtol=0, atol=1e-14)
             oracle = m.p1ybar + m.pi2 @ s - s
             np.testing.assert_allclose(h, oracle, rtol=1e-12, atol=1e-14)
 
     def test_gmm_single_component(self):
-        ds, _ = fiem.generate_gmm_synthetic(0, n=30, g=1, p=2, separation=1.0)
-        m = fiem.GmmModel(ds, 1)
-        s = m.sbar(fiem.GmmParams(np.ones(1), np.zeros((1, 2)), np.eye(2)))
-        h = fiem.mean_field(m, s)
+        ds, _ = generate_gmm_synthetic(0, n=30, g=1, p=2, separation=1.0)
+        m = GmmModel(ds, 1)
+        s = m.sbar(GmmParams(np.ones(1), np.zeros((1, 2)), np.eye(2)))
+        h = mean_field(m, s)
         # with one component the posterior is identically 1
         assert abs(h[0] - (1.0 - s[0])) < 1e-14
 
@@ -88,30 +94,30 @@ class TestMeanField:
         rng = np.random.default_rng(1)
         for _ in range(50):
             s = rng.normal(size=m.q)
-            h = fiem.mean_field(m, s)
+            h = mean_field(m, s)
             step = m.stat_mean(m.image(s))
             assert (np.linalg.norm(h) == 0.0) == np.array_equal(step, s)
 
     def test_domain_error_names_condition(self):
         m = toy()
         with pytest.raises(DomainError, match="non-finite"):
-            fiem.mean_field(m, np.array([np.nan, 0.0, 0.0]))
+            mean_field(m, np.array([np.nan, 0.0, 0.0]))
 
 
 class TestObjectiveV:
     def test_minimum_at_fixed_point(self):
         m = toy(seed=5, n=9)
         s_star = em_fixed_point(m)
-        v_star = fiem.objective_v(m, s_star)
+        v_star = objective_v(m, s_star)
         assert abs(v_star - m.objective(m.theta_star)) < 1e-9
         rng = np.random.default_rng(2)
         for _ in range(25):
-            assert fiem.objective_v(m, s_star + rng.normal(size=m.q)) >= v_star - 1e-12
+            assert objective_v(m, s_star + rng.normal(size=m.q)) >= v_star - 1e-12
 
     def test_is_a_composition(self):
         m = toy(seed=6, n=4)
         s = np.array([0.1, -0.2, 0.4])
-        assert fiem.objective_v(m, s) == m.objective(m.tmap(s))
+        assert objective_v(m, s) == m.objective(m.tmap(s))
 
     def test_unsupported_capability(self):
         class Bare(FiniteSumModel):
@@ -127,7 +133,7 @@ class TestObjectiveV:
                 return np.tile(s, (len(indices), 1))
 
         with pytest.raises(UnsupportedCapabilityError):
-            fiem.objective_v(Bare(), np.zeros(1))
+            objective_v(Bare(), np.zeros(1))
 
 
 class TestGradientIdentity:
@@ -147,7 +153,7 @@ class TestGradientIdentity:
 
     def test_residual_invariant_under_regularization_change(self):
         base = toy(seed=9, n=6)
-        other = fiem.ToyModel(base.a_mat, base.x_mat, 0.7, base.y_obs)
+        other = ToyModel(base.a_mat, base.x_mat, 0.7, base.y_obs)
         s = np.array([0.5, -1.0, 0.25])
         for m in (base, other):
             res = gradv_identity_check(m, s)
@@ -162,7 +168,7 @@ class TestCurvatureSandwich:
         rng = np.random.default_rng(4)
         for _ in range(1000):
             s = rng.normal(scale=4.0, size=m.q)
-            h = fiem.mean_field(m, s)
+            h = mean_field(m, s)
             hsq = float(h @ h)
             quad = float(h @ (m.bmat(s) @ h))
             assert quad >= c.v_min * hsq - 1e-10
@@ -196,8 +202,8 @@ class TestContract:
         m = toy(seed=9, n=12)
         k_max = 30
         sched = StepSchedule.constant(0.4, k_max)
-        diags = [fiem.run(algorithm, model, sched, 3,
-                          fiem.RunOptions(s0=np.zeros(m.q), compute_e2=True))
+        diags = [run(algorithm, model, sched, 3,
+                     RunOptions(s0=np.zeros(m.q), compute_e2=True))
                  for model in (Affine(m), m)]
         generic, closed = diags
         np.testing.assert_allclose(generic.s_final, closed.s_final, rtol=1e-11)
@@ -211,16 +217,18 @@ class TestContract:
 
 
 def test_public_surface_is_pinned():
+    # each name is imported from the module that defines it, never from the top level
     exported = sorted(name for name, value in vars(fiem).items()
                       if not name.startswith("_") and not inspect.ismodule(value))
-    assert exported == [
-        "GmmDataset", "GmmModel", "GmmParams", "PlannerInputs", "RunAbortError",
-        "RunOptions", "SeedTree", "StepSchedule", "TerminationRule", "ToyModel",
-        "fiem_step", "generate_gmm_synthetic", "generate_toy", "gmm_epoch_path", "gmm_loglik",
-        "iem_step", "init_params", "karimi_plan", "mean_field", "nonuniform_plan",
-        "objective_v", "online_em_step", "opt_fiem_lambda", "opt_fiem_step", "plan_case1",
-        "preprocess", "run", "solve_case2",
-    ]
+    assert exported == []
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = "import sys, fiem; print(sorted(m for m in sys.modules if m.startswith('fiem.')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(fiem.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"
 
 
 def test_settings_are_pinned():
@@ -233,7 +241,7 @@ def test_settings_are_pinned():
     from fiem.stepsize import StepSizePlan, bound_case1, solve_c_case1
 
     fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in (
-        fiem.RunOptions, ExperimentConfig, GmmExperimentConfig, fiem.PlannerInputs,
+        RunOptions, ExperimentConfig, GmmExperimentConfig, PlannerInputs,
         StepSizePlan, RunDiagnostics, ResultTable, BoundReport, ModelConstants, EEstimates)}
     assert fields == {
         "RunOptions": ["s0", "batch_size", "compute_h", "compute_e2", "compute_e0",
@@ -253,7 +261,7 @@ def test_settings_are_pinned():
         "EEstimates": ["e1", "se1", "e0"],
     }
     params = {fn.__name__: list(inspect.signature(fn).parameters) for fn in (
-        fiem.generate_toy, verify_theorem1, solve_c_case1, bound_case1, fiem.karimi_plan,
+        generate_toy, verify_theorem1, solve_c_case1, bound_case1, karimi_plan,
         raw_outputs, index_draws, fiem_replicas)}
     assert params == {
         "generate_toy": ["seed", "n", "dims"],
@@ -354,7 +362,7 @@ def test_every_model_and_table_method_runs_in_a_product_command(tmp_path):
         sys.setprofile(previous)
     assert exits == [0, 0, 0]
     methods = {}
-    for cls in (fiem.ToyModel, fiem.GmmModel, MemoryTable):
+    for cls in (ToyModel, GmmModel, MemoryTable):
         methods.update(_code_objects(cls))
     unreached = sorted(name for name, code in methods.items() if code not in ran)
     stray = sorted(set(unreached) - set(UNREACHED_METHODS))

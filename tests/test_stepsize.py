@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import fiem
 from fiem.algorithms import StepSchedule
 from fiem.errors import InfeasiblePlanError
 from fiem.stepsize import (

@@ -3,16 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import fiem
-from fiem.algorithms import MemoryTable
 from fiem.errors import ConfigurationError
-from fiem.toy import ToyModel
+from fiem.model import mean_field
+from fiem.toy import ToyModel, generate_toy
 
 from model_reference import em_fixed_point, grad_v_fd
 
 
 def paper_model(seed=0, n=40):
-    return fiem.generate_toy(seed, n=n)  # y=15, p=10, q=20 defaults
+    return generate_toy(seed, n=n)  # y=15, p=10, q=20 defaults
 
 
 class TestGeneration:
@@ -28,14 +27,14 @@ class TestGeneration:
         assert np.all(np.abs(nz) <= 5.0)
 
     def test_observations_center_on_the_model_mean(self):
-        m = fiem.generate_toy(3, n=20000, dims=(5, 4, 6))
+        m = generate_toy(3, n=20000, dims=(5, 4, 6))
         sd = np.sqrt(np.diag(np.eye(5) + m.a_mat @ m.a_mat.T) / 20000)
         mean = m.a_mat @ m.x_mat @ m.theta_true
         assert np.all(np.abs(m.y_obs.mean(axis=0) - mean) < 4.0 * sd)
 
     def test_marginal_covariance(self):
         n = 100000
-        m = fiem.generate_toy(5, n=n, dims=(4, 3, 3))
+        m = generate_toy(5, n=n, dims=(4, 3, 3))
         target = np.eye(4) + m.a_mat @ m.a_mat.T
         centered = m.y_obs - m.y_obs.mean(axis=0)
         emp = centered.T @ centered / n
@@ -44,15 +43,15 @@ class TestGeneration:
         assert np.all(np.abs(emp - target) < 3.5 * se)
 
     def test_column_process_autocorrelation(self):
-        m = fiem.generate_toy(7, n=1, dims=(30, 400, 3))
+        m = generate_toy(7, n=1, dims=(30, 400, 3))
         cols = m.a_mat
         num = np.sum(cols[:, :-1] * cols[:, 1:])
         den = np.sum(cols[:, :-1] ** 2)
         assert abs(num / den - 0.8) < 0.1
 
     def test_deterministic(self):
-        a = fiem.generate_toy(12, n=10, dims=(4, 3, 3))
-        b = fiem.generate_toy(12, n=10, dims=(4, 3, 3))
+        a = generate_toy(12, n=10, dims=(4, 3, 3))
+        b = generate_toy(12, n=10, dims=(4, 3, 3))
         assert np.array_equal(a.y_obs, b.y_obs)
         assert np.array_equal(a.x_mat, b.x_mat)
 
@@ -137,7 +136,7 @@ class TestInterface:
         for _ in range(5):
             s = rng.normal(size=m.q)
             g = grad_v_fd(m, s)
-            target = -m.tmat @ fiem.mean_field(m, s)
+            target = -m.tmat @ mean_field(m, s)
             assert np.linalg.norm(g - target) <= 1e-6 * (1.0 + np.linalg.norm(g))
 
     def test_em_contracts_to_fixed_point(self):
@@ -181,12 +180,12 @@ class TestLazyObjectiveConstant:
     ``objective`` call, which ``fiem toy`` never makes."""
 
     def test_construction_forms_no_constant(self):
-        assert "_obj_c" not in vars(fiem.generate_toy(0, 10_000))
+        assert "_obj_c" not in vars(generate_toy(0, 10_000))
 
     @pytest.mark.parametrize("n, dims", [(1, (4, 3, 3)), (10, (4, 3, 3)), (100, (15, 10, 20)),
                                          (10_000, (15, 10, 20))])
     def test_objective_keeps_the_eager_bits(self, n, dims):
-        lazy, eager = fiem.generate_toy(0, n, dims=dims), fiem.generate_toy(0, n, dims=dims)
+        lazy, eager = generate_toy(0, n, dims=dims), generate_toy(0, n, dims=dims)
         eager.__dict__["_obj_c"] = _eager_constant(eager)
         thetas = [lazy.theta_star, np.random.default_rng(n).standard_normal(lazy.q)]
         for theta in thetas:
@@ -199,10 +198,10 @@ class TestLazyObjectiveConstant:
         # rows and the latent draws, with no (y, n) solve on top; a first
         # call at n = 1 leaves the one-time imports out of the count
         n, (y_dim, p_dim, q_dim) = 10_000, (15, 10, 20)
-        fiem.generate_toy(0, 1)
+        generate_toy(0, 1)
         tracemalloc.start()
         try:
-            fiem.generate_toy(0, n)
+            generate_toy(0, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
