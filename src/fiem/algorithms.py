@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, MemoryStateError, RunAbortError
-from .model import FiniteSumModel, dots, matvecs
+from .model import FiniteSumModel, aligned_empty, dots, matvecs
 from .rng import STREAM_INDICES_I, STREAM_INDICES_J, SeedTree, as_seed_tree, index_draws
 
 ALGORITHMS = ("em", "iem", "online-em", "fiem", "opt-fiem")
@@ -29,6 +29,15 @@ MEMORY_ALGORITHMS = ("iem", "fiem", "opt-fiem")
 Array = np.ndarray
 
 _DIVERGED = "non-finite update ||S^{k+1} - S^k||^2 (diverged)"
+
+# numpy's ufunc buffer size: einsum("nq,nq->") over C-contiguous operands
+# sums runs of this many elements and adds the runs' sums left to right
+CHUNK = 8192
+
+try:  # what np.einsum runs when not optimizing, without its ~1 us of dispatch per call
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:
+    _einsum = np.einsum
 
 
 @dataclass
@@ -95,7 +104,7 @@ class MemoryTable:
     ``model.table_rows``, which rebuilds rows from codes bit for bit: the
     toy's codes are its rows, the mixture's its (n, g) responsibilities
     (11x less at gmm-fit, 21x at ``--preset paper``).  ``rows`` is taken
-    without a copy when it is a float array (C-contiguous for a stack).  The
+    without a copy when it is a C-contiguous float array.  The
     mean is ``model.row_sums`` over n, the rebuilt rows' ``mean(axis=-2)``
     bit for bit at q >= 2 (no model here has q = 1)."""
 
@@ -103,11 +112,14 @@ class MemoryTable:
         rows = np.asarray(rows, dtype=float)
         if rows.ndim not in (2, 3):
             raise MemoryStateError("memory rows must form an n-by-q matrix or a stack of them")
-        # a stack's flat view aliases its rows only in C order
-        self.rows = rows = np.ascontiguousarray(rows) if rows.ndim == 3 else rows
+        # the flat views alias the rows only in C order
+        self.rows = rows = np.ascontiguousarray(rows)
         self._rows, self._sums = model.table_rows, model.row_sums
         self.n = rows.shape[-2]
         self._flat = rows.reshape(-1, rows.shape[-1])
+        # a table whose codes are its rows reads a span of them as a view of one flat array
+        head = rows[:0]
+        self._elements = rows.reshape(-1) if self._rows(head, slice(0, 0)) is head else None
         self._offsets = np.arange(0, len(self._flat), self.n) if rows.ndim == 3 else None
         self.mean = self._sums(rows, slice(None)) / self.n
         self._updates = 0
@@ -160,12 +172,26 @@ class MemoryTable:
         self.mean = self._sums(self.rows, slice(None)) / self.n
         self._updates = 0
 
-    def scratch(self) -> tuple[Array, Array]:
-        """Two work arrays shaped as the rebuilt rows, owned by the table and
-        allocated on first use."""
+    def span(self, start: int, width: int) -> Array:
+        """Elements ``start`` to ``start + width`` of a one-state table's
+        rebuilt rows laid end to end, a view where the codes are the rows."""
+        if self._elements is not None:
+            return self._elements[start:start + width]
+        q = self.mean.shape[-1]
+        first, skip = divmod(start, q)
+        stop = -(-(start + width) // q)
+        return self._rows(self.rows[first:stop], slice(first, stop)).reshape(-1)[skip:skip + width]
+
+    def scratch(self) -> tuple[Array, Array, Array, Array]:
+        """The lambda pass's work arrays, owned by the table, allocated on
+        first use and each on a 64-byte boundary: two spans of ``CHUNK``
+        elements (all n q when fewer), and whole rows that hold the mean
+        repeated along a span from any phase, with their flat view."""
         if self._scratch is None:
-            shape = self.rows.shape[:-1] + self.mean.shape[-1:]
-            self._scratch = (np.empty(shape), np.empty(shape))
+            q = self.mean.shape[-1]
+            width = min(self.n * q, CHUNK)
+            means = aligned_empty((-(-(width + q - 1) // q), q))
+            self._scratch = (aligned_empty((width,)), aligned_empty((width,)), means, means.reshape(-1))
         return self._scratch
 
 
@@ -272,16 +298,34 @@ def opt_fiem_lambda(model: FiniteSumModel, image, memory: MemoryTable) -> float:
 
     lambda* = - mean_j <sbar_j(T(s)), Stilde - S_j> / mean_j ||Stilde - S_j||^2
     with the memory rows taken after the current I-update, or 1 (the FIEM
-    coefficient) when the denominator is numerically zero.  The rows
-    sbar_j(T(s)) come from the state's image; both (n, q) operands go into
-    the table's scratch, so only a table that rebuilds its rows allocates.
+    coefficient) when the denominator is numerically zero.
+
+    One pass over the n q elements, ``CHUNK`` at a time into the table's
+    scratch: ``model.stat_rows_into`` fills a span of the rows sbar_j(T(s)),
+    the mean repeated along it minus the span's memory rows gives the
+    differences, and one einsum per sum contracts the span.  Folding the
+    spans' sums left to right is how ``einsum("nq,nq->")`` reduces the whole
+    arrays, so lambda keeps its bits, while each span stays in cache and
+    each add and subtract runs one long inner loop.
     """
-    rows, diff = memory.scratch()
-    model.stat_rows_into(image, rows)
-    np.subtract(memory.mean, memory._rows(memory.rows, slice(None)), out=diff)
-    num = float(np.einsum("nq,nq->", rows, diff)) / model.n
-    # stable form of mean_j ||S_j||^2 - ||Stilde||^2
-    den = float(np.einsum("nq,nq->", diff, diff)) / model.n
+    rows, diff, mean_rows, means = memory.scratch()
+    q, size = model.q, model.n * model.q
+    mean_rows[...] = memory.mean
+    num = den = 0.0
+
+    def spans():
+        nonlocal num, den
+        for start in range(0, size, CHUNK):
+            width, phase = min(CHUNK, size - start), start % q
+            x, d = rows[:width], diff[:width]
+            yield x, start
+            np.subtract(means[phase:phase + width], memory.span(start, width), out=d)
+            num += _einsum("i,i->", x, d)
+            den += _einsum("i,i->", d, d)
+
+    model.stat_rows_into(image, spans())
+    num, den = float(num) / model.n, float(den) / model.n
+    # den is the stable form of mean_j ||S_j||^2 - ||Stilde||^2
     if den < 1e-14 * (1.0 + float(memory.mean @ memory.mean)):
         return 1.0
     return -num / den

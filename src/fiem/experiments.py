@@ -214,6 +214,29 @@ def _mean_std(values) -> tuple[float, float]:
     return float(x.mean()), float(x.std(ddof=1)) if x.size > 1 else 0.0
 
 
+def _quartiles(col: Array) -> tuple[float, float]:
+    """``np.quantile(col, (0.25, 0.75))`` bit for bit, without the
+    ``numpy.ma`` import that ``np.quantile`` brings: numpy's linear rule on
+    the column partitioned at numpy's order statistics.  The virtual index
+    is (R-1) q; between its neighbours a <= b at fraction t, the value is
+    ``a + (b-a) t``, or ``b - (b-a)(1-t)`` where t >= 0.5; a column holding
+    NaN gives NaN."""
+    last = col.size - 1
+    # (lo, hi, t) per quartile; at the top (R = 1) numpy takes the last value
+    # twice, with t = at + 1
+    points = [(int(at), int(at) + 1, at - int(at)) if at < last else (-1, -1, at + 1.0)
+              for at in (last * 0.25, last * 0.75)]
+    # the ends and the neighbours, as numpy partitions (np.unique would import numpy.ma)
+    x = np.partition(col, sorted({0, -1, *(i for lo, hi, _ in points for i in (lo, hi))}))
+    if np.isnan(x[-1]):
+        return float(x[-1]), float(x[-1])
+    values = []
+    for lo, hi, t in points:
+        a, b = float(x[lo]), float(x[hi])
+        values.append(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
+    return values[0], values[1]
+
+
 def checkpoint_summary(table: ResultTable, schedule: StepSchedule) -> list[dict]:
     """Mean, ddof-1 std and quartiles of the completed runs per (algorithm,
     metric, checkpoint), the checkpoints :func:`default_checkpoints` of the
@@ -231,7 +254,7 @@ def checkpoint_summary(table: ResultTable, schedule: StepSchedule) -> list[dict]
             for k, col in zip(checkpoints, stacked.T):
                 with np.errstate(over="ignore", invalid="ignore"):
                     mean, std = _mean_std(col)
-                    q25, q75 = map(float, np.quantile(col, (0.25, 0.75)))
+                    q25, q75 = _quartiles(col)
                 rows.append({"algorithm": alg, "k": k, "metric": metric, "mean": mean, "std": std,
                              "q25": q25, "q75": q75})
     return rows

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -61,8 +62,8 @@ class FiniteSumModel(ABC):
     A model with ``replica_axis`` true also takes R states at once: given
     an (R, q) stack ``S``, ``image(S)`` is the stack of the R images,
     ``stat_rows(image(S), indices)`` takes (R, b) ``indices``, whose row r
-    pairs with replica r, and returns (R, b, q) rows, ``stat_rows_into``
-    fills an (R, n, q) array, ``stat_mean`` returns (R, q) and ``bmat(S)``
+    pairs with replica r, and returns (R, b, q) rows, ``table_codes``
+    without indices returns (R, n, q), ``stat_mean`` returns (R, q) and ``bmat(S)``
     is a matrix or a stack of them that ``np.matmul`` broadcasts over the
     replicas; ``tmap(S)`` stacks the R parameters and ``objective`` of that
     stack returns R values.  Row r of each result must hold the bits that
@@ -94,10 +95,18 @@ class FiniteSumModel(ABC):
         """Rows ``sbar_i(T(s))``, the per-example EM images of the state
         whose image is ``image``, for ``i`` in ``indices``; shape (b, q)."""
 
-    def stat_rows_into(self, image, out: Array) -> None:
-        """All n rows ``sbar_i(T(s))`` written into the (n, q) array ``out``;
-        the toy's closed form overrides this to skip the temporary."""
-        out[...] = self.stat_rows(image, np.arange(self.n))
+    def stat_rows_into(self, image, spans) -> None:
+        """The n rows ``sbar_i(T(s))`` laid end to end (n q elements, row
+        after row), written span by span: for each ``(out, start)`` that
+        ``spans`` yields, elements ``start`` to ``start + out.size`` go into
+        the 1-D array ``out``.  ``spans`` may be a generator that reads each
+        span before it yields the next, so that a pass over all rows holds
+        one span at a time.  By default a span is cut from the rows it
+        covers, built by ``stat_rows``; the toy's closed form overrides this."""
+        for out, start in spans:
+            first, skip = divmod(start, self.q)
+            rows = self.stat_rows(image, np.arange(first, -(-(start + out.size) // self.q)))
+            out[...] = rows.reshape(-1)[skip:skip + out.size]
 
     def stat_mean(self, image) -> Array:
         """Full EM image ``sbar(T(s))``, the mean of all n rows; costs one
@@ -107,12 +116,9 @@ class FiniteSumModel(ABC):
     def table_codes(self, image, indices=None) -> Array:
         """The memory table's codes of the examples ``indices`` (all n when
         None), from which :meth:`table_rows` rebuilds each row sbar_i(T(s))
-        bit for bit; by default the rows themselves, stacked for a stack."""
-        if indices is not None:
-            return self.stat_rows(image, indices)
-        out = np.empty(np.shape(image)[:-1] + (self.n, self.q))
-        self.stat_rows_into(image, out)
-        return out
+        bit for bit; by default the rows themselves (the toy overrides the
+        full table, which it also builds for a stack)."""
+        return self.stat_rows(image, np.arange(self.n) if indices is None else indices)
 
     def table_rows(self, codes, indices) -> Array:
         """The rows of the examples ``indices`` (an index array or a slice)
@@ -135,6 +141,17 @@ class FiniteSumModel(ABC):
 
     def constants(self) -> ModelConstants:
         raise UnsupportedCapabilityError(f"{type(self).__name__} exposes no planner constants")
+
+
+def aligned_empty(shape) -> Array:
+    """``np.empty(shape)`` whose data starts on a 64-byte boundary, a cache
+    line: numpy has no public aligned allocator, so this over-allocates by
+    seven elements and returns an offset view.  The n-row passes run about
+    10% slower on arrays placed at other offsets."""
+    size = prod(shape)
+    raw = np.empty(size + 7)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip:skip + size].reshape(shape)
 
 
 def matvecs(mat: Array, vecs: Array) -> Array:

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import FiniteSumModel, ModelConstants, check_statistic, chol_solve, dots, matvecs
+from .model import FiniteSumModel, ModelConstants, aligned_empty, check_statistic, chol_solve, dots, matvecs
 from .rng import STREAM_DATA, as_seed_tree
 
 Array = np.ndarray
@@ -84,7 +84,8 @@ class ToyModel(FiniteSumModel):
         self.tmat = chol_solve(chol_q, np.eye(q_dim))  # (upsilon I + X'X)^{-1}
         self.pi2 = self.gram @ self.tmat                # q x q
 
-        self.p1y = y_obs @ self.pi1.T                   # row i = Pi1 Y_i
+        # row i = Pi1 Y_i, on a cache line: the lambda pass streams it
+        self.p1y = np.matmul(y_obs, self.pi1.T, out=aligned_empty((self.n, q_dim)))
         self.ybar = y_obs.mean(axis=0)
         self.p1ybar = self.pi1 @ self.ybar
 
@@ -107,6 +108,13 @@ class ToyModel(FiniteSumModel):
         vdot_mat = self.tmat @ self.gram @ self.tmat - self.tmat
         l_gradv = float(np.max(np.abs(np.linalg.eigvalsh(vdot_mat))))
         self._constants = ModelConstants(v_min, v_max, lips, l_gradv)
+
+    def __setstate__(self, state):
+        # an unpickled array lands at any offset
+        self.__dict__.update(state)
+        p1y = self.p1y
+        self.p1y = aligned_empty(p1y.shape)
+        self.p1y[...] = p1y
 
     @cached_property
     def _obj_c(self) -> float:
@@ -131,8 +139,27 @@ class ToyModel(FiniteSumModel):
         # take is the same gather as fancy indexing at about half the fixed cost
         return self.p1y.take(indices, axis=0) + image[..., None, :]
 
-    def stat_rows_into(self, image: Array, out: Array) -> None:
+    def stat_rows_into(self, image: Array, spans) -> None:
+        # p1y's elements plus the image repeated along the span, formed once
+        # per pass: one add whose inner loop runs the whole span, where a
+        # broadcast add would loop over q elements at a time
+        flat, q = self.p1y.reshape(-1), self.q
+        repeated = None
+        for out, start in spans:
+            phase, width = start % q, out.size
+            if repeated is None or repeated.size < phase + width:
+                repeated = np.empty((-(-(width + q - 1) // q), q))
+                repeated[...] = image
+                repeated = repeated.reshape(-1)
+            np.add(flat[start:start + width], repeated[phase:phase + width], out=out)
+
+    def table_codes(self, image: Array, indices=None) -> Array:
+        # the full table, of one state or a stack, on a cache line like p1y
+        if indices is not None:
+            return self.stat_rows(image, indices)
+        out = aligned_empty(image.shape[:-1] + (self.n, self.q))
         np.add(self.p1y, image[..., None, :], out=out)
+        return out
 
     def stat_mean(self, image: Array) -> Array:
         return self.p1ybar + image

@@ -53,8 +53,7 @@ class DenseTable:
 
     def __init__(self, model, image):
         self.n = model.n
-        self.rows = np.empty((model.n, model.q))
-        model.stat_rows_into(image, self.rows)
+        self.rows = model.stat_rows(image, np.arange(model.n))
         self.mean = self.rows.mean(axis=0)
         self.updates = self.refreshes = 0
 

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import pickle
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -146,6 +147,27 @@ class TestMemoryTable:
         np.testing.assert_allclose(memory.mean, memory.rows.mean(axis=0), atol=1e-14)
 
 
+class TestCacheLineAlignment:
+    """The lambda pass streams the toy's p1y and its table's rows through the
+    table's buffers; each starts on a 64-byte boundary, also for a model
+    rebuilt from a pickle, as a spawn or forkserver pool worker gets it."""
+
+    @pytest.mark.parametrize("rebuilt", [False, True], ids=["built", "unpickled"])
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_lambda_operands_start_on_a_cache_line(self, n, rebuilt):
+        m = generate_toy(0, n)
+        if rebuilt:
+            built, m = m, pickle.loads(pickle.dumps(m))
+            assert m.p1y.tobytes() == built.p1y.tobytes()
+        images = np.random.default_rng(n).normal(size=(3, m.q))
+        memory = MemoryTable.init(m, images[0])
+        memory.write(m, images[1], np.array([0]))
+        opt_fiem_lambda(m, images[1], memory)
+        stack = MemoryTable.init(m, images)
+        arrays = [m.p1y, memory.rows, stack.rows, *memory.scratch()]
+        assert [a.ctypes.data % 64 for a in arrays] == [0] * len(arrays)
+
+
 class TestBitwiseFastPaths:
     """The hot-path shortcuts must read the same stream positions and round
     exactly as the numpy calls they replace."""
@@ -176,27 +198,65 @@ class TestBitwiseFastPaths:
         den = float(np.einsum("nq,nq->", diff, diff)) / model.n
         return -num / den
 
+    @staticmethod
+    def lambda_case(kind, n, q):
+        # a model of n examples and statistic dimension q, a start and states to write
+        rng = np.random.default_rng(n + q)
+        if kind == "toy":
+            m = generate_toy(q, n=n, dims=(5, 4, q))
+            return m, np.zeros(q), [rng.normal(size=q) for _ in range(4)]
+        g = {4: 2, 9: 3, 20: 4, 33: 3}[q]
+        ds, _ = generate_gmm_synthetic(q, n=n, g=g, p=q // g - 1, separation=3.0)
+        m = GmmModel(ds, g)
+        states = [m.sbar(init_params(ds, g, 1))]
+        for _ in range(4):
+            states.append(m.stat_mean(m.image(states[-1])))
+        return m, states[0], states[1:]
+
+    # n q below one CHUNK, equal to it, a multiple of it and a multiple plus a
+    # tail; q that divides 8192 (2, 4, 16) and q that does not (3, 9, 20, 33)
+    @pytest.mark.parametrize("kind,n,q", [
+        ("toy", 100, 2), ("toy", 4096, 2), ("toy", 8192, 2), ("toy", 8200, 2),
+        ("toy", 50, 16), ("toy", 512, 16), ("toy", 1536, 16), ("toy", 2731, 3),
+        ("toy", 5461, 3), ("toy", 300, 20), ("toy", 1000, 20), ("toy", 250, 33),
+        ("toy", 993, 33), ("gmm", 100, 4), ("gmm", 2048, 4), ("gmm", 4100, 4),
+        ("gmm", 1821, 9), ("gmm", 1000, 20), ("gmm", 300, 33)])
+    @pytest.mark.parametrize("writes", ["b1", "b3", "refresh"])
+    def test_chunked_lambda_is_the_full_einsum(self, kind, n, q, writes):
+        m, s0, states = self.lambda_case(kind, n, q)
+        assert m.q == q
+        memory = MemoryTable.init(m, m.image(s0))
+        rng = np.random.default_rng(7)
+        for s in states:
+            image = m.image(s)
+            memory.write(m, image, rng.integers(0, n, size=3 if writes == "b3" else 1))
+            if writes == "refresh":
+                memory.refresh()
+            got = opt_fiem_lambda(m, image, memory)
+            assert got.hex() == self.fresh_lambda(m, s, memory).hex()
+
     @pytest.mark.parametrize("kind", ["toy", "gmm"])
     def test_lambda_pass_reuses_scratch_bitwise(self, kind):
-        if kind == "toy":
-            m = toy(seed=3, n=300)
-            s0 = np.zeros(m.q)
-            states = [np.random.default_rng(i).normal(size=m.q) for i in range(2)]
-        else:
-            ds, _ = generate_gmm_synthetic(2, n=200, g=3, p=3, separation=3.0)
-            m = GmmModel(ds, 3)
-            s0 = m.sbar(init_params(ds, 3, 1))
-            s1 = m.stat_mean(m.image(s0))
-            states = [s1, m.stat_mean(m.image(s1))]
-        memory = MemoryTable.init(m, m.image(s0))
-        for i, s in enumerate(states):
-            memory.write(m, m.image(s), np.array([i, 5 + i]))
-            assert opt_fiem_lambda(m, m.image(s), memory) == self.fresh_lambda(m, s, memory)
-            rows, diff = memory.scratch()
-            assert rows.tobytes() == m.stat_rows(m.image(s), np.arange(m.n)).tobytes()
-            dense = m.table_rows(memory.rows, np.arange(m.n))
-            assert diff.tobytes() == (memory.mean - dense).tobytes()
-            assert all(a is b for a, b in zip((rows, diff), memory.scratch()))
+        # the buffers are the table's across calls, and a table's first pass
+        # holds one span at a time: its traced peak does not grow with n
+        peaks = []
+        for n in (2000, 20000):
+            m, s0, states = self.lambda_case(kind, n, 20)
+            memory = MemoryTable.init(m, m.image(s0))
+            image = m.image(states[0])
+            tracemalloc.start()
+            try:
+                lam = opt_fiem_lambda(m, image, memory)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert lam.hex() == self.fresh_lambda(m, states[0], memory).hex()
+            buffers = memory.scratch()
+            memory.write(m, image, np.array([3]))
+            lam = opt_fiem_lambda(m, m.image(states[1]), memory)
+            assert lam.hex() == self.fresh_lambda(m, states[1], memory).hex()
+            assert all(a is b for a, b in zip(buffers, memory.scratch()))
+        assert peaks[1] < 1.25 * peaks[0]
 
     @staticmethod
     def model_and_states(kind):

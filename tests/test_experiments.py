@@ -2,10 +2,14 @@ import dataclasses
 import functools
 import inspect
 import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from concurrent import futures
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -187,6 +191,42 @@ class TestCheckpointSummary:
     def test_peak_at_two_hundred_replicas_of_twenty_thousand_iterations(self):
         # whole records of three algorithms traced about 93 MiB here
         assert summary_peak(200, 20_000) < 4 << 20
+
+    def test_quartiles_are_np_quantile_bit_for_bit(self):
+        # one to a thousand replicas, scales across the float range, signed
+        # zeros, infinities, NaN and overflowing runs of 1e308
+        rng = np.random.default_rng(0)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324])
+        for replicas in [*range(1, 42), 100, 200, 1000]:
+            for kind in range(6):
+                col = rng.normal(size=replicas) * 10.0 ** rng.uniform(-300, 300)
+                if kind == 1:
+                    col = rng.choice(specials, size=replicas)
+                elif kind == 2:
+                    col = rng.choice([0.0, -0.0, 1.0], size=replicas)
+                elif kind == 3:
+                    col[rng.integers(0, replicas)] = rng.choice([np.inf, np.nan])
+                elif kind == 4:
+                    col[:] = 1e308
+                elif kind == 5:
+                    col = np.sort(col)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = [float(v).hex() for v in np.quantile(col, (0.25, 0.75))]
+                    got = [v.hex() for v in fiem.experiments._quartiles(col)]
+                assert got == want, col
+
+    def test_summary_imports_no_masked_arrays(self):
+        # np.quantile imports numpy.ma, about 1 MiB of a toy run's peak
+        code = ("import sys; from fiem.algorithms import StepSchedule; "
+                "from fiem.experiments import checkpoint_summary; "
+                "from test_experiments import shared_record_table; "
+                "checkpoint_summary(shared_record_table(5, 40), StepSchedule.constant(0.3, 40)); "
+                "print('numpy.ma' in sys.modules)")
+        paths = (Path(fiem.experiments.__file__).resolve().parents[1], Path(__file__).parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True).stdout
+        assert out == "False\n"
 
 
 class TestEstimates:

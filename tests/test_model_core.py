@@ -319,7 +319,10 @@ def test_every_library_name_has_a_product_caller():
 
 # methods of the product models and the memory table that no product command
 # runs, each with the reason it stays
-UNREACHED_METHODS = {}
+UNREACHED_METHODS = {
+    "ToyModel.__setstate__": "the pool forks, so no command unpickles a model; a spawn or "
+                             "forkserver pool would, and the lambda pass wants p1y aligned there too",
+}
 
 
 def _code_objects(cls) -> dict:
