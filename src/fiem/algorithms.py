@@ -156,7 +156,11 @@ class MemoryTable:
         elif self._offsets is not None:
             raise ValueError(f"a stack writes one index per replica, not a batch of shape {batch.shape}")
         else:
-            uniq = np.unique(batch)
+            # np.unique(batch): sorted, each index once where it differs from its neighbour
+            uniq = np.sort(batch)
+            keep = np.ones(uniq.size, dtype=bool)
+            np.not_equal(uniq[1:], uniq[:-1], out=keep[1:])
+            uniq = uniq[keep]
             new = model.table_codes(image, uniq)
             new_rows, old_rows = self._rows((new, self.rows[uniq]), uniq)
             delta = np.add.reduce(new_rows - old_rows, axis=0)

@@ -24,9 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .algorithms import MemoryTable, fiem_step, iem_step, online_em_step
+from .algorithms import MemoryTable, _einsum, fiem_step, iem_step, online_em_step
 from .errors import ConfigurationError, DomainError
-from .model import FiniteSumModel, check_statistic, chol_solve
+from .model import FiniteSumModel, check_statistic, chol_solve, cholesky
 from .rng import STREAM_DATA, as_seed_tree
 
 Array = np.ndarray
@@ -67,7 +67,7 @@ class GmmParams:
     @cached_property
     def _chol(self) -> Array:
         try:
-            return np.linalg.cholesky(self.cov)
+            return cholesky(self.cov)
         except np.linalg.LinAlgError as exc:
             raise DomainError("covariance is indefinite or singular: no Cholesky factor") from exc
 
@@ -77,7 +77,15 @@ class GmmParams:
 
     @cached_property
     def _log_det(self) -> float:
-        return 2.0 * float(np.log(np.diag(self._chol)).sum())
+        return 2.0 * float(np.log(self._chol.diagonal()).sum())
+
+    @cached_property
+    def _shift(self) -> Array:
+        """log(alpha_l) - log det(Sigma) / 2 per component, a (g, 1) column;
+        -inf for a zero weight."""
+        with np.errstate(divide="ignore"):
+            logw = np.log(self.weights)
+        return (logw - 0.5 * self._log_det)[:, None]
 
     def to_dict(self) -> dict:
         return {
@@ -136,10 +144,7 @@ def log_weighted_densities(params: GmmParams, y_rows: Array) -> Array:
     them."""
     b = y_rows.shape[0]
     out = np.empty((b, params.g))
-    prec = params._precision
-    with np.errstate(divide="ignore"):
-        logw = np.log(params.weights)
-    shift = (logw - 0.5 * params._log_det)[:, None]
+    prec, shift = params._precision, params._shift
     means = params.means[:, :, None]
     for start in range(0, b, ROW_BLOCK):
         rows = y_rows[start : start + ROW_BLOCK]
@@ -147,15 +152,19 @@ def log_weighted_densities(params: GmmParams, y_rows: Array) -> Array:
         if lone:
             rows = np.concatenate((rows, rows))
         diff = (np.ascontiguousarray(rows.T) - means).transpose(0, 2, 1)
-        quad = np.einsum("gbp,pq,gbq->gb", diff, prec, diff)
-        out[start : start + ROW_BLOCK] = (shift - 0.5 * quad)[:, : 1 if lone else None].T
+        quad = _einsum("gbp,pq,gbq->gb", diff, prec, diff)
+        # shift - 0.5 quad, bit for bit: negating and halving are exact
+        quad *= -0.5
+        quad += shift
+        out[start : start + ROW_BLOCK] = quad[:, : 1 if lone else None].T
     return out
 
 
 def _softmax_rows(logd: Array) -> Array:
-    shifted = logd - logd.max(axis=1, keepdims=True)
-    w = np.exp(shifted)
-    return w / w.sum(axis=1, keepdims=True)
+    w = logd - logd.max(axis=1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=1, keepdims=True)
+    return w
 
 
 def posterior_rows(params: GmmParams, y_rows: Array) -> Array:
@@ -201,7 +210,7 @@ def gmm_tmap(s: Array, sigma_star: Array, g: int) -> GmmParams:
     factor that every density under the returned parameter reuses."""
     p = sigma_star.shape[0]
     s1 = s[:g]
-    if np.min(s1) < EMPTY_COMPONENT_FLOOR:
+    if s1.min() < EMPTY_COMPONENT_FLOOR:
         l = int(np.argmin(s1))
         raise DomainError(f"empty component: mass[{l}] = {s1[l]:.3e} below 1e-12")
     weights = s1 / s1.sum()
@@ -232,7 +241,7 @@ class GmmModel(FiniteSumModel):
     def admissible(self, s: Array) -> None:
         check_statistic(self, s)
         s1 = s[: self.g]
-        if np.min(s1) < MASS_FLOOR:
+        if s1.min() < MASS_FLOOR:
             l = int(np.argmin(s1))
             raise DomainError(f"component mass {l} is negative: {s1[l]:.3e} < -1e-10")
         total = float(s1.sum())

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from math import prod
 
 import numpy as np
+# the LAPACK gufuncs that np.linalg.cholesky and np.linalg.solve run, without their wrappers
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo, solve as _solve, solve1 as _solve1
 
 from .errors import ConfigurationError, DomainError, UnsupportedCapabilityError
 
@@ -170,9 +172,30 @@ def dots(u: Array, v: Array) -> Array:
     return np.matmul(u[..., None, :], v[..., None])[..., 0, 0]
 
 
+def cholesky(a: Array) -> Array:
+    """The lower Cholesky factor of the float (p, p) matrix ``a``,
+    ``np.linalg.cholesky(a)`` bit for bit: the same LAPACK gufunc, without
+    the wrapper.  The gufunc flags a failed factorization as an invalid
+    value, which becomes the wrapper's :class:`numpy.linalg.LinAlgError`,
+    and no warning."""
+    try:
+        with np.errstate(all="ignore", invalid="raise"):
+            return _cholesky_lo(a)
+    except FloatingPointError:
+        raise np.linalg.LinAlgError("Matrix is not positive definite") from None
+
+
 def chol_solve(chol: Array, m: Array) -> Array:
-    """``A^{-1} m`` from the lower Cholesky factor ``chol`` of A, as two solves."""
-    return np.linalg.solve(chol.T, np.linalg.solve(chol, m))
+    """``A^{-1} m`` from the lower Cholesky factor ``chol`` of A, as two
+    solves, each ``np.linalg.solve`` bit for bit (the same LAPACK gufunc,
+    ``solve1`` for a vector ``m``); a singular factor raises the wrapper's
+    :class:`numpy.linalg.LinAlgError`, and no warning."""
+    solve = _solve1 if m.ndim == 1 else _solve
+    try:
+        with np.errstate(all="ignore", invalid="raise"):
+            return solve(chol.T, solve(chol, m))
+    except FloatingPointError:
+        raise np.linalg.LinAlgError("Singular matrix") from None
 
 
 def check_statistic(model: FiniteSumModel, s: Array) -> Array:
@@ -180,7 +203,7 @@ def check_statistic(model: FiniteSumModel, s: Array) -> Array:
     s = np.asarray(s, dtype=float)
     if s.shape != (model.q,):
         raise DomainError(f"statistic has shape {s.shape}, expected ({model.q},)")
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise DomainError("statistic has non-finite entries")
     return s
 

@@ -272,8 +272,9 @@ class TestBitwiseFastPaths:
 
     @pytest.mark.parametrize("kind", ["toy", "gmm"])
     def test_single_index_write_is_the_collapsed_duplicate_write(self, kind):
-        # [i, i] goes through np.unique, the fancy gather and scatter and the
-        # reduce; [i] through the row view.  Enough writes to cross a refresh.
+        # [i, i] goes through the de-duplication, the fancy gather and
+        # scatter and the reduce; [i] through the row view.  Enough writes
+        # to cross a refresh.
         m, states = self.model_and_states(kind)
         single = MemoryTable.init(m, m.image(states[0]))
         doubled = MemoryTable.init(m, m.image(states[0]))
@@ -413,6 +414,25 @@ class TestSingleSteps:
         np.testing.assert_allclose(
             np.mean(directions, axis=0), mean_field(m, s), rtol=1e-12, atol=1e-13
         )
+
+    @pytest.mark.parametrize("algorithm", ["fiem", "opt-fiem"])
+    def test_the_control_variate_reads_the_table_after_the_write(self, algorithm):
+        # I = J = {i}: the control variate mean' - S_i, read after row i is
+        # written, cancels the oracle row, so the step is s + gamma (mean' - s);
+        # read before the write it would add mean - S_i(old) instead
+        m = toy(seed=11, n=6)
+        rng = np.random.default_rng(3)
+        s = rng.normal(size=m.q)
+        image, gamma, i = m.image(s), 0.3, np.array([2])
+        memory = MemoryTable.init(m, m.image(rng.normal(size=m.q)))
+        written = MemoryTable(memory.rows.copy(), m)
+        written.write(m, image, i)
+        assert not np.allclose(written.rows[i], memory.rows[i])
+        if algorithm == "fiem":
+            out, _ = fiem_step(m, s, image, memory, i, i, gamma)
+        else:
+            out, _, _ = opt_fiem_step(m, s, image, memory, i, i, gamma, forced_lambda=1.0)
+        np.testing.assert_allclose(out, s + gamma * (written.mean - s), rtol=1e-13, atol=1e-14)
 
 
 def enumerate_lambda_quadratic(model, s, memory):
@@ -641,6 +661,23 @@ class TestIndexStreams:
         # Online EM draws b > 1 without replacement, a different stream use
         if b == 1:
             assert j_draws["online-em"] == j_draws["fiem"]
+
+    def test_online_em_batches_are_drawn_without_replacement(self):
+        # b > 1: each batch holds b distinct indices, choice(n, b, replace=False)
+        # on the "indices-J" stream
+        model, b, k_max, seed = toy(seed=5, n=12), 5, 20, 7
+        batches = []
+
+        def spy(model, s, image, batch, gamma):
+            batches.append(np.asarray(batch).tolist())
+            return online_em_step(model, s, image, batch, gamma)
+
+        with mock.patch.object(fiem.algorithms, "online_em_step", spy):
+            run("online-em", model, StepSchedule.constant(0.1, k_max), seed,
+                opts(model, batch_size=b))
+        rng = SeedTree(seed).stream(STREAM_INDICES_J)
+        assert batches == [rng.choice(model.n, b, replace=False).tolist() for _ in range(k_max)]
+        assert all(len(set(batch)) == b for batch in batches)
 
 
 def assert_same_streams(tree, children, name, count=9):

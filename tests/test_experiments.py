@@ -583,6 +583,25 @@ class TestGmmTable:
         assert {r["epoch"] for r in rows1} == {1, 15, 25}
         assert {r["algorithm"] for r in rows1} == {"em", "online-em"}
 
+    def test_iem_steps_to_the_memory_mean(self, monkeypatch):
+        # the table's iEM runs at unit step whatever the configured gamma, so
+        # each state is the memory mean after its write: classical incremental EM
+        ds, _ = generate_gmm_synthetic(9, n=120, g=3, p=3, separation=3.0)
+        cfg = GmmExperimentConfig(model=GmmModel(ds, 3), algorithms=("iem",), gamma=5e-2,
+                                  batch_size=20, epochs=2, replicas=1, seed=4, kswitch=0)
+        steps = []
+        iem_step = fiem.algorithms.iem_step
+
+        def spy(model, s, image, memory, batch, gamma):
+            s_new, memory = iem_step(model, s, image, memory, batch, gamma)
+            steps.append((gamma, np.array_equal(s_new, memory.mean)))
+            return s_new, memory
+
+        monkeypatch.setattr(fiem.algorithms, "iem_step", spy)
+        _, paths, aborted = table_report(cfg)
+        assert len(paths["iem"]) == 1 and not aborted["iem"]
+        assert steps == [(1.0, True)] * (2 * 120 // 20)
+
     def test_parallel_table_equals_serial(self):
         ds, _ = generate_gmm_synthetic(8, n=120, g=2, p=2, separation=2.0)
         model = GmmModel(ds, 2)

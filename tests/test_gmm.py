@@ -27,6 +27,7 @@ from fiem.gmm import (
     posterior_rows,
     preprocess,
 )
+from fiem.model import chol_solve, cholesky
 
 from gmm_reference import (
     DenseTable,
@@ -144,6 +145,97 @@ class TestDensityKernelBits:
         rows = posterior_rows(params, y)
         for i in range(b):
             assert rows[i].tobytes() == posterior_rows(params, y[i : i + 1])[0].tobytes()
+
+
+def hexes(values):
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+def spd(seed, p):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((p, p))
+    return a @ a.T / p + 0.1 * np.eye(p)
+
+
+def ill_conditioned(p=10):
+    basis, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((p, p)))
+    cov = (basis * np.logspace(-10, 2, p)) @ basis.T
+    return 0.5 * (cov + cov.T)
+
+
+def pivoting():
+    # a factor whose off-diagonal entries exceed its diagonal, so gesv swaps rows
+    chol = np.array([[0.1, 0.0, 0.0], [5.0, 0.2, 0.0], [3.0, 4.0, 0.05]])
+    return chol @ chol.T
+
+
+COVARIANCES = {**{f"spd-p{p}": spd(p, p) for p in (1, 2, 3, 10, 20)},
+               "ill-conditioned": ill_conditioned(), "pivoting": pivoting()}
+
+
+class TestLapackRoute:
+    """Each state's factor, precision, log-det and density shift reach LAPACK
+    through the gufuncs that ``np.linalg`` runs, bit for bit its public calls."""
+
+    @pytest.mark.parametrize("name", list(COVARIANCES))
+    def test_params_match_the_public_calls(self, name):
+        cov = COVARIANCES[name]
+        p = cov.shape[0]
+        weights = np.random.default_rng(p).dirichlet(np.ones(4))
+        weights[1] = 0.0  # a zero weight has a -inf shift
+        params = GmmParams(weights, np.zeros((4, p)), cov)
+        chol = np.linalg.cholesky(cov)
+        precision = np.linalg.solve(chol.T, np.linalg.solve(chol, np.eye(p)))
+        log_det = 2.0 * float(np.log(np.diag(chol)).sum())
+        with np.errstate(divide="ignore"):
+            shift = (np.log(weights) - 0.5 * log_det)[:, None]
+        assert hexes(params._chol) == hexes(chol)
+        assert hexes(params._precision) == hexes(precision)
+        assert params._log_det.hex() == log_det.hex()
+        assert params._shift.shape == shift.shape and hexes(params._shift) == hexes(shift)
+
+    def test_the_pivoting_factor_pivots(self):
+        # gesv's partial pivoting takes the largest entry of the first column
+        chol = np.linalg.cholesky(pivoting())
+        assert np.abs(chol[1:, 0]).max() > 10.0 * chol[0, 0]
+
+    @pytest.mark.parametrize("name", list(COVARIANCES))
+    @pytest.mark.parametrize("rhs", ["vector", "matrix"])
+    def test_chol_solve_matches_two_public_solves(self, name, rhs):
+        cov = COVARIANCES[name]
+        p = cov.shape[0]
+        rng = np.random.default_rng(p)
+        m = rng.standard_normal(p) if rhs == "vector" else rng.standard_normal((p, 3))
+        chol = np.linalg.cholesky(cov)
+        got = chol_solve(chol, m)
+        assert got.shape == m.shape
+        assert hexes(got) == hexes(np.linalg.solve(chol.T, np.linalg.solve(chol, m)))
+
+    @pytest.mark.parametrize("cov", [-np.eye(2), np.zeros((2, 2))], ids=["indefinite", "singular"])
+    def test_cholesky_fails_as_the_public_call_does(self, cov):
+        for factor in (np.linalg.cholesky, cholesky):
+            with pytest.raises(np.linalg.LinAlgError, match="Matrix is not positive definite"):
+                factor(cov)
+
+    @pytest.mark.parametrize("a, b", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)])
+    def test_a_non_finite_covariance_factors_as_the_public_call_does(self, a, b):
+        # whether LAPACK fails on a NaN depends on its build (OpenBLAS returns
+        # NaN rows); the two routes agree either way, and neither warns
+        cov = np.array([[a, b], [b, 1.0]])
+
+        def outcome(factor):
+            try:
+                return hexes(factor(cov))
+            except np.linalg.LinAlgError as exc:
+                return str(exc)
+
+        assert outcome(cholesky) == outcome(np.linalg.cholesky)
+
+    def test_a_singular_factor_fails_as_the_public_solve_does(self):
+        chol = np.array([[1.0, 0.0], [2.0, 0.0]])
+        for solve, m in [(np.linalg.solve, np.eye(2)), (chol_solve, np.eye(2)), (chol_solve, np.ones(2))]:
+            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                solve(chol, m)
 
 
 class TestTmap:
@@ -323,11 +415,26 @@ class TestEvaluationCounts:
         model, _ = synthetic(seed=16, n=120)
         s0 = model.sbar(init_params(model.dataset, 3, 4))
         factored = []
-        cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(1) or cholesky(a))
+        cholesky = fiem.gmm.cholesky
+        monkeypatch.setattr(fiem.gmm, "cholesky", lambda a: factored.append(1) or cholesky(a))
         monkeypatch.setattr(np.linalg, "eigvalsh", None)
         path = gmm_epoch_path(model, algorithm, s0, 5e-2, 10, 3, seed=2, kswitch=1)
         assert len(factored) == path.iterations + 1
+
+    @pytest.mark.parametrize("algorithm", ["em", "online-em", "h-fiem"])
+    def test_no_visited_state_calls_the_numpy_linalg_wrappers(self, monkeypatch, algorithm):
+        # the factor and the precision go to LAPACK through fiem.model, not
+        # through np.linalg.cholesky and np.linalg.solve
+        model, _ = synthetic(seed=16, n=120)
+        s0 = model.sbar(init_params(model.dataset, 3, 4))
+
+        def wrapper(*args, **kwargs):
+            raise AssertionError("a numpy.linalg wrapper was called")
+
+        monkeypatch.setattr(np.linalg, "cholesky", wrapper)
+        monkeypatch.setattr(np.linalg, "solve", wrapper)
+        path = gmm_epoch_path(model, algorithm, s0, 5e-2, 10, 3, seed=2, kswitch=1)
+        assert len(path.params) == 3
 
 
 class TestResponsibilityTable:
