@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from math import isfinite
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -23,10 +23,33 @@ from .errors import DomainError, MemoryStateError, RunAbortError
 from .model import FiniteSumModel, aligned_empty, dots, matvecs
 from .rng import STREAM_INDICES_I, STREAM_INDICES_J, SeedTree, as_seed_tree, index_draws
 
-ALGORITHMS = ("em", "iem", "online-em", "fiem", "opt-fiem")
-MEMORY_ALGORITHMS = ("iem", "fiem", "opt-fiem")
-
 Array = np.ndarray
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """What an iteration draws, keeps and weighs, the only facts in which the
+    methods differ: a ``memory`` table whose rows of a batch from "indices-I"
+    it rewrites, an ``oracle`` batch from "indices-J" drawn "with" or
+    "without" replacement (None: no oracle), and the control variate's
+    ``coefficient``, 1.0 or "optimal" (None: no control variate)."""
+
+    memory: bool
+    oracle: Optional[str]
+    coefficient: Union[None, float, str]
+
+    def examples(self, n: int, b: int) -> int:
+        """Examples per iteration: b per drawn batch, or all n for EM, which draws none."""
+        return b * (self.memory + bool(self.oracle)) or n
+
+
+ALGORITHMS = {
+    "em": Algorithm(memory=False, oracle=None, coefficient=None),
+    "iem": Algorithm(memory=True, oracle=None, coefficient=None),
+    "online-em": Algorithm(memory=False, oracle="without", coefficient=None),
+    "fiem": Algorithm(memory=True, oracle="with", coefficient=1.0),
+    "opt-fiem": Algorithm(memory=True, oracle="with", coefficient="optimal"),
+}
 
 _DIVERGED = "non-finite update ||S^{k+1} - S^k||^2 (diverged)"
 
@@ -139,6 +162,10 @@ class MemoryTable:
         at = self._offsets + batch[:, 0]
         return at, self._flat.take(at, axis=0)
 
+    def codes(self, batch) -> Array:
+        """The stored codes of ``batch``, (b, c), or (R, 1, c) for a stack's one index per replica."""
+        return self.rows.take(batch, axis=0) if self._offsets is None else self._at(batch)[1][:, None]
+
     def write(self, model: FiniteSumModel, image, batch) -> None:
         """Replace the rows of ``batch`` (duplicates collapse) by sbar_i(T(s)),
         read from the state's image, and update the running mean incrementally.
@@ -220,26 +247,16 @@ def _batch(source, k: int, n: int, b: int, replace: bool) -> Array:
     return draw_batch(source, n, b, replace)
 
 
-def row_mean(rows: Array) -> Array:
-    """``rows.mean(axis=-2)`` bit for bit (the same sum, then division by the
-    row count), without the wrapper overhead of ``ndarray.mean``.  A single
-    row is returned as a view, which dividing by 1 leaves unchanged."""
-    if rows.shape[-2] == 1:
-        return rows[..., 0, :]
-    return np.add.reduce(rows, axis=-2) / rows.shape[-2]
-
-
 # -- single steps ---------------------------------------------------------
 # Each step takes the state ``s`` and its image ``model.image(s)``, which
 # the oracles read; a path evaluates the image once per visited state.
 
 
 def online_em_step(model: FiniteSumModel, s: Array, image, batch, gamma: float) -> Array:
-    """s + gamma * (mean_{i in batch} sbar_i(T(s)) - s)."""
+    """s + gamma * (mean_{i in batch} sbar_i(T(s)) - s), the control-variate step at coefficient 0."""
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
-    rows = model.stat_rows(image, batch)
-    return s + gamma * (row_mean(rows) - s)
+    return _cv_update(model, s, image, None, batch, gamma, 0.0)
 
 
 def iem_step(model: FiniteSumModel, s: Array, image, memory: MemoryTable, batch, gamma: float):
@@ -253,48 +270,27 @@ def iem_step(model: FiniteSumModel, s: Array, image, memory: MemoryTable, batch,
     return (1.0 - gamma) * s + gamma * memory.mean, memory
 
 
-def _cv_update(
-    model: FiniteSumModel,
-    s: Array,
-    image,
-    memory: MemoryTable,
-    batch_j: Array,
-    gamma: float,
-    lam: float,
-) -> Array:
-    # SA update with a control variate scaled by lam; lam=0 reproduces the
-    # plain oracle step bit-for-bit (the CV term is skipped, not multiplied),
-    # and lam=1 adds the CV term unscaled, which 1.0 * x leaves unchanged.
-    # A single oracle index reads its memory row, a wider batch their row_sums.
+def _cv_update(model: FiniteSumModel, s: Array, image, memory: Optional[MemoryTable],
+               batch_j: Array, gamma: float, lam: float) -> Array:
+    # SA update with a control variate scaled by lam; lam=0 is the plain
+    # oracle step of Online EM (the CV term is skipped, not multiplied), and
+    # lam=1 adds the CV term unscaled, which 1.0 * x leaves unchanged.
     batch_j = np.asarray(batch_j)
-    rows_j = model.stat_rows(image, batch_j)
-    direction = row_mean(rows_j) - s
+    direction = model.batch_mean(model.table_codes(image, batch_j), batch_j) - s
     if lam != 0.0:
-        b = batch_j.shape[-1]
-        mem_j = memory._rows(memory._at(batch_j)[1], batch_j[..., 0]) if b == 1 \
-            else memory._sums(memory.rows[batch_j], batch_j) / b
-        cv = memory.mean - mem_j
+        cv = memory.mean - model.batch_mean(memory.codes(batch_j), batch_j)
         direction = direction + (cv if lam == 1.0 else lam * cv)
     return s + gamma * direction
 
 
-def fiem_step(
-    model: FiniteSumModel,
-    s: Array,
-    image,
-    memory: MemoryTable,
-    batch_i,
-    batch_j,
-    gamma: float,
-):
+def fiem_step(model: FiniteSumModel, s: Array, image, memory: MemoryTable, batch_i, batch_j,
+              gamma: float):
     """Variance-reduced step: memory updated with ``batch_i`` and the oracle
-    ``batch_j`` corrected by the memory control variate (unit coefficient)."""
-    if len(batch_i) == 0 or len(batch_j) == 0:
-        raise ValueError("batches must be non-empty")
-    if memory is None:
+    ``batch_j`` corrected by the memory control variate at coefficient 1,
+    :func:`opt_fiem_step` at ``forced_lambda=1.0``.  Returns (new state, memory)."""
+    if memory is None and len(batch_i) and len(batch_j):  # opt_fiem_step rejects empty batches
         raise MemoryStateError("FIEM requires an initialized memory table")
-    memory.write(model, image, batch_i)
-    return _cv_update(model, s, image, memory, batch_j, gamma, 1.0), memory
+    return opt_fiem_step(model, s, image, memory, batch_i, batch_j, gamma, forced_lambda=1.0)[:2]
 
 
 def opt_fiem_lambda(model: FiniteSumModel, image, memory: MemoryTable) -> float:
@@ -335,21 +331,13 @@ def opt_fiem_lambda(model: FiniteSumModel, image, memory: MemoryTable) -> float:
     return -num / den
 
 
-def opt_fiem_step(
-    model: FiniteSumModel,
-    s: Array,
-    image,
-    memory: MemoryTable,
-    batch_i,
-    batch_j,
-    gamma: float,
-    forced_lambda: Optional[float] = None,
-):
+def opt_fiem_step(model: FiniteSumModel, s: Array, image, memory: MemoryTable, batch_i, batch_j,
+                  gamma: float, forced_lambda: Optional[float] = None):
     """FIEM step with the control variate scaled by lambda*.
 
     Returns (new state, memory, lambda used).  ``forced_lambda`` overrides the
-    optimal coefficient (0 reproduces Online EM, 1 reproduces FIEM bit for
-    bit under identical draws).
+    optimal coefficient: 1 is :func:`fiem_step`, and 0 reproduces Online EM
+    bit for bit under identical draws.
     """
     if len(batch_i) == 0 or len(batch_j) == 0:
         raise ValueError("batches must be non-empty")
@@ -404,45 +392,38 @@ class RunDiagnostics:
 
 
 def _step(algorithm, model, s, image, memory, draws, k, b, gamma, smean, forced_lambda):
-    """Iteration k of ``algorithm`` from ``s``, whose image is ``image``;
-    returns (new state, lambda or None).
-
-    Memory batches are taken from ``draws[0]`` ("indices-I") before oracle
-    batches from ``draws[1]`` ("indices-J"), so every algorithm reads the
-    same stream positions.  The step functions are looked up as module
-    globals at call time (no dispatch table), so a wrapper installed on this
-    module sees every call."""
+    """Iteration k from ``s``, whose image is ``image``, of the :class:`Algorithm`
+    ``algorithm``; returns (new state, lambda or None).  Memory batches come
+    from ``draws[0]`` ("indices-I") and oracle batches from ``draws[1]``
+    ("indices-J"), so every algorithm reads the same stream positions; a
+    method that draws neither steps to the full mean ``smean`` (EM).  The
+    step functions are looked up as module globals at call time (no
+    dispatch table), so a wrapper installed on this module sees every call."""
     n = model.n
-    if algorithm == "em":
-        return smean, None
-    if algorithm == "online-em":
-        return online_em_step(model, s, image, _batch(draws[1], k, n, b, False), gamma), None
-    batch_i = _batch(draws[0], k, n, b, True)
-    if algorithm == "iem":
-        return iem_step(model, s, image, memory, batch_i, gamma)[0], None
-    batch_j = _batch(draws[1], k, n, b, True)
-    if algorithm == "fiem":
+    batch_i = _batch(draws[0], k, n, b, True) if algorithm.memory else None
+    batch_j = _batch(draws[1], k, n, b, algorithm.oracle == "with") if algorithm.oracle else None
+    if algorithm.coefficient == 1.0:
         return fiem_step(model, s, image, memory, batch_i, batch_j, gamma)[0], None
-    s_new, _, lam = opt_fiem_step(model, s, image, memory, batch_i, batch_j, gamma,
-                                  forced_lambda=forced_lambda)
-    return s_new, lam
+    if algorithm.coefficient == "optimal":
+        s_new, _, lam = opt_fiem_step(model, s, image, memory, batch_i, batch_j, gamma, forced_lambda)
+        return s_new, lam
+    if algorithm.memory:
+        return iem_step(model, s, image, memory, batch_i, gamma)[0], None
+    if algorithm.oracle:
+        return online_em_step(model, s, image, batch_j, gamma), None
+    return smean, None
 
 
-def sa_path(
-    model: FiniteSumModel,
-    phases,
-    gammas: Array,
-    seed,
-    options: RunOptions,
-    on_phase_end: Optional[Callable] = None,
-) -> RunDiagnostics:
+def sa_path(model: FiniteSumModel, phases, gammas: Array, seed, options: RunOptions,
+            on_phase_end: Optional[Callable] = None) -> RunDiagnostics:
     """The stochastic-approximation loop ``s <- s + gamma (S_hat - s)``.
 
-    Walks ``phases``, a list of ``(algorithm, iterations)``, on one state;
-    iteration k of the whole path uses ``gammas[k]``.  Online EM batches are
-    drawn without replacement from "indices-J", memory batches with
-    replacement from "indices-I" and FIEM oracle batches with replacement from
-    "indices-J".  The memory table is initialized from the current state when
+    Walks ``phases``, a list of ``(algorithm, iterations)`` with each name a
+    key of :data:`ALGORITHMS`, on one state; iteration k of the whole path
+    uses ``gammas[k]``.  Each phase steps as its :class:`Algorithm` record
+    says: memory batches are drawn with replacement from "indices-I", oracle
+    batches from "indices-J" with or without replacement (Online EM draws
+    without).  The memory table is initialized from the current state when
     the first memory phase starts, and ``on_phase_end(s, image)`` is called
     after every phase.  The image ``model.image(s)`` of each visited state is
     evaluated once, after the state has passed the checks below, and serves
@@ -451,14 +432,14 @@ def sa_path(
     is evaluated only for ``on_phase_end``.  The diagnostics switched on in
     ``options`` are recorded at the pre-update state of every iteration;
     ``cv_gap_sq`` reads NaN in phases without a memory table, ``lambdas``
-    in phases other than opt-FIEM.  Raises :class:`RunAbortError` on a domain violation (under the
-    "abort" policy or inside the model) and at the first iteration whose
-    update ``||S^{k+1} - S^k||^2`` is not finite; a diverged path runs no
-    further.
+    in phases without the optimal coefficient.  Raises
+    :class:`RunAbortError` on a domain violation (under the "abort" policy
+    or inside the model) and at the first iteration whose update
+    ``||S^{k+1} - S^k||^2`` is not finite; a diverged path runs no further.
     """
     for algorithm, _ in phases:
         if algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+            raise ValueError(f"unknown algorithm {algorithm!r}; choose from {tuple(ALGORITHMS)}")
     k_max = sum(iters for _, iters in phases)
     if len(gammas) != k_max:
         raise ValueError(f"schedule length {len(gammas)} does not match the {k_max} iterations")
@@ -482,7 +463,8 @@ def _path(model, phases, gammas, options, draws, on_phase_end=None) -> RunDiagno
         s0 = s = np.tile(s, (len(draws[0]), 1))
     memory = None
     b = int(options.batch_size)
-    uses_memory = any(alg in MEMORY_ALGORITHMS and iters for alg, iters in phases)
+    phases = [(ALGORITHMS[alg], iters) for alg, iters in phases]
+    uses_memory = any(alg.memory and iters for alg, iters in phases)
 
     def records():
         # entry k is a scalar, or a column of one value per replica
@@ -492,7 +474,7 @@ def _path(model, phases, gammas, options, draws, on_phase_end=None) -> RunDiagno
     cv_sq = records() if (options.compute_e2 and uses_memory) else None
     step_sq = records()
     vdot_sq = records() if options.compute_e0 else None
-    lambdas = np.full(k_max, np.nan) if any(alg == "opt-fiem" for alg, _ in phases) else None
+    lambdas = np.full(k_max, np.nan) if any(alg.coefficient == "optimal" for alg, _ in phases) else None
     theta_err = np.empty(k_max + 1) if options.theta_ref is not None else None
     needs_mean = options.compute_h or cv_sq is not None or options.compute_e0
     violations = 0
@@ -507,10 +489,11 @@ def _path(model, phases, gammas, options, draws, on_phase_end=None) -> RunDiagno
         try:
             image = model.image(s)
             for algorithm, iters in phases:
-                if memory is None and iters and algorithm in MEMORY_ALGORITHMS:
+                if memory is None and iters and algorithm.memory:
                     memory = MemoryTable.init(model, image)
+                full = not (algorithm.memory or algorithm.oracle)  # EM steps to the full mean
                 for _ in range(iters):
-                    smean = model.stat_mean(image) if needs_mean or algorithm == "em" else None
+                    smean = model.stat_mean(image) if needs_mean or full else None
                     if h_sq is not None or vdot_sq is not None:
                         h = smean - s
                     if h_sq is not None:
@@ -526,7 +509,7 @@ def _path(model, phases, gammas, options, draws, on_phase_end=None) -> RunDiagno
 
                     if lam is not None:
                         lambdas[k] = lam
-                    if cv_sq is not None and algorithm in MEMORY_ALGORITHMS:
+                    if cv_sq is not None and algorithm.memory:
                         gap = memory.mean - smean
                         cv_sq[k] = dots(gap, gap)
                     step = s_new - s

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algorithms import (
+    ALGORITHMS,
     RunDiagnostics,
     RunOptions,
     StepSchedule,
@@ -431,10 +432,7 @@ def verify_theorem1(
 
 # -- GMM epoch experiments --------------------------------------------------
 
-# examples that one iteration of each mixture algorithm processes, from n and b
-_EXAMPLES_PER_ITERATION = {"em": lambda n, b: n, "iem": lambda n, b: b, "online-em": lambda n, b: b,
-                           "fiem": lambda n, b: 2 * b, "h-fiem": lambda n, b: 2 * b}
-GMM_ALGORITHMS = tuple(_EXAMPLES_PER_ITERATION)
+GMM_ALGORITHMS = ("em", "iem", "online-em", "fiem", "h-fiem")
 # iEM steps all the way to the memory mean, as classical incremental EM does
 IEM_GAMMA = 1.0
 # the epochs at which the paper's table reports the log-likelihood
@@ -448,9 +446,11 @@ def _epoch_phases(algorithm: str, n: int, batch_size: int, epochs: int, kswitch:
 
     An epoch is one EM iteration, n/b iEM or Online EM iterations, or n/(2b)
     FIEM iterations (two batches each), so n must be divisible by the examples
-    of one iteration.  h-FIEM runs ``kswitch`` Online EM epochs, then FIEM
-    epochs, and needs n divisible by 2b.  Each error message states the
-    values that do not fit and the flags that set them.
+    of one iteration, :meth:`~fiem.algorithms.Algorithm.examples`.  h-FIEM
+    runs ``kswitch`` Online EM epochs, then FIEM epochs, and needs n
+    divisible by 2b, the FIEM record's examples, at any ``kswitch``.  Each
+    error message states the values that do not fit and the flags that set
+    them.
     """
     if algorithm not in GMM_ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -459,7 +459,7 @@ def _epoch_phases(algorithm: str, n: int, batch_size: int, epochs: int, kswitch:
         raise ValueError(f"batch {b} is below 1")
     if epochs < 1:
         raise ValueError(f"epochs={epochs} is below 1")
-    per_iteration = _EXAMPLES_PER_ITERATION[algorithm](n, b)
+    per_iteration = ALGORITHMS["fiem" if algorithm == "h-fiem" else algorithm].examples(n, b)
     if n % per_iteration:
         examples = f"--batch {b}" if per_iteration == b else f"2*batch={per_iteration} (--batch {b})"
         raise ValueError(f"{examples} does not divide n={n} for {algorithm}")
@@ -467,7 +467,8 @@ def _epoch_phases(algorithm: str, n: int, batch_size: int, epochs: int, kswitch:
         return [(algorithm, n // per_iteration)] * epochs
     if not (0 <= kswitch <= epochs):
         raise ValueError(f"--kswitch past --epochs: kswitch={kswitch} is outside 0..epochs={epochs}")
-    return [("online-em", n // b)] * kswitch + [("fiem", n // (2 * b))] * (epochs - kswitch)
+    online = n // ALGORITHMS["online-em"].examples(n, b)
+    return [("online-em", online)] * kswitch + [("fiem", n // per_iteration)] * (epochs - kswitch)
 
 
 @dataclass

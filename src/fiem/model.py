@@ -54,7 +54,8 @@ class FiniteSumModel(ABC):
     dimension.  A model defines ``tmap``, ``admissible`` and ``stat_rows``;
     the algorithms need nothing else.  A memory table stores the codes of
     :meth:`table_codes` (the toy's rows, the mixture's responsibilities),
-    reads rows through :meth:`table_rows` and means through :meth:`row_sums`.
+    reads rows through :meth:`table_rows` and sums through :meth:`row_sums`,
+    and every mean of a batch of rows is a :meth:`batch_mean` of its codes.
 
     The oracles ``stat_rows``, ``stat_rows_into`` and ``stat_mean`` take
     the image ``image(s)`` of a state rather than the state itself, so that
@@ -111,9 +112,10 @@ class FiniteSumModel(ABC):
             out[...] = rows.reshape(-1)[skip:skip + out.size]
 
     def stat_mean(self, image) -> Array:
-        """Full EM image ``sbar(T(s))``, the mean of all n rows; costs one
-        pass over the examples unless the model overrides it."""
-        return self.stat_rows(image, np.arange(self.n)).mean(axis=0)
+        """Full EM image ``sbar(T(s))``, the :meth:`batch_mean` of all n rows;
+        costs one pass over the examples unless the model overrides it."""
+        everything = np.arange(self.n)
+        return self.batch_mean(self.table_codes(image, everything), everything)
 
     def table_codes(self, image, indices=None) -> Array:
         """The memory table's codes of the examples ``indices`` (all n when
@@ -130,8 +132,18 @@ class FiniteSumModel(ABC):
 
     def row_sums(self, codes, indices) -> Array:
         """Sum of the rows that ``codes`` of ``indices`` stand for, (q,) or (R, q), with the
-        bits of ``np.add.reduce(rows, axis=-2)``; by default an einsum, in order at q >= 2."""
+        bits of ``np.add.reduce(rows, axis=-2)``; by default an einsum, in order at q >= 2.
+        Every sum of rows, over a batch or over the memory table, goes here."""
         return np.einsum("...nq->...q", self.table_rows(codes, indices))
+
+    def batch_mean(self, codes, indices) -> Array:
+        """Mean of the rows that ``codes`` of the (..., b) array ``indices`` stand for, the
+        rows' ``mean(axis=-2)`` bit for bit at q >= 2: the one row of :meth:`table_rows`
+        at b = 1, else :meth:`row_sums` over b.  Every mean of a batch of rows goes here."""
+        b = indices.shape[-1]
+        if b == 1:
+            return self.table_rows(codes, indices)[..., 0, :]
+        return self.row_sums(codes, indices) / b
 
     # -- optional capabilities -------------------------------------------
 

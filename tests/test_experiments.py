@@ -680,10 +680,13 @@ class TestHybridEpochPath:
             path(4)
 
     def test_epoch_divisibility_enforced(self):
-        # 40 divides n = 120 but two batches of 40 do not
+        # 40 divides n = 120 but two batches of 40 do not, also when every
+        # epoch is an Online EM epoch
         self.path("online-em", 2, batch_size=40)
-        with pytest.raises(ValueError):
-            self.path("h-fiem", 2, kswitch=1, batch_size=40)
+        for kswitch in (1, 2):
+            with pytest.raises(ValueError, match=r"^2\*batch=80 \(--batch 40\) does not divide "
+                                                 r"n=120 for h-fiem$"):
+                self.path("h-fiem", 2, kswitch=kswitch, batch_size=40)
 
 
 # -- FIEM replicas on one (R, q) state ---------------------------------------

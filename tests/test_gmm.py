@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import fiem.gmm
 from fiem.algorithms import (MemoryTable, RunOptions, StepSchedule, _cv_update, opt_fiem_lambda,
-                             row_mean, run, sa_path)
+                             run, sa_path)
 from fiem.errors import ConfigurationError, DomainError, RunAbortError
 from fiem.experiments import gmm_epoch_path
 from fiem.gmm import (
@@ -468,8 +468,8 @@ class TestResponsibilityTable:
             rebuilt = model.table_rows(table.rows, np.arange(model.n))
             assert rebuilt.tobytes() == dense.rows.tobytes()
             for j in (batch[:1], rng.integers(0, model.n, size=100)):
-                oracle = row_mean(model.stat_rows(image, j))
-                want = s + 0.05 * ((oracle - s) + (dense.mean - row_mean(dense.rows[j])))
+                oracle = model.stat_rows(image, j).mean(axis=0)
+                want = s + 0.05 * ((oracle - s) + (dense.mean - dense.rows[j].mean(axis=0)))
                 assert _cv_update(model, s, image, table, j, 0.05, 1.0).tobytes() == want.tobytes()
         assert dense.refreshes >= 2 and repeats > 0
 
