@@ -20,10 +20,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import DomainError, MemoryStateError, RunAbortError
-from .model import FiniteSumModel, aligned_empty, dots, matvecs
+from .model import Array, FiniteSumModel, aligned_empty, dots, matvecs
 from .rng import STREAM_INDICES_I, STREAM_INDICES_J, SeedTree, as_seed_tree, index_draws
-
-Array = np.ndarray
 
 
 @dataclass(frozen=True)

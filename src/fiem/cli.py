@@ -482,9 +482,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fiem", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags that several subcommands share, each declared once
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", type=_path, help="JSON config file whose keys are the long flags")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_whole_number(0), default=0)
+    seeded.add_argument("--threads", type=_whole_number(1), default=os.cpu_count() or 1)
 
-    p = sub.add_parser("plan", help="solve a step-size plan and emit it as JSON")
-    p.add_argument("--config", type=_path, help="JSON config file whose keys are the long flags")
+    p = sub.add_parser("plan", parents=[config], help="solve a step-size plan and emit it as JSON")
     p.add_argument("--n", type=_whole_number(2))
     p.add_argument("--kmax", type=_whole_number(1))
     p.add_argument("--vmin", type=_positive_number)
@@ -499,10 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=_open_unit, help="target accuracy for auto strategy")
     p.add_argument("--out", type=_path)
 
-    threads = os.cpu_count() or 1
-    t = sub.add_parser("toy", help="replicated runs on the linear-Gaussian benchmark")
-    t.add_argument("--config", type=_path)
-    t.add_argument("--seed", type=_whole_number(0), default=0)
+    t = sub.add_parser("toy", parents=[config, seeded],
+                       help="replicated runs on the linear-Gaussian benchmark")
     t.add_argument("--n", type=_whole_number(2))
     t.add_argument("--kmax", type=_whole_number(1))
     t.add_argument("--algos", type=_algorithm_list(ALGORITHMS), default="online-em,fiem,opt-fiem")
@@ -510,10 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--replicas", type=_whole_number(1))
     t.add_argument("--out", type=_path, default="toy-out")
     t.add_argument("--preset", choices=sorted(TOY_PRESETS))
-    t.add_argument("--threads", type=_whole_number(1), default=threads)
 
-    g = sub.add_parser("gmm", help="Gaussian-mixture fits with epoch tables")
-    g.add_argument("--config", type=_path)
+    g = sub.add_parser("gmm", parents=[config, seeded], help="Gaussian-mixture fits with epoch tables")
     g.add_argument("--data", type=_path, help="header-free CSV, one observation per row")
     g.add_argument("--synthetic", type=_synthetic_spec, help="seed,n,g,p,separation")
     g.add_argument("--preprocess", type=_whole_number(0),
@@ -526,17 +527,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--kswitch", type=_whole_number(0), default=KSWITCH)
     g.add_argument("--epochs", type=_whole_number(1), default=100)
     g.add_argument("--replicas", type=_whole_number(1), default=1)
-    g.add_argument("--seed", type=_whole_number(0), default=0)
     g.add_argument("--out", type=_path, default="gmm-out")
     g.add_argument("--preset", choices=["paper"])
-    g.add_argument("--threads", type=_whole_number(1), default=threads)
 
-    c = sub.add_parser("check", help="verification suites")
-    c.add_argument("--config", type=_path)
+    c = sub.add_parser("check", parents=[config, seeded], help="verification suites")
     c.add_argument("--suite", choices=["theorem1", "prop2", "identities"], default="identities")
     c.add_argument("--scale", choices=["desk", "paper"], help="theorem1 only (default: desk)")
-    c.add_argument("--seed", type=_whole_number(0), default=0)
-    c.add_argument("--threads", type=_whole_number(1), default=threads)
     parser.commands = sub.choices
     return parser
 

@@ -28,11 +28,9 @@ from .algorithms import (
 )
 from .errors import DomainError, RunAbortError
 from .gmm import GmmModel, init_params
-from .model import FiniteSumModel, dots, objective_v
+from .model import Array, FiniteSumModel, dots, objective_v
 from .rng import STREAM_TERMINATION, SeedTree
 from .stepsize import theorem1_coeffs
-
-Array = np.ndarray
 
 _CHECKPOINT_FRACTIONS = tuple(
     [0.005, 0.025]
@@ -86,10 +84,12 @@ class ResultTable:
     def completed(self) -> dict[str, int]:
         return {alg: len(diags) for alg, diags in self.runs.items()}
 
-    def raise_on_abort(self) -> None:
-        """Raise :class:`RunAbortError` naming the first aborted replica, for
-        estimates that the surviving replicas alone would bias."""
-        for alg, aborts in self.aborted.items():
+    def raise_on_abort(self, *algorithms: str) -> None:
+        """Raise :class:`RunAbortError` naming the first aborted replica of
+        ``algorithms`` (of any algorithm when none is named), for estimates
+        that the surviving replicas alone would bias."""
+        for alg in algorithms or self.aborted:
+            aborts = self.aborted[alg]
             if aborts:
                 r, k, condition = aborts[0]
                 total = self.completed[alg] + len(aborts)
@@ -243,10 +243,13 @@ def checkpoint_summary(table: ResultTable, schedule: StepSchedule) -> list[dict]
     metric, checkpoint), the checkpoints :func:`default_checkpoints` of the
     schedule's length.  ``step_sq_scaled`` is ``step_sq`` over the squared
     step size of each iteration.  A statistic that overflows comes out
-    non-finite, without a numpy warning."""
+    non-finite, without a numpy warning.  Raises :class:`RunAbortError`
+    naming the first aborted replica of an algorithm with no completed run."""
     checkpoints = default_checkpoints(len(schedule))
     rows = []
     for alg, diags in table.runs.items():
+        if not diags:
+            table.raise_on_abort(alg)
         # the checkpoint columns of each recorded metric, (R, checkpoints)
         columns = {m: np.array([getattr(d, m)[checkpoints] for d in diags])
                    for m in _METRICS if getattr(diags[0], m) is not None}

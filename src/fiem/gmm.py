@@ -26,10 +26,8 @@ import numpy as np
 
 from .algorithms import MemoryTable, _einsum, fiem_step, iem_step, online_em_step
 from .errors import ConfigurationError, DomainError
-from .model import FiniteSumModel, check_statistic, chol_solve, cholesky
+from .model import Array, FiniteSumModel, check_statistic, chol_solve, cholesky
 from .rng import STREAM_DATA, as_seed_tree
-
-Array = np.ndarray
 
 MASS_FLOOR = -1e-10          # proxy: component masses may not dip below this
 MASS_TOTAL_TOL = 1e-8        # proxy: total mass stays at one

@@ -64,9 +64,6 @@ class SeedTree:
             raise ValueError("child index must be non-negative")
         return SeedTree(self.seed, self.path + (int(index),))
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"SeedTree(seed={self.seed}, path={self.path})"
-
 
 def _words(value: int) -> tuple[int, ...]:
     # little-endian uint32 words of a non-negative integer, at least one,

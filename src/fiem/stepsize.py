@@ -23,9 +23,7 @@ import numpy as np
 
 from .algorithms import StepSchedule, TerminationRule
 from .errors import InfeasiblePlanError
-from .model import ModelConstants
-
-Array = np.ndarray
+from .model import Array, ModelConstants
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import FiniteSumModel, ModelConstants, aligned_empty, check_statistic, chol_solve, dots, matvecs
+from .model import (Array, FiniteSumModel, ModelConstants, aligned_empty, check_statistic, chol_solve,
+                    dots, matvecs)
 from .rng import STREAM_DATA, as_seed_tree
-
-Array = np.ndarray
 
 
 def _ar1_matrix(rng: np.random.Generator, rows: int, cols: int, rho: float) -> Array:

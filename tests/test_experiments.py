@@ -38,7 +38,7 @@ from fiem.experiments import (
 )
 from fiem.gmm import GmmModel, generate_gmm_synthetic, gmm_loglik, init_params
 from fiem.model import dots
-from fiem.rng import STREAM_TERMINATION, SeedTree
+from fiem.rng import STREAM_INDICES_I, STREAM_INDICES_J, STREAM_TERMINATION, SeedTree, index_draws
 from fiem.stepsize import PlannerInputs, f_n, f_n_tilde, nonuniform_plan, plan_case1, solve_case2
 from fiem.toy import generate_toy
 
@@ -227,6 +227,22 @@ class TestCheckpointSummary:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                              check=True).stdout
         assert out == "False\n"
+
+    def test_an_algorithm_with_no_completed_run_raises_its_first_abort(self):
+        schedule = StepSchedule.constant(0.1, 10)
+        with pytest.raises(RunAbortError) as err:
+            checkpoint_summary(ResultTable({"fiem": []}, {"fiem": [(0, 3, "x")]}), schedule)
+        assert (err.value.iteration, err.value.condition) == (3, "replica 0: x (1 of 1 replicas aborted)")
+        # a partial abort keeps the rows of the completed runs; the error names
+        # the replica of the algorithm that has none, not an earlier abort
+        table = shared_record_table(3, 10)
+        rows = checkpoint_summary(table, schedule)
+        table.aborted["fiem"] = [(3, 8, "diverged")]
+        assert checkpoint_summary(table, schedule) == rows
+        table.runs["opt-fiem"], table.aborted["opt-fiem"] = [], [(0, 5, "x"), (1, 7, "y")]
+        with pytest.raises(RunAbortError) as err:
+            checkpoint_summary(table, schedule)
+        assert (err.value.iteration, err.value.condition) == (5, "replica 0: x (2 of 2 replicas aborted)")
 
 
 class TestEstimates:
@@ -731,6 +747,28 @@ _DIAGNOSTICS = [dict(compute_h=True, compute_e0=True, compute_e2=True),
 
 
 class TestReplicaAxis:
+    @pytest.mark.parametrize("algorithm", ["em", "iem", "online-em", "fiem"])
+    def test_the_loop_steps_every_one_index_algorithm_on_a_stack(self, algorithm):
+        # the route that would take every toy algorithm at b = 1 onto the
+        # axis: the loop on R = 7 stacked states, both streams drawn up front
+        m = generate_toy(3, 30, dims=(6, 4, 5))
+        k_max, tree, replicas = 60, SeedTree(7), range(7)
+        schedule = StepSchedule(np.linspace(0.05, 0.4, k_max))
+        options = RunOptions(s0=np.random.default_rng(30).standard_normal(m.q),
+                             compute_e0=True, compute_e2=True)
+        draws = tuple(index_draws(tree, replicas, stream, m.n, k_max)
+                      for stream in (STREAM_INDICES_I, STREAM_INDICES_J))
+        stack = fiem.algorithms._path(m, [(algorithm, k_max)], schedule.gammas, options, draws)
+        for r in replicas:
+            path = run(algorithm, m, schedule, tree.child(r), options)
+            assert stack.s_final[r].tobytes() == path.s_final.tobytes()
+            for field in ("step_sq", "h_sq", "vdot_sq", "cv_gap_sq"):
+                rows, want = getattr(stack, field), getattr(path, field)
+                if want is None:
+                    assert rows is None, field
+                else:
+                    assert rows[:, r].tobytes() == want.tobytes(), field
+
     @pytest.mark.parametrize("dims", [(4, 3, 3), (6, 4, 5), (15, 10, 20)])
     @pytest.mark.parametrize("n, diagnostics", zip([1, 2, 10, 30], _DIAGNOSTICS))
     def test_engine_is_run_bit_for_bit(self, dims, n, diagnostics):

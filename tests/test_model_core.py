@@ -319,8 +319,10 @@ def test_every_library_name_has_a_product_caller():
 # methods of the product models and the memory table that no product command
 # runs, each with the reason it stays
 UNREACHED_METHODS = {
-    "ToyModel.__setstate__": "the pool forks, so no command unpickles a model; a spawn or "
-                             "forkserver pool would, and the lambda pass wants p1y aligned there too",
+    "ToyModel.__setstate__": "the pool forks on Linux before Python 3.14, so none of the commands "
+                             "below unpickles a model; a spawn pool (macOS) or a forkserver pool (Linux's "
+                             "default from Python 3.14) would, and the lambda pass wants p1y aligned "
+                             "there too",
     "GmmModel.stat_rows": "the model contract's row oracle: the mixture's batch means go through "
                           "its codes (batch_mean), so only opt-FIEM's default lambda pass reads "
                           "it, and no gmm command runs opt-FIEM",
